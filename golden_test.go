@@ -17,8 +17,10 @@ package leodivide
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"testing"
 
 	"leodivide/internal/golden"
@@ -45,14 +47,66 @@ func goldenConfigs() []golden.Config {
 	return cfgs
 }
 
-// goldenTolerance is the corpus comparison policy. The default 1e-9
-// relative tolerance absorbs last-ulp float differences across Go
-// toolchain versions while still pinning every anchor to nine
-// significant digits; integer fields (satellite counts, cell maxima,
-// location totals) compare exactly because their JSON encodings are
-// string-identical.
-func goldenTolerance() golden.Tolerance {
-	return golden.Default()
+// goldenTolerance is the corpus comparison policy for one experiment.
+// The default 1e-9 relative tolerance absorbs last-ulp float
+// differences across Go toolchain versions while still pinning every
+// anchor to nine significant digits; integer fields (satellite counts,
+// cell maxima, location totals) compare exactly because their JSON
+// encodings are string-identical.
+//
+// busyhour's diurnal-profile facts are exact on top of that: the peak
+// hour, the peak factor and the single-cell peak-to-mean ratio come
+// from the calibrated profile alone, so no kernel change may move them
+// by even an ulp. Its footprint and national ratios come from summed
+// curves and keep the default.
+func goldenTolerance(experiment string) golden.Tolerance {
+	tol := golden.Default()
+	if experiment == "busyhour" {
+		for _, path := range []string{"/PeakHourLocal", "/PeakFactor", "/Stagger/CellPeakToMean"} {
+			tol.Rules = append(tol.Rules, golden.Rule{Path: path}) // zero Rel and Abs: exact
+		}
+	}
+	return tol
+}
+
+// TestGoldenToleranceBusyHourExact: one ulp on an exact busyhour field
+// is drift, while the summed stagger ratios keep the 1e-9 default.
+func TestGoldenToleranceBusyHourExact(t *testing.T) {
+	want, err := golden.ReadFile(golden.File(goldenRoot, 1, 0.02, "busyhour"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base BusyHourResult
+	if err := json.Unmarshal(want, &base); err != nil {
+		t.Fatal(err)
+	}
+	nudge := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	cases := []struct {
+		name  string
+		edit  func(*BusyHourResult)
+		drift bool
+	}{
+		{"PeakFactor", func(r *BusyHourResult) { r.PeakFactor = nudge(r.PeakFactor) }, true},
+		{"CellPeakToMean", func(r *BusyHourResult) { r.Stagger.CellPeakToMean = nudge(r.Stagger.CellPeakToMean) }, true},
+		{"PeakHourLocal", func(r *BusyHourResult) { r.PeakHourLocal++ }, true},
+		{"FootprintPeakToMean", func(r *BusyHourResult) { r.Stagger.FootprintPeakToMean *= 1 + 1e-12 }, false},
+		{"NationalPeakToMean", func(r *BusyHourResult) { r.Stagger.NationalPeakToMean *= 1 + 1e-12 }, false},
+	}
+	for _, c := range cases {
+		r := base
+		c.edit(&r)
+		got, err := golden.Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffs, err := golden.Compare(got, want, goldenTolerance("busyhour"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drift := len(diffs) > 0; drift != c.drift {
+			t.Errorf("%s: drift = %v, want %v (%v)", c.name, drift, c.drift, diffs)
+		}
+	}
 }
 
 func TestGoldenCorpus(t *testing.T) {
@@ -93,7 +147,7 @@ func TestGoldenCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("encode result: %v", err)
 					}
-					diffs, err := golden.Compare(got, want, goldenTolerance())
+					diffs, err := golden.Compare(got, want, goldenTolerance(exp.Name))
 					if err != nil {
 						t.Fatalf("compare against %s: %v", path, err)
 					}
@@ -166,7 +220,7 @@ func TestGoldenRegionCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("encode result: %v", err)
 				}
-				diffs, err := golden.Compare(got, want, goldenTolerance())
+				diffs, err := golden.Compare(got, want, goldenTolerance("findings"))
 				if err != nil {
 					t.Fatalf("compare against %s: %v", path, err)
 				}

@@ -13,10 +13,12 @@
 package bdc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -148,65 +150,62 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
-// bodyQuantile evaluates the body quantile function at q in [0,1],
-// interpolating log-linearly between anchors.
-func (c GenConfig) bodyQuantile(q float64) float64 {
-	a := c.BodyAnchors
-	if q <= 0 {
-		return a[0].Locations
-	}
-	if q >= 1 {
-		return a[len(a)-1].Locations
-	}
-	i := sort.Search(len(a), func(i int) bool { return a[i].Q > q }) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(a)-1 {
-		i = len(a) - 2
-	}
-	lo, hi := a[i], a[i+1]
-	t := (q - lo.Q) / (hi.Q - lo.Q)
-	return math.Exp(math.Log(lo.Locations) + t*(math.Log(hi.Locations)-math.Log(lo.Locations)))
-}
-
 // bodyCounts returns per-cell counts (ascending) whose sum is exactly
 // target, drawn from the anchored quantile function.
 func (c GenConfig) bodyCounts(target int) []int {
 	// The sum over N midpoint-quantile draws grows monotonically with N;
 	// binary-search N, then trim the residual on mid-ranked cells.
-	sumFor := func(n int) (int, []int) {
-		counts := make([]int, n)
-		s := 0
+	//
+	// draws evaluates the quantile function (log-linear between anchors)
+	// at the midpoints (k+0.5)/n and returns the sum of the rounded
+	// draws, each at least 1, storing them in out when it is non-nil. The
+	// anchor logs are taken once and the anchor segment is walked
+	// forward, since q rises with k; each draw is the same float
+	// expression as evaluating it from scratch, so the search probes,
+	// which only sum, pick the N a from-scratch search would (pinned
+	// against a reference in the tests).
+	a := c.BodyAnchors
+	logs := make([]float64, len(a))
+	for i := range a {
+		logs[i] = math.Log(a[i].Locations)
+	}
+	draws := func(n int, out []int) int {
+		last := len(a) - 2
+		i, sum := 0, 0
 		for k := 0; k < n; k++ {
-			v := int(math.Round(c.bodyQuantile((float64(k) + 0.5) / float64(n))))
+			q := (float64(k) + 0.5) / float64(n)
+			// The segment starts at the last anchor with Q <= q, capped
+			// at the final segment; q lies strictly inside (0, 1).
+			for i < last && a[i+1].Q <= q {
+				i++
+			}
+			t := (q - a[i].Q) / (a[i+1].Q - a[i].Q)
+			v := int(math.Round(math.Exp(logs[i] + t*(logs[i+1]-logs[i]))))
 			if v < 1 {
 				v = 1
 			}
-			counts[k] = v
-			s += v
+			if out != nil {
+				out[k] = v
+			}
+			sum += v
 		}
-		return s, counts
+		return sum
 	}
 	lo, hi := 1, 16
-	for {
-		s, _ := sumFor(hi)
-		if s >= target {
-			break
-		}
+	for draws(hi, nil) < target {
 		lo = hi
 		hi *= 2
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		s, _ := sumFor(mid)
-		if s < target {
+		if draws(mid, nil) < target {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	sum, counts := sumFor(lo)
+	counts := make([]int, lo)
+	sum := draws(lo, counts)
 	// Trim the residual by decrementing (or incrementing) cells spread
 	// across the ranks, preserving the anchored quantiles. The stride is
 	// chosen co-prime with n so every cell is eventually visited, and a
@@ -284,7 +283,8 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 			return nil, fmt.Errorf("bdc: peak anchors collide in cell %v", id)
 		}
 		used[id] = true
-		county, ok := usgeo.CountyAt(id.LatLng())
+		center := id.LatLng()
+		county, ok := usgeo.CountyAt(center)
 		if !ok {
 			county, ok = usgeo.CountyAt(p.Anchor)
 			if !ok {
@@ -292,7 +292,7 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 			}
 		}
 		cells = append(cells, demand.Cell{
-			ID: id, Locations: p.Locations, CountyFIPS: county.FIPS, Center: id.LatLng(),
+			ID: id, Locations: p.Locations, CountyFIPS: county.FIPS, Center: center,
 		})
 	}
 
@@ -319,15 +319,17 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 			ID:         s.id,
 			Locations:  counts[perm[i]],
 			CountyFIPS: s.countyFIPS,
-			Center:     s.id.LatLng(),
+			Center:     s.center,
 		})
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].ID < cells[j].ID })
+	// IDs are unique, so any correct sort yields the same order.
+	slices.SortFunc(cells, func(a, b demand.Cell) int { return cmp.Compare(a.ID, b.ID) })
 	return cells, nil
 }
 
 type site struct {
 	id         hexgrid.CellID
+	center     geo.LatLng
 	countyFIPS string
 }
 
@@ -435,7 +437,7 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 		if !ok {
 			county = nearestCounty(counties[p.state], center)
 		}
-		return site{id: p.id, countyFIPS: county.FIPS}, nil
+		return site{id: p.id, center: center, countyFIPS: county.FIPS}, nil
 	})
 }
 

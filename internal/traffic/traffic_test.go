@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +73,141 @@ func TestAtProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAtWrapsAnyHour: every finite hour wraps onto the day, bit for bit
+// against its in-range equivalent, and non-finite hours give NaN. Hours
+// below −24 and non-finite hours used to index out of range.
+func TestAtWrapsAnyHour(t *testing.T) {
+	p := DefaultProfile()
+	cases := []struct {
+		in, same float64 // At(in) must equal At(same) exactly
+	}{
+		{-30, 18},
+		{-24.5, 23.5},
+		{-48, 0},
+		{-1e-300, 0},
+		{-0.25, 23.75},
+		{-1e6 - 3, 5},
+		{1e6 + 3, 19},
+		{25.5, 1.5},
+	}
+	for _, c := range cases {
+		if got, want := p.At(c.in), p.At(c.same); got != want {
+			t.Errorf("At(%v) = %v, want At(%v) = %v", c.in, got, c.same, want)
+		}
+	}
+	for _, in := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := p.At(in); !math.IsNaN(got) {
+			t.Errorf("At(%v) = %v, want NaN", in, got)
+		}
+	}
+}
+
+// TestMultiplierAtMatchesAt pins MultiplierAt's contract: over a grid of
+// UTC hours and longitudes, including off-day hours whose reduction
+// goes negative, it equals At(LocalHour(utc, lng)) bit for bit.
+func TestMultiplierAtMatchesAt(t *testing.T) {
+	p := DefaultProfile()
+	utcs := []float64{-100, -49.5, -24, -0.1, 1e-9, 23.999999, 24, 30.7, 1e5}
+	for s := 0; s < 96; s++ {
+		utcs = append(utcs, 24*float64(s)/96)
+	}
+	lngs := []float64{-180, -179.99, -106.3, -0.1, 0, 1e-12, 33.3, 179.99, 180}
+	for lng := -180.0; lng <= 180; lng += 7.5 {
+		lngs = append(lngs, lng)
+	}
+	for _, utc := range utcs {
+		for _, lng := range lngs {
+			got := p.MultiplierAt(utc, lng/15)
+			want := p.At(LocalHour(utc, lng))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("MultiplierAt(%v, %v/15) = %v, At(LocalHour) = %v", utc, lng, got, want)
+			}
+		}
+	}
+}
+
+// directCurve is the reference the binned kernel replaced: every cell
+// evaluated with MultiplierAt at every step, summed in cell order.
+func directCurve(p DiurnalProfile, cols Columns, steps int) ([]float64, []float64) {
+	if steps < 2 {
+		steps = 24
+	}
+	hours := make([]float64, steps)
+	totals := make([]float64, steps)
+	for s := range totals {
+		utc := 24 * float64(s) / float64(steps)
+		hours[s] = utc
+		for i := range cols.Demand {
+			totals[s] += cols.Demand[i] * p.MultiplierAt(utc, cols.Phase[i])
+		}
+	}
+	return hours, totals
+}
+
+// TestNationalCurveColumnsMatchesDirect: the binned kernel agrees with
+// the direct per-cell sum at every step within 1e-12 relative, across
+// step counts whose residue classes differ (gcd with 24 of 1, 2, 8 and
+// 24) and phases on, off and at the ends of hour boundaries.
+func TestNationalCurveColumnsMatchesDirect(t *testing.T) {
+	p := DefaultProfile()
+	rng := rand.New(rand.NewSource(7))
+	random := func(n int, phase func() float64) Columns {
+		c := Columns{Demand: make([]float64, n), Phase: make([]float64, n)}
+		for i := range c.Demand {
+			c.Demand[i] = rng.ExpFloat64() * 3
+			c.Phase[i] = phase()
+		}
+		return c
+	}
+	sets := map[string]Columns{
+		"empty":   {},
+		"uniform": random(2000, func() float64 { return rng.Float64()*24 - 12 }),
+		"hours":   random(300, func() float64 { return float64(rng.Intn(25) - 12) }),
+		"quarters": random(300, func() float64 {
+			return float64(rng.Intn(97)-48) / 4
+		}),
+		"ends": random(50, func() float64 { return 12 * float64(2*rng.Intn(2)-1) }),
+	}
+	for _, name := range []string{"empty", "uniform", "hours", "quarters", "ends"} {
+		cols := sets[name]
+		for _, steps := range []int{0, 2, 5, 7, 24, 96, 97, 1000} {
+			t.Run(fmt.Sprintf("%s/steps=%d", name, steps), func(t *testing.T) {
+				hours, totals, err := NationalCurveColumns(p, cols, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantHours, wantTotals := directCurve(p, cols, steps)
+				if len(totals) != len(wantTotals) {
+					t.Fatalf("%d steps, want %d", len(totals), len(wantTotals))
+				}
+				for s := range wantTotals {
+					if math.Float64bits(hours[s]) != math.Float64bits(wantHours[s]) {
+						t.Fatalf("hours[%d] = %v, want %v", s, hours[s], wantHours[s])
+					}
+					got, want := totals[s], wantTotals[s]
+					if math.Abs(got-want) > 1e-12*math.Max(math.Abs(got), math.Abs(want)) {
+						t.Fatalf("totals[%d] = %v, direct sum %v", s, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A non-finite phase poisons the curve with NaN instead of panicking.
+func TestNationalCurveColumnsNaNPhase(t *testing.T) {
+	cols := Columns{Demand: []float64{1, 2}, Phase: []float64{-5, math.NaN()}}
+	_, totals, err := NationalCurveColumns(DefaultProfile(), cols, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, v := range totals {
+		if !math.IsNaN(v) {
+			t.Fatalf("totals[%d] = %v, want NaN", s, v)
+		}
 	}
 }
 
