@@ -12,10 +12,12 @@ package leodivide
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"leodivide/internal/region"
 	"leodivide/internal/testutil"
 )
 
@@ -108,11 +110,18 @@ func TestGenerateDatasetDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestGenerateDatasetCancellation: a pre-cancelled context aborts
-// generation with context.Canceled instead of returning a dataset.
+// generation with context.Canceled instead of returning a dataset, in
+// every region, even once a first generation has warmed the
+// process-wide caches that never consult ctx.
 func TestGenerateDatasetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GenerateDataset(ctx, WithSeed(1), WithScale(0.05)); err == nil {
-		t.Fatal("expected error from cancelled context")
+	for _, name := range region.Names() {
+		if _, err := GenerateDataset(context.Background(), WithRegion(name), WithScale(0.02)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := GenerateDataset(ctx, WithRegion(name), WithScale(0.02)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v from a cancelled context, want context.Canceled", name, err)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // This file holds core's compute stages: the spread-invariant pieces of
 // the sizing sweeps, memoized per dataset in the Distribution's stage
-// memo (see internal/stage). Two facts make the staging sound:
+// memo (see Distribution.Stages). Two facts make the staging sound:
 //
 //   - The binding scan of sizeWithCap depends on the beam config, the
 //     shell inclination, the oversubscription and the per-cell cap —
@@ -95,7 +95,7 @@ var newModelCache = func() (any, error) {
 // infallible, so the only error Do can surface is a coalesced leader's
 // panic — re-panicking is the honest translation of that state.
 func modelCacheOf(d *demand.Distribution) *modelCache {
-	v, err := d.Stages().Do(modelCacheKey, newModelCache)
+	v, _, err := d.Stages().Do(context.Background(), modelCacheKey, newModelCache)
 	if err != nil {
 		panic(fmt.Sprintf("core: model-cache stage failed: %v", err))
 	}

@@ -12,8 +12,8 @@ import (
 
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
+	"leodivide/internal/memo"
 	"leodivide/internal/spectrum"
-	"leodivide/internal/stage"
 	"leodivide/internal/stats"
 )
 
@@ -111,7 +111,7 @@ func Aggregate(locs []Location, res hexgrid.Resolution) ([]Cell, error) {
 // per-cell fields (location counts, center latitudes) so the capacity
 // model's inner loops scan dense arrays instead of striding across
 // Cell structs, plus a per-dataset stage memo for derived results that
-// are invariant across sweep points (see package stage).
+// are invariant across sweep points (see Stages).
 type Distribution struct {
 	cells  []Cell // descending by Locations
 	cdf    *stats.CDF
@@ -120,7 +120,7 @@ type Distribution struct {
 
 	locs   []int32   // column of cells[i].Locations
 	lats   []float64 // column of cells[i].Center.Lat
-	stages *stage.Memo
+	stages *memo.Memo[any]
 }
 
 // NewDistribution indexes the cells. Cells with zero locations are
@@ -166,7 +166,7 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 	return &Distribution{
 		cells: kept, cdf: cdf, total: total, suffix: suffix,
 		locs: locs, lats: lats,
-		stages: stage.New(0),
+		stages: memo.New(memo.Options[any]{}),
 	}, nil
 }
 
@@ -197,8 +197,18 @@ func (d *Distribution) Lats() []float64 { return d.lats }
 // Stages returns the distribution's compute-stage memo. Derived values
 // that depend only on this dataset (plus model knobs encoded in the
 // key) are cached here and shared across sweep points and concurrent
-// experiments. Nil only for a zero-value Distribution.
-func (d *Distribution) Stages() *stage.Memo { return d.stages }
+// experiments. Nil only for a zero-value Distribution; a nil memo just
+// runs every fill.
+//
+// The invalidation contract is structural: the memo hangs off the
+// dataset it describes, so stage values live exactly as long as the
+// dataset, and a new dataset starts with an empty memo. Keys therefore
+// never encode dataset identity, only the stage name and the model
+// knobs the stage's value depends on. Knobs that do not change a
+// stage's value (parallelism above all) stay out of its key, mirroring
+// the canonical-scenario-key rule. Errors are never cached, and values
+// evict LRU past memo.DefaultEntries.
+func (d *Distribution) Stages() *memo.Memo[any] { return d.stages }
 
 // Quantile returns the per-cell location count at quantile q.
 func (d *Distribution) Quantile(q float64) int { return int(d.cdf.Quantile(q)) }

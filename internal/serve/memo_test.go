@@ -5,20 +5,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"leodivide/internal/memo"
 )
 
+// These tests pin the result cache exactly as New builds it
+// (newResultMemo): response bytes keyed by canonical scenario key,
+// accounted as key+body bytes, with evictions feeding the process-wide
+// serve.cache.evictions counter. The memo algorithm itself is tested
+// in internal/memo; here the subject is the serving layer's wiring.
+
+// doResult runs one result-cache lookup with a constant body.
+func doResult(t *testing.T, m *memo.Memo[[]byte], key string, body []byte) memo.Status {
+	t.Helper()
+	_, st, err := m.Do(context.Background(), key, func() ([]byte, error) { return body, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestMemoCoalescesConcurrentFills is the serving layer's core
-// guarantee under `go test -race`: N goroutines asking for the same
-// key run the fill exactly once, and every caller gets byte-identical
-// bytes. The leader blocks inside fill until every other goroutine has
-// been launched, so the test exercises the in-flight (coalescing) path
-// rather than the warm-cache path.
+// guarantee under `go test -race`: N identical in-flight queries run
+// the experiment once and every caller gets byte-identical bytes.
 func TestMemoCoalescesConcurrentFills(t *testing.T) {
-	const followers = 31
-	m := newMemo(8, 0)
+	const followers = 15
+	m := newResultMemo(8, 0)
 	var fills atomic.Int64
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -29,275 +44,227 @@ func TestMemoCoalescesConcurrentFills(t *testing.T) {
 		<-release
 		return want, nil
 	}
-
-	ctx := context.Background()
 	type outcome struct {
 		val    []byte
-		status Status
+		status memo.Status
 		err    error
 	}
 	results := make(chan outcome, followers+1)
 	get := func() {
-		v, st, err := m.get(ctx, "k", fill)
+		v, st, err := m.Do(context.Background(), "k", fill)
 		results <- outcome{v, st, err}
 	}
 
 	go get()
 	<-entered // the leader is inside fill and holds the flight slot
-	var launched sync.WaitGroup
 	for i := 0; i < followers; i++ {
-		launched.Add(1)
-		go func() {
-			launched.Done()
-			get()
-		}()
+		go get()
 	}
-	launched.Wait()
+	for {
+		if _, _, coalesced, _ := m.Counters(); coalesced == followers {
+			break
+		}
+		runtime.Gosched()
+	}
 	close(release)
 
-	statuses := map[Status]int{}
+	statuses := map[memo.Status]int{}
 	for i := 0; i < followers+1; i++ {
 		o := <-results
 		if o.err != nil {
-			t.Fatalf("get returned error: %v", o.err)
+			t.Fatalf("Do returned error: %v", o.err)
 		}
 		if !bytes.Equal(o.val, want) {
-			t.Fatalf("get returned %q, want %q (responses must be byte-identical)", o.val, want)
+			t.Fatalf("Do returned %q, want %q (responses must be byte-identical)", o.val, want)
 		}
 		statuses[o.status]++
 	}
 	if n := fills.Load(); n != 1 {
 		t.Errorf("fill ran %d times for one key, want exactly 1", n)
 	}
-	if statuses[StatusMiss] != 1 {
-		t.Errorf("want exactly one miss (the leader), got %d (statuses %v)", statuses[StatusMiss], statuses)
+	if statuses[memo.Miss] != 1 || statuses[memo.Coalesced] != followers {
+		t.Errorf("statuses %v, want 1 miss (the leader) and %d coalesced", statuses, followers)
 	}
 }
 
 func TestMemoHitAfterFill(t *testing.T) {
-	m := newMemo(8, 0)
-	var fills int
-	fill := func() ([]byte, error) { fills++; return []byte("v"), nil }
-	ctx := context.Background()
-	if _, st, err := m.get(ctx, "k", fill); err != nil || st != StatusMiss {
-		t.Fatalf("first get: status %v, err %v", st, err)
+	m := newResultMemo(8, 0)
+	if st := doResult(t, m, "k", []byte("v")); st != memo.Miss {
+		t.Fatalf("first lookup = %v, want miss", st)
 	}
-	v, st, err := m.get(ctx, "k", fill)
-	if err != nil || st != StatusHit || string(v) != "v" {
-		t.Fatalf("second get: %q, status %v, err %v", v, st, err)
-	}
-	if fills != 1 {
-		t.Errorf("fill ran %d times, want 1", fills)
+	v, st, err := m.Do(context.Background(), "k", func() ([]byte, error) {
+		return nil, fmt.Errorf("a cached key must not refill")
+	})
+	if err != nil || st != memo.Hit || string(v) != "v" {
+		t.Fatalf("second lookup = (%q, %v, %v), want (v, hit, nil)", v, st, err)
 	}
 }
 
+// TestMemoLRUEviction pins the entry bound and that each eviction is
+// reported on the serve.cache.evictions obs counter.
 func TestMemoLRUEviction(t *testing.T) {
-	m := newMemo(2, 0)
-	fillFor := func(k string, n *int) func() ([]byte, error) {
-		return func() ([]byte, error) { *n++; return []byte(k), nil }
-	}
-	ctx := context.Background()
-	var fa, fb, fc int
-	mustGet := func(k string, fill func() ([]byte, error)) Status {
-		t.Helper()
-		_, st, err := m.get(ctx, k, fill)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	mustGet("a", fillFor("a", &fa))
-	mustGet("b", fillFor("b", &fb))
+	m := newResultMemo(2, 0)
+	before := metricEvictions.Value()
+	doResult(t, m, "a", []byte("a"))
+	doResult(t, m, "b", []byte("b"))
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if st := mustGet("a", fillFor("a", &fa)); st != StatusHit {
+	if st := doResult(t, m, "a", []byte("a")); st != memo.Hit {
 		t.Fatalf("a should be cached, got %v", st)
 	}
-	mustGet("c", fillFor("c", &fc))
-	if entries, _, evictions := m.stats(); entries != 2 || evictions != 1 {
-		t.Errorf("stats = (%d entries, %d evictions), want (2, 1)", entries, evictions)
+	doResult(t, m, "c", []byte("c"))
+	if _, _, _, ev := m.Counters(); m.Len() != 2 || ev != 1 {
+		t.Errorf("(%d entries, %d evictions), want (2, 1)", m.Len(), ev)
 	}
-	if st := mustGet("a", fillFor("a", &fa)); st != StatusHit {
+	if st := doResult(t, m, "a", []byte("a")); st != memo.Hit {
 		t.Errorf("recently-used key a should still hit, got %v", st)
 	}
-	// Refilling the evicted "b" pushes out the cache's new LRU, "c".
-	if st := mustGet("b", fillFor("b", &fb)); st != StatusMiss {
+	// Refilling the evicted "b" pushes out the new LRU, "c".
+	if st := doResult(t, m, "b", []byte("b")); st != memo.Miss {
 		t.Errorf("evicted key b should miss, got %v", st)
 	}
-	if st := mustGet("c", fillFor("c", &fc)); st != StatusMiss {
+	if st := doResult(t, m, "c", []byte("c")); st != memo.Miss {
 		t.Errorf("key c should have been evicted by b's refill, got %v", st)
 	}
-	if fa != 1 || fb != 2 || fc != 2 {
-		t.Errorf("fill counts a=%d b=%d c=%d, want 1, 2, 2", fa, fb, fc)
+	// Other tests in the package may evict concurrently, so the
+	// process-wide counter is checked as a lower bound.
+	if got := metricEvictions.Value() - before; got < 3 {
+		t.Errorf("serve.cache.evictions grew by %d, want at least 3", got)
 	}
 }
 
 func TestMemoErrorsAreNotCached(t *testing.T) {
-	m := newMemo(8, 0)
+	m := newResultMemo(8, 0)
 	boom := errors.New("boom")
-	calls := 0
-	ctx := context.Background()
-	fill := func() ([]byte, error) {
-		calls++
-		if calls == 1 {
-			return nil, boom
-		}
-		return []byte("ok"), nil
+	if _, _, err := m.Do(context.Background(), "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("first lookup err = %v, want boom", err)
 	}
-	if _, _, err := m.get(ctx, "k", fill); !errors.Is(err, boom) {
-		t.Fatalf("first get err = %v, want boom", err)
+	if m.Len() != 0 || m.Bytes() != 0 {
+		t.Fatalf("failed run was cached: Len %d, Bytes %d", m.Len(), m.Bytes())
 	}
-	v, st, err := m.get(ctx, "k", fill)
-	if err != nil || st != StatusMiss || string(v) != "ok" {
-		t.Fatalf("retry after error: %q, status %v, err %v (errors must not poison the key)", v, st, err)
+	if st := doResult(t, m, "k", []byte("ok")); st != memo.Miss {
+		t.Fatalf("retry after error = %v, want miss (errors must not poison the key)", st)
 	}
 }
 
-// TestMemoByteEviction pins the byte-bound behaviour: entries are
-// evicted oldest-first once cached key+value bytes exceed the cap, even
-// when the entry count is far below maxEntries, and the accounted bytes
-// shrink to match. The newest entry is always retained, even when it
-// alone exceeds the cap.
+// TestMemoByteEviction pins the result cache's byte accounting: an
+// entry costs its key plus its body, entries go oldest-first once the
+// total exceeds Config.CacheBytes, and the newest body always stays.
 func TestMemoByteEviction(t *testing.T) {
-	// Each entry: 1-byte key + 40-byte value = 41 bytes. Cap fits two.
-	m := newMemo(100, 90)
-	ctx := context.Background()
-	val := bytes.Repeat([]byte("x"), 40)
-	put := func(k string) {
-		t.Helper()
-		if _, _, err := m.get(ctx, k, func() ([]byte, error) { return val, nil }); err != nil {
-			t.Fatal(err)
-		}
+	// Each entry: 1-byte key + 40-byte body = 41 bytes. Cap fits two.
+	m := newResultMemo(100, 90)
+	body := bytes.Repeat([]byte("x"), 40)
+	doResult(t, m, "a", body)
+	doResult(t, m, "b", body)
+	if m.Len() != 2 || m.Bytes() != 82 {
+		t.Fatalf("after 2 puts: (%d entries, %d bytes), want (2, 82)", m.Len(), m.Bytes())
 	}
-	put("a")
-	put("b")
-	if entries, size, evictions := m.stats(); entries != 2 || size != 82 || evictions != 0 {
-		t.Fatalf("after 2 puts: stats = (%d, %d, %d), want (2, 82, 0)", entries, size, evictions)
+	doResult(t, m, "c", body)
+	if m.Len() != 2 || m.Bytes() != 82 {
+		t.Errorf("after byte overflow: (%d entries, %d bytes), want (2, 82)", m.Len(), m.Bytes())
 	}
-	// A third entry pushes bytes to 123 > 90: the oldest ("a") goes.
-	put("c")
-	if entries, size, evictions := m.stats(); entries != 2 || size != 82 || evictions != 1 {
-		t.Errorf("after byte overflow: stats = (%d, %d, %d), want (2, 82, 1)", entries, size, evictions)
+	if st := doResult(t, m, "a", body); st != memo.Miss {
+		t.Errorf("oldest key a should have been evicted by bytes, got %v", st)
 	}
-	if _, st, err := m.get(ctx, "a", func() ([]byte, error) { return val, nil }); err != nil || st != StatusMiss {
-		t.Errorf("oldest key a should have been evicted by bytes, got status %v, err %v", st, err)
-	}
-	// An entry larger than the whole cap evicts everything else but is
-	// itself retained: serving it once from cache beats thrashing.
 	huge := bytes.Repeat([]byte("y"), 200)
-	if _, _, err := m.get(ctx, "h", func() ([]byte, error) { return huge, nil }); err != nil {
-		t.Fatal(err)
+	doResult(t, m, "h", huge)
+	if m.Len() != 1 || m.Bytes() != 201 {
+		t.Errorf("oversized body: (%d entries, %d bytes), want (1, 201)", m.Len(), m.Bytes())
 	}
-	if entries, size, _ := m.stats(); entries != 1 || size != 201 {
-		t.Errorf("oversized entry: stats = (%d entries, %d bytes), want (1, 201)", entries, size)
-	}
-	if _, st, err := m.get(ctx, "h", func() ([]byte, error) { return huge, nil }); err != nil || st != StatusHit {
-		t.Errorf("oversized entry should still be served from cache, got status %v, err %v", st, err)
+	if st := doResult(t, m, "h", huge); st != memo.Hit {
+		t.Errorf("oversized body should still be served from cache, got %v", st)
 	}
 }
 
-// TestMemoUnboundedBytes pins that maxBytes <= 0 disables the byte
-// bound entirely: only the entry count evicts.
+// TestMemoUnboundedBytes pins the byte bound New selects for a negative
+// Config.CacheBytes (0 = no byte bound): only the entry count evicts,
+// while /v1/stats still sees the accounted bytes.
 func TestMemoUnboundedBytes(t *testing.T) {
-	m := newMemo(4, 0)
-	ctx := context.Background()
+	m := newResultMemo(4, 0)
 	big := bytes.Repeat([]byte("z"), 1<<16)
 	for _, k := range []string{"a", "b", "c", "d"} {
-		if _, _, err := m.get(ctx, k, func() ([]byte, error) { return big, nil }); err != nil {
-			t.Fatal(err)
-		}
+		doResult(t, m, k, big)
 	}
-	if entries, size, evictions := m.stats(); entries != 4 || size != 4*(1<<16)+4 || evictions != 0 {
-		t.Errorf("stats = (%d, %d, %d), want (4, %d, 0)", entries, size, evictions, 4*(1<<16)+4)
+	if _, _, _, ev := m.Counters(); m.Len() != 4 || m.Bytes() != 4*(1<<16)+4 || ev != 0 {
+		t.Errorf("(%d, %d, %d), want (4, %d, 0)", m.Len(), m.Bytes(), ev, 4*(1<<16)+4)
 	}
 }
 
+// TestMemoFollowerHonorsOwnContext: a client that disconnects while
+// coalesced on another request's run stops waiting at once; the run it
+// waited on is unaffected and still cached.
 func TestMemoFollowerHonorsOwnContext(t *testing.T) {
-	m := newMemo(8, 0)
+	m := newResultMemo(8, 0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	leaderDone := make(chan error, 1)
 	go func() {
-		//lint:ignore errdrop test leader; outcome checked via the follower
-		m.get(context.Background(), "k", func() ([]byte, error) {
+		_, _, err := m.Do(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			return []byte("v"), nil
 		})
+		leaderDone <- err
 	}()
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := m.get(ctx, "k", func() ([]byte, error) {
+	_, st, err := m.Do(ctx, "k", func() ([]byte, error) {
 		return nil, fmt.Errorf("follower must not fill")
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled follower err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || st != memo.Coalesced {
+		t.Errorf("cancelled follower = (%v, %v), want (coalesced, context.Canceled)", st, err)
 	}
 	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Errorf("leader err = %v", err)
+	}
+	if st := doResult(t, m, "k", nil); st != memo.Hit {
+		t.Errorf("leader's body after the follower left = %v, want hit", st)
+	}
 }
 
-// TestMemoPanickingFillDoesNotWedgeKey is the regression test for the
-// singleflight panic hole the waitbalance lint rule found: the leader
-// published its flight entry, then ran fill without a deferred
-// cleanup, so a panicking fill left the done channel open forever and
-// every later get of the key blocked on it. The fixed get must (a) let
-// the panic keep unwinding through the leader, (b) release a coalesced
-// follower with an error rather than a hang, and (c) leave the key
-// workable so a retry runs a fresh fill.
+// TestMemoPanickingFillDoesNotWedgeKey: a run that panics must release
+// its coalesced followers with an error rather than a hang, keep
+// unwinding through the leader, and leave the scenario key workable.
 func TestMemoPanickingFillDoesNotWedgeKey(t *testing.T) {
-	m := newMemo(8, 0)
-	ctx := context.Background()
+	m := newResultMemo(8, 0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		//lint:ignore errdrop test leader; the panic is the outcome under test
-		m.get(ctx, "k", func() ([]byte, error) {
+		m.Do(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			panic("fill exploded")
 		})
 	}()
-
-	// Grab the published flight entry while the fill is in progress —
-	// this is exactly the call a coalesced follower would wait on.
 	<-entered
-	m.mu.Lock()
-	c := m.flight["k"]
-	m.mu.Unlock()
-	if c == nil {
-		t.Fatal("no flight entry published while fill is running")
+	followerErr := make(chan error, 1)
+	go func() {
+		_, _, err := m.Do(context.Background(), "k", func() ([]byte, error) {
+			return nil, fmt.Errorf("follower must not fill")
+		})
+		followerErr <- err
+	}()
+	for {
+		if _, _, coalesced, _ := m.Counters(); coalesced == 1 {
+			break
+		}
+		runtime.Gosched()
 	}
 	close(release)
 
 	if recovered := <-leaderDone; recovered != "fill exploded" {
 		t.Fatalf("leader recover() = %v; the panic must keep unwinding through the leader", recovered)
 	}
-	// A waiting follower must have been released with an error, not
-	// stranded on an open channel.
-	select {
-	case <-c.done:
-	default:
-		t.Fatal("flight done channel still open after the panicking fill; followers would block forever")
+	if err := <-followerErr; !errors.Is(err, memo.ErrFillPanicked) {
+		t.Fatalf("follower err = %v, want memo.ErrFillPanicked", err)
 	}
-	if c.err == nil {
-		t.Fatal("panicked flight carries err = nil; followers would mistake it for success")
+	if st := doResult(t, m, "k", []byte("ok")); st != memo.Miss {
+		t.Fatalf("retry after panic = %v, want miss", st)
 	}
-	m.mu.Lock()
-	_, stillInFlight := m.flight["k"]
-	m.mu.Unlock()
-	if stillInFlight {
-		t.Fatal("flight entry survived the panic; the key is wedged for future callers")
-	}
-
-	// The key must not be wedged or poisoned: a fresh get runs a fresh
-	// fill and caches normally.
-	val, st, err := m.get(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(val) != "ok" || st != StatusMiss {
-		t.Fatalf("retry after panic = (%q, %v, %v), want (ok, miss, nil)", val, st, err)
-	}
-	if _, st, _ := m.get(ctx, "k", nil); st != StatusHit {
-		t.Fatalf("second retry status = %v, want hit", st)
+	if st := doResult(t, m, "k", nil); st != memo.Hit {
+		t.Fatalf("second retry = %v, want hit", st)
 	}
 }

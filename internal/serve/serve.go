@@ -41,14 +41,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"leodivide"
 	"leodivide/internal/constellation"
+	"leodivide/internal/memo"
 	"leodivide/internal/obs"
 	"leodivide/internal/par"
 	"leodivide/internal/region"
@@ -56,17 +57,24 @@ import (
 )
 
 // Serving-layer observability (see internal/obs): request counts and
-// latency, cache traffic, and experiment admission wait.
+// latency, cache traffic, failed response writes, and experiment
+// admission wait. The cache counters count the same events as the
+// result memo's own Counters, summed over every server in the process.
 var (
-	metricRequests  = obs.Default.Counter("serve.requests")
-	metricErrors    = obs.Default.Counter("serve.errors")
-	metricHits      = obs.Default.Counter("serve.cache.hits")
-	metricMisses    = obs.Default.Counter("serve.cache.misses")
-	metricCoalesced = obs.Default.Counter("serve.cache.coalesced")
-	metricEvictions = obs.Default.Counter("serve.cache.evictions")
-	metricReqSecs   = obs.Default.Histogram("serve.request.seconds", obs.DurationBuckets)
-	metricRunSecs   = obs.Default.Histogram("serve.run.seconds", obs.DurationBuckets)
-	metricWaitSecs  = obs.Default.Histogram("serve.admission_wait.seconds", obs.DurationBuckets)
+	metricRequests    = obs.Default.Counter("serve.requests")
+	metricErrors      = obs.Default.Counter("serve.errors")
+	metricEvictions   = obs.Default.Counter("serve.cache.evictions")
+	metricWriteErrors = obs.Default.Counter("serve.write_errors")
+	metricReqSecs     = obs.Default.Histogram("serve.request.seconds", obs.DurationBuckets)
+	metricRunSecs     = obs.Default.Histogram("serve.run.seconds", obs.DurationBuckets)
+	metricWaitSecs    = obs.Default.Histogram("serve.admission_wait.seconds", obs.DurationBuckets)
+
+	// metricCache is indexed by memo.Status.
+	metricCache = [...]*obs.Counter{
+		memo.Miss:      obs.Default.Counter("serve.cache.misses"),
+		memo.Hit:       obs.Default.Counter("serve.cache.hits"),
+		memo.Coalesced: obs.Default.Counter("serve.cache.coalesced"),
+	}
 )
 
 // CacheHeader is the response header naming how the query was served:
@@ -103,22 +111,26 @@ const DefaultCacheBytes int64 = 256 << 20
 type Server struct {
 	ds   *leodivide.Dataset
 	base leodivide.ScenarioConfig
-	memo *memo
 	gate *par.Gate
 	mux  *http.ServeMux
 
-	// baseRegion is the geography of the shared startup dataset;
-	// regionDS memoizes the sibling geographies, generated lazily at
-	// the same (seed, scale) identity the first time a query names
-	// them. The mutex also serializes those generations, so concurrent
-	// first queries for one region cost one generation.
-	baseRegion string
-	regionMu   sync.Mutex
-	regionDS   map[string]*leodivide.Dataset
+	// results maps canonical key → response bytes; its counters back
+	// the cache fields of /v1/stats. maxBytes is its byte bound
+	// (0 = unbounded by size).
+	results  *memo.Memo[[]byte]
+	maxBytes int64
 
-	// Server-local traffic counters backing /v1/stats (the obs
+	// baseRegion is the geography of the shared startup dataset;
+	// regions holds the sibling geographies, generated lazily at the
+	// same (seed, scale) identity the first time a query names them.
+	// Concurrent first queries for one region share one generation;
+	// queries for different regions do not wait on each other.
+	baseRegion string
+	regions    *memo.Memo[*leodivide.Dataset]
+
+	// Server-local request and error counts backing /v1/stats (the obs
 	// counters are process-global and shared across servers).
-	requests, hits, misses, coalesced, errs atomic.Int64
+	requests, errs atomic.Int64
 }
 
 // New builds a server: validates the base scenario, generates the
@@ -141,25 +153,31 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if baseRegion == "" {
 		baseRegion = region.DefaultKey
 	}
+	// A serving layer with no cache at all would defeat the point, so a
+	// negative entry bound still keeps one entry.
 	entries := cfg.CacheEntries
-	if entries == 0 {
+	switch {
+	case entries == 0:
 		entries = 1024
+	case entries < 0:
+		entries = 1
 	}
 	bytes := cfg.CacheBytes
 	switch {
 	case bytes == 0:
 		bytes = DefaultCacheBytes
 	case bytes < 0:
-		bytes = 0 // memo-internal convention: 0 = no byte bound
+		bytes = 0 // memo convention: 0 = no byte bound
 	}
 	s := &Server{
 		ds:         ds,
 		base:       base,
-		memo:       newMemo(entries, bytes),
 		gate:       par.NewGate(cfg.MaxInflight),
 		mux:        http.NewServeMux(),
+		results:    newResultMemo(entries, bytes),
+		maxBytes:   bytes,
 		baseRegion: baseRegion,
-		regionDS:   make(map[string]*leodivide.Dataset),
+		regions:    memo.New(memo.Options[*leodivide.Dataset]{MaxEntries: len(region.Regions())}),
 	}
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
@@ -169,6 +187,18 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
+}
+
+// newResultMemo builds the result cache: canonical key → response
+// bytes, bounded by entry count and by key+body bytes (maxBytes 0 = no
+// byte bound), with every eviction counted in serve.cache.evictions.
+func newResultMemo(entries int, maxBytes int64) *memo.Memo[[]byte] {
+	return memo.New(memo.Options[[]byte]{
+		MaxEntries: entries,
+		MaxBytes:   maxBytes,
+		Size:       func(b []byte) int64 { return int64(len(b)) },
+		OnEvict:    metricEvictions.Inc,
+	})
 }
 
 // Dataset returns the shared dataset the server answers against.
@@ -229,24 +259,26 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// resolve merges a request into the server's base scenario. All three
-// wire schemas resolve: a v3 body as-is, a v2 body (which predates the
-// region selector) onto the default "us" region, and a v1 body (which
-// additionally predates the constellation selector and cost overrides)
-// onto the Starlink default — so identities minted under the older
-// schemas keep hitting the same cache slots. The region selector is a
-// knob, not a dataset-identity conflict: the server generates sibling
-// geographies lazily at its own (seed, scale); only seed and scale
-// mismatches 409.
-func (s *Server) resolve(req Request) (leodivide.ScenarioConfig, error) {
+// resolve decodes a request body with the same strict parser the CLI's
+// -scenario flag uses (unknown fields, trailing data and schema misuse
+// are all 400s) and merges it into the server's base scenario. All
+// three wire schemas resolve: a v3 body as-is, a v2 body (which
+// predates the region selector) onto the default "us" region, and a v1
+// body (which additionally predates the constellation selector and
+// cost overrides) onto the Starlink default — so identities minted
+// under the older schemas keep hitting the same cache slots. The region
+// selector is a knob, not a dataset-identity conflict: the server
+// generates sibling geographies lazily at its own (seed, scale); only
+// seed and scale mismatches 409.
+func (s *Server) resolve(body []byte) (leodivide.ScenarioConfig, error) {
+	req, err := leodivide.ParseScenarioRequest(body)
+	if err != nil {
+		return leodivide.ScenarioConfig{}, err
+	}
 	if req.Schema == "" {
 		// The HTTP contract is versioned: unlike the CLI convenience
 		// form, a request must declare which schema it speaks.
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("unsupported schema %q (want %q)", req.Schema, leodivide.ScenarioSchema)}
-	}
-	if err := req.ValidateSchema(); err != nil {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, err.Error()}
+		return leodivide.ScenarioConfig{}, fmt.Errorf("unsupported schema %q (want %q)", req.Schema, leodivide.ScenarioSchema)
 	}
 	c := s.base
 	c.Experiment = req.Experiment
@@ -272,17 +304,47 @@ func (s *Server) resolve(req Request) (leodivide.ScenarioConfig, error) {
 	c.CostTerminalUSD = req.CostTerminalUSD
 	c.Region = req.Region
 	if err := c.Validate(); err != nil {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, err.Error()}
+		return leodivide.ScenarioConfig{}, err
 	}
 	return c, nil
 }
 
+// writeBody writes one complete response. A failed write means the
+// client went away; nothing can be sent back, so it is counted in
+// serve.write_errors instead.
+func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(code)
+	if _, err := w.Write(body); err != nil {
+		metricWriteErrors.Inc()
+	}
+}
+
+// writeJSON writes v as a JSON response, newline-terminated.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeJSONError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
+	writeBody(w, code, "application/json", append(body, '\n'))
+}
+
 func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	metricErrors.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	//lint:ignore errdrop HTTP error-response write; a disconnected client is not actionable
-	json.NewEncoder(w).Encode(errorResponse{Error: msg})
+	writeJSON(w, code, errorResponse{Error: msg})
+}
+
+// fail answers a scenario request with an error: the status an
+// httpError carries, 400 otherwise.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	s.errs.Add(1)
+	code := http.StatusBadRequest
+	var he *httpError
+	if errors.As(err, &he) {
+		code = he.code
+	}
+	writeJSONError(w, code, err.Error())
 }
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
@@ -292,60 +354,37 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer metricReqSecs.ObserveSince(start)
 
-	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.errs.Add(1)
-		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		s.fail(w, fmt.Errorf("read request body: %w", err))
 		return
 	}
-	cfg, err := s.resolve(req)
+	cfg, err := s.resolve(data)
 	if err != nil {
-		s.errs.Add(1)
-		var he *httpError
-		if errors.As(err, &he) {
-			writeJSONError(w, he.code, he.msg)
-		} else {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
-		}
+		s.fail(w, err)
 		return
 	}
 	key, err := cfg.CanonicalKey()
 	if err != nil {
-		s.errs.Add(1)
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		s.fail(w, err)
 		return
 	}
 
 	ctx := r.Context()
-	body, status, err := s.memo.get(ctx, key, func() ([]byte, error) {
+	body, status, err := s.results.Do(ctx, key, func() ([]byte, error) {
 		return s.runScenario(ctx, cfg, key)
 	})
+	metricCache[status].Inc()
 	if err != nil {
-		s.errs.Add(1)
 		code := http.StatusInternalServerError
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSONError(w, code, err.Error())
+		s.fail(w, &httpError{code, err.Error()})
 		return
 	}
-	switch status {
-	case StatusHit:
-		s.hits.Add(1)
-		metricHits.Inc()
-	case StatusCoalesced:
-		s.coalesced.Add(1)
-		metricCoalesced.Inc()
-	default:
-		s.misses.Add(1)
-		metricMisses.Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(CacheHeader, status.String())
-	//lint:ignore errdrop HTTP response write; a disconnected client is not actionable
-	w.Write(body)
+	writeBody(w, http.StatusOK, "application/json", body)
 }
 
 // runScenario runs one experiment under the admission gate and encodes
@@ -391,26 +430,23 @@ func (s *Server) runScenario(ctx context.Context, cfg leodivide.ScenarioConfig, 
 
 // datasetFor resolves the dataset a query's region runs against: the
 // shared startup dataset for the base region, a lazily generated (and
-// then memoized) sibling geography otherwise. Generation happens under
-// the region mutex, so concurrent first queries for one region pay for
-// a single generation.
+// then memoized) sibling geography otherwise. Concurrent first queries
+// for one region pay for a single generation; a failed generation is
+// not kept, so the next query retries it.
 func (s *Server) datasetFor(ctx context.Context, regionKey string) (*leodivide.Dataset, error) {
 	if regionKey == "" || regionKey == s.baseRegion {
 		return s.ds, nil
 	}
-	s.regionMu.Lock()
-	defer s.regionMu.Unlock()
-	if ds, ok := s.regionDS[regionKey]; ok {
+	ds, _, err := s.regions.Do(ctx, regionKey, func() (*leodivide.Dataset, error) {
+		sc := s.base
+		sc.Region = regionKey
+		ds, err := sc.Generate(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("generate region %q dataset: %w", regionKey, err)
+		}
 		return ds, nil
-	}
-	sc := s.base
-	sc.Region = regionKey
-	ds, err := sc.Generate(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("generate region %q dataset: %w", regionKey, err)
-	}
-	s.regionDS[regionKey] = ds
-	return ds, nil
+	})
+	return ds, err
 }
 
 // experimentInfo is one row of GET /v1/experiments.
@@ -424,9 +460,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range s.base.BuildModel().Experiments() {
 		out = append(out, experimentInfo{Name: e.Name, Description: e.Description})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore errdrop HTTP response write; a disconnected client is not actionable
-	json.NewEncoder(w).Encode(out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // constellationInfo is one row of GET /v1/constellations: the declared
@@ -461,9 +495,7 @@ func (s *Server) handleConstellations(w http.ResponseWriter, r *http.Request) {
 			CostTerminalUSD:  sys.Cost.TerminalSubsidyUSD,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore errdrop HTTP response write; a disconnected client is not actionable
-	json.NewEncoder(w).Encode(out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // regionInfo is one row of GET /v1/regions: one declared demand/income
@@ -483,13 +515,20 @@ func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
 			Description: reg.Description(),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore errdrop HTTP response write; a disconnected client is not actionable
-	json.NewEncoder(w).Encode(out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // Stats is the JSON body of GET /v1/stats: server-local traffic and
 // cache shape since startup.
+//
+// Requests counts every POST /v1/scenario and Errors every one that
+// got a non-2xx answer. Hits, Misses, Coalesced and Evictions are the
+// result cache's own counters: a request that reaches the cache counts
+// once, as the status it got, whether or not its run succeeds. A run
+// that fails is therefore a miss and an error, and each request that
+// coalesced onto it is coalesced and an error. A request rejected
+// before the cache (bad body, bad knob, dataset mismatch) counts only
+// in Requests and Errors.
 type Stats struct {
 	Requests     int64 `json:"requests"`
 	Hits         int64 `json:"hits"`
@@ -507,23 +546,20 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	entries, bytes, evictions := s.memo.stats()
-	st := Stats{
+	hits, misses, coalesced, evictions := s.results.Counters()
+	writeJSON(w, http.StatusOK, Stats{
 		Requests:      s.requests.Load(),
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
-		Coalesced:     s.coalesced.Load(),
+		Hits:          hits,
+		Misses:        misses,
+		Coalesced:     coalesced,
 		Errors:        s.errs.Load(),
-		CacheEntries:  entries,
-		CacheBytes:    bytes,
-		CacheMaxBytes: s.memo.maxBytes,
+		CacheEntries:  s.results.Len(),
+		CacheBytes:    s.results.Bytes(),
+		CacheMaxBytes: s.maxBytes,
 		Evictions:     evictions,
 		InflightCap:   s.gate.Cap(),
 		Inflight:      s.gate.InUse(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore errdrop HTTP response write; a disconnected client is not actionable
-	json.NewEncoder(w).Encode(st)
+	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -532,6 +568,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	//lint:ignore errdrop HTTP response write; a disconnected client is not actionable
-	obs.Default.Snapshot().WriteText(w)
+	if err := obs.Default.Snapshot().WriteText(w); err != nil {
+		metricWriteErrors.Inc()
+	}
 }

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"leodivide"
+	"leodivide/internal/memo"
 	"leodivide/internal/obs"
 )
 
@@ -236,6 +239,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"seed mismatch", scenarioBody("table1", `"seed":99`), http.StatusConflict},
 		{"scale mismatch", scenarioBody("table1", `"scale":0.5`), http.StatusConflict},
 		{"not json", `table1 please`, http.StatusBadRequest},
+		{"trailing data", scenarioBody("fig1", "") + " junk", http.StatusBadRequest},
+		{"empty schema", `{"experiment":"table1"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -507,11 +512,9 @@ func TestExperimentsEndpoint(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	postScenario(t, ts.URL, scenarioBody("table1", ""))
-	postScenario(t, ts.URL, scenarioBody("table1", ""))
-	resp, err := http.Get(ts.URL + "/v1/stats")
+func getStats(t *testing.T, url string) Stats {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,17 +523,163 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 2 || st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats = %+v, want 2 requests, 1 miss, 1 hit", st)
+	return st
+}
+
+// waitCounters spins until the memo's counters satisfy ok.
+func waitCounters[V any](m *memo.Memo[V], ok func(hits, misses, coalesced int64) bool) {
+	for {
+		if h, mi, c, _ := m.Counters(); ok(h, mi, c) {
+			return
+		}
+		runtime.Gosched()
 	}
-	if st.CacheEntries != 1 {
-		t.Errorf("cache entries = %d, want 1", st.CacheEntries)
+}
+
+// TestStatsEndpoint pins the counting rule documented on Stats: the
+// cache fields are the result memo's own counters, one status per
+// request that reaches the memo, failed runs included.
+func TestStatsEndpoint(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
+	postScenario(t, ts.URL, scenarioBody("table1", ""))
+	postScenario(t, ts.URL, scenarioBody("table1", ""))
+
+	// A coalesced request: hold the only admission slot so the leader
+	// waits inside its fill, and release it once a follower has joined.
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body := scenarioBody("fig1", "")
+	bodies := make(chan []byte, 2)
+	var wg sync.WaitGroup
+	post := func() {
+		defer wg.Done()
+		resp, b := postScenario(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("status %d: %s", resp.StatusCode, b)
+		}
+		bodies <- b
+	}
+	wg.Add(2)
+	go post()
+	waitCounters(s.results, func(_, misses, _ int64) bool { return misses == 2 })
+	go post()
+	waitCounters(s.results, func(_, _, coalesced int64) bool { return coalesced == 1 })
+	s.gate.Release()
+	wg.Wait()
+	if a, b := <-bodies, <-bodies; !bytes.Equal(a, b) {
+		t.Error("leader and coalesced follower got different bytes")
+	}
+
+	// A failing run: a miss and an error, and nothing cached.
+	if resp, b := postScenario(t, ts.URL, scenarioBody("fig4", `"plans":["Dialup Deluxe"]`)); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failing run: %d %s, want 500", resp.StatusCode, b)
+	}
+	// A request rejected before the cache: a request and an error only.
+	postScenario(t, ts.URL, scenarioBody("tableau", ""))
+
+	st := getStats(t, ts.URL)
+	if st.Requests != 6 || st.Hits != 1 || st.Misses != 3 || st.Coalesced != 1 || st.Errors != 2 {
+		t.Errorf("stats = %+v, want 6 requests, 1 hit, 3 misses, 1 coalesced, 2 errors", st)
+	}
+	if st.CacheEntries != 2 {
+		t.Errorf("cache entries = %d, want 2", st.CacheEntries)
 	}
 	if st.CacheBytes <= 0 {
 		t.Errorf("cache bytes = %d, want > 0 after a cached result", st.CacheBytes)
 	}
 	if st.CacheMaxBytes != DefaultCacheBytes {
 		t.Errorf("cache max bytes = %d, want the default %d", st.CacheMaxBytes, DefaultCacheBytes)
+	}
+}
+
+// TestEvictionsCounted: an eviction shows in /v1/stats and in the
+// process-wide serve.cache.evictions metric.
+func TestEvictionsCounted(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheEntries: -1})
+	evictions := obs.Default.Counter("serve.cache.evictions")
+	before := evictions.Value()
+	postScenario(t, ts.URL, scenarioBody("table1", ""))
+	postScenario(t, ts.URL, scenarioBody("fig1", ""))
+	st := getStats(t, ts.URL)
+	if st.CacheEntries != 1 || st.Evictions != 1 {
+		t.Errorf("negative CacheEntries: (entries, evictions) = (%d, %d), want (1, 1)", st.CacheEntries, st.Evictions)
+	}
+	if got := evictions.Value() - before; got != 1 {
+		t.Errorf("serve.cache.evictions rose by %d, want 1", got)
+	}
+}
+
+// TestRegionDatasetGeneratedOnce: concurrent first queries naming one
+// sibling region share a single generation, under -race. Identical
+// queries get byte-identical bodies, and distinct queries for the
+// region reuse the one dataset. A failed generation is not kept: the
+// next query for that region generates it afresh.
+func TestRegionDatasetGeneratedOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	same := scenarioBody("fig1", `"region":"brazil-rural"`)
+	var bodies []string
+	for i := 0; i < 4; i++ {
+		bodies = append(bodies, same)
+	}
+	distinct := []string{"table1", "table2", "fig4", "findings"}
+	for _, exp := range distinct {
+		bodies = append(bodies, scenarioBody(exp, `"region":"brazil-rural"`))
+	}
+	got := make([][]byte, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func(i int, body string) {
+			defer wg.Done()
+			resp, b := postScenario(t, ts.URL, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("query %d: %d %s", i, resp.StatusCode, b)
+			}
+			got[i] = b
+		}(i, body)
+	}
+	wg.Wait()
+	for i := 1; i < 4; i++ {
+		if !bytes.Equal(got[i], got[0]) {
+			t.Errorf("identical brazil-rural query %d returned different bytes", i)
+		}
+	}
+	// Each distinct scenario asks for the region once; only one of
+	// those asks generates.
+	if h, mi, c, _ := s.regions.Counters(); mi != 1 || h+mi+c != int64(1+len(distinct)) {
+		t.Errorf("region memo (hits, misses, coalesced) = (%d, %d, %d), want 1 miss of %d lookups", h, mi, c, 1+len(distinct))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.datasetFor(ctx, "taipei-dense"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("generation under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if n := s.regions.Len(); n != 1 {
+		t.Errorf("region memo holds %d datasets after a failed generation, want 1", n)
+	}
+	if resp, b := postScenario(t, ts.URL, scenarioBody("fig1", `"region":"taipei-dense"`)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after a failed generation: %d %s", resp.StatusCode, b)
+	}
+	if _, mi, _, _ := s.regions.Counters(); mi != 3 || s.regions.Len() != 2 {
+		t.Errorf("region memo: %d misses, %d datasets; want 3 and 2", mi, s.regions.Len())
+	}
+}
+
+// failingWriter is a response writer whose client has gone away.
+type failingWriter struct{ http.ResponseWriter }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestWriteFailuresCounted: a response write that fails is counted in
+// serve.write_errors rather than dropped.
+func TestWriteFailuresCounted(t *testing.T) {
+	writeErrors := obs.Default.Counter("serve.write_errors")
+	before := writeErrors.Value()
+	writeJSON(failingWriter{httptest.NewRecorder()}, http.StatusOK, []string{"x"})
+	if got := writeErrors.Value() - before; got != 1 {
+		t.Errorf("serve.write_errors rose by %d after a failed write, want 1", got)
 	}
 }
 

@@ -39,11 +39,11 @@ import (
 	"leodivide/internal/core"
 	"leodivide/internal/demand"
 	"leodivide/internal/hexgrid"
+	"leodivide/internal/memo"
 	"leodivide/internal/obs"
 	"leodivide/internal/par"
 	"leodivide/internal/region"
 	"leodivide/internal/spectrum"
-	"leodivide/internal/stage"
 	"leodivide/internal/stats"
 )
 
@@ -150,6 +150,11 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	}
 	if o.scale <= 0 || o.scale > 1 {
 		return nil, fmt.Errorf("leodivide: scale must be in (0,1], got %v", o.scale)
+	}
+	// Stages served from process-wide caches never consult ctx, so an
+	// already-cancelled generation must fail here rather than succeed.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// Resolve the geography. The default "us" region is constructed from
@@ -593,7 +598,7 @@ func (m Model) AffordabilityInput(d *Dataset) (*afford.Input, error) {
 // Fig4, findings and concurrent serve queries via the stage memo.
 // afford.Input is immutable after construction, so sharing is safe.
 func (d *Dataset) affordInput() (*afford.Input, error) {
-	return stage.Get(d.dist.Stages(), "afford.input", func() (*afford.Input, error) {
+	return memo.Get(d.dist.Stages(), "afford.input", func() (*afford.Input, error) {
 		return afford.NewInput(d.Incomes)
 	})
 }
@@ -602,7 +607,7 @@ func (d *Dataset) affordInput() (*afford.Input, error) {
 // by the (uncanonicalized) sigma so distinct dispersion shapes coexist.
 func (d *Dataset) dispersedInput(sigmaLog float64) (*afford.DispersedInput, error) {
 	key := "afford.dispersed|sigma=" + strconv.FormatFloat(sigmaLog, 'g', -1, 64)
-	return stage.Get(d.dist.Stages(), key, func() (*afford.DispersedInput, error) {
+	return memo.Get(d.dist.Stages(), key, func() (*afford.DispersedInput, error) {
 		return afford.NewDispersedInput(d.Incomes, sigmaLog)
 	})
 }
