@@ -20,12 +20,13 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
+	"strconv"
 	"time"
 
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
+	"leodivide/internal/memo"
 	"leodivide/internal/obs"
 	"leodivide/internal/par"
 	"leodivide/internal/usgeo"
@@ -72,12 +73,12 @@ type GenConfig struct {
 	BodyAnchors []QuantileAnchor
 	// Peaks are the pinned head cells.
 	Peaks []PeakCell
-	// Parallelism bounds the worker count for the RNG-free phases of
-	// generation (grid enumeration, county resolution). 0 means one
-	// worker per CPU; 1 is the serial path. The generated dataset is
-	// identical at every setting: all seeded-RNG decisions run on a
-	// single goroutine in a fixed order, and parallel shards are
-	// collected in canonical order.
+	// Parallelism bounds the worker count for the RNG-free phase of
+	// generation: the once-per-process grid enumeration behind the US
+	// cell table. 0 means one worker per CPU; 1 is the serial path. The
+	// generated dataset is identical at every setting: all seeded-RNG
+	// decisions run on a single goroutine in a fixed order, and
+	// parallel shards are collected in canonical order.
 	Parallelism int
 }
 
@@ -246,13 +247,37 @@ func gcd(a, b int) int {
 	return a
 }
 
+// bodyCountsMemo holds bodyCounts results. They are a pure function of
+// the anchors and the target, so every generation at one scale shares
+// one draw whatever its seed. A scale-1 entry is about 27k ints.
+var bodyCountsMemo = memo.New(memo.Options[[]int]{MaxEntries: 8})
+
+// memoBodyCounts is bodyCounts through bodyCountsMemo, keyed by the
+// target and the anchors' exact bits. The result is shared: callers
+// must not modify it.
+func (c GenConfig) memoBodyCounts(ctx context.Context, target int) ([]int, error) {
+	key := strconv.AppendInt(nil, int64(target), 10)
+	for _, a := range c.BodyAnchors {
+		key = append(key, ' ')
+		key = strconv.AppendUint(key, math.Float64bits(a.Q), 16)
+		key = append(key, ':')
+		key = strconv.AppendUint(key, math.Float64bits(a.Locations), 16)
+	}
+	counts, _, err := bodyCountsMemo.Do(ctx, string(key), func() ([]int, error) {
+		return c.bodyCounts(target), nil
+	})
+	return counts, err
+}
+
 // GenerateCells synthesizes the national dataset at cell granularity:
 // every cell's location count, county and center. This is the fast path
 // the capacity model consumes; per-location records are produced by
 // GenerateLocations.
 //
-// Generation fans out over cfg.Parallelism workers but is byte-identical
-// to the serial path at every worker count (see GenConfig.Parallelism).
+// Only the seeded work runs per call, plus one center per sampled
+// cell: the US cell table (counties included) and the body counts come
+// from process-wide memos. Generation is byte-identical at every
+// worker count (see GenConfig.Parallelism).
 func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err error) {
 	//lint:ignore detrand wall-clock feeds the generation timing metric only, never generated data
 	start := time.Now()
@@ -276,13 +301,15 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Pin the head cells first so body sampling can avoid them.
-	used := make(map[hexgrid.CellID]bool)
+	peaks := make([]demand.Cell, 0, len(cfg.Peaks))
+	peakIDs := make([]hexgrid.CellID, 0, len(cfg.Peaks))
+	peakSum := 0
 	for _, p := range cfg.Peaks {
 		id := hexgrid.LatLngToCell(p.Anchor, cfg.Resolution)
-		if used[id] {
+		if slices.Contains(peakIDs, id) {
 			return nil, fmt.Errorf("bdc: peak anchors collide in cell %v", id)
 		}
-		used[id] = true
+		peakIDs = append(peakIDs, id)
 		center := id.LatLng()
 		county, ok := usgeo.CountyAt(center)
 		if !ok {
@@ -291,54 +318,61 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 				return nil, fmt.Errorf("bdc: peak anchor %v outside US frames", p.Anchor)
 			}
 		}
-		cells = append(cells, demand.Cell{
+		peaks = append(peaks, demand.Cell{
 			ID: id, Locations: p.Locations, CountyFIPS: county.FIPS, Center: center,
 		})
-	}
-
-	peakSum := 0
-	for _, p := range cfg.Peaks {
 		peakSum += p.Locations
 	}
-	counts := cfg.bodyCounts(cfg.TotalLocations - peakSum)
-
-	// Sample body cell sites state by state, proportional to rural
-	// weight, rejecting duplicates and off-frame centers.
-	sites, err := sampleSites(ctx, rng, cfg.Resolution, len(counts), used, cfg.Parallelism)
+	counts, err := cfg.memoBodyCounts(ctx, cfg.TotalLocations-peakSum)
 	if err != nil {
 		return nil, err
 	}
-	if len(sites) < len(counts) {
-		return nil, fmt.Errorf("bdc: sampled only %d of %d body cells", len(sites), len(counts))
+
+	// Sample body cell sites state by state, proportional to rural
+	// weight, rejecting duplicates and off-frame centers.
+	grid, picks, err := sampleSites(ctx, rng, cfg.Resolution, len(counts), peakIDs, cfg.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	if len(picks) < len(counts) {
+		return nil, fmt.Errorf("bdc: sampled only %d of %d body cells", len(picks), len(counts))
 	}
 	// Counts are assigned to sites in shuffled order so geography and
 	// density are independent.
 	perm := rng.Perm(len(counts))
-	for i, s := range sites {
+
+	// Emit the cells in ID order, each built once in its final slot.
+	// Table rows ascend by ID, so ordering the sites is an integer sort of
+	// (row, site) pairs; the few peaks merge in by ID.
+	keys := make([]uint64, len(picks))
+	for j, row := range picks {
+		keys[j] = uint64(row)<<32 | uint64(j)
+	}
+	slices.Sort(keys)
+	slices.SortFunc(peaks, func(a, b demand.Cell) int { return cmp.Compare(a.ID, b.ID) })
+	cells = make([]demand.Cell, 0, len(peaks)+len(keys))
+	for _, k := range keys {
+		row, j := k>>32, uint32(k)
+		id := grid.ids[row]
+		for len(peaks) > 0 && peaks[0].ID < id {
+			cells, peaks = append(cells, peaks[0]), peaks[1:]
+		}
 		cells = append(cells, demand.Cell{
-			ID:         s.id,
-			Locations:  counts[perm[i]],
-			CountyFIPS: s.countyFIPS,
-			Center:     s.center,
+			ID:         id,
+			Locations:  counts[perm[j]],
+			CountyFIPS: grid.tiles[grid.state[row]][grid.county[row]].FIPS,
+			Center:     id.LatLng(),
 		})
 	}
-	// IDs are unique, so any correct sort yields the same order.
-	slices.SortFunc(cells, func(a, b demand.Cell) int { return cmp.Compare(a.ID, b.ID) })
-	return cells, nil
-}
-
-type site struct {
-	id         hexgrid.CellID
-	center     geo.LatLng
-	countyFIPS string
+	return append(cells, peaks...), nil
 }
 
 // sampleSites draws n distinct grid cells across the US, weighted by
-// state rural weight. All RNG decisions (pool shuffles) run serially in
-// state order; only the RNG-free county resolution fans out, collected
-// in the serial emission order. A shortfall returns (nil, nil) so the
-// caller can report it with context.
-func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n int, used map[hexgrid.CellID]bool, workers int) ([]site, error) {
+// state rural weight and avoiding the excluded cells, as rows of the US
+// cell table it returns, in emission order. All RNG decisions (pool
+// shuffles) run serially in state order. A shortfall returns no rows
+// and no error so the caller can report it with context.
+func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n int, exclude []hexgrid.CellID, workers int) (*usGrid, []int32, error) {
 	//lint:ignore detrand wall-clock feeds the site-sampling timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.sample_sites")
@@ -351,19 +385,31 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 	}()
 	states := usgeo.States()
 	totalWeight := usgeo.TotalRuralWeight()
-	byState, err := usCells(ctx, res, workers)
+	grid, err := usCells(ctx, res, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 
-	// Shuffled per-state pools, minus already-used cells.
-	pools := make([][]hexgrid.CellID, len(states))
+	// Shuffled per-state pools of table rows, minus the excluded cells'
+	// rows. Shuffling rows draws exactly what shuffling the cell IDs
+	// would.
+	skip := make([]bool, len(grid.ids))
+	for _, id := range exclude {
+		if row, ok := slices.BinarySearch(grid.ids, id); ok {
+			skip[row] = true
+		}
+	}
+	pools := make([][]int32, len(states))
 	totalCapacity := 0
-	for i, s := range states {
-		pool := make([]hexgrid.CellID, 0, len(byState[s.Abbr]))
-		for _, id := range byState[s.Abbr] {
-			if !used[id] {
-				pool = append(pool, id)
+	for i := range states {
+		rows := grid.rows[i]
+		pool := make([]int32, 0, len(rows))
+		for _, row := range rows {
+			if !skip[row] {
+				pool = append(pool, row)
 			}
 		}
 		rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
@@ -371,7 +417,7 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 		totalCapacity += len(pool)
 	}
 	if totalCapacity < n {
-		return nil, nil // caller reports the shortfall
+		return grid, nil, nil // caller reports the shortfall
 	}
 
 	// Per-state targets proportional to rural weight, capped by pool
@@ -413,50 +459,59 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 		}
 	}
 
-	// Flatten the selected cells in the serial emission order (state by
-	// state), then resolve counties — the expensive, RNG-free step — in
-	// parallel, each result landing in its emission slot.
-	type pick struct {
-		id    hexgrid.CellID
-		state int
+	// The picks, in the serial emission order: state by state.
+	picks := make([]int32, 0, n)
+	for i := range states {
+		picks = append(picks, pools[i][:targets[i]]...)
 	}
-	picks := make([]pick, 0, n)
-	counties := make([][]usgeo.County, len(states))
-	for i, s := range states {
-		if targets[i] > 0 {
-			counties[i] = usgeo.Counties(s)
-		}
-		for _, id := range pools[i][:targets[i]] {
-			picks = append(picks, pick{id: id, state: i})
-		}
-	}
-	return par.Map(ctx, workers, len(picks), func(k int) (site, error) {
-		p := picks[k]
-		center := p.id.LatLng()
-		county, ok := countyFor(counties[p.state], center)
-		if !ok {
-			county = nearestCounty(counties[p.state], center)
-		}
-		return site{id: p.id, center: center, countyFIPS: county.FIPS}, nil
-	})
+	return grid, picks, nil
 }
 
-// usCells enumerates every grid cell whose center falls inside a US
-// state frame, bucketed by state in deterministic order. The
-// enumeration walks the full global grid once and is cached per
-// resolution.
-var (
-	usCellsMu    sync.Mutex
-	usCellsCache = make(map[hexgrid.Resolution]map[string][]hexgrid.CellID)
-)
+// usGrid is the US cell table at one resolution: every grid cell whose
+// center falls inside a US state frame, as parallel columns in
+// ascending ID order (the canonical grid order), with the cell's state
+// and county resolved once, plus each state's rows. None of it depends
+// on the seed, so it is built once per process and resolution
+// (usCells). The per-cell columns hold no string and no pointer, so
+// they cost the GC nothing to scan. Centers are not kept: recomputing
+// one for each sampled cell is cheaper than holding 16 bytes for every
+// US cell in the live heap.
+type usGrid struct {
+	ids    []hexgrid.CellID
+	state  []uint8          // index into usgeo.States()
+	county []uint16         // index into the state's tiles
+	tiles  [][]usgeo.County // per state: usgeo.CountyTiles
+	rows   [][]int32        // per state: its rows, ascending
+}
 
-func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (map[string][]hexgrid.CellID, error) {
-	usCellsMu.Lock()
-	defer usCellsMu.Unlock()
-	if m, ok := usCellsCache[res]; ok {
+// usBox bounds every state frame, including the trimmed Alaska frame
+// and Hawaii.
+var usBox = hexgrid.Box{LatLo: 18, LatHi: 67, LngLo: -169, LngHi: -66}
+
+// usGrids memoizes the US cell table per resolution, keyed by gridKey.
+var usGrids = memo.New(memo.Options[*usGrid]{MaxEntries: int(hexgrid.MaxResolution) + 1})
+
+func gridKey(res hexgrid.Resolution) string { return strconv.Itoa(int(res)) }
+
+// usCells returns the US cell table at res, building it on first use.
+// Concurrent first calls build it once; a caller waiting on another's
+// build stops waiting when its own ctx ends. The build itself ignores
+// cancellation, so a cancelled leader cannot fail the waiters it
+// shares it with.
+func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid, error) {
+	grid, status, err := usGrids.Do(ctx, gridKey(res), func() (*usGrid, error) {
+		return buildUSGrid(context.WithoutCancel(ctx), res, workers)
+	})
+	if err == nil && status != memo.Miss {
 		metricGridCacheHit.Inc()
-		return m, nil
 	}
+	return grid, err
+}
+
+// buildUSGrid walks the grid faces the US box reaches, concurrently
+// and RNG-free, classifying each cell by state and county, and
+// concatenates the face shards in face order: ascending ID order.
+func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid, error) {
 	//lint:ignore detrand wall-clock feeds the grid-cache timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.us_cells")
@@ -464,55 +519,66 @@ func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (map[stri
 		metricGridSecs.ObserveSince(start)
 		span.End()
 	}()
-	// Enumerate the 20 icosahedron faces concurrently; concatenating the
-	// face shards in face order reproduces hexgrid.ForEachCell's exact
-	// per-state bucket ordering.
-	shards, err := par.Map(ctx, workers, 20, func(f int) (map[string][]hexgrid.CellID, error) {
-		shard := make(map[string][]hexgrid.CellID)
-		hexgrid.ForEachCellOnFace(res, f, func(id hexgrid.CellID) {
-			center := id.LatLng()
-			// Quick reject: the US (including the trimmed Alaska frame
-			// and Hawaii) lies inside this box.
-			if center.Lat < 18 || center.Lat > 67 || center.Lng < -169 || center.Lng > -66 {
-				return
-			}
-			if s, ok := usgeo.StateAt(center); ok {
-				shard[s.Abbr] = append(shard[s.Abbr], id)
-			}
-		})
-		return shard, nil
+	states := usgeo.States()
+	g := &usGrid{tiles: make([][]usgeo.County, len(states)), rows: make([][]int32, len(states))}
+	index := make(map[string]uint8, len(states))
+	for i, s := range states {
+		g.tiles[i] = usgeo.CountyTiles(s)
+		index[s.Abbr] = uint8(i)
+	}
+	type cell struct {
+		id     hexgrid.CellID
+		state  uint8
+		county uint16
+	}
+	shards, err := hexgrid.WalkBox(ctx, res, usBox, workers, func(shard *[]cell, id hexgrid.CellID, center geo.LatLng) {
+		s, ok := usgeo.StateAt(center)
+		if !ok {
+			return
+		}
+		i := index[s.Abbr]
+		*shard = append(*shard, cell{id: id, state: i, county: uint16(countyIndex(g.tiles[i], center))})
 	})
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string][]hexgrid.CellID)
+	n, sizes := 0, make([]int, len(states))
 	for _, shard := range shards {
-		for abbr, ids := range shard {
-			m[abbr] = append(m[abbr], ids...)
+		n += len(shard)
+		for _, c := range shard {
+			sizes[c.state]++
 		}
 	}
-	usCellsCache[res] = m
-	return m, nil
+	for i, size := range sizes {
+		g.rows[i] = make([]int32, 0, size)
+	}
+	g.ids = make([]hexgrid.CellID, 0, n)
+	g.state = make([]uint8, 0, n)
+	g.county = make([]uint16, 0, n)
+	for _, shard := range shards {
+		for _, c := range shard {
+			g.rows[c.state] = append(g.rows[c.state], int32(len(g.ids)))
+			g.ids = append(g.ids, c.id)
+			g.state = append(g.state, c.state)
+			g.county = append(g.county, c.county)
+		}
+	}
+	return g, nil
 }
 
-func countyFor(counties []usgeo.County, p geo.LatLng) (usgeo.County, bool) {
-	for _, c := range counties {
+// countyIndex returns the index of the first tile containing p or,
+// when p falls just outside its state's tiling, of the tile whose
+// center is nearest (the first such on ties).
+func countyIndex(tiles []usgeo.County, p geo.LatLng) int {
+	for i, c := range tiles {
 		if c.Contains(p) {
-			return c, true
+			return i
 		}
 	}
-	return usgeo.County{}, false
-}
-
-// nearestCounty returns the county whose center is closest to p; used
-// when a cell center falls just outside its state's county tiling.
-func nearestCounty(counties []usgeo.County, p geo.LatLng) usgeo.County {
-	best := counties[0]
-	bestD := math.Inf(1)
-	for _, c := range counties {
-		d := geo.DistanceKm(p, c.Center())
-		if d < bestD {
-			best, bestD = c, d
+	best, bestD := 0, math.Inf(1)
+	for i, c := range tiles {
+		if d := geo.DistanceKm(p, c.Center()); d < bestD {
+			best, bestD = i, d
 		}
 	}
 	return best

@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Federal assistance constants (2025 program parameters used by the
@@ -125,16 +127,29 @@ func NewTable(records []CountyIncome) *Table {
 	t := &Table{byFIPS: make(map[string]CountyIncome, len(records))}
 	t.ordered = make([]CountyIncome, len(records))
 	copy(t.ordered, records)
-	sort.Slice(t.ordered, func(i, j int) bool {
-		if t.ordered[i].MedianHouseholdIncomeUSD != t.ordered[j].MedianHouseholdIncomeUSD {
-			return t.ordered[i].MedianHouseholdIncomeUSD < t.ordered[j].MedianHouseholdIncomeUSD
+	slices.SortFunc(t.ordered, func(a, b CountyIncome) int {
+		if a.MedianHouseholdIncomeUSD != b.MedianHouseholdIncomeUSD {
+			return less(a.MedianHouseholdIncomeUSD < b.MedianHouseholdIncomeUSD)
 		}
-		return t.ordered[i].FIPS < t.ordered[j].FIPS
+		return strings.Compare(a.FIPS, b.FIPS)
 	})
 	for _, r := range records {
 		t.byFIPS[r.FIPS] = r
 	}
 	return t
+}
+
+// less turns a strict-less test into a comparator result. The
+// comparators of NewTable and AssignIncomes are negative exactly when
+// the tests' reference sort.Slice less functions report less, NaN
+// included. slices.SortFunc only asks whether a result is negative and
+// runs the same pattern-defeating quicksort as sort.Slice, so every
+// input, ties and all, sorts into the reference order.
+func less(lt bool) int {
+	if lt {
+		return -1
+	}
+	return 1
 }
 
 // Lookup returns the county record for a FIPS code.
@@ -176,11 +191,11 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 	}
 	ws := make([]CountyWeight, len(weights))
 	copy(ws, weights)
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].PovertyRank != ws[j].PovertyRank {
-			return ws[i].PovertyRank < ws[j].PovertyRank
+	slices.SortFunc(ws, func(a, b CountyWeight) int {
+		if a.PovertyRank != b.PovertyRank {
+			return less(a.PovertyRank < b.PovertyRank)
 		}
-		return ws[i].FIPS < ws[j].FIPS
+		return strings.Compare(a.FIPS, b.FIPS)
 	})
 	total := 0.0
 	for _, w := range ws {

@@ -1,0 +1,124 @@
+package census
+
+// Reference pins for the typed comparators: AssignIncomes and NewTable
+// must order every input exactly as the sort.Slice less functions they
+// replaced, ties and unsorted input included.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// referenceNewTable is NewTable as first written.
+func referenceNewTable(records []CountyIncome) []CountyIncome {
+	ordered := make([]CountyIncome, len(records))
+	copy(ordered, records)
+	sort.Slice(ordered, func(i, j int) bool {
+		if ordered[i].MedianHouseholdIncomeUSD != ordered[j].MedianHouseholdIncomeUSD {
+			return ordered[i].MedianHouseholdIncomeUSD < ordered[j].MedianHouseholdIncomeUSD
+		}
+		return ordered[i].FIPS < ordered[j].FIPS
+	})
+	return ordered
+}
+
+// referenceAssignIncomes is AssignIncomes as first written, returning
+// the records before NewTable orders them.
+func referenceAssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) []CountyIncome {
+	ws := make([]CountyWeight, len(weights))
+	copy(ws, weights)
+	sort.Slice(ws, func(i, j int) bool {
+		if ws[i].PovertyRank != ws[j].PovertyRank {
+			return ws[i].PovertyRank < ws[j].PovertyRank
+		}
+		return ws[i].FIPS < ws[j].FIPS
+	})
+	total := 0.0
+	for _, w := range ws {
+		total += w.Weight
+	}
+	records := make([]CountyIncome, 0, len(ws))
+	cum := 0.0
+	for _, w := range ws {
+		mid := (cum + w.Weight/2) / total
+		cum += w.Weight
+		income, err := IncomeQuantile(anchors, mid)
+		if err != nil {
+			panic(err)
+		}
+		records = append(records, CountyIncome{
+			FIPS:                     w.FIPS,
+			StateAbbr:                w.StateAbbr,
+			MedianHouseholdIncomeUSD: math.Round(income/50) * 50,
+			Weight:                   w.Weight,
+		})
+	}
+	return records
+}
+
+// randomWeights draws n counties with heavily tied poverty ranks (few
+// distinct values) in shuffled order. With dupFIPS, codes repeat too,
+// so whole comparator ties occur.
+func randomWeights(rng *rand.Rand, n int, dupFIPS bool) []CountyWeight {
+	ws := make([]CountyWeight, n)
+	codes := n
+	if dupFIPS {
+		codes = 1 + n/4
+	}
+	for i := range ws {
+		ws[i] = CountyWeight{
+			FIPS:        fmt.Sprintf("%05d", rng.Intn(codes)*7%100000),
+			StateAbbr:   fmt.Sprintf("S%d", i),
+			Weight:      float64(1 + rng.Intn(50)),
+			PovertyRank: float64(rng.Intn(4)) / 4,
+		}
+		if !dupFIPS {
+			ws[i].FIPS = fmt.Sprintf("%05d", i*13%100000)
+		}
+	}
+	rng.Shuffle(n, func(a, b int) { ws[a], ws[b] = ws[b], ws[a] })
+	return ws
+}
+
+func TestAssignIncomesMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(400)
+		ws := randomWeights(rng, n, trial%4 == 0)
+		table, err := AssignIncomes(ws, DefaultIncomeAnchors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceNewTable(referenceAssignIncomes(ws, DefaultIncomeAnchors()))
+		if got := table.Counties(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d counties): AssignIncomes order differs from the reference", trial, n)
+		}
+	}
+}
+
+func TestNewTableMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(400)
+		recs := make([]CountyIncome, n)
+		codes := n
+		if trial%4 == 0 {
+			codes = 1 + n/4 // repeated codes: whole comparator ties
+		}
+		for i := range recs {
+			recs[i] = CountyIncome{
+				FIPS:                     fmt.Sprintf("%05d", rng.Intn(codes)),
+				StateAbbr:                fmt.Sprintf("S%d", i),
+				MedianHouseholdIncomeUSD: float64(30000 + 50*rng.Intn(5)),
+				Weight:                   float64(i),
+			}
+		}
+		if got, want := NewTable(recs).Counties(), referenceNewTable(recs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d records): NewTable order differs from the reference", trial, n)
+		}
+	}
+}

@@ -6,8 +6,10 @@
 package demand
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"leodivide/internal/geo"
@@ -126,8 +128,10 @@ type Distribution struct {
 // NewDistribution indexes the cells. Cells with zero locations are
 // dropped (they impose coverage but no demand).
 func NewDistribution(cells []Cell) (*Distribution, error) {
-	kept := make([]Cell, 0, len(cells))
-	for _, c := range cells {
+	// The kept rows, by input index, and their IDs.
+	rows := make([]int32, 0, len(cells))
+	ids := make([]hexgrid.CellID, 0, len(cells))
+	for i, c := range cells {
 		if c.Locations < 0 {
 			return nil, fmt.Errorf("demand: cell %v has negative locations", c.ID)
 		}
@@ -135,25 +139,43 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 			return nil, fmt.Errorf("demand: cell %v has %d locations, beyond the int32 column range", c.ID, c.Locations)
 		}
 		if c.Locations > 0 {
-			kept = append(kept, c)
+			rows = append(rows, int32(i))
+			ids = append(ids, c.ID)
 		}
 	}
-	if len(kept) == 0 {
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("demand: no cells with demand")
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Locations != kept[j].Locations {
-			return kept[i].Locations > kept[j].Locations
+	// Rank the rows by (ID, input index); generated cells arrive in ID
+	// order and are ranked already.
+	if !slices.IsSorted(ids) {
+		ranked := make([]int32, len(rows))
+		for r, k := range IDOrder(ids) {
+			ranked[r] = rows[k]
 		}
-		return kept[i].ID < kept[j].ID
-	})
+		rows = ranked
+	}
+	// Order by descending locations, then rank: each key packs the
+	// location count's complement above the rank, so one integer sort of
+	// a pointer-free column orders the rows, which are then gathered once
+	// into a slice of their final size.
+	keys := make([]uint64, len(rows))
+	for r, i := range rows {
+		keys[r] = uint64(math.MaxInt32-cells[i].Locations)<<32 | uint64(r)
+	}
+	slices.Sort(keys)
+	kept := make([]Cell, len(keys))
+	for k, key := range keys {
+		kept[k] = cells[rows[uint32(key)]]
+	}
 	samples := make([]float64, len(kept))
 	suffix := make([]int, len(kept))
 	locs := make([]int32, len(kept))
 	lats := make([]float64, len(kept))
 	total := 0
 	for i, c := range kept {
-		samples[i] = float64(c.Locations)
+		// Ascending, so the CDF's own sort finds its input sorted.
+		samples[len(kept)-1-i] = float64(c.Locations)
 		total += c.Locations
 		suffix[i] = total
 		locs[i] = int32(c.Locations)
@@ -168,6 +190,32 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 		locs: locs, lats: lats,
 		stages: memo.New(memo.Options[any]{}),
 	}, nil
+}
+
+// IDOrder returns the input indices of ids in ascending ID order, equal
+// IDs in input order. Sorting this compact, pointer-free column and
+// gathering rows once is much cheaper than sorting Cell structs, whose
+// every swap moves a string header and pays GC write barriers.
+func IDOrder(ids []hexgrid.CellID) []int32 {
+	type idKey struct {
+		id  hexgrid.CellID
+		idx int32
+	}
+	keys := make([]idKey, len(ids))
+	for i, id := range ids {
+		keys[i] = idKey{id: id, idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b idKey) int {
+		if a.id != b.id {
+			return cmp.Compare(a.id, b.id)
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	order := make([]int32, len(keys))
+	for i, k := range keys {
+		order[i] = k.idx
+	}
+	return order
 }
 
 // NumCells returns the number of cells with demand.

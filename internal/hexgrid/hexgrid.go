@@ -127,6 +127,7 @@ var (
 	faceCenter [20]geo.Vec3
 	faceInv    [20][9]float64 // row-major inverse of [A B C] column matrix
 	edgeAngle  float64        // central angle of an icosahedron edge
+	faceRadius float64        // central angle from a face center to its corners
 )
 
 func init() {
@@ -185,6 +186,7 @@ func buildIcosahedron() {
 		faceCenter[f] = a.Add(b).Add(c).Unit()
 		faceInv[f] = invert3(a, b, c)
 	}
+	faceRadius = faceCenter[0].AngleTo(faceCorner[0][0])
 }
 
 // invert3 inverts the 3x3 matrix whose columns are a, b, c.

@@ -1,9 +1,10 @@
 // Package memo is the module's one memoizing cache: a string-keyed,
-// LRU-bounded store fronted by singleflight coalescing. Three layers
-// use it: the per-dataset compute-stage memo (demand.Distribution's
-// Stages), the serving layer's result cache (canonical scenario key →
-// response bytes), and the serving layer's lazily generated sibling
-// region datasets.
+// LRU-bounded store fronted by singleflight coalescing. Its users: the
+// per-dataset compute-stage memo (demand.Distribution's Stages), the
+// serving layer's result cache (canonical scenario key → response
+// bytes), the serving layer's lazily generated sibling region datasets,
+// and generation's process-wide seed-invariant tables (the US cell
+// table, the body counts and the synthetic footprints).
 //
 // Determinism is what makes memoizing sound in every one of them: the
 // key fully determines the value, so a cached or coalesced answer is

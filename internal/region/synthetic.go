@@ -23,17 +23,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
+	"strconv"
 
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
-	"leodivide/internal/par"
+	"leodivide/internal/memo"
 )
 
 // DensityAnchor pins the synthetic per-cell demand shape at one
@@ -339,8 +339,9 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	}
 
 	rng := rand.New(rand.NewSource(g.Seed))
-	var cells []demand.Cell
 	used := make(map[hexgrid.CellID]bool)
+	ids := make([]hexgrid.CellID, 0, len(peaks)+s.Cells)
+	rowLocs := make([]int, 0, len(peaks)+s.Cells)
 	peakSum := 0
 	for _, p := range peaks {
 		id := hexgrid.LatLngToCell(geo.LatLng{Lat: p.LatDeg, Lng: p.LngDeg}, s.Resolution)
@@ -348,7 +349,8 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 			return Output{}, fmt.Errorf("region: spec %q: peak anchors collide in cell %v", s.Key, id)
 		}
 		used[id] = true
-		cells = append(cells, demand.Cell{ID: id, Locations: p.Locations, Center: id.LatLng()})
+		ids = append(ids, id)
+		rowLocs = append(rowLocs, p.Locations)
 		peakSum += p.Locations
 	}
 	if peakSum >= total {
@@ -376,16 +378,22 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
 	perm := rng.Perm(len(counts))
 	for i, id := range pool[:len(counts)] {
-		cells = append(cells, demand.Cell{ID: id, Locations: counts[perm[i]], Center: id.LatLng()})
+		ids = append(ids, id)
+		rowLocs = append(rowLocs, counts[perm[i]])
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].ID < cells[j].ID })
 
-	// Districts partition the ID-sorted cells into contiguous blocks, so
-	// a district is a coherent slice of the geography and the codes are
-	// a pure function of the sorted order.
-	for i := range cells {
-		d := i * s.Districts / len(cells)
-		cells[i].CountyFIPS = fmt.Sprintf("%s%03d", s.DistrictPrefix, d)
+	// The rows are the peaks, then the sites; build each cell once, in
+	// ID order. Districts partition the ID-sorted cells into contiguous
+	// blocks, so a district is a coherent slice of the geography and the
+	// codes are a pure function of the sorted order; each code is
+	// formatted once.
+	cells := make([]demand.Cell, len(ids))
+	code, district := "", -1
+	for i, k := range demand.IDOrder(ids) {
+		if d := i * s.Districts / len(cells); d != district {
+			code, district = fmt.Sprintf("%s%03d", s.DistrictPrefix, d), d
+		}
+		cells[i] = demand.Cell{ID: ids[k], Locations: rowLocs[k], CountyFIPS: code, Center: ids[k].LatLng()}
 	}
 	dist, err := demand.NewDistribution(cells)
 	if err != nil {
@@ -411,58 +419,41 @@ func districtIncomes(dist *demand.Distribution, s SyntheticSpec, seed int64) (*c
 	sort.Strings(codes)
 	cw := make([]census.CountyWeight, len(codes))
 	for i, code := range codes {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d:%s", seed, code)
 		cw[i] = census.CountyWeight{
 			FIPS:        code,
 			StateAbbr:   s.RegionAbbr,
 			Weight:      float64(weights[code]),
-			PovertyRank: float64(h.Sum64()%10000) / 10000,
+			PovertyRank: rankJitter(seed, code),
 		}
 	}
 	return census.AssignIncomes(cw, s.IncomeAnchors)
 }
 
-// boxCells enumerates the grid cells whose centers fall inside the
-// spec's footprint box, in canonical grid order: the 20 icosahedron
-// faces are walked concurrently (RNG-free) and concatenated in face
-// order, exactly the bdc.usCells pattern. Enumerations are cached per
-// (resolution, box).
-type boxKey struct {
-	res                            hexgrid.Resolution
-	latMin, latMax, lngMin, lngMax float64
+// boxGrids memoizes boxCells per (resolution, footprint box), keyed by
+// boxKey. The registry declares two synthetic regions; the bound keeps
+// ad-hoc specs from growing the memo without limit.
+var boxGrids = memo.New(memo.Options[[]hexgrid.CellID]{MaxEntries: 16})
+
+func boxKey(s SyntheticSpec) string {
+	key := strconv.AppendInt(nil, int64(s.Resolution), 10)
+	for _, v := range []float64{s.LatMinDeg, s.LatMaxDeg, s.LngMinDeg, s.LngMaxDeg} {
+		key = append(key, ' ')
+		key = strconv.AppendUint(key, math.Float64bits(v), 16)
+	}
+	return string(key)
 }
 
-var (
-	boxCellsMu    sync.Mutex
-	boxCellsCache = make(map[boxKey][]hexgrid.CellID)
-)
-
+// boxCells returns the grid cells whose centers fall inside the spec's
+// footprint box, in canonical grid order (hexgrid.WalkBox, RNG-free).
+// Concurrent first calls walk once; a caller waiting on another's walk
+// stops waiting when its own ctx ends, and the walk itself ignores
+// cancellation so a cancelled leader cannot fail its waiters.
 func boxCells(ctx context.Context, s SyntheticSpec, workers int) ([]hexgrid.CellID, error) {
-	key := boxKey{res: s.Resolution, latMin: s.LatMinDeg, latMax: s.LatMaxDeg, lngMin: s.LngMinDeg, lngMax: s.LngMaxDeg}
-	boxCellsMu.Lock()
-	defer boxCellsMu.Unlock()
-	if ids, ok := boxCellsCache[key]; ok {
-		return ids, nil
-	}
-	shards, err := par.Map(ctx, workers, 20, func(f int) ([]hexgrid.CellID, error) {
-		var shard []hexgrid.CellID
-		hexgrid.ForEachCellOnFace(s.Resolution, f, func(id hexgrid.CellID) {
-			c := id.LatLng()
-			if c.Lat < s.LatMinDeg || c.Lat > s.LatMaxDeg || c.Lng < s.LngMinDeg || c.Lng > s.LngMaxDeg {
-				return
-			}
-			shard = append(shard, id)
-		})
-		return shard, nil
+	ids, _, err := boxGrids.Do(ctx, boxKey(s), func() ([]hexgrid.CellID, error) {
+		box := hexgrid.Box{LatLo: s.LatMinDeg, LatHi: s.LatMaxDeg, LngLo: s.LngMinDeg, LngHi: s.LngMaxDeg}
+		shards, err := hexgrid.WalkBox(context.WithoutCancel(ctx), s.Resolution, box, workers,
+			func(shard *[]hexgrid.CellID, id hexgrid.CellID, _ geo.LatLng) { *shard = append(*shard, id) })
+		return slices.Concat(shards...), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	var ids []hexgrid.CellID
-	for _, shard := range shards {
-		ids = append(ids, shard...)
-	}
-	boxCellsCache[key] = ids
-	return ids, nil
+	return ids, err
 }

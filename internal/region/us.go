@@ -11,8 +11,8 @@ package region
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,7 +20,6 @@ import (
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/obs"
-	"leodivide/internal/par"
 	"leodivide/internal/usgeo"
 )
 
@@ -82,7 +81,7 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	incomes, err := assignIncomes(ctx, dist, u.anchors, g.Seed, cfg.Parallelism)
+	incomes, err := assignIncomes(ctx, dist, u.anchors, g.Seed)
 	if err != nil {
 		return Output{}, err
 	}
@@ -91,13 +90,12 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 
 // assignIncomes distributes county incomes using a deterministic
 // poverty ordering: state rural weight (a proxy for rural poverty) plus
-// a per-county hash jitter. County weights are computed concurrently
-// over the sorted FIPS list, so the assignment input (and therefore the
-// table) is identical at every worker count.
-func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []census.QuantileAnchor, seed int64, workers int) (*census.Table, error) {
+// a per-county hash jitter. The per-county work is one short hash, so
+// it runs serially over the sorted FIPS list.
+func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []census.QuantileAnchor, seed int64) (*census.Table, error) {
 	//lint:ignore detrand wall-clock feeds the generation span timing only, never the dataset
 	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "gen.assign_incomes")
+	_, span := obs.StartSpan(ctx, "gen.assign_incomes")
 	defer func() {
 		metricIncomeSecs.ObserveSince(start)
 		span.End()
@@ -108,34 +106,51 @@ func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []cen
 		fipsList = append(fipsList, fips)
 	}
 	sort.Strings(fipsList)
-	cw, err := par.Map(ctx, workers, len(fipsList), func(i int) (census.CountyWeight, error) {
-		fips := fipsList[i]
+	cw := make([]census.CountyWeight, len(fipsList))
+	for i, fips := range fipsList {
 		abbr, err := stateOfFIPS(fips)
 		if err != nil {
-			return census.CountyWeight{}, err
+			return nil, err
 		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d:%s", seed, fips)
-		jitter := float64(h.Sum64()%10000) / 10000
-		return census.CountyWeight{
+		cw[i] = census.CountyWeight{
 			FIPS:        fips,
 			StateAbbr:   abbr,
 			Weight:      float64(weights[fips]),
-			PovertyRank: jitter,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+			PovertyRank: rankJitter(seed, fips),
+		}
 	}
 	return census.AssignIncomes(cw, anchors)
+}
+
+// rankJitter is the seed-keyed poverty-rank jitter of a county or
+// district code: the 64-bit FNV-1a hash (hash/fnv's New64a, computed
+// inline) of "<seed>:<code>", reduced to [0, 1) in steps of 1e-4. It
+// is independent of geography, so income and demand density stay
+// uncorrelated.
+func rankJitter(seed int64, code string) float64 {
+	var buf [32]byte
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, b := range jitterInput(buf[:0], seed, code) {
+		h ^= uint64(b)
+		h *= 1099511628211 // FNV-64 prime
+	}
+	return float64(h%10000) / 10000
+}
+
+// jitterInput appends the bytes rankJitter hashes to buf: exactly what
+// fmt prints for "%d:%s", without fmt's per-call cost.
+func jitterInput(buf []byte, seed int64, code string) []byte {
+	buf = strconv.AppendInt(buf, seed, 10)
+	buf = append(buf, ':')
+	return append(buf, code...)
 }
 
 // stateOfFIPS maps a county FIPS prefix to a state abbreviation via the
 // usgeo tables. An unknown or too-short prefix is a hard error: a
 // silently empty state abbreviation used to flow into the income table
 // and skew the poverty ordering without any signal. The lookup table is
-// built once under sync.Once — income assignment calls this from pool
-// workers, so unsynchronized lazy initialization would race.
+// built once under sync.Once — datasets may generate on many goroutines
+// at once, so unsynchronized lazy initialization would race.
 func stateOfFIPS(fips string) (string, error) {
 	if len(fips) < 2 {
 		return "", fmt.Errorf("region: county FIPS %q too short for a state prefix", fips)

@@ -13,7 +13,9 @@ package usgeo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"leodivide/internal/geo"
 )
@@ -172,8 +174,36 @@ func (c County) Contains(p geo.LatLng) bool {
 
 // Counties tiles the state frame into its real county count using a
 // near-square grid, producing deterministic synthetic counties ordered
-// by FIPS.
+// by FIPS. The result is the caller's own copy.
 func Counties(s State) []County {
+	return slices.Clone(CountyTiles(s))
+}
+
+// CountyTiles is Counties without the copy: for the fifty table states
+// it returns the tiles from a process-wide table built once, which
+// callers must not modify; any other State is tiled afresh.
+func CountyTiles(s State) []County {
+	tiles := countyTiles()
+	for i := range states {
+		if states[i] == s {
+			return tiles[i]
+		}
+	}
+	return tileCounties(s)
+}
+
+// countyTiles holds every table state's county tiles, aligned with
+// states. Building it formats two strings per county, so it runs once.
+var countyTiles = sync.OnceValue(func() [][]County {
+	out := make([][]County, len(states))
+	for i, s := range states {
+		out[i] = tileCounties(s)
+	}
+	return out
+})
+
+// tileCounties tiles one state frame (see Counties).
+func tileCounties(s State) []County {
 	n := s.Counties
 	if n <= 0 {
 		n = 1
@@ -212,7 +242,7 @@ func Counties(s State) []County {
 func AllCounties() []County {
 	var out []County
 	for _, s := range States() {
-		out = append(out, Counties(s)...)
+		out = append(out, CountyTiles(s)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FIPS < out[j].FIPS })
 	return out
@@ -225,7 +255,7 @@ func CountyAt(p geo.LatLng) (County, bool) {
 	if !ok {
 		return County{}, false
 	}
-	for _, c := range Counties(s) {
+	for _, c := range CountyTiles(s) {
 		if c.Contains(p) {
 			return c, true
 		}

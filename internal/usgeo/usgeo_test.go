@@ -2,6 +2,7 @@ package usgeo
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -253,5 +254,36 @@ func TestGatewaySitesInNamedState(t *testing.T) {
 		if s.Abbr != want {
 			t.Errorf("gateway %s resolves to %s", g.Name, s.Abbr)
 		}
+	}
+}
+
+// TestCountyTilesShared: the shared tiles equal a fresh tiling for all
+// fifty states, Counties hands out copies of them, and a State outside
+// the table is tiled afresh.
+func TestCountyTilesShared(t *testing.T) {
+	for _, s := range States() {
+		shared := CountyTiles(s)
+		if !slices.Equal(shared, tileCounties(s)) {
+			t.Fatalf("%s: shared tiles differ from a fresh tiling", s.Abbr)
+		}
+		if &CountyTiles(s)[0] != &shared[0] {
+			t.Fatalf("%s: CountyTiles rebuilt the tiles", s.Abbr)
+		}
+		c := Counties(s)
+		if !slices.Equal(c, shared) {
+			t.Fatalf("%s: Counties differs from the shared tiles", s.Abbr)
+		}
+		c[0].FIPS = "mutated"
+		if CountyTiles(s)[0].FIPS == "mutated" {
+			t.Fatalf("%s: Counties returned the shared storage", s.Abbr)
+		}
+	}
+	custom, err := ByAbbr("KY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom.Counties = 7
+	if got := CountyTiles(custom); len(got) != 7 || !slices.Equal(got, tileCounties(custom)) {
+		t.Fatalf("custom state: %d tiles, want a fresh tiling of 7", len(got))
 	}
 }
