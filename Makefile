@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-ratchet bench bench-parallel bench-json bench-check \
-	fmt check verify fuzz-smoke cover cover-check serve-smoke
+.PHONY: build test race vet lint lint-ratchet bench fmt check verify \
+	fuzz-smoke cover cover-check serve-smoke
 
 build:
 	$(GO) build ./...
@@ -28,42 +28,12 @@ lint-ratchet:
 	$(GO) run ./cmd/leodivide-lint -out lint.json \
 		-ratchet LINT_SUPPRESSIONS -time-budget LINT_TIME_BUDGET ./...
 
-# The full reproduction benchmarks (one per paper table/figure).
+# Times every measured path (generation, each registry experiment, the
+# simulator, ablation and state-rollup paths) at workers=1 and
+# workers=0. A profiling aid: nothing gates on it. TestWorkCounts gates
+# the work counts in `make test`; _bench/ is the end-to-end benchmark.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Serial vs pooled comparison for the parallel execution engine.
-bench-parallel:
-	$(GO) test -bench BenchmarkParallelSpeedup -benchtime 5x -run '^$$' .
-
-# Machine-readable bench report (internal/benchfmt schema). Override
-# BENCH_SCALE / BENCH_WORKERS / BENCH_REPS / BENCH_OUT for other
-# sweeps; CI runs this at small scale and validates the artifact with
-# `bench -check`. Reps default to 3 so per-dataset stage warm-up (the
-# internal/stage memo) is amortized the way a sweep amortizes it.
-BENCH_SCALE ?= 0.05
-BENCH_WORKERS ?= 1,2
-BENCH_REPS ?= 3
-BENCH_OUT ?= BENCH_latest.json
-bench-json:
-	$(GO) run ./cmd/leodivide -scale $(BENCH_SCALE) bench \
-		-workers $(BENCH_WORKERS) -reps $(BENCH_REPS) -out $(BENCH_OUT)
-	$(GO) run ./cmd/leodivide bench -check $(BENCH_OUT)
-
-# Regression tripwire against the committed baseline: re-measure the
-# sweep-heavy experiments at the baseline's scale and fail on any cell
-# more than BENCH_MAX_REGRESS slower. The staged sweep experiments now
-# run in microseconds, so the check uses many reps to push the
-# measurement above scheduler noise; even so, wall-clock comparison
-# catches step changes (a dropped cache, an accidental quadratic), not
-# percent-level drift.
-BENCH_MAX_REGRESS ?= 0.20
-BENCH_CHECK_REPS ?= 30
-bench-check:
-	$(GO) run ./cmd/leodivide -scale 0.25 bench -workers 1 \
-		-reps $(BENCH_CHECK_REPS) -experiments table2,fig2,fig3,fleets,busyhour \
-		-out BENCH_check.json \
-		-against BENCH_baseline.json -max-regress $(BENCH_MAX_REGRESS)
+	$(GO) test -bench BenchmarkRegistry -benchtime 1x -run '^$$' .
 
 fmt:
 	gofmt -s -l -w .
@@ -105,6 +75,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromToken$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzLatLngToCell$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioRequest$$' -fuzztime $(FUZZ_TIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioKey$$' -fuzztime $(FUZZ_TIME) .
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR, percent). The floor
 # sits ~1pt under the measured total because worker-occupancy branches

@@ -1,8 +1,8 @@
 package main
 
 // The -debug-addr server: pprof, expvar and the obs metrics snapshot
-// over HTTP for live inspection of long runs (full-scale `all`, bench
-// sweeps). Importing net/http/pprof and expvar registers their handlers
+// over HTTP for live inspection of long runs (full-scale `all`,
+// `serve`). Importing net/http/pprof and expvar registers their handlers
 // on the default mux; /metrics adds the obs text snapshot.
 
 import (

@@ -25,7 +25,6 @@
 //	xconst     which constellation closes the divide cheapest (100/20)
 //	xregion    service fraction vs affordability per demand geography
 //	gen        write the dataset as CSV (cells, and optionally locations)
-//	bench      emit a schema-versioned BENCH_*.json performance report
 //	verify     replay the committed golden corpus; exit nonzero on drift
 //	serve      answer scenario queries over HTTP/JSON with a memoized cache
 //	loadgen    drive a running serve instance and report latency + hit rate
@@ -77,14 +76,14 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
-	// All three surfaces (library, CLI, bench) build their pipeline from
+	// Both surfaces (library and CLI) build their pipeline from
 	// the same leodivide.RunConfig; the flags bind directly to it.
 	cfg := leodivide.DefaultRunConfig()
 	fs := flag.NewFlagSet("leodivide", flag.ContinueOnError)
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "dataset generation seed")
 	fs.Float64Var(&cfg.Scale, "scale", cfg.Scale, "dataset scale in (0,1]")
 	fs.BoolVar(&cfg.Calibrated, "calibrated", cfg.Calibrated, "pin effective cells to the paper's fitted value")
-	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism, "worker bound for generation and experiments (0 = all CPUs, 1 = serial)")
+	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism, "worker bound for experiments (0 = all CPUs, 1 = serial)")
 	regionKey := fs.String("region", "", "demand/income geography (us, brazil-rural, taipei-dense; default us)")
 	scenarioJSON := fs.String("scenario", "", "scenario request JSON (the exact POST /v1/scenario body); overrides the shorthand flags")
 	metrics := fs.Bool("metrics", false, "print the metric snapshot to stderr after the command")
@@ -163,8 +162,6 @@ func run(args []string, w io.Writer) error {
 	switch cmd {
 	case "experiments":
 		return runExperimentList(w, m)
-	case "bench":
-		return runBench(ctx, w, sc, fs.Args()[1:])
 	case "verify":
 		return runVerify(ctx, w, sc.RunConfig, fs.Args()[1:])
 	case "serve":

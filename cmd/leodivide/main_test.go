@@ -355,3 +355,18 @@ func TestExportFigureCSVs(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsFlag: -metrics must not change stdout (it reports on
+// stderr), and must not error.
+func TestMetricsFlag(t *testing.T) {
+	var plain, instrumented bytes.Buffer
+	if err := run([]string{"-scale", "0.02", "table1"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scale", "0.02", "-metrics", "-trace", "table1"}, &instrumented); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != instrumented.String() {
+		t.Error("-metrics/-trace changed stdout; observability must report out-of-band")
+	}
+}

@@ -2,7 +2,7 @@ package main
 
 // `leodivide verify` replays the committed golden corpus against the
 // current binary and exits nonzero on drift. It is the CLI face of
-// TestGoldenCorpus: CI runs it next to the bench job, and a developer
+// TestGoldenCorpus: CI runs it as its own job, and a developer
 // can run it locally before sending a refactor to confirm no
 // experiment's numbers moved.
 //
@@ -156,7 +156,6 @@ func verifyRegions(ctx context.Context, w io.Writer, global leodivide.RunConfig,
 				leodivide.WithSeed(cc.Seed),
 				leodivide.WithScale(cc.Scale),
 				leodivide.WithRegion(key),
-				leodivide.WithParallelism(global.Parallelism),
 			)
 			if err != nil {
 				return 0, 0, fmt.Errorf("verify: generate region %s (seed %d, scale %g): %w", key, cc.Seed, cc.Scale, err)

@@ -133,7 +133,6 @@ func (m Model) regionDataset(ctx context.Context, d *Dataset, key string) (*Data
 		WithSeed(d.Seed),
 		WithScale(dsScale),
 		WithRegion(key),
-		WithParallelism(m.Workers),
 	)
 }
 

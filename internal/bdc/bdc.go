@@ -73,13 +73,6 @@ type GenConfig struct {
 	BodyAnchors []QuantileAnchor
 	// Peaks are the pinned head cells.
 	Peaks []PeakCell
-	// Parallelism bounds the worker count for the RNG-free phase of
-	// generation: the once-per-process grid enumeration behind the US
-	// cell table. 0 means one worker per CPU; 1 is the serial path. The
-	// generated dataset is identical at every setting: all seeded-RNG
-	// decisions run on a single goroutine in a fixed order, and
-	// parallel shards are collected in canonical order.
-	Parallelism int
 }
 
 // DefaultGenConfig returns the paper-calibrated configuration.
@@ -276,15 +269,14 @@ func (c GenConfig) memoBodyCounts(ctx context.Context, target int) ([]int, error
 //
 // Only the seeded work runs per call, plus one center per sampled
 // cell: the US cell table (counties included) and the body counts come
-// from process-wide memos. Generation is byte-identical at every
-// worker count (see GenConfig.Parallelism).
+// from process-wide memos. All seeded-RNG decisions run on the calling
+// goroutine in a fixed order.
 func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err error) {
 	//lint:ignore detrand wall-clock feeds the generation timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.generate_cells")
 	if span != nil {
-		span.SetAttr(obs.Int("total_locations", int64(cfg.TotalLocations)),
-			obs.Int("workers", int64(par.Workers(cfg.Parallelism))))
+		span.SetAttr(obs.Int("total_locations", int64(cfg.TotalLocations)))
 	}
 	defer func() {
 		metricGenSecs.ObserveSince(start)
@@ -330,7 +322,7 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 
 	// Sample body cell sites state by state, proportional to rural
 	// weight, rejecting duplicates and off-frame centers.
-	grid, picks, err := sampleSites(ctx, rng, cfg.Resolution, len(counts), peakIDs, cfg.Parallelism)
+	grid, picks, err := sampleSites(ctx, rng, cfg.Resolution, len(counts), peakIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +364,7 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 // cell table it returns, in emission order. All RNG decisions (pool
 // shuffles) run serially in state order. A shortfall returns no rows
 // and no error so the caller can report it with context.
-func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n int, exclude []hexgrid.CellID, workers int) (*usGrid, []int32, error) {
+func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n int, exclude []hexgrid.CellID) (*usGrid, []int32, error) {
 	//lint:ignore detrand wall-clock feeds the site-sampling timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.sample_sites")
@@ -385,7 +377,7 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 	}()
 	states := usgeo.States()
 	totalWeight := usgeo.TotalRuralWeight()
-	grid, err := usCells(ctx, res, workers)
+	grid, err := usCells(ctx, res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -493,14 +485,14 @@ var usGrids = memo.New(memo.Options[*usGrid]{MaxEntries: int(hexgrid.MaxResoluti
 
 func gridKey(res hexgrid.Resolution) string { return strconv.Itoa(int(res)) }
 
-// usCells returns the US cell table at res, building it on first use.
-// Concurrent first calls build it once; a caller waiting on another's
-// build stops waiting when its own ctx ends. The build itself ignores
-// cancellation, so a cancelled leader cannot fail the waiters it
-// shares it with.
-func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid, error) {
+// usCells returns the US cell table at res, building it on first use
+// with one worker per CPU. Concurrent first calls build it once; a
+// caller waiting on another's build stops waiting when its own ctx
+// ends. The build itself ignores cancellation, so a cancelled leader
+// cannot fail the waiters it shares it with.
+func usCells(ctx context.Context, res hexgrid.Resolution) (*usGrid, error) {
 	grid, status, err := usGrids.Do(ctx, gridKey(res), func() (*usGrid, error) {
-		return buildUSGrid(context.WithoutCancel(ctx), res, workers)
+		return buildUSGrid(context.WithoutCancel(ctx), res, par.Workers(0))
 	})
 	if err == nil && status != memo.Miss {
 		metricGridCacheHit.Inc()
@@ -508,9 +500,10 @@ func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid,
 	return grid, err
 }
 
-// buildUSGrid walks the grid faces the US box reaches, concurrently
-// and RNG-free, classifying each cell by state and county, and
-// concatenates the face shards in face order: ascending ID order.
+// buildUSGrid walks the grid faces the US box reaches on up to workers
+// goroutines, RNG-free, classifying each cell by state and county, and
+// concatenates the face shards in face order: ascending ID order, the
+// same table at every worker count.
 func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid, error) {
 	//lint:ignore detrand wall-clock feeds the grid-cache timing metric only, never generated data
 	start := time.Now()

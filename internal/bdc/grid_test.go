@@ -65,12 +65,11 @@ func referenceUSCells(res hexgrid.Resolution) map[string][]hexgrid.CellID {
 // from-scratch countyFor/nearestCounty result over a fresh tiling, and
 // a build with more workers gives the same columns.
 func TestUSCellsMatchFromScratch(t *testing.T) {
-	withFreshGrids(t)
 	for _, res := range []hexgrid.Resolution{4, 5} {
 		if res == 5 && testing.Short() {
 			continue
 		}
-		g, err := usCells(context.Background(), res, 1)
+		g, err := buildUSGrid(context.Background(), res, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +146,7 @@ func TestUSCellsConcurrentFirstCallsFillOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			grids[i], errs[i] = usCells(context.Background(), 3, 2)
+			grids[i], errs[i] = usCells(context.Background(), 3)
 		}(i)
 	}
 	wg.Wait()
@@ -187,7 +186,7 @@ func TestUSCellsWaiterHonoursCtx(t *testing.T) {
 	cancel()
 	waited := make(chan error, 1)
 	go func() {
-		_, err := usCells(ctx, 3, 1)
+		_, err := usCells(ctx, 3)
 		waited <- err
 	}()
 	select {
@@ -202,7 +201,7 @@ func TestUSCellsWaiterHonoursCtx(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader fill: %v", err)
 	}
-	if _, err := usCells(context.Background(), 3, 1); err != nil {
+	if _, err := usCells(context.Background(), 3); err != nil {
 		t.Fatalf("call after the fill: %v", err)
 	}
 }
@@ -236,5 +235,38 @@ func TestMemoBodyCounts(t *testing.T) {
 	}
 	if want := other.bodyCounts(target); !slices.Equal(c, want) {
 		t.Fatal("memoBodyCounts ignored a changed anchor")
+	}
+}
+
+// TestGenerationMemosFillOnce is the work-count check for the two
+// seed-invariant generation memos: generations at one scale, whatever
+// their seed, build the US cell table and draw the body counts once,
+// then only hit. Allocation counts cannot stand in for it: skipping
+// the body-count memo costs CPU, not allocations.
+func TestGenerationMemosFillOnce(t *testing.T) {
+	withFreshGrids(t)
+	saved := bodyCountsMemo
+	bodyCountsMemo = memo.New(memo.Options[[]int]{MaxEntries: 8})
+	t.Cleanup(func() { bodyCountsMemo = saved })
+	const gens = 4
+	for seed := int64(1); seed <= gens; seed++ {
+		cfg := scaledConfig(seed, 0.02)
+		cfg.Resolution = 4
+		if _, err := GenerateCells(context.Background(), cfg); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	for _, m := range []struct {
+		name     string
+		counters func() (hits, misses, coalesced, evictions int64)
+	}{
+		{"usGrids", usGrids.Counters},
+		{"bodyCountsMemo", bodyCountsMemo.Counters},
+	} {
+		hits, misses, coalesced, evictions := m.counters()
+		if hits != gens-1 || misses != 1 || coalesced != 0 || evictions != 0 {
+			t.Errorf("%s after %d generations: hits/misses/coalesced/evictions = %d/%d/%d/%d, want %d/1/0/0",
+				m.name, gens, hits, misses, coalesced, evictions, gens-1)
+		}
 	}
 }

@@ -21,8 +21,7 @@
 //
 // The package deliberately has no exporter, no labels and no
 // dependencies: the CLI renders snapshots as text or JSON (expvar), and
-// the bench harness (leodivide bench) derives its machine-readable
-// trajectory from its own timing rather than from these instruments.
+// the repo benchmark under _bench/ reads spans and snapshots directly.
 package obs
 
 import (

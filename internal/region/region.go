@@ -15,12 +15,11 @@
 //     the per-cell beam-stacking cap binds long before affordability.
 //
 // The determinism contract of the repository applies unchanged: every
-// region's output is a pure function of (seed, scale) and is
-// byte-identical at every Parallelism setting. Synthetic regions draw
-// all randomness from a single rand.New(rand.NewSource(seed)) stream
-// consumed serially in a fixed order, mirroring the BDC generator's
-// idiom; only RNG-free phases (grid enumeration) fan out, collected in
-// canonical face order.
+// region's output is a pure function of (seed, scale). Synthetic
+// regions draw all randomness from a single rand.New(rand.NewSource(seed))
+// stream consumed serially in a fixed order, mirroring the BDC
+// generator's idiom; only the RNG-free grid enumeration fans out, once
+// per process, collected in canonical face order.
 package region
 
 import (
@@ -34,8 +33,7 @@ import (
 )
 
 // GenConfig is the per-generation parameter set every Region receives:
-// the dataset identity (seed, scale) plus the worker bound. Regions
-// must produce byte-identical output at every Parallelism value.
+// the dataset identity (seed, scale).
 type GenConfig struct {
 	// Seed drives all pseudo-randomness; equal seeds give identical
 	// outputs.
@@ -44,19 +42,12 @@ type GenConfig struct {
 	// in (0, 1]. Peak cells scale too, so distribution shape is
 	// preserved.
 	Scale float64
-	// Parallelism bounds the worker count for RNG-free phases (0 = one
-	// worker per CPU, 1 = the serial path). Output is identical at
-	// every setting.
-	Parallelism int
 }
 
 // Validate reports whether the generation parameters are usable.
 func (g GenConfig) Validate() error {
 	if math.IsNaN(g.Scale) || math.IsInf(g.Scale, 0) || g.Scale <= 0 || g.Scale > 1 {
 		return fmt.Errorf("region: scale must be in (0,1], got %v", g.Scale)
-	}
-	if g.Parallelism < 0 {
-		return fmt.Errorf("region: parallelism must be >= 0, got %d", g.Parallelism)
 	}
 	return nil
 }
@@ -81,8 +72,8 @@ type Region interface {
 	Name() string
 	// Description is a one-line summary for listings.
 	Description() string
-	// Generate synthesizes the region's dataset. The seed fully
-	// determines the result regardless of GenConfig.Parallelism.
+	// Generate synthesizes the region's dataset. The seed and scale
+	// fully determine the result.
 	Generate(ctx context.Context, cfg GenConfig) (Output, error)
 }
 

@@ -48,13 +48,12 @@ func TestGenConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"full scale", GenConfig{Seed: 1, Scale: 1}, true},
-		{"small scale", GenConfig{Seed: 1, Scale: 0.02, Parallelism: 8}, true},
+		{"small scale", GenConfig{Seed: 1, Scale: 0.02}, true},
 		{"zero scale", GenConfig{Seed: 1, Scale: 0}, false},
 		{"negative scale", GenConfig{Seed: 1, Scale: -0.5}, false},
 		{"scale above one", GenConfig{Seed: 1, Scale: 1.01}, false},
 		{"nan scale", GenConfig{Seed: 1, Scale: math.NaN()}, false},
 		{"inf scale", GenConfig{Seed: 1, Scale: math.Inf(1)}, false},
-		{"negative parallelism", GenConfig{Seed: 1, Scale: 0.5, Parallelism: -2}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/memo"
+	"leodivide/internal/par"
 )
 
 // DensityAnchor pins the synthetic per-cell demand shape at one
@@ -361,7 +362,7 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 		return Output{}, err
 	}
 
-	candidates, err := boxCells(ctx, s, g.Parallelism)
+	candidates, err := boxCells(ctx, s)
 	if err != nil {
 		return Output{}, err
 	}
@@ -444,14 +445,15 @@ func boxKey(s SyntheticSpec) string {
 }
 
 // boxCells returns the grid cells whose centers fall inside the spec's
-// footprint box, in canonical grid order (hexgrid.WalkBox, RNG-free).
-// Concurrent first calls walk once; a caller waiting on another's walk
-// stops waiting when its own ctx ends, and the walk itself ignores
-// cancellation so a cancelled leader cannot fail its waiters.
-func boxCells(ctx context.Context, s SyntheticSpec, workers int) ([]hexgrid.CellID, error) {
+// footprint box, in canonical grid order (hexgrid.WalkBox, RNG-free,
+// one worker per CPU). Concurrent first calls walk once; a caller
+// waiting on another's walk stops waiting when its own ctx ends, and
+// the walk itself ignores cancellation so a cancelled leader cannot
+// fail its waiters.
+func boxCells(ctx context.Context, s SyntheticSpec) ([]hexgrid.CellID, error) {
 	ids, _, err := boxGrids.Do(ctx, boxKey(s), func() ([]hexgrid.CellID, error) {
 		box := hexgrid.Box{LatLo: s.LatMinDeg, LatHi: s.LatMaxDeg, LngLo: s.LngMinDeg, LngHi: s.LngMaxDeg}
-		shards, err := hexgrid.WalkBox(context.WithoutCancel(ctx), s.Resolution, box, workers,
+		shards, err := hexgrid.WalkBox(context.WithoutCancel(ctx), s.Resolution, box, par.Workers(0),
 			func(shard *[]hexgrid.CellID, id hexgrid.CellID, _ geo.LatLng) { *shard = append(*shard, id) })
 		return slices.Concat(shards...), err
 	})

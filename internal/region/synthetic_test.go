@@ -292,11 +292,6 @@ func TestSyntheticGenerateErrors(t *testing.T) {
 			}
 		}
 	})
-	t.Run("negative parallelism", func(t *testing.T) {
-		if _, err := BrazilRural().Generate(ctx, GenConfig{Seed: 1, Scale: 0.05, Parallelism: -1}); err == nil {
-			t.Error("negative parallelism accepted")
-		}
-	})
 	t.Run("scale too small for the cell count", func(t *testing.T) {
 		_, err := BrazilRural().Generate(ctx, GenConfig{Seed: 1, Scale: 0.0001})
 		if err == nil || !strings.Contains(err.Error(), "scale too small") {

@@ -53,7 +53,7 @@ func TestBoxCellsConcurrentFirstCallsFillOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = boxCells(context.Background(), s, 2)
+			got[i], errs[i] = boxCells(context.Background(), s)
 		}(i)
 	}
 	wg.Wait()
@@ -88,7 +88,7 @@ func TestBoxCellsWaiterHonoursCtx(t *testing.T) {
 	cancel()
 	waited := make(chan error, 1)
 	go func() {
-		_, err := boxCells(ctx, s, 1)
+		_, err := boxCells(ctx, s)
 		waited <- err
 	}()
 	select {

@@ -107,6 +107,19 @@ type Config struct {
 // DefaultCacheBytes is the cache byte bound when Config.CacheBytes is 0.
 const DefaultCacheBytes int64 = 256 << 20
 
+// maxBodyBytes bounds a POST /v1/scenario body; a larger one is a 413.
+// A valid request is a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// Run's connection limits: a client gets readHeaderTimeout to send its
+// request headers, so a slow-header client cannot hold a connection
+// open, and a keep-alive connection with no request in flight closes
+// after idleTimeout. Tests shorten them; nothing else writes them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server answers scenario queries against one shared immutable dataset.
 type Server struct {
 	ds   *leodivide.Dataset
@@ -211,7 +224,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // the listener closes immediately, in-flight requests get up to drain
 // to finish. A nil error means a clean start-to-drain lifecycle.
 func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
@@ -354,8 +367,13 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer metricReqSecs.ObserveSince(start)
 
-	data, err := io.ReadAll(r.Body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			err = &httpError{http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		s.fail(w, fmt.Errorf("read request body: %w", err))
 		return
 	}

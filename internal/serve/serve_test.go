@@ -753,3 +753,80 @@ func TestRunGracefulShutdown(t *testing.T) {
 		t.Error("server still accepting connections after shutdown")
 	}
 }
+
+// TestScenarioBodyTooLarge: a body over maxBodyBytes is a 413 with a
+// JSON error, counted in serve.errors, and never reaches the cache.
+func TestScenarioBodyTooLarge(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	errs := obs.Default.Counter("serve.errors")
+	before := errs.Value()
+	body := scenarioBody("table1", `"plans":["`+strings.Repeat("x", maxBodyBytes)+`"]`)
+	resp, b := postScenario(t, ts.URL, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%.200s)", resp.StatusCode, b)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(b, &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Errorf("error body %.200q does not name the limit", b)
+	}
+	if got := errs.Value() - before; got != 1 {
+		t.Errorf("serve.errors rose by %d, want 1", got)
+	}
+	if hits, misses, coalesced, _ := s.results.Counters(); hits+misses+coalesced != 0 {
+		t.Errorf("an oversized body reached the result cache")
+	}
+}
+
+// TestRunClosesSlowHeaderClients: a client that sends part of a request
+// header and stalls has its connection closed once readHeaderTimeout
+// passes.
+func TestRunClosesSlowHeaderClients(t *testing.T) {
+	saved := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = saved })
+	base := leodivide.DefaultRunConfig()
+	base.Scale = testScale
+	s, err := New(context.Background(), Config{
+		Scenario: leodivide.ScenarioConfig{RunConfig: base},
+		Dataset:  sharedDataset(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Run(ctx, ln, 5*time.Second) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	})
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/scenario HTTP/1.1\r\nHost: leodivide\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("the server kept a slow-header connection open for 10s")
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
+	}
+}

@@ -83,13 +83,11 @@ type Dataset struct {
 type Option func(*genOptions)
 
 type genOptions struct {
-	seed           int64
-	scale          float64
-	region         string
-	cfg            bdc.GenConfig
-	incomeAnchors  []census.QuantileAnchor
-	parallelism    int
-	hasParallelism bool
+	seed          int64
+	scale         float64
+	region        string
+	cfg           bdc.GenConfig
+	incomeAnchors []census.QuantileAnchor
 }
 
 // WithSeed sets the generation seed (default 1).
@@ -122,17 +120,20 @@ func WithIncomeAnchors(anchors []census.QuantileAnchor) Option {
 	return func(o *genOptions) { o.incomeAnchors = anchors }
 }
 
-// WithParallelism bounds the worker count for generation (default one
-// worker per CPU; 1 reproduces the serial path). The dataset is
-// identical at every setting — parallelism only changes wall-clock time.
-func WithParallelism(n int) Option {
-	return func(o *genOptions) { o.parallelism, o.hasParallelism = n, true }
+// WithParallelism has no effect. Generation's only parallel phase is
+// the once-per-process walk behind its grid tables, which uses one
+// worker per CPU; the dataset never depended on the worker count.
+//
+// Deprecated: generation has no worker knob. Model.Parallelism bounds
+// the experiment fan-outs.
+func WithParallelism(int) Option {
+	return func(*genOptions) {}
 }
 
 // GenerateDataset synthesizes a dataset for the selected region
 // (default the calibrated US national map). The context cancels
 // generation early; the (seed, region, scale) triple fully determines
-// the result regardless of WithParallelism.
+// the result.
 func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	//lint:ignore detrand wall-clock feeds the generate_dataset duration metric only, never the dataset
 	start := time.Now()
@@ -163,11 +164,7 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	// every other region comes from the registry as declared.
 	var r region.Region
 	if o.region == region.DefaultKey {
-		cfg := o.cfg
-		if o.hasParallelism {
-			cfg.Parallelism = o.parallelism
-		}
-		r = region.USWith(cfg, o.incomeAnchors)
+		r = region.USWith(o.cfg, o.incomeAnchors)
 	} else {
 		reg, ok := region.ByName(o.region)
 		if !ok {
@@ -176,15 +173,7 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 		}
 		r = reg
 	}
-	parallelism := o.cfg.Parallelism
-	if o.hasParallelism {
-		parallelism = o.parallelism
-	}
-	out, err := r.Generate(ctx, region.GenConfig{
-		Seed:        o.seed,
-		Scale:       o.scale,
-		Parallelism: parallelism,
-	})
+	out, err := r.Generate(ctx, region.GenConfig{Seed: o.seed, Scale: o.scale})
 	if err != nil {
 		return nil, err
 	}

@@ -20,9 +20,8 @@ import (
 //
 // Parallelism is the single coherent worker bound: BuildModel routes it
 // through Model.Parallelism (facade fan-outs and capacity sweeps in
-// lockstep) and Generate routes it through WithParallelism, so one
-// field controls every pool in the pipeline. Output is identical at
-// every setting.
+// lockstep), so one field controls every per-run pool in the pipeline.
+// Output is identical at every setting.
 type RunConfig struct {
 	// Seed reproduces the dataset (default 1).
 	Seed int64
@@ -83,8 +82,7 @@ func (c RunConfig) Generate(ctx context.Context) (*Dataset, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return GenerateDataset(ctx,
-		WithSeed(c.Seed), WithScale(c.Scale), WithParallelism(c.Parallelism))
+	return GenerateDataset(ctx, WithSeed(c.Seed), WithScale(c.Scale))
 }
 
 // RunAs runs the named registry experiment and returns its result as T,

@@ -275,7 +275,6 @@ func (c ScenarioConfig) Generate(ctx context.Context) (*Dataset, error) {
 		WithSeed(n.Seed),
 		WithScale(n.Scale),
 		WithRegion(n.Region),
-		WithParallelism(n.Parallelism),
 	)
 }
 

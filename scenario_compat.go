@@ -43,7 +43,7 @@ var (
 // ParseScenarioKey decodes a canonical key — schema v1, v2 or v3 —
 // back into the ScenarioConfig it encodes. The returned config
 // validates and re-encodes to a stable identity: for a v3 key, the
-// same key; for a v2 key, the same scenario on the default "us"
+// same key (a v3 key in any other spelling is rejected); for a v2 key, the same scenario on the default "us"
 // region; for a v1 key, the Starlink default with declared costs.
 // Parallelism is not part of any key and comes back zero.
 func ParseScenarioKey(key string) (ScenarioConfig, error) {
@@ -79,6 +79,14 @@ func ParseScenarioKey(key string) (ScenarioConfig, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return ScenarioConfig{}, err
+	}
+	if schema == ScenarioSchema {
+		// A current-schema key must be the one spelling CanonicalKey
+		// writes: "max_oversub=20.0" or an empty "region=" would
+		// otherwise name the same scenario as a second cache identity.
+		if canon, err := cfg.CanonicalKey(); err != nil || canon != key {
+			return ScenarioConfig{}, fmt.Errorf("leodivide: scenario key %q is not in canonical form (want %q)", key, canon)
+		}
 	}
 	return cfg, nil
 }

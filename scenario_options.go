@@ -79,8 +79,8 @@ func WithCalibrated(on bool) ScenarioOption {
 
 // WithRunConfig replaces the embedded dataset identity (seed, scale,
 // parallelism, calibration) wholesale. The name avoids colliding with
-// the dataset-generation options WithSeed/WithScale/WithParallelism,
-// which configure Generate rather than a scenario.
+// the dataset-generation options WithSeed/WithScale, which configure
+// GenerateDataset rather than a scenario.
 func WithRunConfig(rc RunConfig) ScenarioOption {
 	return func(c *ScenarioConfig) { c.RunConfig = rc }
 }

@@ -185,6 +185,7 @@ func TestScenarioKeyParseRejects(t *testing.T) {
 		{"v3 missing region", "leodivide-serve/v3" + scenarioKeyGoldenV2[len("leodivide-serve/v2"):]},
 		{"v2 carrying region", strings.Replace(scenarioKeyGoldenV3, "leodivide-serve/v3", "leodivide-serve/v2", 1)},
 		{"unknown region", strings.Replace(scenarioKeyGoldenV3, "region=us", "region=atlantis", 1)},
+		{"non-canonical v3", strings.Replace(scenarioKeyGoldenV3, "max_oversub=20", "max_oversub=20.0", 1)},
 		{"out of order", "leodivide-serve/v1|calibrated=false|afford_share=0.02|experiment=table2" +
 			"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"},
 		{"duplicate field", "leodivide-serve/v1|afford_share=0.02|afford_share=0.02|calibrated=false|experiment=table2" +

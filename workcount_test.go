@@ -1,0 +1,185 @@
+package leodivide_test
+
+// The work-count gate: the performance check tier-1 runs. One
+// reproduction does a fixed, countable amount of work (dataset
+// generation, then every registry experiment over the per-dataset
+// stage memo), so the counts below are the same on every host. They
+// catch the step changes a wall-clock tripwire was meant to catch: a
+// dropped cache shows up as stage misses or extra sweeps, and a
+// per-element allocation shows up against an allocation ceiling.
+// A CPU-only regression (same counts, slower) is left to the paired
+// runs of the repo benchmark under _bench/; see DESIGN.md §9.
+//
+// Everything runs at Parallelism 1. At the default parallelism the
+// split between stage hits and coalesced waits depends on scheduling,
+// and so does the sweep count.
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+
+	"leodivide"
+	"leodivide/internal/obs"
+	"leodivide/internal/serve"
+)
+
+// workScale is the scale of the reproduce workload in BENCHMARK.json.
+const workScale = 0.25
+
+// allocHeadroom is each allocation ceiling over the count measured
+// when the gate was set. Exact pins would not survive the race
+// detector, which adds a few allocations (xregion 299 → 318).
+const allocHeadroom = 1.25
+
+// allocParent is the allocation count of each row when the gate was
+// set: "generate" is the Mallocs delta of one warm generation, a
+// registry name is testing.AllocsPerRun of one warm run, and
+// "serve-miss" is the Mallocs delta of one warm serve-miss request.
+var allocParent = map[string]float64{
+	"generate":   172,
+	"fig1":       7,
+	"table1":     1,
+	"table2":     5,
+	"fig2":       14,
+	"fig3":       91,
+	"fig4":       20,
+	"findings":   43,
+	"fleets":     11,
+	"refined":    4,
+	"busyhour":   32,
+	"econ":       31,
+	"costcurve":  64,
+	"xconst":     16,
+	"xregion":    299,
+	"serve-miss": 526,
+}
+
+// checkAllocs fails the test when row allocated more than its ceiling.
+func checkAllocs(t *testing.T, row string, got float64) {
+	t.Helper()
+	parent, ok := allocParent[row]
+	if !ok {
+		t.Errorf("%s: no allocation row; measure it and add one", row)
+		return
+	}
+	if limit := parent * allocHeadroom; got > limit {
+		t.Errorf("%s: %.0f allocations, ceiling %.0f (%.0f when the gate was set)", row, got, limit, parent)
+	}
+}
+
+func workScenario(seed int64) leodivide.ScenarioConfig {
+	return leodivide.ScenarioConfig{RunConfig: leodivide.RunConfig{Seed: seed, Scale: workScale, Parallelism: 1}}
+}
+
+// mallocs returns the heap allocations fn makes.
+func mallocs(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
+}
+
+// reproduceOp generates the dataset for seed and runs every registry
+// experiment on it, returning the dataset and generation's allocations.
+func reproduceOp(t *testing.T, seed int64) (*leodivide.Dataset, float64) {
+	t.Helper()
+	ctx := context.Background()
+	sc := workScenario(seed)
+	var ds *leodivide.Dataset
+	var err error
+	genAllocs := mallocs(func() { ds, err = sc.Generate(ctx) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sc.BuildModel().Experiments() {
+		if _, err := e.Run(ctx, ds); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+	return ds, genAllocs
+}
+
+func TestWorkCounts(t *testing.T) {
+	// The first op fills the process-wide generation tables (US grid,
+	// body counts, synthetic-region boxes); the measured ops after it
+	// use fresh seeds, so only per-seed work remains.
+	reproduceOp(t, 1)
+	ds, genAllocs := reproduceOp(t, 2)
+
+	t.Run("stages", func(t *testing.T) {
+		hits, misses, coalesced, evictions := ds.Distribution().Stages().Counters()
+		if hits != 106 || misses != 3 || coalesced != 0 || evictions != 0 {
+			t.Errorf("stage memo per op: hits/misses/coalesced/evictions = %d/%d/%d/%d, want 106/3/0/0",
+				hits, misses, coalesced, evictions)
+		}
+	})
+
+	t.Run("sweeps", func(t *testing.T) {
+		rc := &obs.RecordingCollector{}
+		restore := obs.SetCollector(rc)
+		reproduceOp(t, 3)
+		restore()
+		sweeps := 0
+		for _, s := range rc.Spans() {
+			if s.Name == "par.sweep" {
+				sweeps++
+			}
+		}
+		if sweeps != 14 {
+			t.Errorf("par.sweep spans per op = %d, want 14", sweeps)
+		}
+	})
+
+	t.Run("allocs", func(t *testing.T) {
+		checkAllocs(t, "generate", genAllocs)
+		ctx := context.Background()
+		for _, e := range workScenario(2).BuildModel().Experiments() {
+			var err error
+			got := testing.AllocsPerRun(5, func() { _, err = e.Run(ctx, ds) })
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			checkAllocs(t, e.Name, got)
+		}
+	})
+
+	t.Run("serve-miss", func(t *testing.T) {
+		srv, err := serve.New(context.Background(), serve.Config{Scenario: workScenario(7)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := func(body string) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(body)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
+			}
+			return w
+		}
+		// The first request warms the stage memo; the second is a new
+		// scenario, so it misses the result cache and runs the kernel
+		// on warm stages.
+		post(fmt.Sprintf(`{"schema":%q,"experiment":"fig3"}`, leodivide.ScenarioSchema))
+		stages := srv.Dataset().Distribution().Stages()
+		h0, m0, c0, e0 := stages.Counters()
+		var w *httptest.ResponseRecorder
+		got := mallocs(func() {
+			w = post(fmt.Sprintf(`{"schema":%q,"experiment":"fig3","max_oversub":25}`, leodivide.ScenarioSchema))
+		})
+		if status := w.Header().Get(serve.CacheHeader); status != "miss" {
+			t.Fatalf("second request was a result-cache %s, want miss", status)
+		}
+		h1, m1, c1, e1 := stages.Counters()
+		if h, m, c, e := h1-h0, m1-m0, c1-c0, e1-e0; h != 10 || m != 0 || c != 0 || e != 0 {
+			t.Errorf("stage memo per serve-miss request: hits/misses/coalesced/evictions = %d/%d/%d/%d, want 10/0/0/0",
+				h, m, c, e)
+		}
+		checkAllocs(t, "serve-miss", got)
+	})
+}
