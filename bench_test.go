@@ -35,7 +35,7 @@ func benchRows() []benchRow {
 		seed := int64(0)
 		return func(ctx context.Context, ds *Dataset) error {
 			seed++ // a fresh seed per op, as in a seed sweep
-			_, err := GenerateDataset(ctx, WithSeed(ds.Seed+seed), WithParallelism(m.Workers))
+			_, err := GenerateDataset(ctx, WithSeed(ds.Seed+seed))
 			return err
 		}
 	}}}
@@ -52,7 +52,7 @@ func benchRows() []benchRow {
 		benchRow{"simcheck", func(m Model) func(context.Context, *Dataset) error {
 			cfg := sim.DefaultConfig()
 			cfg.Epochs = 2
-			cfg.Parallelism = m.Workers
+			cfg.Parallelism = m.Capacity.Parallelism
 			return func(ctx context.Context, ds *Dataset) error {
 				_, err := sim.Run(ctx, cfg, ds.Cells)
 				return err

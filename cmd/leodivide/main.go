@@ -112,6 +112,12 @@ func run(args []string, w io.Writer) error {
 		if sc, err = req.Apply(sc); err != nil {
 			return err
 		}
+		// The request's region replaces the flag's wholesale, so an
+		// explicit -region the merged scenario does not keep would be
+		// dropped silently.
+		if r := sc.Normalized().Region; *regionKey != "" && r != *regionKey {
+			return fmt.Errorf("-region %q conflicts with -scenario region %q", *regionKey, r)
+		}
 	}
 	var cmd string
 	switch {

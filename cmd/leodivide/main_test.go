@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"leodivide"
 	"leodivide/internal/safeio"
 )
 
@@ -300,6 +302,34 @@ func TestScenarioFlag(t *testing.T) {
 	err := run([]string{"-scale", "0.05", "-scenario", `{"experiment":"table2"}`, "fig1"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "conflicts") {
 		t.Errorf("conflicting command and scenario experiment returned %v, want conflict error", err)
+	}
+
+	// An explicit -region must survive the merge: a body that leaves
+	// the region out would otherwise fall back to us silently.
+	err = run([]string{"-scale", "0.05", "-region", "brazil-rural", "-scenario", `{"experiment":"fig1"}`}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"brazil-rural"`) || !strings.Contains(err.Error(), `"us"`) {
+		t.Errorf("-region dropped by -scenario returned %v, want a conflict naming both regions", err)
+	}
+	var viaBody, viaFlag bytes.Buffer
+	if err := run([]string{"-scale", "0.05", "-region", "brazil-rural", "-scenario",
+		`{"experiment":"fig1","region":"brazil-rural"}`}, &viaBody); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scale", "0.05", "-region", "brazil-rural", "fig1"}, &viaFlag); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(viaBody.String(), "75000") || viaBody.String() != viaFlag.String() {
+		t.Errorf("-scenario brazil-rural fig1 differs from -region brazil-rural fig1:\n%.400s\nvs\n%.400s",
+			viaBody.String(), viaFlag.String())
+	}
+
+	// Bodies under the retired schemas fail, naming the current one.
+	for _, schema := range []string{"leodivide-serve/v1", "leodivide-serve/v2"} {
+		body := fmt.Sprintf(`{"schema":%q,"experiment":"table2"}`, schema)
+		if err := run([]string{"-scale", "0.05", "-scenario", body}, &buf); err == nil ||
+			!strings.Contains(err.Error(), leodivide.ScenarioSchema) {
+			t.Errorf("-scenario under %s returned %v, want a rejection naming %s", schema, err, leodivide.ScenarioSchema)
+		}
 	}
 
 	// Unknown constellation and malformed JSON fail up front.

@@ -40,10 +40,11 @@ func TestRegistryDeterminismMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			// One dataset per (seed, parallelism): the dataset build is
 			// itself part of the differential, so each worker count
-			// generates its own copy rather than sharing the reference's.
+			// runs on its own repeated generation rather than sharing
+			// the reference's.
 			datasets := make(map[int]*Dataset, len(determinismCounts))
 			for _, n := range determinismCounts {
-				ds, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05), WithParallelism(n))
+				ds, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05))
 				if err != nil {
 					t.Fatalf("generate parallelism=%d: %v", n, err)
 				}
@@ -68,40 +69,39 @@ func TestRegistryDeterminismMatrix(t *testing.T) {
 }
 
 // TestGenerateDatasetDeterministicAcrossParallelism proves dataset
-// synthesis is worker-count independent for every declared region:
-// identical cells (IDs, locations, county assignment, centers) and
-// identical county income tables at every worker count, for several
-// seeds. The US path fans out over BDC faces, the synthetic path over
-// footprint-box enumeration — both must collect in canonical order.
+// synthesis is repeatable for every declared region: identical cells
+// (IDs, locations, county assignment, centers) and identical county
+// income tables on every repeated generation, for several seeds.
+// Generation has no worker knob; its one parallel phase, the walk
+// behind the process-wide grid tables, uses every CPU and must collect
+// in canonical order.
 func TestGenerateDatasetDeterministicAcrossParallelism(t *testing.T) {
 	ctx := context.Background()
 	for _, regionKey := range []string{"us", "brazil-rural", "taipei-dense"} {
 		regionKey := regionKey
 		t.Run(regionKey, func(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
-				serial, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05),
-					WithRegion(regionKey), WithParallelism(1))
+				first, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05), WithRegion(regionKey))
 				if err != nil {
-					t.Fatalf("seed %d serial: %v", seed, err)
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				for _, n := range determinismCounts[1:] {
-					par, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05),
-						WithRegion(regionKey), WithParallelism(n))
+				for n := 1; n < len(determinismCounts); n++ {
+					again, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05), WithRegion(regionKey))
 					if err != nil {
-						t.Fatalf("seed %d parallelism %d: %v", seed, n, err)
+						t.Fatalf("seed %d repeat %d: %v", seed, n, err)
 					}
-					if len(serial.Cells) != len(par.Cells) {
-						t.Fatalf("seed %d parallelism %d: cell count %d (serial) != %d (parallel)",
-							seed, n, len(serial.Cells), len(par.Cells))
+					if len(first.Cells) != len(again.Cells) {
+						t.Fatalf("seed %d repeat %d: cell count %d != %d (first generation)",
+							seed, n, len(again.Cells), len(first.Cells))
 					}
-					for i := range serial.Cells {
-						if !reflect.DeepEqual(serial.Cells[i], par.Cells[i]) {
-							t.Fatalf("seed %d parallelism %d: cell %d differs: serial %+v parallel %+v",
-								seed, n, i, serial.Cells[i], par.Cells[i])
+					for i := range first.Cells {
+						if !reflect.DeepEqual(first.Cells[i], again.Cells[i]) {
+							t.Fatalf("seed %d repeat %d: cell %d differs: first %+v repeat %+v",
+								seed, n, i, first.Cells[i], again.Cells[i])
 						}
 					}
-					if !reflect.DeepEqual(serial.Incomes.Counties(), par.Incomes.Counties()) {
-						t.Fatalf("seed %d parallelism %d: county income tables differ", seed, n)
+					if !reflect.DeepEqual(first.Incomes.Counties(), again.Incomes.Counties()) {
+						t.Fatalf("seed %d repeat %d: county income tables differ", seed, n)
 					}
 				}
 			}

@@ -58,17 +58,14 @@ func TestGenerateDatasetDigests(t *testing.T) {
 		if p.region == "us" && p.scale == 1 && testing.Short() {
 			continue
 		}
-		// The serial path and a partial pool must agree with the pin.
-		for _, workers := range []int{1, 3} {
-			ds, err := GenerateDataset(context.Background(), WithRegion(p.region),
-				WithSeed(p.seed), WithScale(p.scale), WithParallelism(workers))
-			if err != nil {
-				t.Fatalf("%s seed %d scale %v: %v", p.region, p.seed, p.scale, err)
-			}
-			if got := datasetDigest(ds); got != p.sha {
-				t.Errorf("%s seed %d scale %v parallelism %d: sha256 %s; want %s",
-					p.region, p.seed, p.scale, workers, got, p.sha)
-			}
+		ds, err := GenerateDataset(context.Background(), WithRegion(p.region),
+			WithSeed(p.seed), WithScale(p.scale))
+		if err != nil {
+			t.Fatalf("%s seed %d scale %v: %v", p.region, p.seed, p.scale, err)
+		}
+		if got := datasetDigest(ds); got != p.sha {
+			t.Errorf("%s seed %d scale %v: sha256 %s; want %s",
+				p.region, p.seed, p.scale, got, p.sha)
 		}
 	}
 }

@@ -136,8 +136,6 @@ func (m Model) Experiments() []Experiment {
 			Name:        "fig3",
 			Description: "diminishing returns over the demand tail (Figure 3)",
 			Run: instrument("fig3", func(ctx context.Context, d *Dataset) (any, error) {
-				// No variadic override: the Fig3Spreads knob resolves
-				// inside Fig3, through the same helper as direct calls.
 				return m.Fig3(ctx, d)
 			}),
 		},

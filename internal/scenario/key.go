@@ -4,7 +4,7 @@
 // a golden corpus. The encoding is a versioned, pipe-delimited sequence
 // of name=value fields:
 //
-//	leodivide-serve/v1|afford_share=0.02|calibrated=false|...|seed=1
+//	leodivide-serve/v3|afford_share=0.02|calibrated=false|...|seed=1|spreads=1,2,5,10,15
 //
 // Canonicality rules, enforced by the builder rather than left to
 // caller discipline:
@@ -30,20 +30,9 @@ import (
 
 // Schema is the versioned identifier shared by the canonical key
 // prefix and the HTTP request/response envelope of `leodivide serve`.
-// Any change to the key layout or the request schema bumps the suffix.
-// v3 added the region selector; v2 added the constellation selector
-// and the cost-model override fields.
+// Any change to the key layout or the request schema bumps the suffix;
+// keys are process-local, so an older schema is simply rejected.
 const Schema = "leodivide-serve/v3"
-
-// SchemaV2 is the previous key schema, retained so committed v2 keys
-// keep decoding (they map to the default "us" region; the root
-// package's UpgradeScenarioKey owns that mapping).
-const SchemaV2 = "leodivide-serve/v2"
-
-// SchemaV1 is the original key schema, retained so committed v1 keys
-// keep decoding (they map to the Starlink default with declared costs
-// on the "us" region).
-const SchemaV1 = "leodivide-serve/v1"
 
 // FormatFloat renders a float in the canonical shortest round-trippable
 // form ("0.02", "20", "1e-05"). It is total: non-finite values render

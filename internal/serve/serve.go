@@ -21,8 +21,8 @@
 //     SIGTERM/SIGINT to that context), so in-flight queries finish
 //     before the process exits.
 //
-// Wire contract (schema leodivide-serve/v3; v1/v2 bodies still
-// accepted — see leodivide.ScenarioRequest.ValidateSchema):
+// Wire contract (schema leodivide-serve/v3, the only one accepted; a
+// body declaring any other schema is a 400):
 //
 //	POST /v1/scenario       {"schema":"leodivide-serve/v3","experiment":"xconst","region":"brazil-rural",...}
 //	GET  /v1/experiments
@@ -273,16 +273,13 @@ type httpError struct {
 func (e *httpError) Error() string { return e.msg }
 
 // resolve decodes a request body with the same strict parser the CLI's
-// -scenario flag uses (unknown fields, trailing data and schema misuse
-// are all 400s) and merges it into the server's base scenario. All
-// three wire schemas resolve: a v3 body as-is, a v2 body (which
-// predates the region selector) onto the default "us" region, and a v1
-// body (which additionally predates the constellation selector and
-// cost overrides) onto the Starlink default — so identities minted
-// under the older schemas keep hitting the same cache slots. The region
-// selector is a knob, not a dataset-identity conflict: the server
-// generates sibling geographies lazily at its own (seed, scale); only
-// seed and scale mismatches 409.
+// -scenario flag uses (unknown fields, trailing data and an unsupported
+// schema are all 400s) and merges it into the server's base scenario
+// with ScenarioRequest.Apply. Only the serving-specific rules live
+// here: the body must declare its schema, and a seed or scale other
+// than the server dataset's is a 409. The region selector is a knob,
+// not a dataset-identity conflict: the server generates sibling
+// geographies lazily at its own (seed, scale).
 func (s *Server) resolve(body []byte) (leodivide.ScenarioConfig, error) {
 	req, err := leodivide.ParseScenarioRequest(body)
 	if err != nil {
@@ -293,8 +290,6 @@ func (s *Server) resolve(body []byte) (leodivide.ScenarioConfig, error) {
 		// form, a request must declare which schema it speaks.
 		return leodivide.ScenarioConfig{}, fmt.Errorf("unsupported schema %q (want %q)", req.Schema, leodivide.ScenarioSchema)
 	}
-	c := s.base
-	c.Experiment = req.Experiment
 	if req.Seed != nil && *req.Seed != s.base.Seed {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
 			fmt.Sprintf("seed %d does not match the server dataset (%s)", *req.Seed, s.base.RunConfig)}
@@ -304,22 +299,7 @@ func (s *Server) resolve(body []byte) (leodivide.ScenarioConfig, error) {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
 			fmt.Sprintf("scale %v does not match the server dataset (%s)", *req.Scale, s.base.RunConfig)}
 	}
-	if req.Calibrated != nil {
-		c.Calibrated = *req.Calibrated
-	}
-	c.MaxOversub = req.MaxOversub
-	c.AffordShare = req.AffordShare
-	c.Spreads = req.Spreads
-	c.Plans = req.Plans
-	c.Constellation = req.Constellation
-	c.CostSatelliteUSD = req.CostSatelliteUSD
-	c.CostLifeYears = req.CostLifeYears
-	c.CostTerminalUSD = req.CostTerminalUSD
-	c.Region = req.Region
-	if err := c.Validate(); err != nil {
-		return leodivide.ScenarioConfig{}, err
-	}
-	return c, nil
+	return req.Apply(s.base)
 }
 
 // writeBody writes one complete response. A failed write means the

@@ -254,6 +254,9 @@ func TestScenarioValidation(t *testing.T) {
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 				t.Errorf("error body %q is not {\"error\": ...}", body)
 			}
+			if tc.name == "missing experiment" && !strings.Contains(e.Error, "scenario names no experiment") {
+				t.Errorf("error %q does not say the scenario names no experiment", e.Error)
+			}
 		})
 	}
 }
@@ -278,32 +281,29 @@ func TestScenarioPlanFilter(t *testing.T) {
 	}
 }
 
-// TestScenarioSchemaCompat: a v1 body still resolves — onto the
-// Starlink default, sharing the cache entry of the equivalent v2
-// request — while v1 bodies using v2-only fields are rejected.
+// TestScenarioSchemaCompat: the current schema is the only one served.
+// A body under a retired schema — v1, v2, or one that uses a field its
+// schema predates — is a 400 naming the current schema, counted once in
+// serve.errors.
 func TestScenarioSchemaCompat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-
-	resp2, body2 := postScenario(t, ts.URL, scenarioBody("table1", ""))
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("v2 request: %d %s", resp2.StatusCode, body2)
-	}
-	v1Body := fmt.Sprintf(`{"schema":%q,"experiment":"table1"}`, leodivide.ScenarioSchemaV1)
-	resp1, body1 := postScenario(t, ts.URL, v1Body)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("v1 request: %d %s", resp1.StatusCode, body1)
-	}
-	if h := resp1.Header.Get(CacheHeader); h != "hit" {
-		t.Errorf("v1 request %s = %q, want hit (must share the v2 default's cache entry)", CacheHeader, h)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Error("v1 request bytes differ from the equivalent v2 request")
-	}
-
-	resp, body := postScenario(t, ts.URL,
-		fmt.Sprintf(`{"schema":%q,"experiment":"table1","constellation":"kuiper"}`, leodivide.ScenarioSchemaV1))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("v1 request with v2-only field: %d %s, want 400", resp.StatusCode, body)
+	for _, body := range []string{
+		`{"schema":"leodivide-serve/v1","experiment":"table1"}`,
+		`{"schema":"leodivide-serve/v1","experiment":"table1","constellation":"kuiper"}`,
+		`{"schema":"leodivide-serve/v2","experiment":"fig1"}`,
+		`{"schema":"leodivide-serve/v2","experiment":"fig1","region":"brazil-rural"}`,
+	} {
+		before := metricErrors.Value()
+		resp, got := postScenario(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, got)
+		}
+		if !strings.Contains(string(got), leodivide.ScenarioSchema) {
+			t.Errorf("%s: error %s does not name %s", body, got, leodivide.ScenarioSchema)
+		}
+		if d := metricErrors.Value() - before; d != 1 {
+			t.Errorf("%s: serve.errors rose by %d, want 1", body, d)
+		}
 	}
 }
 
@@ -358,8 +358,7 @@ func TestScenarioConstellation(t *testing.T) {
 // default shares the default's cache entry, a sibling geography is a
 // fresh miss with a different result (served lazily from a dataset
 // generated at the server's own seed/scale), and unknown names are a
-// 400 listing the valid set. A v2 body carrying the v3-only field is
-// rejected; a v2 body without it shares the v3 default's cache entry.
+// 400 listing the valid set.
 func TestScenarioRegion(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -416,22 +415,6 @@ func TestScenarioRegion(t *testing.T) {
 		}
 	}
 
-	respV2Bad, v2bad := postScenario(t, ts.URL,
-		fmt.Sprintf(`{"schema":%q,"experiment":"fig1","region":"brazil-rural"}`, leodivide.ScenarioSchemaV2))
-	if respV2Bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("v2 request with v3-only region field: %d %s, want 400", respV2Bad.StatusCode, v2bad)
-	}
-	respV2, v2 := postScenario(t, ts.URL,
-		fmt.Sprintf(`{"schema":%q,"experiment":"fig1"}`, leodivide.ScenarioSchemaV2))
-	if respV2.StatusCode != http.StatusOK {
-		t.Fatalf("v2 request: %d %s", respV2.StatusCode, v2)
-	}
-	if h := respV2.Header.Get(CacheHeader); h != "hit" {
-		t.Errorf("v2 request %s = %q, want hit (must share the v3 default's cache entry)", CacheHeader, h)
-	}
-	if !bytes.Equal(v2, def) {
-		t.Error("v2 request bytes differ from the equivalent v3 request")
-	}
 }
 
 func TestRegionsEndpoint(t *testing.T) {

@@ -120,16 +120,6 @@ func WithIncomeAnchors(anchors []census.QuantileAnchor) Option {
 	return func(o *genOptions) { o.incomeAnchors = anchors }
 }
 
-// WithParallelism has no effect. Generation's only parallel phase is
-// the once-per-process walk behind its grid tables, which uses one
-// worker per CPU; the dataset never depended on the worker count.
-//
-// Deprecated: generation has no worker knob. Model.Parallelism bounds
-// the experiment fan-outs.
-func WithParallelism(int) Option {
-	return func(*genOptions) {}
-}
-
 // GenerateDataset synthesizes a dataset for the selected region
 // (default the calibrated US national map). The context cancels
 // generation early; the (seed, region, scale) triple fully determines
@@ -222,25 +212,14 @@ type Model struct {
 	// MaxOversub is the acceptable oversubscription cap (default the
 	// FCC fixed-wireless 20:1).
 	MaxOversub float64
-	// Fig3Spreads overrides the beamspread factors Fig3 evaluates when
-	// run through the registry (nil = PaperTable2Spreads). Promoted to
-	// a ScenarioConfig knob so the serving layer can sweep it.
+	// Fig3Spreads selects the beamspread factors Fig3 evaluates
+	// (nil = PaperTable2Spreads). It is the ScenarioConfig Spreads
+	// knob, so the serving layer can sweep it.
 	Fig3Spreads []float64
 	// PlanFilter restricts Fig4's plan comparison to the named plan
 	// labels (nil = the paper's full comparison). Unknown labels are a
 	// run-time error naming the valid set.
 	PlanFilter []string
-	// Workers bounds the worker count for facade-level fan-outs (Fig3
-	// curves, Fig4 plan curves, Stability seeds). 0 means one worker
-	// per CPU; 1 is the serial path.
-	//
-	// Do not write this field directly: Parallelism is the single
-	// supported entry point for the parallelism knob and keeps Workers
-	// and Capacity.Parallelism in lockstep. Setting one without the
-	// other (field drift) leaves part of the pipeline at a different
-	// worker count and is unsupported. RunConfig carries the same knob
-	// for CLI/bench construction.
-	Workers int
 }
 
 // Parallelism returns a copy of the model whose experiment runners fan
@@ -248,12 +227,11 @@ type Model struct {
 // path). Every runner's output is identical at every setting; the knob
 // only changes wall-clock time.
 //
-// This is the one supported way to set the model's worker count: it
-// keeps the facade's Workers and the capacity model's Parallelism in
-// lockstep. The same knob reaches dataset generation through
-// WithParallelism (or RunConfig, which sets all of them coherently).
+// The knob lives in Capacity.Parallelism, which bounds both the
+// capacity model's sweeps and the facade's fan-outs (Fig3 curves, Fig4
+// plan curves, Stability seeds). RunConfig carries the same knob for
+// CLI construction; dataset generation has no worker knob.
 func (m Model) Parallelism(n int) Model {
-	m.Workers = n
 	m.Capacity.Parallelism = n
 	return m
 }
@@ -442,42 +420,24 @@ type Fig3Result struct {
 	FloorUnserved int
 }
 
-// resolveFig3Spreads normalizes Fig3's two override paths — the
-// variadic argument and the Model.Fig3Spreads field (the ScenarioConfig
-// knob) — into one spread list. Either override alone wins; both empty
-// selects the paper's Table 2 spreads; both set is accepted only when
-// they agree, and errors otherwise instead of silently preferring one.
-func (m Model) resolveFig3Spreads(spreads []float64) ([]float64, error) {
-	switch {
-	case len(spreads) == 0 && len(m.Fig3Spreads) == 0:
-		return PaperTable2Spreads, nil
-	case len(spreads) == 0:
-		return m.Fig3Spreads, nil
-	case len(m.Fig3Spreads) == 0 || sameFloats(spreads, m.Fig3Spreads):
-		return spreads, nil
-	default:
-		return nil, fmt.Errorf("leodivide: conflicting Fig3 spread overrides: argument %v vs Model.Fig3Spreads %v", spreads, m.Fig3Spreads)
+// Fig3 computes the diminishing-returns curves at the model's
+// beamspread factors (Fig3Spreads, default PaperTable2Spreads) and
+// oversubscription cap, one worker per spread.
+func (m Model) Fig3(ctx context.Context, d *Dataset) ([]Fig3Result, error) {
+	spreads := m.Fig3Spreads
+	if len(spreads) == 0 {
+		spreads = PaperTable2Spreads
 	}
+	return m.fig3At(ctx, d, spreads)
 }
 
-// Fig3 computes the diminishing-returns curves for the paper's
-// beamspread factors at the model's oversubscription cap, one worker
-// per spread. Overrides resolve through resolveFig3Spreads.
-func (m Model) Fig3(ctx context.Context, d *Dataset, spreads ...float64) ([]Fig3Result, error) {
-	resolved, err := m.resolveFig3Spreads(spreads)
-	if err != nil {
-		return nil, err
-	}
-	return m.fig3At(ctx, d, resolved)
-}
-
-// fig3At runs the Fig3 sweep at exactly the given spreads, bypassing
-// override resolution: internal fixed-spread consumers (findings,
-// economics) must not conflict with a scenario's Fig3Spreads knob.
+// fig3At runs the Fig3 sweep at exactly the given spreads, ignoring
+// Fig3Spreads: internal fixed-spread consumers (findings, economics)
+// must not follow a scenario's spread knob.
 func (m Model) fig3At(ctx context.Context, d *Dataset, spreads []float64) ([]Fig3Result, error) {
 	dist := d.Distribution()
 	floor := dist.ExcessAbove(m.Capacity.Beams.MaxServableLocations(m.MaxOversub))
-	return par.Map(ctx, m.Workers, len(spreads), func(i int) (Fig3Result, error) {
+	return par.Map(ctx, m.Capacity.Parallelism, len(spreads), func(i int) (Fig3Result, error) {
 		s := spreads[i]
 		pts, err := m.Capacity.DiminishingReturns(ctx, dist, s, m.MaxOversub)
 		if err != nil {
@@ -516,7 +476,7 @@ func (m Model) Fig4(ctx context.Context, d *Dataset) (Fig4Result, error) {
 	if err != nil {
 		return Fig4Result{}, err
 	}
-	curves, err := in.EvaluateCurves(ctx, options, m.AffordShare, 0.055, 110, m.Workers)
+	curves, err := in.EvaluateCurves(ctx, options, m.AffordShare, 0.055, 110, m.Capacity.Parallelism)
 	if err != nil {
 		return Fig4Result{}, err
 	}

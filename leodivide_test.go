@@ -191,7 +191,8 @@ func TestFig2(t *testing.T) {
 
 func TestFig3(t *testing.T) {
 	m := NewModel()
-	results, err := m.Fig3(context.Background(), fullDataset(t), 5, 10)
+	m.Fig3Spreads = []float64{5, 10}
+	results, err := m.Fig3(context.Background(), fullDataset(t))
 	if err != nil {
 		t.Fatal(err)
 	}

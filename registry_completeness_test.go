@@ -16,6 +16,7 @@ var registryMethodNames = map[string]string{
 	"Table1":             "table1",
 	"Table2":             "table2",
 	"Fig2":               "fig2",
+	"Fig3":               "fig3",
 	"Fig4":               "fig4",
 	"RunFindings":        "findings",
 	"AssessFleets":       "fleets",
@@ -36,7 +37,6 @@ var registryExemptMethods = map[string]string{
 // NOT have the uniform signature (they take extra parameters and are
 // wrapped with defaults by Experiments).
 var registryExtraNames = map[string]bool{
-	"fig3":    true, // Fig3(ctx, d, spreads ...float64)
 	"refined": true, // Fig4Refined(ctx, d, sigmaLog, householdSize)
 }
 

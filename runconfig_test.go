@@ -25,16 +25,12 @@ func TestRunConfigEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(m, want) {
 		t.Errorf("BuildModel = %+v, want %+v", m, want)
 	}
-	if m.Workers != m.Capacity.Parallelism {
-		t.Errorf("parallelism drift: Workers=%d, Capacity.Parallelism=%d",
-			m.Workers, m.Capacity.Parallelism)
-	}
 
 	ds, err := cfg.Generate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := GenerateDataset(ctx, WithSeed(7), WithScale(0.02), WithParallelism(2))
+	direct, err := GenerateDataset(ctx, WithSeed(7), WithScale(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ package leodivide
 // Fig4 plan/subsidy selection — plus the experiment name, so library,
 // CLI, bench and server all describe a scenario with one type and none
 // can drift. CanonicalKey is the single byte encoding of a scenario:
-// the result-cache key, the golden identity, and the serve/v1 wire
+// the result-cache key, the golden identity, and the serve wire
 // contract all derive from it.
 
 import (
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"leodivide/internal/afford"
@@ -25,21 +26,9 @@ import (
 )
 
 // ScenarioSchema is the versioned identifier of the scenario encoding
-// and the `leodivide serve` HTTP contract (currently v3, which added
-// the region selector).
+// and the `leodivide serve` HTTP contract. It is the only schema
+// accepted: a key or request under any other schema is an error.
 const ScenarioSchema = scenario.Schema
-
-// ScenarioSchemaV2 is the previous encoding (constellation selector
-// plus cost-model overrides, no region field). Committed v2 keys and
-// v2 requests still decode — they map to the default "us" region, so
-// cached identities minted before the region selector stay stable; see
-// ParseScenarioKey and UpgradeScenarioKey.
-const ScenarioSchemaV2 = scenario.SchemaV2
-
-// ScenarioSchemaV1 is the original encoding. Committed v1 keys and v1
-// requests still decode — they map to the Starlink default on the "us"
-// region.
-const ScenarioSchemaV1 = scenario.SchemaV1
 
 // ScenarioConfig describes one scenario query: which experiment to run,
 // on which dataset (the embedded RunConfig), under which model knobs.
@@ -235,6 +224,100 @@ func (c ScenarioConfig) CanonicalKey() (string, error) {
 		Int64("seed", n.Seed).
 		Floats("spreads", n.Spreads).
 		Key()
+}
+
+// ParseScenarioKey decodes a canonical key back into the
+// ScenarioConfig it encodes; it is CanonicalKey's inverse. The key
+// must be exactly the one spelling CanonicalKey writes for a valid
+// scenario, which rules out other schemas, missing, unknown or
+// reordered fields, and alternative spellings such as
+// "max_oversub=20.0". Parallelism is not part of the key and comes
+// back zero.
+func ParseScenarioKey(key string) (ScenarioConfig, error) {
+	schema, fields, err := scenario.ParseKey(key)
+	if err != nil {
+		return ScenarioConfig{}, err
+	}
+	if schema != ScenarioSchema {
+		return ScenarioConfig{}, fmt.Errorf("leodivide: unsupported scenario key schema %q (want %q)", schema, ScenarioSchema)
+	}
+	cfg := ScenarioConfig{RunConfig: DefaultRunConfig()}
+	for _, f := range fields {
+		if err := cfg.setKeyField(f); err != nil {
+			return ScenarioConfig{}, fmt.Errorf("leodivide: scenario key field %s: %w", f.Name, err)
+		}
+	}
+	canon, err := cfg.CanonicalKey()
+	if err != nil {
+		return ScenarioConfig{}, err
+	}
+	if canon != key {
+		return ScenarioConfig{}, fmt.Errorf("leodivide: scenario key %q is not in canonical form (want %q)", key, canon)
+	}
+	return cfg, nil
+}
+
+// setKeyField decodes one canonical-key field into the config.
+func (c *ScenarioConfig) setKeyField(f scenario.Field) error {
+	switch f.Name {
+	case "afford_share":
+		return parseKeyFloat(f.Value, &c.AffordShare)
+	case "calibrated":
+		v, err := strconv.ParseBool(f.Value)
+		if err != nil {
+			return err
+		}
+		c.Calibrated = v
+	case "constellation":
+		c.Constellation = f.Value
+	case "cost_life_years":
+		return parseKeyFloat(f.Value, &c.CostLifeYears)
+	case "cost_sat_usd":
+		return parseKeyFloat(f.Value, &c.CostSatelliteUSD)
+	case "cost_terminal_usd":
+		return parseKeyFloat(f.Value, &c.CostTerminalUSD)
+	case "experiment":
+		c.Experiment = f.Value
+	case "max_oversub":
+		return parseKeyFloat(f.Value, &c.MaxOversub)
+	case "plans":
+		if f.Value != "" {
+			c.Plans = strings.Split(f.Value, ",")
+		}
+	case "region":
+		c.Region = f.Value
+	case "scale":
+		return parseKeyFloat(f.Value, &c.Scale)
+	case "seed":
+		v, err := strconv.ParseInt(f.Value, 10, 64)
+		if err != nil {
+			return err
+		}
+		c.Seed = v
+	case "spreads":
+		if f.Value == "" {
+			return nil
+		}
+		parts := strings.Split(f.Value, ",")
+		c.Spreads = make([]float64, len(parts))
+		for i, p := range parts {
+			if err := parseKeyFloat(p, &c.Spreads[i]); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("unknown field %q", f.Name)
+	}
+	return nil
+}
+
+func parseKeyFloat(s string, dst *float64) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // BuildModel constructs the model this scenario describes: the

@@ -8,7 +8,6 @@ package leodivide
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -55,27 +54,18 @@ func FuzzParseScenarioRequest(f *testing.F) {
 	})
 }
 
-// FuzzParseScenarioKey: no input panics the key decoder, an accepted
-// current-schema key re-renders to itself, and an accepted older-schema
-// key upgrades to a current key that does.
+// FuzzParseScenarioKey: no input panics the key decoder, and every key
+// it accepts re-renders byte-identically — the decoder is CanonicalKey's
+// exact inverse, so the cache key is injective. Keys under the retired
+// schemas are seeds that must be rejected.
 func FuzzParseScenarioKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key string) {
 		cfg, err := ParseScenarioKey(key)
 		if err != nil {
 			return
 		}
-		again, err := cfg.CanonicalKey()
-		if err != nil {
-			t.Fatalf("accepted key %q does not re-render: %v", key, err)
-		}
-		if strings.HasPrefix(key, ScenarioSchema+"|") {
-			if again != key {
-				t.Fatalf("accepted key %q re-rendered as %q", key, again)
-			}
-			return
-		}
-		if up, err := UpgradeScenarioKey(again); err != nil || up != again {
-			t.Fatalf("older-schema key %q upgraded to %q, which re-renders as %q (err %v)", key, again, up, err)
+		if again, err := cfg.CanonicalKey(); err != nil || again != key {
+			t.Fatalf("accepted key %q re-rendered as %q (err %v)", key, again, err)
 		}
 	})
 }

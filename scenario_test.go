@@ -15,16 +15,16 @@ const scenarioKeyGoldenV3 = "leodivide-serve/v3|afford_share=0.02|calibrated=fal
 	"|constellation=starlink|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300" +
 	"|experiment=table2|max_oversub=20|plans=|region=us|scale=1|seed=1|spreads=1,2,5,10,15"
 
-// scenarioKeyGoldenV2 is the same scenario's key as committed under
-// schema v2 (the layout every pre-v3 cache and client minted).
-const scenarioKeyGoldenV2 = "leodivide-serve/v2|afford_share=0.02|calibrated=false" +
-	"|constellation=starlink|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300" +
-	"|experiment=table2|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"
-
-// scenarioKeyGoldenV1 is the same scenario's key as committed under
-// schema v1 (the layout every pre-v2 cache and client minted).
-const scenarioKeyGoldenV1 = "leodivide-serve/v1|afford_share=0.02|calibrated=false|experiment=table2" +
-	"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"
+// scenarioKeyGoldenV2 and scenarioKeyGoldenV1 are the same scenario's
+// keys under the retired schemas v2 and v1. Keys are process-local, so
+// nothing persists under them; ParseScenarioKey rejects both.
+const (
+	scenarioKeyGoldenV2 = "leodivide-serve/v2|afford_share=0.02|calibrated=false" +
+		"|constellation=starlink|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300" +
+		"|experiment=table2|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"
+	scenarioKeyGoldenV1 = "leodivide-serve/v1|afford_share=0.02|calibrated=false|experiment=table2" +
+		"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"
+)
 
 // TestScenarioCanonicalKeyGolden pins the exact byte layout of the
 // canonical key. This string is a wire and cache contract.
@@ -38,162 +38,36 @@ func TestScenarioCanonicalKeyGolden(t *testing.T) {
 	}
 }
 
-// TestScenarioKeyCompatV1 is the v1→current migration table: every
-// committed v1 key layout decodes, maps to the Starlink default on the
-// "us" region, and lands on the same current-schema identity a fresh
-// encoding of that scenario produces — cached identities stay stable
-// across the schema bumps.
-func TestScenarioKeyCompatV1(t *testing.T) {
-	v1Keys := []string{
-		scenarioKeyGoldenV1,
-		// Knob variants in the exact layout the v1 encoder produced.
-		"leodivide-serve/v1|afford_share=0.025|calibrated=false|experiment=table2" +
-			"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15",
-		"leodivide-serve/v1|afford_share=0.02|calibrated=true|experiment=fig3" +
-			"|max_oversub=25|plans=|scale=0.05|seed=2|spreads=2,4",
-		"leodivide-serve/v1|afford_share=0.02|calibrated=false|experiment=fig4" +
-			"|max_oversub=20|plans=Starlink Residential,Xfinity 300|scale=0.02|seed=1|spreads=1,2,5,10,15",
-	}
-	for _, v1 := range v1Keys {
-		cfg, err := ParseScenarioKey(v1)
-		if err != nil {
-			t.Errorf("v1 key %q did not decode: %v", v1, err)
-			continue
-		}
-		// v1 predates both selectors: it must map to the Starlink
-		// default on the "us" region.
-		if got := cfg.Normalized().Constellation; got != "starlink" {
-			t.Errorf("v1 key %q mapped to constellation %q, want starlink", v1, got)
-		}
-		if got := cfg.Normalized().Region; got != "us" {
-			t.Errorf("v1 key %q mapped to region %q, want us", v1, got)
-		}
-		up, err := UpgradeScenarioKey(v1)
-		if err != nil {
-			t.Errorf("v1 key %q did not upgrade: %v", v1, err)
-			continue
-		}
-		want, err := cfg.CanonicalKey()
-		if err != nil || up != want {
-			t.Errorf("v1 key %q upgraded to %q, want %q (err %v)", v1, up, want, err)
-		}
-		if !strings.HasPrefix(up, ScenarioSchema+"|") {
-			t.Errorf("upgraded key %q is not under schema %s", up, ScenarioSchema)
-		}
-		// Upgrading is idempotent: the current-schema key is a fixpoint.
-		again, err := UpgradeScenarioKey(up)
-		if err != nil || again != up {
-			t.Errorf("upgrade not a fixpoint: %q -> %q (err %v)", up, again, err)
-		}
-	}
-
-	// The golden v1 key lands exactly on the golden v3 key.
-	if up, err := UpgradeScenarioKey(scenarioKeyGoldenV1); err != nil || up != scenarioKeyGoldenV3 {
-		t.Errorf("golden v1 upgrade:\n got %q\nwant %q (err %v)", up, scenarioKeyGoldenV3, err)
-	}
-}
-
-// TestScenarioKeyCompatV2 is the v2→v3 migration table, mirroring the
-// v1 table: every committed v2 key layout decodes, maps to the default
-// "us" region, and lands on the same v3 identity a fresh v3 encoding
-// of that scenario produces — v2 cache entries stay reachable after
-// the region bump.
-func TestScenarioKeyCompatV2(t *testing.T) {
-	v2Keys := []string{
-		scenarioKeyGoldenV2,
-		// Knob variants in the exact layout the v2 encoder produced.
-		"leodivide-serve/v2|afford_share=0.02|calibrated=false|constellation=kuiper" +
-			"|cost_life_years=7|cost_sat_usd=1e+06|cost_terminal_usd=600|experiment=xconst" +
-			"|max_oversub=25|plans=|scale=0.05|seed=2|spreads=1,2,5,10,15",
-		"leodivide-serve/v2|afford_share=0.03|calibrated=true|constellation=oneweb" +
-			"|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300|experiment=fig3" +
-			"|max_oversub=20|plans=|scale=0.02|seed=1|spreads=2,4",
-		"leodivide-serve/v2|afford_share=0.02|calibrated=false|constellation=starlink" +
-			"|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300|experiment=fig4" +
-			"|max_oversub=20|plans=Starlink Residential,Xfinity 300|scale=0.02|seed=1|spreads=1,2,5,10,15",
-	}
-	for _, v2 := range v2Keys {
-		cfg, err := ParseScenarioKey(v2)
-		if err != nil {
-			t.Errorf("v2 key %q did not decode: %v", v2, err)
-			continue
-		}
-		// v2 predates the region selector: it must map to "us".
-		if got := cfg.Normalized().Region; got != "us" {
-			t.Errorf("v2 key %q mapped to region %q, want us", v2, got)
-		}
-		up, err := UpgradeScenarioKey(v2)
-		if err != nil {
-			t.Errorf("v2 key %q did not upgrade: %v", v2, err)
-			continue
-		}
-		want, err := cfg.CanonicalKey()
-		if err != nil || up != want {
-			t.Errorf("v2 key %q upgraded to %q, want %q (err %v)", v2, up, want, err)
-		}
-		if !strings.HasPrefix(up, ScenarioSchema+"|") {
-			t.Errorf("upgraded key %q is not under schema %s", up, ScenarioSchema)
-		}
-		// Upgrading is idempotent: the v3 key is a fixpoint.
-		again, err := UpgradeScenarioKey(up)
-		if err != nil || again != up {
-			t.Errorf("upgrade not a fixpoint: %q -> %q (err %v)", up, again, err)
-		}
-		// The upgraded key differs from the v2 key only by schema prefix
-		// and the inserted region field: the same cache-entry identity a
-		// fresh "us"-region scenario mints.
-		stripped := strings.Replace(up, "|region=us", "", 1)
-		stripped = strings.Replace(stripped, ScenarioSchema, ScenarioSchemaV2, 1)
-		if stripped != v2 {
-			t.Errorf("upgrade changed more than schema+region:\n v2  %q\n got %q", v2, up)
-		}
-	}
-
-	// The golden v2 key lands exactly on the golden v3 key.
-	if up, err := UpgradeScenarioKey(scenarioKeyGoldenV2); err != nil || up != scenarioKeyGoldenV3 {
-		t.Errorf("golden v2 upgrade:\n got %q\nwant %q (err %v)", up, scenarioKeyGoldenV3, err)
-	}
-
-	// A v3 scenario that selects a non-default region has no v2
-	// spelling: its key must differ from every upgraded v2 key.
-	br := DefaultScenarioConfig("table2")
-	br.Region = "brazil-rural"
-	brKey, err := br.CanonicalKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if brKey == scenarioKeyGoldenV3 {
-		t.Error("a non-default region must change the canonical key")
-	}
-	if !strings.Contains(brKey, "|region=brazil-rural|") {
-		t.Errorf("key %q does not carry the region field", brKey)
-	}
-}
-
-// TestScenarioKeyParseRejects: unknown fields, missing fields, foreign
-// schemas and out-of-order layouts are decode errors, never silently
-// defaulted scenarios.
+// TestScenarioKeyParseRejects: keys under a retired or foreign schema,
+// unknown, missing and duplicate fields, and out-of-order or
+// non-canonical layouts are decode errors, never silently defaulted
+// scenarios.
 func TestScenarioKeyParseRejects(t *testing.T) {
+	// v3 swaps one golden field for another spelling.
+	v3 := func(old, new string) string { return strings.Replace(scenarioKeyGoldenV3, old, new, 1) }
 	cases := []struct {
 		name, key string
 	}{
+		{"golden v1", scenarioKeyGoldenV1},
+		{"golden v2", scenarioKeyGoldenV2},
+		{"v1 knob variant", "leodivide-serve/v1|afford_share=0.02|calibrated=true|experiment=fig3" +
+			"|max_oversub=25|plans=|scale=0.05|seed=2|spreads=2,4"},
+		{"v2 knob variant", "leodivide-serve/v2|afford_share=0.02|calibrated=false|constellation=kuiper" +
+			"|cost_life_years=7|cost_sat_usd=1e+06|cost_terminal_usd=600|experiment=xconst" +
+			"|max_oversub=25|plans=|scale=0.05|seed=2|spreads=1,2,5,10,15"},
 		{"unknown schema", "leodivide-serve/v9|afford_share=0.02"},
 		{"empty schema", "|afford_share=0.02"},
-		{"unknown field", scenarioKeyGoldenV1 + "|zz_custom=1"},
-		{"missing fields", "leodivide-serve/v1|afford_share=0.02|calibrated=false"},
+		{"unknown field", scenarioKeyGoldenV3 + "|zz_custom=1"},
+		{"missing fields", "leodivide-serve/v3|afford_share=0.02|calibrated=false"},
 		{"v2 missing constellation", "leodivide-serve/v2" + scenarioKeyGoldenV1[len("leodivide-serve/v1"):]},
 		{"v3 missing region", "leodivide-serve/v3" + scenarioKeyGoldenV2[len("leodivide-serve/v2"):]},
-		{"v2 carrying region", strings.Replace(scenarioKeyGoldenV3, "leodivide-serve/v3", "leodivide-serve/v2", 1)},
-		{"unknown region", strings.Replace(scenarioKeyGoldenV3, "region=us", "region=atlantis", 1)},
-		{"non-canonical v3", strings.Replace(scenarioKeyGoldenV3, "max_oversub=20", "max_oversub=20.0", 1)},
-		{"out of order", "leodivide-serve/v1|calibrated=false|afford_share=0.02|experiment=table2" +
-			"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"},
-		{"duplicate field", "leodivide-serve/v1|afford_share=0.02|afford_share=0.02|calibrated=false|experiment=table2" +
-			"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"},
-		{"bad float", "leodivide-serve/v1|afford_share=abc|calibrated=false|experiment=table2" +
-			"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"},
-		{"unknown experiment", "leodivide-serve/v1|afford_share=0.02|calibrated=false|experiment=warpdrive" +
-			"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"},
+		{"v2 carrying region", v3("leodivide-serve/v3", "leodivide-serve/v2")},
+		{"unknown region", v3("region=us", "region=atlantis")},
+		{"non-canonical v3", v3("max_oversub=20", "max_oversub=20.0")},
+		{"out of order", v3("afford_share=0.02|calibrated=false", "calibrated=false|afford_share=0.02")},
+		{"duplicate field", v3("afford_share=0.02", "afford_share=0.02|afford_share=0.02")},
+		{"bad float", v3("afford_share=0.02", "afford_share=abc")},
+		{"unknown experiment", v3("experiment=table2", "experiment=warpdrive")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,6 +75,11 @@ func TestScenarioKeyParseRejects(t *testing.T) {
 				t.Errorf("ParseScenarioKey accepted %q", tc.key)
 			}
 		})
+	}
+
+	// A retired schema is named as such, not misreported as a bad field.
+	if _, err := ParseScenarioKey(scenarioKeyGoldenV1); err == nil || !strings.Contains(err.Error(), ScenarioSchema) {
+		t.Errorf("v1 key error = %v, want one naming %s", err, ScenarioSchema)
 	}
 }
 
@@ -376,50 +255,41 @@ func TestScenarioBuildModel(t *testing.T) {
 	}
 }
 
-// TestFig3SpreadOverridePaths pins the resolution contract between
-// Fig3's two override paths — the variadic argument and the
-// Model.Fig3Spreads field (the ScenarioConfig knob): either alone wins,
-// both empty selects the paper spreads, agreement is accepted, and a
-// genuine conflict is a hard error rather than a silent preference.
+// TestFig3SpreadOverridePaths pins Fig3's one override path, the
+// Model.Fig3Spreads field (the ScenarioConfig knob): left empty, Fig3
+// sweeps the paper's Table 2 spreads; set, it sweeps exactly those.
 func TestFig3SpreadOverridePaths(t *testing.T) {
+	ds := smallDataset(t, 1)
 	cases := []struct {
-		name     string
-		field    []float64
-		variadic []float64
-		want     []float64
-		wantErr  bool
+		name  string
+		field []float64
+		want  []float64
 	}{
 		{name: "both empty -> paper spreads", want: PaperTable2Spreads},
 		{name: "field only wins", field: []float64{3, 7}, want: []float64{3, 7}},
-		{name: "variadic only wins", variadic: []float64{4}, want: []float64{4}},
-		{name: "agreement accepted", field: []float64{5, 10}, variadic: []float64{5, 10}, want: []float64{5, 10}},
-		{name: "conflict is an error", field: []float64{5, 10}, variadic: []float64{2}, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewModel()
 			m.Fig3Spreads = tc.field
-			got, err := m.resolveFig3Spreads(tc.variadic)
-			if tc.wantErr {
-				if err == nil || !strings.Contains(err.Error(), "conflicting Fig3 spread overrides") {
-					t.Fatalf("err = %v, want a conflict error", err)
-				}
-				return
-			}
+			res, err := m.Fig3(context.Background(), ds)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := make([]float64, len(res))
+			for i, r := range res {
+				got[i] = r.Spread
+			}
 			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("resolved %v, want %v", got, tc.want)
+				t.Errorf("swept spreads %v, want %v", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestFig3OverridesEndToEnd runs both override paths through Fig3
-// itself on the real dataset: the scenario-knob path and the variadic
-// path must produce identical results at the same spread, and the
-// conflict error must surface from Fig3, not just the resolver.
+// TestFig3OverridesEndToEnd runs the spread knob through Fig3 on the
+// real dataset: it matches the fixed-spread sweep that findings and
+// economics use, and the registry's fig3 entry honors it.
 func TestFig3OverridesEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	ds := fullDataset(t)
@@ -430,19 +300,15 @@ func TestFig3OverridesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	argRes, err := NewModel().Fig3(ctx, ds, 10)
+	fixed, err := NewModel().fig3At(ctx, ds, []float64{10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(knobRes, argRes) {
-		t.Error("Fig3 via Fig3Spreads knob differs from Fig3 via variadic argument at spread 10")
+	if !reflect.DeepEqual(knobRes, fixed) {
+		t.Error("Fig3 via the Fig3Spreads knob differs from the fixed-spread sweep at spread 10")
 	}
 	if len(knobRes) != 1 || knobRes[0].Spread != 10 {
 		t.Fatalf("override produced %d results (spread %v), want one at spread 10", len(knobRes), knobRes)
-	}
-
-	if _, err := viaKnob.Fig3(ctx, ds, 2); err == nil || !strings.Contains(err.Error(), "conflicting") {
-		t.Errorf("conflicting overrides through Fig3: err = %v, want conflict error", err)
 	}
 
 	// The registry's fig3 entry honors the knob — the experiment and

@@ -18,10 +18,7 @@ import (
 // "inherit" (the server's dataset, or the CLI flags); the server
 // answers against one immutable dataset, so present-but-different is a
 // 409 there. Parallelism is not a wire knob at all — results are
-// identical at every worker count. The constellation selector and the
-// cost overrides are schema-v2 fields and the region selector is
-// schema-v3; a request declaring an older schema must not set fields
-// it predates.
+// identical at every worker count.
 type ScenarioRequest struct {
 	Schema           string    `json:"schema"`
 	Experiment       string    `json:"experiment"`
@@ -41,7 +38,7 @@ type ScenarioRequest struct {
 
 // ParseScenarioRequest decodes the wire form strictly: unknown fields
 // and trailing data are errors, and the schema declaration must be
-// coherent (see ValidateSchema).
+// supported (see ValidateSchema).
 func ParseScenarioRequest(data []byte) (ScenarioRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -59,32 +56,13 @@ func ParseScenarioRequest(data []byte) (ScenarioRequest, error) {
 }
 
 // ValidateSchema checks the request's schema declaration: empty (a CLI
-// convenience meaning the current schema) and the current schema are
-// accepted as-is; the v1 and v2 schemas are accepted for compatibility
-// but may not use the fields they predate.
+// convenience meaning the current schema) or ScenarioSchema. Any other
+// schema, including a retired one, is an error.
 func (r ScenarioRequest) ValidateSchema() error {
-	switch r.Schema {
-	case "", ScenarioSchema:
-		return nil
-	case ScenarioSchemaV2:
-		if r.Region != "" {
-			return fmt.Errorf("leodivide: scenario request declares schema %q but uses the v3-only region field; declare schema %q",
-				ScenarioSchemaV2, ScenarioSchema)
-		}
-		return nil
-	case ScenarioSchemaV1:
-		if r.Constellation != "" || r.CostSatelliteUSD != 0 || r.CostLifeYears != 0 || r.CostTerminalUSD != 0 {
-			return fmt.Errorf("leodivide: scenario request declares schema %q but uses v2-only fields (constellation or cost overrides); declare schema %q",
-				ScenarioSchemaV1, ScenarioSchema)
-		}
-		if r.Region != "" {
-			return fmt.Errorf("leodivide: scenario request declares schema %q but uses the v3-only region field; declare schema %q",
-				ScenarioSchemaV1, ScenarioSchema)
-		}
-		return nil
-	default:
+	if r.Schema != "" && r.Schema != ScenarioSchema {
 		return fmt.Errorf("leodivide: unsupported schema %q (want %q)", r.Schema, ScenarioSchema)
 	}
+	return nil
 }
 
 // Apply merges the request onto a base scenario: pointer fields

@@ -41,28 +41,25 @@ func TestScenarioWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScenarioRequestValidateSchema: only the current schema (or an
+// empty one, the CLI convenience) is accepted; the retired v1 and v2
+// schemas are rejected like any foreign one, through Apply too.
 func TestScenarioRequestValidateSchema(t *testing.T) {
+	for _, schema := range []string{"", ScenarioSchema} {
+		r := ScenarioRequest{Schema: schema, Experiment: "table2"}
+		if err := r.ValidateSchema(); err != nil {
+			t.Errorf("schema %q rejected: %v", schema, err)
+		}
+	}
 	base := ScenarioConfig{RunConfig: DefaultRunConfig()}
-
-	// A v1 body without v2-only fields applies (onto the Starlink
-	// default); declaring v1 while using v2-only fields is an error.
-	v1 := ScenarioRequest{Schema: ScenarioSchemaV1, Experiment: "table2"}
-	if _, err := v1.Apply(base); err != nil {
-		t.Errorf("plain v1 request rejected: %v", err)
-	}
-	v1.Constellation = "kuiper"
-	if _, err := v1.Apply(base); err == nil || !strings.Contains(err.Error(), "v2-only") {
-		t.Errorf("v1 request with constellation returned %v, want v2-only rejection", err)
-	}
-	v1.Constellation = ""
-	v1.CostSatelliteUSD = 2e6
-	if _, err := v1.Apply(base); err == nil {
-		t.Error("v1 request with a cost override should be rejected")
-	}
-
-	bad := ScenarioRequest{Schema: "nope/v9", Experiment: "table2"}
-	if err := bad.ValidateSchema(); err == nil {
-		t.Error("unknown schema accepted")
+	for _, schema := range []string{"leodivide-serve/v1", "leodivide-serve/v2", "nope/v9"} {
+		r := ScenarioRequest{Schema: schema, Experiment: "table2"}
+		if err := r.ValidateSchema(); err == nil || !strings.Contains(err.Error(), ScenarioSchema) {
+			t.Errorf("schema %q: err = %v, want a rejection naming %s", schema, err, ScenarioSchema)
+		}
+		if _, err := r.Apply(base); err == nil {
+			t.Errorf("schema %q: Apply accepted the request", schema)
+		}
 	}
 }
 

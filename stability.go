@@ -86,7 +86,7 @@ func (m Model) Stability(ctx context.Context, nSeeds int, scale float64) (Stabil
 	type seedResult struct {
 		sats, unaff, served float64
 	}
-	results, err := par.Map(ctx, m.Workers, nSeeds, func(i int) (seedResult, error) {
+	results, err := par.Map(ctx, m.Capacity.Parallelism, nSeeds, func(i int) (seedResult, error) {
 		seed := int64(i + 1)
 		ds, err := GenerateDataset(ctx, WithSeed(seed), WithScale(scale))
 		if err != nil {
