@@ -43,24 +43,29 @@ type Experiment struct {
 	Run func(ctx context.Context, d *Dataset) (any, error)
 }
 
+// runner is the shape of one registry entry before it is bound to a
+// Model: the model travels as an argument, so the table below is built
+// once and every Model shares it.
+type runner func(m Model, ctx context.Context, d *Dataset) (any, error)
+
 // instrument wraps a registry runner with the uniform cancellation
-// check and the observability layer. The instrument names and their
-// get-or-create lookups are resolved once at wrap time, so a run — the
-// unit the bench harness times — pays no name formatting or registry
-// lookups of its own.
-func instrument(name string, fn func(ctx context.Context, d *Dataset) (any, error)) func(ctx context.Context, d *Dataset) (any, error) {
+// check and the observability layer. It runs once per entry, when the
+// package-level registry is built, so the instrument names and their
+// get-or-create lookups are resolved before any Model exists and
+// neither a run nor a registry lookup pays for them.
+func instrument(name string, fn runner) runner {
 	spanName := "experiment." + name
 	seconds := obs.Default.Histogram(spanName+".seconds", obs.DurationBuckets)
 	errorRuns := obs.Default.Counter(spanName + ".errors")
 	okRuns := obs.Default.Counter(spanName + ".runs")
-	return func(ctx context.Context, d *Dataset) (any, error) {
+	return func(m Model, ctx context.Context, d *Dataset) (any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		ctx, span := obs.StartSpan(ctx, spanName)
 		//lint:ignore detrand wall-clock feeds the experiment duration histogram only, never the result
 		start := time.Now()
-		v, err := fn(ctx, d)
+		v, err := fn(m, ctx, d)
 		seconds.ObserveSince(start)
 		if err != nil {
 			errorRuns.Inc()
@@ -98,119 +103,90 @@ func (c *countingDiscard) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Experiments returns the registry of the model's experiment runners in
-// presentation order. Every entry delegates to the uniform
-// (ctx, *Dataset) (Result, error) methods, so cancellation, the
-// Parallelism knob and the observability layer apply uniformly.
-func (m Model) Experiments() []Experiment {
-	return []Experiment{
-		{
-			Name:        "fig1",
-			Description: "per-cell density distribution (Figure 1)",
-			Run: instrument("fig1", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Fig1(ctx, d)
-			}),
-		},
-		{
-			Name:        "table1",
-			Description: "single-satellite capacity model (Table 1)",
-			Run: instrument("table1", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Table1(ctx, d)
-			}),
-		},
-		{
-			Name:        "table2",
-			Description: "constellation sizing vs beamspread (Table 2)",
-			Run: instrument("table2", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Table2(ctx, d)
-			}),
-		},
-		{
-			Name:        "fig2",
-			Description: "beamspread × oversubscription served fraction (Figure 2)",
-			Run: instrument("fig2", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Fig2(ctx, d)
-			}),
-		},
-		{
-			Name:        "fig3",
-			Description: "diminishing returns over the demand tail (Figure 3)",
-			Run: instrument("fig3", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Fig3(ctx, d)
-			}),
-		},
-		{
-			Name:        "fig4",
-			Description: "affordability at 2% of income (Figure 4)",
-			Run: instrument("fig4", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Fig4(ctx, d)
-			}),
-		},
-		{
-			Name:        "findings",
-			Description: "the paper's four findings (F1–F4)",
-			Run: instrument("findings", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.RunFindings(ctx, d)
-			}),
-		},
-		{
-			Name:        "fleets",
-			Description: "assess the authorized Gen1/Gen2 fleets against the requirement",
-			Run: instrument("fleets", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.AssessFleets(ctx, d)
-			}),
-		},
-		{
-			Name:        "refined",
-			Description: "affordability with income dispersion and Lifeline eligibility",
-			Run: instrument("refined", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Fig4Refined(ctx, d, 0, 3)
-			}),
-		},
-		{
-			Name:        "busyhour",
-			Description: "diurnal demand: staggering and busy-hour throughput",
-			Run: instrument("busyhour", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.BusyHour(ctx, d)
-			}),
-		},
-		{
-			Name:        "econ",
-			Description: "constellation economics: capex and per-location cost",
-			Run: instrument("econ", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.Economics(ctx, d)
-			}),
-		},
-		{
-			Name:        "costcurve",
-			Description: "cost per served location and served fraction vs fleet size, per constellation",
-			Run: instrument("costcurve", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.CostCurve(ctx, d)
-			}),
-		},
-		{
-			Name:        "xconst",
-			Description: "which constellation closes the divide cheapest under the 100/20 benchmark",
-			Run: instrument("xconst", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.CrossConstellation(ctx, d)
-			}),
-		},
-		{
-			Name:        "xregion",
-			Description: "service fraction vs affordability per demand geography: which constraint binds where",
-			Run: instrument("xregion", func(ctx context.Context, d *Dataset) (any, error) {
-				return m.CrossRegion(ctx, d)
-			}),
+// registryEntry is one row of the registry table: a name, a
+// description and the instrumented runner, not yet bound to a Model.
+type registryEntry struct {
+	name, description string
+	run               runner
+}
+
+// bind returns the entry as an Experiment whose Run evaluates it under m.
+func (e *registryEntry) bind(m Model) Experiment {
+	run := e.run
+	return Experiment{
+		Name:        e.name,
+		Description: e.description,
+		Run: func(ctx context.Context, d *Dataset) (any, error) {
+			return run(m, ctx, d)
 		},
 	}
 }
 
-// ExperimentByName looks an experiment up in the registry.
-func (m Model) ExperimentByName(name string) (Experiment, bool) {
-	for _, e := range m.Experiments() {
-		if e.Name == name {
-			return e, true
+func newRegistryEntry(name, description string, run runner) registryEntry {
+	return registryEntry{name: name, description: description, run: instrument(name, run)}
+}
+
+// registry is the experiment table in presentation order, built and
+// instrumented once at package initialization. Every runner delegates
+// to the uniform (ctx, *Dataset) (Result, error) Model methods, so
+// cancellation, the Parallelism knob and the observability layer apply
+// uniformly.
+var registry = [...]registryEntry{
+	newRegistryEntry("fig1", "per-cell density distribution (Figure 1)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig1(ctx, d) }),
+	newRegistryEntry("table1", "single-satellite capacity model (Table 1)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Table1(ctx, d) }),
+	newRegistryEntry("table2", "constellation sizing vs beamspread (Table 2)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Table2(ctx, d) }),
+	newRegistryEntry("fig2", "beamspread × oversubscription served fraction (Figure 2)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig2(ctx, d) }),
+	newRegistryEntry("fig3", "diminishing returns over the demand tail (Figure 3)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig3(ctx, d) }),
+	newRegistryEntry("fig4", "affordability at 2% of income (Figure 4)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig4(ctx, d) }),
+	newRegistryEntry("findings", "the paper's four findings (F1–F4)",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.RunFindings(ctx, d) }),
+	newRegistryEntry("fleets", "assess the authorized Gen1/Gen2 fleets against the requirement",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.AssessFleets(ctx, d) }),
+	newRegistryEntry("refined", "affordability with income dispersion and Lifeline eligibility",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig4Refined(ctx, d, 0, 3) }),
+	newRegistryEntry("busyhour", "diurnal demand: staggering and busy-hour throughput",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.BusyHour(ctx, d) }),
+	newRegistryEntry("econ", "constellation economics: capex and per-location cost",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Economics(ctx, d) }),
+	newRegistryEntry("costcurve", "cost per served location and served fraction vs fleet size, per constellation",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.CostCurve(ctx, d) }),
+	newRegistryEntry("xconst", "which constellation closes the divide cheapest under the 100/20 benchmark",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.CrossConstellation(ctx, d) }),
+	newRegistryEntry("xregion", "service fraction vs affordability per demand geography: which constraint binds where",
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.CrossRegion(ctx, d) }),
+}
+
+// lookupEntry finds a registry row by name.
+func lookupEntry(name string) (*registryEntry, bool) {
+	for i := range registry {
+		if registry[i].name == name {
+			return &registry[i], true
 		}
 	}
-	return Experiment{}, false
+	return nil, false
+}
+
+// Experiments returns the registry bound to m, in presentation order.
+func (m Model) Experiments() []Experiment {
+	out := make([]Experiment, len(registry))
+	for i := range registry {
+		out[i] = registry[i].bind(m)
+	}
+	return out
+}
+
+// ExperimentByName looks an experiment up in the registry and binds
+// only that entry to m.
+func (m Model) ExperimentByName(name string) (Experiment, bool) {
+	e, ok := lookupEntry(name)
+	if !ok {
+		return Experiment{}, false
+	}
+	return e.bind(m), true
 }

@@ -15,6 +15,7 @@ package constellation
 
 import (
 	"fmt"
+	"slices"
 
 	"leodivide/internal/orbit"
 	"leodivide/internal/spectrum"
@@ -202,14 +203,21 @@ func (s System) SizingShell() orbit.Walker {
 	}
 }
 
-// StarlinkSystem returns the default system: the Gen1 fleet, the
-// Schedule S band table, and the paper's Ku-band capacity convention.
-// Its parameters reproduce the repo's historical Starlink constants
-// exactly; every default model path routes through it.
-func StarlinkSystem() System {
-	return System{
+// DefaultKey is the canonical key of the default system (Starlink
+// Gen1), the constellation a scenario that names none analyzes.
+const DefaultKey = "starlink"
+
+// systems is the declared table, in canonical order with the default
+// first. It is built once and never written: every exported accessor
+// hands out a copy whose Shells and Bands are cloned (see clone), so no
+// caller can reach into the table through a returned System.
+var systems = [...]System{
+	// Starlink Gen1: the Gen1 fleet, the Schedule S band table and the
+	// paper's Ku-band capacity convention. Its parameters reproduce
+	// the repo's historical Starlink constants exactly.
+	{
 		Fleet:                      StarlinkGen1(),
-		Key:                        "starlink",
+		Key:                        DefaultKey,
 		Bands:                      spectrum.ScheduleS(),
 		SpectralEfficiencyBpsPerHz: spectrum.SpectralEfficiencyBpsPerHz,
 		MaxBeamsPerCell:            spectrum.BeamsPerCellLimit,
@@ -224,33 +232,33 @@ func StarlinkSystem() System {
 			TerminalSubsidyUSD:         300,
 			MonthlyOpexPerSatelliteUSD: 1000,
 		},
-	}
-}
-
-// StarlinkGen2System returns the Gen2 variant: the nine-shell Gen2
-// fleet with the same Schedule S spectrum convention, priced at
-// Starship-era launch economics (cheaper launch, heavier satellite).
-func StarlinkGen2System() System {
-	s := StarlinkSystem()
-	s.Fleet = StarlinkGen2()
-	s.Key = "starlink-gen2"
-	s.Cost = CostModel{
-		SatelliteBuildUSD:          1_000_000,
-		LaunchPerSatelliteUSD:      500_000,
-		DesignLifeYears:            5,
-		GroundSegmentShare:         0.2,
-		TerminalSubsidyUSD:         300,
-		MonthlyOpexPerSatelliteUSD: 800,
-	}
-	return s
-}
-
-// KuiperSystem returns Amazon's Project Kuiper as authorized by the
-// FCC: 3,236 satellites across three shells, Ka-band user downlink
-// (1,900 MHz over 16 user-capable beams under this model's
-// convention), costed per public program estimates.
-func KuiperSystem() System {
-	return System{
+	},
+	// Starlink Gen2: the nine-shell Gen2 fleet with the same Schedule
+	// S spectrum convention, priced at Starship-era launch economics
+	// (cheaper launch, heavier satellite).
+	{
+		Fleet:                      StarlinkGen2(),
+		Key:                        "starlink-gen2",
+		Bands:                      spectrum.ScheduleS(),
+		SpectralEfficiencyBpsPerHz: spectrum.SpectralEfficiencyBpsPerHz,
+		MaxBeamsPerCell:            spectrum.BeamsPerCellLimit,
+		CellCapacityGbps:           spectrum.MaxCellCapacityGbps,
+		SizingAltitudeKm:           orbit.StarlinkAltitudeKm,
+		SizingInclinationDeg:       orbit.StarlinkInclinationDeg,
+		Cost: CostModel{
+			SatelliteBuildUSD:          1_000_000,
+			LaunchPerSatelliteUSD:      500_000,
+			DesignLifeYears:            5,
+			GroundSegmentShare:         0.2,
+			TerminalSubsidyUSD:         300,
+			MonthlyOpexPerSatelliteUSD: 800,
+		},
+	},
+	// Amazon's Project Kuiper as authorized by the FCC: 3,236
+	// satellites across three shells, Ka-band user downlink (1,900 MHz
+	// over 16 user-capable beams under this model's convention),
+	// costed per public program estimates.
+	{
 		Fleet: Fleet{
 			Name: "Kuiper",
 			Shells: []orbit.Walker{
@@ -279,16 +287,13 @@ func KuiperSystem() System {
 			TerminalSubsidyUSD:         400,
 			MonthlyOpexPerSatelliteUSD: 1200,
 		},
-	}
-}
-
-// OneWebSystem returns the OneWeb Gen1 polar system: 588 operational
-// satellites in a single 1,200 km / 87.9° shell, Ku-band user downlink
-// split over 16 fixed (non-steerable, non-stackable) beams — hence a
-// per-cell capacity of one beam's share, 2,000/16 MHz × 4.5 b/Hz =
-// 0.5625 Gbps.
-func OneWebSystem() System {
-	return System{
+	},
+	// The OneWeb Gen1 polar system: 588 operational satellites in a
+	// single 1,200 km / 87.9° shell, Ku-band user downlink split over
+	// 16 fixed (non-steerable, non-stackable) beams — hence a per-cell
+	// capacity of one beam's share, 2,000/16 MHz × 4.5 b/Hz =
+	// 0.5625 Gbps.
+	{
 		Fleet: Fleet{
 			Name: "OneWeb",
 			Shells: []orbit.Walker{
@@ -312,32 +317,78 @@ func OneWebSystem() System {
 			TerminalSubsidyUSD:         500,
 			MonthlyOpexPerSatelliteUSD: 1500,
 		},
-	}
+	},
 }
 
-// Systems returns the declared systems in canonical order. The first
-// entry is the default (Starlink Gen1).
+// clone returns s with its Shells and Bands copied, so the caller owns
+// every slice it can reach.
+func (s System) clone() System {
+	s.Shells = slices.Clone(s.Shells)
+	s.Bands = slices.Clone(s.Bands)
+	return s
+}
+
+// lookup finds a declared system by key without copying it.
+func lookup(name string) (*System, bool) {
+	for i := range systems {
+		if systems[i].Key == name {
+			return &systems[i], true
+		}
+	}
+	return nil, false
+}
+
+// StarlinkSystem returns the default system: the Gen1 fleet, the
+// Schedule S band table, and the paper's Ku-band capacity convention.
+// Every default model path routes through it.
+func StarlinkSystem() System { return systems[0].clone() }
+
+// StarlinkGen2System returns the Gen2 variant: the nine-shell Gen2
+// fleet with the same Schedule S spectrum convention, priced at
+// Starship-era launch economics.
+func StarlinkGen2System() System { return systems[1].clone() }
+
+// KuiperSystem returns Amazon's Project Kuiper as authorized by the
+// FCC.
+func KuiperSystem() System { return systems[2].clone() }
+
+// OneWebSystem returns the OneWeb Gen1 polar system.
+func OneWebSystem() System { return systems[3].clone() }
+
+// Systems returns a copy of every declared system in canonical order.
+// The first entry is the default (Starlink Gen1).
 func Systems() []System {
-	return []System{StarlinkSystem(), StarlinkGen2System(), KuiperSystem(), OneWebSystem()}
+	out := make([]System, len(systems))
+	for i := range systems {
+		out[i] = systems[i].clone()
+	}
+	return out
 }
 
 // SystemNames returns the canonical keys of the declared systems, in
 // canonical order.
 func SystemNames() []string {
-	systems := Systems()
 	names := make([]string, len(systems))
-	for i, s := range systems {
-		names[i] = s.Key
+	for i := range systems {
+		names[i] = systems[i].Key
 	}
 	return names
 }
 
-// SystemByName resolves a canonical key to its system.
+// SystemByName resolves a canonical key to a copy of its system.
 func SystemByName(name string) (System, bool) {
-	for _, s := range Systems() {
-		if s.Key == name {
-			return s, true
-		}
+	if s, ok := lookup(name); ok {
+		return s.clone(), true
 	}
 	return System{}, false
+}
+
+// CostByName resolves a canonical key to its system's declared cost
+// model without copying the rest of the spec: the lookup scenario
+// normalization and validation need.
+func CostByName(name string) (CostModel, bool) {
+	if s, ok := lookup(name); ok {
+		return s.Cost, true
+	}
+	return CostModel{}, false
 }

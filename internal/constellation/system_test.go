@@ -1,9 +1,11 @@
 package constellation
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"leodivide/internal/orbit"
 	"leodivide/internal/spectrum"
 )
 
@@ -36,6 +38,51 @@ func TestSystemsValidate(t *testing.T) {
 	}
 	if _, ok := SystemByName("iridium"); ok {
 		t.Error("SystemByName accepted an undeclared system")
+	}
+}
+
+// Every accessor hands out a deep copy of the declared table: writing
+// through the Shells or Bands of a returned System changes no later
+// lookup. CostByName agrees with the full spec, and DefaultKey names
+// the first system.
+func TestSystemLookupsUnaliased(t *testing.T) {
+	// The expectation owns its slices even if an accessor aliases.
+	want := Systems()
+	for i := range want {
+		want[i].Shells = append([]orbit.Walker(nil), want[i].Shells...)
+		want[i].Bands = append([]spectrum.Band(nil), want[i].Bands...)
+	}
+	mutate := func(s System) {
+		s.Bands[0].WidthMHz = -1
+		s.Shells[0].Total = -1
+	}
+	sys, _ := SystemByName("starlink")
+	mutate(sys)
+	for _, s := range Systems() {
+		mutate(s)
+	}
+	mutate(StarlinkSystem())
+	mutate(StarlinkGen2System())
+	mutate(KuiperSystem())
+	mutate(OneWebSystem())
+	if got := Systems(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Systems() changed after mutating returned copies:\n got %+v\nwant %+v", got, want)
+	}
+	for _, w := range want {
+		got, ok := SystemByName(w.Key)
+		if !ok || !reflect.DeepEqual(got, w) {
+			t.Errorf("SystemByName(%q) changed after mutating returned copies", w.Key)
+		}
+		cost, ok := CostByName(w.Key)
+		if !ok || cost != w.Cost {
+			t.Errorf("CostByName(%q) = %+v, %v; want %+v", w.Key, cost, ok, w.Cost)
+		}
+	}
+	if _, ok := CostByName("iridium"); ok {
+		t.Error("CostByName accepted an undeclared system")
+	}
+	if want[0].Key != DefaultKey || StarlinkSystem().Key != DefaultKey {
+		t.Errorf("DefaultKey %q does not name the default system %q", DefaultKey, want[0].Key)
 	}
 }
 

@@ -122,6 +122,26 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestWriteTextHistogramQuantiles pins the histogram line of the text
+// snapshot (the /metrics body): the tail quantiles p90 and p99 sit
+// between p50 and max. The observations 1..100 fill ten equal buckets,
+// so every quantile interpolates to an exact value.
+func TestWriteTextHistogramQuantiles(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
+	for v := 1; v <= 100; v++ {
+		h.Observe(float64(v))
+	}
+	var sb strings.Builder
+	if err := r.Snapshot().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "histogram lat count=100 sum=5050 mean=50.5 p50=50 p90=90 p99=99 max=100\n"
+	if got := sb.String(); got != want {
+		t.Errorf("WriteText:\n got %q\nwant %q", got, want)
+	}
+}
+
 // TestRegistryGetOrCreate: repeated lookups return the same pointer, so
 // instrument caching in package vars is sound.
 func TestRegistryGetOrCreate(t *testing.T) {

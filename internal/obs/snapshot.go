@@ -111,7 +111,7 @@ func (r *Registry) Snapshot() Snapshot {
 //
 //	counter   safeio.fsyncs 12
 //	gauge     gen.cells 71532
-//	histogram par.sweep.seconds count=8 sum=1.2045 mean=0.1506 p50=0.0881 max=0.5210
+//	histogram par.sweep.seconds count=8 sum=1.2045 mean=0.1506 p50=0.0881 p90=0.4102 p99=0.5099 max=0.5210
 //
 // Instruments with zero activity are included so the reader sees what
 // exists, not only what fired.
@@ -143,8 +143,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		h := s.Histograms[name]
-		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%.6g mean=%.6g p50=%.6g max=%.6g\n",
-			name, h.Count, h.Sum, h.Mean(), h.Quantile(0.5), h.Max); err != nil {
+		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%.6g mean=%.6g p50=%.6g p90=%.6g p99=%.6g max=%.6g\n",
+			name, h.Count, h.Sum, h.Mean(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Max); err != nil {
 			return err
 		}
 	}

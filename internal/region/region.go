@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
@@ -80,26 +81,32 @@ type Region interface {
 // DefaultKey is the canonical key of the default region.
 const DefaultKey = "us"
 
-// Regions returns the declared regions in canonical order. The first
-// entry is the default (the calibrated US pipeline).
+// declared is the region table in canonical order, with the default
+// (the calibrated US pipeline) first. It is built once, at package
+// initialization, which also validates the synthetic specs. The
+// entries are shared by every lookup: a Region is an immutable value,
+// and no Region method writes through its spec or anchor slices.
+var declared = [...]Region{US(), BrazilRural(), TaipeiDense()}
+
+// Regions returns the declared regions in canonical order, in a fresh
+// slice the caller owns. The first entry is the default.
 func Regions() []Region {
-	return []Region{US(), BrazilRural(), TaipeiDense()}
+	return slices.Clone(declared[:])
 }
 
 // Names returns the canonical keys of the declared regions, in
 // canonical order.
 func Names() []string {
-	regions := Regions()
-	names := make([]string, len(regions))
-	for i, r := range regions {
+	names := make([]string, len(declared))
+	for i, r := range declared {
 		names[i] = r.Key()
 	}
 	return names
 }
 
-// ByName resolves a canonical key to its region.
+// ByName resolves a canonical key to its declared region.
 func ByName(name string) (Region, bool) {
-	for _, r := range Regions() {
+	for _, r := range declared {
 		if r.Key() == name {
 			return r, true
 		}

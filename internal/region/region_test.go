@@ -39,6 +39,16 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByName(""); ok {
 		t.Error("ByName accepted the empty string")
 	}
+	// Regions hands out a fresh slice of the once-built table, so
+	// overwriting an element of one result changes neither the next
+	// result nor a lookup.
+	regions[0] = regions[1]
+	if got := Regions()[0].Key(); got != DefaultKey {
+		t.Errorf("Regions()[0] = %q after overwriting an earlier result, want %q", got, DefaultKey)
+	}
+	if r, _ := ByName(DefaultKey); r.Key() != DefaultKey {
+		t.Errorf("ByName(%q) = %q after overwriting a Regions result", DefaultKey, r.Key())
+	}
 }
 
 func TestGenConfigValidate(t *testing.T) {

@@ -21,6 +21,12 @@
 //     SIGTERM/SIGINT to that context), so in-flight queries finish
 //     before the process exits.
 //
+// A request that names no region is answered on the server's base
+// region — the geography of its startup dataset — exactly as if it
+// named that region: same canonical key, same cached body. Only a
+// request naming a different region reaches a sibling geography,
+// generated lazily at the server's (seed, scale).
+//
 // Wire contract (schema leodivide-serve/v3, the only one accepted; a
 // body declaring any other schema is a 400):
 //
@@ -276,10 +282,15 @@ func (e *httpError) Error() string { return e.msg }
 // -scenario flag uses (unknown fields, trailing data and an unsupported
 // schema are all 400s) and merges it into the server's base scenario
 // with ScenarioRequest.Apply. Only the serving-specific rules live
-// here: the body must declare its schema, and a seed or scale other
-// than the server dataset's is a 409. The region selector is a knob,
-// not a dataset-identity conflict: the server generates sibling
-// geographies lazily at its own (seed, scale).
+// here: the body must declare its schema, a seed or scale other than
+// the server dataset's is a 409, and an omitted region inherits the
+// server's base region, just as an omitted seed or scale inherits the
+// dataset's. A named region is a knob, not a dataset-identity
+// conflict: the server generates sibling geographies lazily at its own
+// (seed, scale).
+//
+// Resolving builds no model: names are checked against the
+// package-level experiment, constellation and region tables.
 func (s *Server) resolve(body []byte) (leodivide.ScenarioConfig, error) {
 	req, err := leodivide.ParseScenarioRequest(body)
 	if err != nil {
@@ -298,6 +309,9 @@ func (s *Server) resolve(body []byte) (leodivide.ScenarioConfig, error) {
 	if req.Scale != nil && *req.Scale != s.base.Scale {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
 			fmt.Sprintf("scale %v does not match the server dataset (%s)", *req.Scale, s.base.RunConfig)}
+	}
+	if req.Region == "" {
+		req.Region = s.baseRegion
 	}
 	return req.Apply(s.base)
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"leodivide"
+	"leodivide/internal/constellation"
 	"leodivide/internal/memo"
 	"leodivide/internal/obs"
 )
@@ -417,6 +418,60 @@ func TestScenarioRegion(t *testing.T) {
 
 }
 
+// TestScenarioBaseRegionInherited: a server started on a non-US region
+// answers a request that names no region on that region, byte for byte
+// as if the request had named it, without generating any sibling
+// geography. On a US server the omitted region is still "us".
+func TestScenarioBaseRegionInherited(t *testing.T) {
+	base := leodivide.DefaultRunConfig()
+	base.Scale = 0.05
+	s, err := New(context.Background(), Config{
+		Scenario: leodivide.ScenarioConfig{RunConfig: base, Region: "brazil-rural"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, implicit := postScenario(t, ts.URL, scenarioBody("fig1", ""))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("region-less fig1: %d %s", resp.StatusCode, implicit)
+	}
+	var r Response
+	if err := json.Unmarshal(implicit, &r); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(r.Key, "|region=brazil-rural|") {
+		t.Errorf("region-less request on a brazil-rural server got key %q", r.Key)
+	}
+	resp, explicit := postScenario(t, ts.URL, scenarioBody("fig1", `"region":"brazil-rural"`))
+	if h := resp.Header.Get(CacheHeader); h != "hit" {
+		t.Errorf("explicit base region %s = %q, want hit", CacheHeader, h)
+	}
+	if !bytes.Equal(implicit, explicit) {
+		t.Error("explicit base region produced different bytes than the region-less request")
+	}
+	if h, mi, c, _ := s.regions.Counters(); h+mi+c != 0 || s.regions.Len() != 0 {
+		t.Errorf("sibling-region memo (hits, misses, coalesced) = (%d, %d, %d), %d datasets; want no lookups",
+			h, mi, c, s.regions.Len())
+	}
+
+	us, uts := newTestServer(t, Config{})
+	_, def := postScenario(t, uts.URL, scenarioBody("fig1", ""))
+	if err := json.Unmarshal(def, &r); err != nil {
+		t.Fatal(err)
+	}
+	want := leodivide.DefaultScenarioConfig("fig1")
+	want.Scale = testScale
+	if key, err := want.CanonicalKey(); err != nil || r.Key != key {
+		t.Errorf("region-less request on a us server got key %q, want %q (err %v)", r.Key, key, err)
+	}
+	if h, mi, c, _ := us.regions.Counters(); h+mi+c != 0 {
+		t.Errorf("us server looked up a sibling region for a region-less request")
+	}
+}
+
 func TestRegionsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/regions")
@@ -467,6 +522,37 @@ func TestConstellationsEndpoint(t *testing.T) {
 		if c.CostSatelliteUSD <= 0 || c.CostLifeYears <= 0 {
 			t.Errorf("constellation %q has degenerate cost defaults: %+v", c.Name, c)
 		}
+	}
+}
+
+// TestConstellationsEndpointUnaliased: mutating the systems the
+// constellation package hands out does not reach the declared table,
+// so GET /v1/constellations answers the same bytes afterwards.
+func TestConstellationsEndpointUnaliased(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	get := func() []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/constellations")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := get()
+	sys, _ := constellation.SystemByName("starlink")
+	sys.Bands[0].WidthMHz = 1
+	sys.Shells[0].Total = 1
+	for _, sys := range constellation.Systems() {
+		sys.Bands[0].WidthMHz = 1
+		sys.Shells[0].Total = 1
+	}
+	if after := get(); !bytes.Equal(before, after) {
+		t.Errorf("/v1/constellations changed after mutating returned systems:\n%s\n%s", before, after)
 	}
 }
 

@@ -130,3 +130,60 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryListing: every listed experiment resolves by name to an
+// entry with the same name and description.
+func TestRegistryListing(t *testing.T) {
+	m := NewModel()
+	for _, e := range m.Experiments() {
+		got, ok := m.ExperimentByName(e.Name)
+		if !ok || got.Name != e.Name || got.Description != e.Description {
+			t.Errorf("ExperimentByName(%q) = {%q, %q}, %v; listed as {%q, %q}",
+				e.Name, got.Name, got.Description, ok, e.Name, e.Description)
+		}
+	}
+	if _, ok := m.ExperimentByName("warpdrive"); ok {
+		t.Error("ExperimentByName accepted an unknown name")
+	}
+}
+
+// TestRegistryBindsModel: the registry is one shared table, but each
+// Model's Experiments and ExperimentByName run under that Model. Fig3
+// is the witness because its curves follow MaxOversub (Fig2's grid of
+// caps is fixed, so it cannot tell two models apart).
+func TestRegistryBindsModel(t *testing.T) {
+	ds := smallDataset(t, 1)
+	ctx := context.Background()
+	a, b := NewModel(), NewModel()
+	b.MaxOversub = 30
+	run := func(e Experiment, ok bool) []Fig3Result {
+		t.Helper()
+		if !ok {
+			t.Fatal("fig3 missing from the registry")
+		}
+		v, err := e.Run(ctx, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.([]Fig3Result)
+	}
+	byName := func(m Model) []Fig3Result { return run(m.ExperimentByName("fig3")) }
+	listed := func(m Model) []Fig3Result {
+		for _, e := range m.Experiments() {
+			if e.Name == "fig3" {
+				return run(e, true)
+			}
+		}
+		return run(Experiment{}, false)
+	}
+	for _, get := range []func(Model) []Fig3Result{byName, listed} {
+		ra, rb := get(a), get(b)
+		if ra[0].Oversub != a.MaxOversub || rb[0].Oversub != b.MaxOversub {
+			t.Errorf("fig3 oversub = %v, %v; want each model's own %v, %v",
+				ra[0].Oversub, rb[0].Oversub, a.MaxOversub, b.MaxOversub)
+		}
+		if reflect.DeepEqual(ra, rb) {
+			t.Error("models with different MaxOversub got identical fig3 results")
+		}
+	}
+}

@@ -110,22 +110,22 @@ func (c ScenarioConfig) Normalized() ScenarioConfig {
 		c.Plans = plans
 	}
 	if c.Constellation == "" {
-		c.Constellation = constellation.StarlinkSystem().Key
+		c.Constellation = constellation.DefaultKey
 	}
 	if c.Region == "" {
 		c.Region = region.DefaultKey
 	}
 	// Cost defaults come from the selected system; an unknown name is
 	// left untouched for Validate to report.
-	if sys, ok := constellation.SystemByName(c.Constellation); ok {
+	if cost, ok := constellation.CostByName(c.Constellation); ok {
 		if c.CostSatelliteUSD == 0 {
-			c.CostSatelliteUSD = sys.Cost.AllInSatelliteUSD()
+			c.CostSatelliteUSD = cost.AllInSatelliteUSD()
 		}
 		if c.CostLifeYears == 0 {
-			c.CostLifeYears = sys.Cost.DesignLifeYears
+			c.CostLifeYears = cost.DesignLifeYears
 		}
 		if c.CostTerminalUSD == 0 {
-			c.CostTerminalUSD = sys.Cost.TerminalSubsidyUSD
+			c.CostTerminalUSD = cost.TerminalSubsidyUSD
 		}
 	}
 	return c
@@ -140,7 +140,7 @@ func (c ScenarioConfig) Validate() error {
 	if c.Experiment == "" {
 		return fmt.Errorf("leodivide: scenario names no experiment")
 	}
-	if _, ok := NewModel().ExperimentByName(c.Experiment); !ok {
+	if _, ok := lookupEntry(c.Experiment); !ok {
 		return fmt.Errorf("leodivide: unknown experiment %q (see `leodivide experiments`)", c.Experiment)
 	}
 	return c.validateBase()
@@ -178,7 +178,7 @@ func (c ScenarioConfig) validateBase() error {
 		}
 		seen[p] = true
 	}
-	if _, ok := constellation.SystemByName(n.Constellation); !ok {
+	if _, ok := constellation.CostByName(n.Constellation); !ok {
 		return fmt.Errorf("leodivide: unknown constellation %q (valid: %s)",
 			n.Constellation, strings.Join(constellation.SystemNames(), ", "))
 	}

@@ -2,10 +2,16 @@ package leodivide
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"leodivide/internal/constellation"
+	"leodivide/internal/region"
 )
 
 // scenarioKeyGoldenV3 is the exact byte layout of the default table2
@@ -358,5 +364,66 @@ func TestFig4PlanFilter(t *testing.T) {
 	}
 	if _, err := exp.Run(ctx, ds); err == nil || !strings.Contains(err.Error(), "PlanFilter") {
 		t.Errorf("findings without Starlink: err = %v, want a PlanFilter error", err)
+	}
+}
+
+// scenarioKeyDigest is the SHA-256 of every canonical key in
+// keyDigestScenarios, in order, one per line. The keys are the cache
+// and wire identity of every served result, so a change to how names
+// resolve or knobs normalize must leave this digest alone.
+const scenarioKeyDigest = "2d2bcf20bc4fe59dc8c0d369ddc90528ca4f3fb073990c78aac2372a4251ac29"
+
+// keyDigestScenarios is every registry experiment × constellation ×
+// region under four knob variants: the defaults, an oversubscription
+// cap, an affordability share and a satellite-cost override.
+func keyDigestScenarios() []ScenarioConfig {
+	variants := []func(*ScenarioConfig){
+		func(*ScenarioConfig) {},
+		func(c *ScenarioConfig) { c.MaxOversub = 25 },
+		func(c *ScenarioConfig) { c.AffordShare = 0.025 },
+		func(c *ScenarioConfig) { c.CostSatelliteUSD = 2e6 },
+	}
+	var out []ScenarioConfig
+	for _, e := range NewModel().Experiments() {
+		for _, sys := range constellation.SystemNames() {
+			for _, reg := range region.Names() {
+				for _, v := range variants {
+					c := DefaultScenarioConfig(e.Name)
+					c.Constellation = sys
+					c.Region = reg
+					v(&c)
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestScenarioCanonicalKeyDigest pins the canonical key of every
+// registry experiment × constellation × region × knob variant, and
+// checks that ParseScenarioKey round-trips each one.
+func TestScenarioCanonicalKeyDigest(t *testing.T) {
+	h := sha256.New()
+	scenarios := keyDigestScenarios()
+	for _, c := range scenarios {
+		key, err := c.CanonicalKey()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		fmt.Fprintln(h, key)
+		back, err := ParseScenarioKey(key)
+		if err != nil {
+			t.Fatalf("ParseScenarioKey(%q): %v", key, err)
+		}
+		if again, err := back.CanonicalKey(); err != nil || again != key {
+			t.Errorf("round trip of %q gave %q (err %v)", key, again, err)
+		}
+	}
+	if n := len(scenarios); n != 14*4*3*4 {
+		t.Errorf("%d scenarios, want %d", n, 14*4*3*4)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != scenarioKeyDigest {
+		t.Errorf("canonical key digest = %s, want %s", got, scenarioKeyDigest)
 	}
 }

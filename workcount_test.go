@@ -39,7 +39,8 @@ const allocHeadroom = 1.25
 // allocParent is the allocation count of each row when the gate was
 // set: "generate" is the Mallocs delta of one warm generation, a
 // registry name is testing.AllocsPerRun of one warm run, and
-// "serve-miss" is the Mallocs delta of one warm serve-miss request.
+// "serve-miss" and "serve-hit" are the Mallocs deltas of one warm
+// result-cache miss and one result-cache hit.
 var allocParent = map[string]float64{
 	"generate":   172,
 	"fig1":       7,
@@ -56,7 +57,8 @@ var allocParent = map[string]float64{
 	"costcurve":  64,
 	"xconst":     16,
 	"xregion":    299,
-	"serve-miss": 526,
+	"serve-miss": 166,
+	"serve-hit":  54,
 }
 
 // checkAllocs fails the test when row allocated more than its ceiling.
@@ -149,28 +151,31 @@ func TestWorkCounts(t *testing.T) {
 		}
 	})
 
+	srv, err := serve.New(context.Background(), serve.Config{Scenario: workScenario(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(t *testing.T, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
+		}
+		return w
+	}
+	fig3 := fmt.Sprintf(`{"schema":%q,"experiment":"fig3"}`, leodivide.ScenarioSchema)
+
 	t.Run("serve-miss", func(t *testing.T) {
-		srv, err := serve.New(context.Background(), serve.Config{Scenario: workScenario(7)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		post := func(body string) *httptest.ResponseRecorder {
-			w := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(body)))
-			if w.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", body, w.Code, w.Body)
-			}
-			return w
-		}
 		// The first request warms the stage memo; the second is a new
 		// scenario, so it misses the result cache and runs the kernel
 		// on warm stages.
-		post(fmt.Sprintf(`{"schema":%q,"experiment":"fig3"}`, leodivide.ScenarioSchema))
+		post(t, fig3)
 		stages := srv.Dataset().Distribution().Stages()
 		h0, m0, c0, e0 := stages.Counters()
 		var w *httptest.ResponseRecorder
 		got := mallocs(func() {
-			w = post(fmt.Sprintf(`{"schema":%q,"experiment":"fig3","max_oversub":25}`, leodivide.ScenarioSchema))
+			w = post(t, fmt.Sprintf(`{"schema":%q,"experiment":"fig3","max_oversub":25}`, leodivide.ScenarioSchema))
 		})
 		if status := w.Header().Get(serve.CacheHeader); status != "miss" {
 			t.Fatalf("second request was a result-cache %s, want miss", status)
@@ -181,5 +186,18 @@ func TestWorkCounts(t *testing.T) {
 				h, m, c, e)
 		}
 		checkAllocs(t, "serve-miss", got)
+	})
+
+	t.Run("serve-hit", func(t *testing.T) {
+		// A scenario answered before is a result-cache hit: decode,
+		// resolve, canonical key, memo lookup and the body write, with
+		// no model built and no kernel run.
+		post(t, fig3)
+		var w *httptest.ResponseRecorder
+		got := mallocs(func() { w = post(t, fig3) })
+		if status := w.Header().Get(serve.CacheHeader); status != "hit" {
+			t.Fatalf("repeated request was a result-cache %s, want hit", status)
+		}
+		checkAllocs(t, "serve-hit", got)
 	})
 }
