@@ -13,6 +13,7 @@
 package census
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Federal assistance constants (2025 program parameters used by the
@@ -82,16 +84,8 @@ func DefaultIncomeAnchors() []QuantileAnchor {
 // IncomeQuantile evaluates the anchored quantile function at q,
 // interpolating log-linearly in income between anchors.
 func IncomeQuantile(anchors []QuantileAnchor, q float64) (float64, error) {
-	if len(anchors) < 2 {
-		return 0, fmt.Errorf("census: need at least 2 anchors, got %d", len(anchors))
-	}
-	for i := 1; i < len(anchors); i++ {
-		if anchors[i].Q <= anchors[i-1].Q {
-			return 0, fmt.Errorf("census: anchors not strictly increasing in Q at %d", i)
-		}
-		if anchors[i].Income <= anchors[i-1].Income {
-			return 0, fmt.Errorf("census: anchors not strictly increasing in income at %d", i)
-		}
+	if err := validateAnchors(anchors); err != nil {
+		return 0, err
 	}
 	if q <= anchors[0].Q {
 		return anchors[0].Income, nil
@@ -106,6 +100,70 @@ func IncomeQuantile(anchors []QuantileAnchor, q float64) (float64, error) {
 	return math.Exp(math.Log(a.Income) + t*(math.Log(b.Income)-math.Log(a.Income))), nil
 }
 
+// validateAnchors checks the anchor rules IncomeQuantile states.
+func validateAnchors(anchors []QuantileAnchor) error {
+	if len(anchors) < 2 {
+		return fmt.Errorf("census: need at least 2 anchors, got %d", len(anchors))
+	}
+	for i := 1; i < len(anchors); i++ {
+		if anchors[i].Q <= anchors[i-1].Q {
+			return fmt.Errorf("census: anchors not strictly increasing in Q at %d", i)
+		}
+		if anchors[i].Income <= anchors[i-1].Income {
+			return fmt.Errorf("census: anchors not strictly increasing in income at %d", i)
+		}
+	}
+	return nil
+}
+
+// quantileWalk evaluates IncomeQuantile over one set of anchors at a
+// rising sequence of quantiles: the anchors are validated and their
+// logs taken once, and the anchor segment is walked forward instead of
+// searched per call. Each value is the same float expression
+// IncomeQuantile evaluates, so the results are identical bit for bit.
+type quantileWalk struct {
+	anchors []QuantileAnchor
+	logs    []float64
+	seg     int  // the last segment found; its start Q is at most the next q
+	search  bool // a NaN Q breaks the walk's ordering: search every q
+}
+
+func newQuantileWalk(anchors []QuantileAnchor) (*quantileWalk, error) {
+	if err := validateAnchors(anchors); err != nil {
+		return nil, err
+	}
+	w := &quantileWalk{anchors: anchors, logs: make([]float64, len(anchors))}
+	for i, a := range anchors {
+		w.logs[i] = math.Log(a.Income)
+		w.search = w.search || math.IsNaN(a.Q)
+	}
+	return w, nil
+}
+
+// at returns IncomeQuantile(anchors, q). A q below the segment of the
+// previous call (or NaN) is searched for as IncomeQuantile does.
+func (w *quantileWalk) at(q float64) float64 {
+	a := w.anchors
+	if q <= a[0].Q {
+		return a[0].Income
+	}
+	if last := a[len(a)-1]; q >= last.Q {
+		return last.Income
+	}
+	i := w.seg
+	if w.search || !(a[i].Q <= q) {
+		i = sort.Search(len(a), func(i int) bool { return a[i].Q > q }) - 1
+	} else {
+		// q < last.Q, so the walk stops by the final segment.
+		for a[i+1].Q <= q {
+			i++
+		}
+	}
+	w.seg = i
+	t := (q - a[i].Q) / (a[i+1].Q - a[i].Q)
+	return math.Exp(w.logs[i] + t*(w.logs[i+1]-w.logs[i]))
+}
+
 // CountyIncome is one county's ACS-style record.
 type CountyIncome struct {
 	FIPS                     string
@@ -118,8 +176,13 @@ type CountyIncome struct {
 
 // Table holds per-county incomes keyed by FIPS.
 type Table struct {
-	byFIPS  map[string]CountyIncome
 	ordered []CountyIncome // ascending by income
+
+	// byFIPS serves Lookup. NewTable fills it. A table that
+	// AssignIncomes orders itself gets it on the first Lookup instead,
+	// since generation never looks a county up.
+	index  sync.Once
+	byFIPS map[string]CountyIncome
 }
 
 // NewTable builds a Table from records.
@@ -154,6 +217,17 @@ func less(lt bool) int {
 
 // Lookup returns the county record for a FIPS code.
 func (t *Table) Lookup(fips string) (CountyIncome, bool) {
+	t.index.Do(func() {
+		if t.byFIPS != nil {
+			return
+		}
+		// Only AssignIncomes leaves the index empty, and its FIPS codes
+		// are unique, so the build order cannot matter.
+		t.byFIPS = make(map[string]CountyIncome, len(t.ordered))
+		for _, r := range t.ordered {
+			t.byFIPS[r.FIPS] = r
+		}
+	})
 	r, ok := t.byFIPS[fips]
 	return r, ok
 }
@@ -175,8 +249,8 @@ type CountyWeight struct {
 	StateAbbr string
 	Weight    float64
 	// PovertyRank orders counties from poorest to richest before income
-	// assignment; callers typically derive it from state-level rural
-	// poverty plus a deterministic per-county jitter.
+	// assignment; the generators use a seed-keyed per-county hash
+	// jitter, independent of geography.
 	PovertyRank float64
 }
 
@@ -189,16 +263,15 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("census: no county weights")
 	}
-	ws := make([]CountyWeight, len(weights))
-	copy(ws, weights)
-	slices.SortFunc(ws, func(a, b CountyWeight) int {
-		if a.PovertyRank != b.PovertyRank {
-			return less(a.PovertyRank < b.PovertyRank)
-		}
-		return strings.Compare(a.FIPS, b.FIPS)
-	})
+	ascending := fipsAscending(weights)
+	keys := make([]rankKey, len(weights))
+	for i, w := range weights {
+		keys[i] = rankKey{key: w.PovertyRank, idx: int32(i)}
+	}
+	sortRows(keys, weights, ascending)
 	total := 0.0
-	for _, w := range ws {
+	for _, k := range keys {
+		w := weights[k.idx]
 		if w.Weight < 0 {
 			return nil, fmt.Errorf("census: negative weight for county %s", w.FIPS)
 		}
@@ -207,23 +280,85 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 	if total <= 0 {
 		return nil, fmt.Errorf("census: zero total weight")
 	}
-	records := make([]CountyIncome, 0, len(ws))
+	walk, err := newQuantileWalk(anchors)
+	if err != nil {
+		return nil, err
+	}
+	// The midpoints rise with the poverty order (weights are
+	// nonnegative), which is what lets the walk run forward. Each key
+	// becomes the county's income, ACS-style rounded.
 	cum := 0.0
-	for _, w := range ws {
-		mid := (cum + w.Weight/2) / total
-		cum += w.Weight
-		income, err := IncomeQuantile(anchors, mid)
-		if err != nil {
-			return nil, err
+	for j, k := range keys {
+		w := weights[k.idx].Weight
+		mid := (cum + w/2) / total
+		cum += w
+		keys[j].key = math.Round(walk.at(mid)/50) * 50
+	}
+	if !ascending {
+		// Repeated codes are possible here, and NewTable's index keeps
+		// the last record of a code in poverty order.
+		return NewTable(incomeRecords(weights, keys)), nil
+	}
+	sortRows(keys, weights, ascending)
+	return &Table{ordered: incomeRecords(weights, keys)}, nil
+}
+
+// rankKey is one row of AssignIncomes' sort columns: a poverty rank or
+// an income, and the county's input index.
+type rankKey struct {
+	key float64
+	idx int32
+}
+
+// sortRows orders rows by key, breaking ties by FIPS. Both sorts of
+// AssignIncomes run over this pointer-free column. When the FIPS codes
+// strictly ascend (ascending), as both generators emit them, the input
+// index orders exactly as the FIPS does, so the tie-break compares
+// integers instead of strings. Every comparison then returns what the
+// struct comparators AssignIncomes and NewTable first used return for
+// the same pair, so pdqsort permutes identically, ties and NaN keys
+// included.
+func sortRows(rows []rankKey, weights []CountyWeight, ascending bool) {
+	if ascending {
+		slices.SortFunc(rows, func(a, b rankKey) int {
+			if a.key != b.key {
+				return less(a.key < b.key)
+			}
+			return cmp.Compare(a.idx, b.idx)
+		})
+		return
+	}
+	slices.SortFunc(rows, func(a, b rankKey) int {
+		if a.key != b.key {
+			return less(a.key < b.key)
 		}
-		records = append(records, CountyIncome{
+		return strings.Compare(weights[a.idx].FIPS, weights[b.idx].FIPS)
+	})
+}
+
+// incomeRecords gathers the records of (income, input index) rows.
+func incomeRecords(weights []CountyWeight, rows []rankKey) []CountyIncome {
+	out := make([]CountyIncome, len(rows))
+	for j, r := range rows {
+		w := weights[r.idx]
+		out[j] = CountyIncome{
 			FIPS:                     w.FIPS,
 			StateAbbr:                w.StateAbbr,
-			MedianHouseholdIncomeUSD: math.Round(income/50) * 50, // ACS-style rounding
+			MedianHouseholdIncomeUSD: r.key,
 			Weight:                   w.Weight,
-		})
+		}
 	}
-	return NewTable(records), nil
+	return out
+}
+
+// fipsAscending reports whether the county codes strictly ascend.
+func fipsAscending(weights []CountyWeight) bool {
+	for i := 1; i < len(weights); i++ {
+		if weights[i-1].FIPS >= weights[i].FIPS {
+			return false
+		}
+	}
+	return true
 }
 
 // WeightedFractionBelow returns the location-weight fraction of counties

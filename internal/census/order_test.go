@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -121,4 +122,89 @@ func TestNewTableMatchesReferenceOrder(t *testing.T) {
 			t.Fatalf("trial %d (%d records): NewTable order differs from the reference", trial, n)
 		}
 	}
+}
+
+// The generators' input, strictly ascending FIPS, takes the integer
+// tie-break; it must order exactly as the reference too, NaN ranks
+// included.
+func TestAssignIncomesAscendingFIPSMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(400)
+		ws := randomWeights(rng, n, false)
+		sort.Slice(ws, func(i, j int) bool { return ws[i].FIPS < ws[j].FIPS })
+		if trial%5 == 0 {
+			ws[rng.Intn(n)].PovertyRank = math.NaN()
+		}
+		table, err := AssignIncomes(ws, DefaultIncomeAnchors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceNewTable(referenceAssignIncomes(ws, DefaultIncomeAnchors()))
+		if got := table.Counties(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d counties): AssignIncomes order differs from the reference", trial, n)
+		}
+		for _, r := range want {
+			if got, ok := table.Lookup(r.FIPS); !ok || got != r {
+				t.Fatalf("trial %d: Lookup(%s) = %+v, %v, want %+v", trial, r.FIPS, got, ok, r)
+			}
+		}
+	}
+}
+
+// quantileWalk gives IncomeQuantile's bits for rising, falling and NaN
+// quantiles, over the default anchors and anchors with a NaN Q.
+func TestQuantileWalkMatchesIncomeQuantile(t *testing.T) {
+	nanQ := []QuantileAnchor{{Q: 0, Income: 1}, {Q: math.NaN(), Income: 2}, {Q: 0.5, Income: 3}, {Q: 1, Income: 4}}
+	rng := rand.New(rand.NewSource(6))
+	for _, anchors := range [][]QuantileAnchor{DefaultIncomeAnchors(), nanQ} {
+		w, err := newQuantileWalk(anchors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := []float64{-1, 0, 0.00008, 0.02, 0.3, 0.3, 0.97, 1, 2, 0.5, 0.1}
+		for i := 0; i < 2000; i++ {
+			qs = append(qs, rng.Float64())
+		}
+		for i := 0; i < 2000; i++ {
+			qs = append(qs, float64(i)/2000)
+		}
+		for _, q := range qs {
+			want, err := IncomeQuantile(anchors, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := w.at(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("walk at %v = %v, IncomeQuantile gives %v", q, got, want)
+			}
+		}
+	}
+	if _, err := newQuantileWalk(DefaultIncomeAnchors()[:1]); err == nil {
+		t.Error("one anchor accepted")
+	}
+}
+
+// The index an AssignIncomes table builds on first Lookup is built
+// once, whichever goroutines look up first.
+func TestLookupConcurrentFirstCalls(t *testing.T) {
+	ws := randomWeights(rand.New(rand.NewSource(7)), 300, false)
+	sort.Slice(ws, func(i, j int) bool { return ws[i].FIPS < ws[j].FIPS })
+	table, err := AssignIncomes(ws, DefaultIncomeAnchors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, w := range ws {
+				if r, ok := table.Lookup(w.FIPS); !ok || r.FIPS != w.FIPS {
+					t.Errorf("Lookup(%s) = %+v, %v", w.FIPS, r, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

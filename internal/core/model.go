@@ -417,7 +417,7 @@ func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, s
 		return nil, err
 	}
 
-	var out []ReturnsPoint
+	out := make([]ReturnsPoint, 0, len(prof))
 	lastUnserved, lastSats := -1, -1
 	for i, p := range prof {
 		sats := bandSats[p.beams]
@@ -453,7 +453,7 @@ func (m Model) diminishingReturnsAllCells(ctx context.Context, d *demand.Distrib
 	if err != nil {
 		return nil, err
 	}
-	var out []ReturnsPoint
+	out := make([]ReturnsPoint, 0, len(raw))
 	lastUnserved, lastSats := -1, -1
 	for _, p := range raw {
 		if p.UnservedLocations == lastUnserved && p.Satellites == lastSats {

@@ -163,7 +163,7 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 	for r, i := range rows {
 		keys[r] = uint64(math.MaxInt32-cells[i].Locations)<<32 | uint64(r)
 	}
-	slices.Sort(keys)
+	stats.SortUint64(keys)
 	kept := make([]Cell, len(keys))
 	for k, key := range keys {
 		kept[k] = cells[rows[uint32(key)]]

@@ -298,6 +298,32 @@ func (s SyntheticSpec) bodyCounts(total, n int) ([]int, error) {
 	return counts, nil
 }
 
+// bodyCountsMemo holds synthetic bodyCounts results. They are a pure
+// function of the total, the cell count and the density anchors, so
+// every generation of a region at one scale shares one split whatever
+// its seed. The bound keeps ad-hoc specs and scales from growing it
+// without limit.
+var bodyCountsMemo = memo.New(memo.Options[[]int]{MaxEntries: 8})
+
+// memoBodyCounts is bodyCounts through bodyCountsMemo, keyed by the
+// total, the cell count and the anchors' exact bits. The result is
+// shared: callers must not modify it.
+func (s SyntheticSpec) memoBodyCounts(ctx context.Context, total, n int) ([]int, error) {
+	key := strconv.AppendInt(nil, int64(total), 10)
+	key = append(key, ' ')
+	key = strconv.AppendInt(key, int64(n), 10)
+	for _, a := range s.DensityAnchors {
+		key = append(key, ' ')
+		key = strconv.AppendUint(key, math.Float64bits(a.Q), 16)
+		key = append(key, ':')
+		key = strconv.AppendUint(key, math.Float64bits(a.Weight), 16)
+	}
+	counts, _, err := bodyCountsMemo.Do(ctx, string(key), func() ([]int, error) {
+		return s.bodyCounts(total, n)
+	})
+	return counts, err
+}
+
 // synthetic is the Region over a validated spec.
 type synthetic struct {
 	spec SyntheticSpec
@@ -357,7 +383,7 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if peakSum >= total {
 		return Output{}, fmt.Errorf("region: spec %q: scaled peaks (%d) exceed scaled total (%d)", s.Key, peakSum, total)
 	}
-	counts, err := s.bodyCounts(total-peakSum, s.Cells)
+	counts, err := s.memoBodyCounts(ctx, total-peakSum, s.Cells)
 	if err != nil {
 		return Output{}, err
 	}
@@ -387,20 +413,24 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	// ID order. Districts partition the ID-sorted cells into contiguous
 	// blocks, so a district is a coherent slice of the geography and the
 	// codes are a pure function of the sorted order; each code is
-	// formatted once.
+	// formatted once, and each district's weight summed in the same pass.
 	cells := make([]demand.Cell, len(ids))
-	code, district := "", -1
+	codes := make([]string, s.Districts)
+	weights := make([]int, s.Districts)
+	district := -1
 	for i, k := range demand.IDOrder(ids) {
-		if d := i * s.Districts / len(cells); d != district {
-			code, district = fmt.Sprintf("%s%03d", s.DistrictPrefix, d), d
+		d := i * s.Districts / len(cells)
+		if d != district {
+			codes[d], district = fmt.Sprintf("%s%03d", s.DistrictPrefix, d), d
 		}
-		cells[i] = demand.Cell{ID: ids[k], Locations: rowLocs[k], CountyFIPS: code, Center: ids[k].LatLng()}
+		weights[d] += rowLocs[k]
+		cells[i] = demand.Cell{ID: ids[k], Locations: rowLocs[k], CountyFIPS: codes[d], Center: ids[k].LatLng()}
 	}
 	dist, err := demand.NewDistribution(cells)
 	if err != nil {
 		return Output{}, err
 	}
-	incomes, err := districtIncomes(dist, s, g.Seed)
+	incomes, err := districtIncomes(codes, weights, s, g.Seed)
 	if err != nil {
 		return Output{}, err
 	}
@@ -408,24 +438,24 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 }
 
 // districtIncomes assigns the anchored income quantile function over
-// the synthetic districts, ranked by the same seed-keyed fnv jitter the
-// US pipeline uses for counties — deterministic, and independent of
-// geography so income and demand density stay uncorrelated.
-func districtIncomes(dist *demand.Distribution, s SyntheticSpec, seed int64) (*census.Table, error) {
-	weights := dist.CountyWeights()
-	codes := make([]string, 0, len(weights))
-	for code := range weights {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes)
-	cw := make([]census.CountyWeight, len(codes))
-	for i, code := range codes {
-		cw[i] = census.CountyWeight{
-			FIPS:        code,
-			StateAbbr:   s.RegionAbbr,
-			Weight:      float64(weights[code]),
-			PovertyRank: rankJitter(seed, code),
+// the synthetic districts with demand, ranked by the same seed-keyed fnv
+// jitter the US pipeline uses for counties — deterministic, and
+// independent of geography so income and demand density stay
+// uncorrelated. codes and weights are indexed by district; the codes
+// ascend, since the prefix is fixed and the numbers are zero-padded to
+// three digits below the 1000-district cap.
+func districtIncomes(codes []string, weights []int, s SyntheticSpec, seed int64) (*census.Table, error) {
+	cw := make([]census.CountyWeight, 0, len(codes))
+	for d, w := range weights {
+		if w == 0 {
+			continue
 		}
+		cw = append(cw, census.CountyWeight{
+			FIPS:        codes[d],
+			StateAbbr:   s.RegionAbbr,
+			Weight:      float64(w),
+			PovertyRank: rankJitter(seed, codes[d]),
+		})
 	}
 	return census.AssignIncomes(cw, s.IncomeAnchors)
 }

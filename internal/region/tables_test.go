@@ -1,8 +1,9 @@
 package region
 
 // Pins for the per-op generation overheads this package removed: the
-// jitter bytes against fmt and hash/fnv, and the footprint-walk memo's
-// fill-once and cancellation behaviour.
+// jitter bytes against fmt and hash/fnv, the footprint-walk memo's
+// fill-once and cancellation behaviour, and the synthetic body-count
+// memo.
 
 import (
 	"context"
@@ -10,6 +11,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -124,5 +127,61 @@ func TestBoxKeyDistinguishesFootprints(t *testing.T) {
 			t.Errorf("footprint %+v shares a key", s)
 		}
 		keys[k] = true
+	}
+}
+
+// TestSyntheticBodyCountsMemo: generations of one region at one scale,
+// whatever their seed, split the body counts once and share the split;
+// a changed anchor, total or cell count gets its own entry, and an
+// error is not cached.
+func TestSyntheticBodyCountsMemo(t *testing.T) {
+	saved := bodyCountsMemo
+	bodyCountsMemo = memo.New(memo.Options[[]int]{MaxEntries: 8})
+	t.Cleanup(func() { bodyCountsMemo = saved })
+	r, err := NewSynthetic(brazilRuralSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gens = 3
+	for seed := int64(1); seed <= gens; seed++ {
+		if _, err := r.Generate(context.Background(), GenConfig{Seed: seed, Scale: 0.05}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if hits, misses, coalesced, evictions := bodyCountsMemo.Counters(); hits != gens-1 || misses != 1 || coalesced != 0 || evictions != 0 {
+		t.Errorf("after %d generations: hits/misses/coalesced/evictions = %d/%d/%d/%d, want %d/1/0/0",
+			gens, hits, misses, coalesced, evictions, gens-1)
+	}
+
+	bodyCountsMemo = memo.New(memo.Options[[]int]{MaxEntries: 8})
+	s := testSpec()
+	other := s
+	other.DensityAnchors = slices.Clone(s.DensityAnchors)
+	last := &other.DensityAnchors[len(other.DensityAnchors)-1]
+	last.Weight = math.Nextafter(last.Weight, math.Inf(1))
+	calls := []struct {
+		spec     SyntheticSpec
+		total, n int
+	}{{s, 5000, 40}, {other, 5000, 40}, {s, 5001, 40}, {s, 5000, 41}, {s, 5000, 40}}
+	for _, c := range calls {
+		got, err := c.spec.memoBodyCounts(context.Background(), c.total, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := c.spec.bodyCounts(c.total, c.n)
+		if !slices.Equal(got, want) {
+			t.Errorf("memoBodyCounts(%d, %d) differs from bodyCounts", c.total, c.n)
+		}
+	}
+	if hits, misses, _, _ := bodyCountsMemo.Counters(); hits != 1 || misses != 4 {
+		t.Errorf("distinct keys: hits/misses = %d/%d, want 1/4", hits, misses)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.memoBodyCounts(context.Background(), 3, 4); err == nil || !strings.Contains(err.Error(), "cannot cover") {
+			t.Errorf("too few locations: err = %v, want the bodyCounts error", err)
+		}
+	}
+	if hits, misses, _, _ := bodyCountsMemo.Counters(); hits != 1 || misses != 6 {
+		t.Errorf("after two failed fills: hits/misses = %d/%d, want 1/6", hits, misses)
 	}
 }

@@ -1,17 +1,17 @@
 package region
 
 // The "us" region: the calibrated BDC + census pipeline behind a
-// Region. This is a relocation, not a rewrite — the scale application,
-// the cell generation, and the income assignment (including the
-// per-county fnv hash jitter that orders the poverty ranking) are the
-// exact statements the root facade's GenerateDataset used to execute
-// inline, so the output is byte-identical to the legacy path at every
-// (seed, scale, parallelism). The golden corpus enforces that identity.
+// Region. The scale application, the cell generation, and the income
+// assignment (including the per-county fnv hash jitter that orders the
+// poverty ranking) compute what the root facade's GenerateDataset once
+// computed inline, so the output is byte-identical to the legacy path
+// at every (seed, scale, parallelism). The golden corpus and the
+// dataset digests enforce that identity.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -88,9 +88,9 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 }
 
 // assignIncomes distributes county incomes using a deterministic
-// poverty ordering: state rural weight (a proxy for rural poverty) plus
-// a per-county hash jitter. The per-county work is one short hash, so
-// it runs serially over the sorted FIPS list.
+// poverty ordering: a seed-keyed per-county hash jitter. It sums each
+// cell's locations into its county's slot of the FIPS-rank table and
+// emits the counties with demand in rank order, which is FIPS order.
 func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []census.QuantileAnchor, seed int64) (*census.Table, error) {
 	//lint:ignore detrand wall-clock feeds the generation span timing only, never the dataset
 	start := time.Now()
@@ -99,24 +99,30 @@ func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []cen
 		metricIncomeSecs.ObserveSince(start)
 		span.End()
 	}()
-	weights := dist.CountyWeights()
-	fipsList := make([]string, 0, len(weights))
-	for fips := range weights {
-		fipsList = append(fipsList, fips)
-	}
-	sort.Strings(fipsList)
-	cw := make([]census.CountyWeight, len(fipsList))
-	for i, fips := range fipsList {
-		abbr, err := stateOfFIPS(fips)
+	counties := usCounties()
+	weights := make([]int, len(counties.fips))
+	n := 0
+	for _, c := range dist.Cells() {
+		r, err := counties.rankOf(c.CountyFIPS)
 		if err != nil {
 			return nil, err
 		}
-		cw[i] = census.CountyWeight{
-			FIPS:        fips,
-			StateAbbr:   abbr,
-			Weight:      float64(weights[fips]),
-			PovertyRank: rankJitter(seed, fips),
+		if weights[r] == 0 {
+			n++
 		}
+		weights[r] += c.Locations
+	}
+	cw := make([]census.CountyWeight, 0, n)
+	for r, w := range weights {
+		if w == 0 {
+			continue
+		}
+		cw = append(cw, census.CountyWeight{
+			FIPS:        counties.fips[r],
+			StateAbbr:   counties.abbr[r],
+			Weight:      float64(w),
+			PovertyRank: rankJitter(seed, counties.fips[r]),
+		})
 	}
 	return census.AssignIncomes(cw, anchors)
 }
@@ -144,31 +150,63 @@ func jitterInput(buf []byte, seed int64, code string) []byte {
 	return append(buf, code...)
 }
 
-// stateOfFIPS maps a county FIPS prefix to a state abbreviation via the
-// usgeo tables. An unknown or too-short prefix is a hard error: a
-// silently empty state abbreviation used to flow into the income table
-// and skew the poverty ordering without any signal. The lookup table is
-// built once under sync.Once — datasets may generate on many goroutines
-// at once, so unsynchronized lazy initialization would race.
-func stateOfFIPS(fips string) (string, error) {
-	if len(fips) < 2 {
-		return "", fmt.Errorf("region: county FIPS %q too short for a state prefix", fips)
-	}
-	stateFIPSOnce.Do(func() {
-		m := make(map[string]string)
-		for _, s := range usgeo.States() {
-			m[s.FIPS] = s.Abbr
-		}
-		stateFIPSByPrefix = m
-	})
-	abbr, ok := stateFIPSByPrefix[fips[:2]]
-	if !ok {
-		return "", fmt.Errorf("region: unknown state FIPS prefix %q in county FIPS %q", fips[:2], fips)
-	}
-	return abbr, nil
+// countyTable is the FIPS-rank table: every US county in
+// usgeo.AllCounties order, which is ascending FIPS, with its state, and
+// a dense index from each 5-digit code's value to its rank. It depends
+// on nothing per seed, so it is built once per process (usCounties).
+type countyTable struct {
+	fips, abbr []string // by rank
+	rank       []uint16 // by code value: 1 + the county's rank, 0 for none
 }
 
-var (
-	stateFIPSOnce     sync.Once
-	stateFIPSByPrefix map[string]string
-)
+var usCounties = sync.OnceValue(func() *countyTable {
+	all := usgeo.AllCounties()
+	t := &countyTable{
+		fips: make([]string, len(all)),
+		abbr: make([]string, len(all)),
+		rank: make([]uint16, 100000),
+	}
+	for r, c := range all {
+		v, ok := fipsValue(c.FIPS)
+		if !ok || r+1 > math.MaxUint16 {
+			panic(fmt.Sprintf("region: county table cannot rank FIPS %q at %d", c.FIPS, r))
+		}
+		t.fips[r], t.abbr[r] = c.FIPS, c.StateAbbr
+		t.rank[v] = uint16(r + 1)
+	}
+	return t
+})
+
+// fipsValue returns the value of a 5-digit code.
+func fipsValue(s string) (int, bool) {
+	if len(s) != 5 {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + int(d)
+	}
+	return v, true
+}
+
+// rankOf returns the rank of a county FIPS code. An unknown code is a
+// hard error, named by what is wrong with it: a silently dropped or
+// misfiled county would skew the poverty ordering without any signal.
+func (t *countyTable) rankOf(fips string) (int, error) {
+	if v, ok := fipsValue(fips); ok && t.rank[v] != 0 {
+		return int(t.rank[v]) - 1, nil
+	}
+	if len(fips) < 2 {
+		return 0, fmt.Errorf("region: county FIPS %q too short for a state prefix", fips)
+	}
+	for _, s := range usgeo.States() {
+		if s.FIPS == fips[:2] {
+			return 0, fmt.Errorf("region: unknown county FIPS %q in state %s", fips, s.Abbr)
+		}
+	}
+	return 0, fmt.Errorf("region: unknown state FIPS prefix %q in county FIPS %q", fips[:2], fips)
+}

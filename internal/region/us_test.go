@@ -1,15 +1,22 @@
 package region
 
 import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"leodivide/internal/census"
+	"leodivide/internal/demand"
+	"leodivide/internal/usgeo"
 )
 
-// TestStateOfFIPS pins the hard-error contract on county FIPS prefixes
-// (relocated here with the income-assignment pipeline): before this, an
-// unknown prefix silently produced an empty state abbreviation that
-// skewed the income-assignment poverty ordering.
-func TestStateOfFIPS(t *testing.T) {
+// TestCountyRank pins the hard-error contract on county FIPS codes:
+// an unknown code once silently produced an empty state abbreviation
+// that skewed the income-assignment poverty ordering.
+func TestCountyRank(t *testing.T) {
 	cases := []struct {
 		fips    string
 		want    string
@@ -20,19 +27,96 @@ func TestStateOfFIPS(t *testing.T) {
 		{fips: "48201", want: "TX"},
 		{fips: "99123", wantErr: `unknown state FIPS prefix "99"`},
 		{fips: "00001", wantErr: `unknown state FIPS prefix "00"`},
+		{fips: "01002", wantErr: `unknown county FIPS "01002" in state AL`},
+		{fips: "010011", wantErr: `unknown county FIPS "010011" in state AL`},
 		{fips: "7", wantErr: "too short"},
 		{fips: "", wantErr: "too short"},
 	}
+	counties := usCounties()
 	for _, tc := range cases {
-		abbr, err := stateOfFIPS(tc.fips)
+		r, err := counties.rankOf(tc.fips)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("stateOfFIPS(%q) err = %v, want mention of %q", tc.fips, err, tc.wantErr)
+				t.Errorf("rankOf(%q) err = %v, want mention of %q", tc.fips, err, tc.wantErr)
 			}
 			continue
 		}
-		if err != nil || abbr != tc.want {
-			t.Errorf("stateOfFIPS(%q) = %q, %v, want %q", tc.fips, abbr, err, tc.want)
+		if err != nil || counties.fips[r] != tc.fips || counties.abbr[r] != tc.want {
+			t.Errorf("rankOf(%q) = %d (%q, %q), %v, want %q", tc.fips, r, counties.fips[r], counties.abbr[r], err, tc.want)
+		}
+	}
+	all := usgeo.AllCounties()
+	if len(counties.fips) != len(all) || !sort.StringsAreSorted(counties.fips) {
+		t.Fatalf("rank table holds %d counties (want %d), sorted=%v", len(counties.fips), len(all), sort.StringsAreSorted(counties.fips))
+	}
+}
+
+// referenceIncomes is the string-keyed income assignment generation
+// replaced: a county-weight map, a sort of its keys and a state found
+// by FIPS prefix (for a synthetic district, the region abbreviation).
+func referenceIncomes(t *testing.T, dist *demand.Distribution, anchors []census.QuantileAnchor, abbrOf func(string) string, seed int64) []census.CountyIncome {
+	t.Helper()
+	weights := dist.CountyWeights()
+	codes := make([]string, 0, len(weights))
+	for code := range weights {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	cw := make([]census.CountyWeight, len(codes))
+	for i, code := range codes {
+		cw[i] = census.CountyWeight{
+			FIPS:        code,
+			StateAbbr:   abbrOf(code),
+			Weight:      float64(weights[code]),
+			PovertyRank: rankJitter(seed, code),
+		}
+	}
+	table, err := census.AssignIncomes(cw, anchors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table.Counties()
+}
+
+// The dense rank and district weights give the income table the
+// string-keyed path gave, for every region.
+func TestIncomesMatchStringKeyedReference(t *testing.T) {
+	stateOf := make(map[string]string)
+	for _, s := range usgeo.States() {
+		stateOf[s.FIPS] = s.Abbr
+	}
+	usAbbr := func(fips string) string { return stateOf[fips[:2]] }
+	type run struct {
+		r       Region
+		anchors []census.QuantileAnchor
+		abbrOf  func(string) string
+		seeds   []int64
+		scales  []float64
+	}
+	var runs []run
+	runs = append(runs, run{US(), census.DefaultIncomeAnchors(), usAbbr, []int64{1, 2, 3, 4}, []float64{0.05, 0.25}})
+	for _, spec := range []SyntheticSpec{brazilRuralSpec, taipeiDenseSpec} {
+		abbr := spec.RegionAbbr
+		r, err := NewSynthetic(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{r, spec.IncomeAnchors, func(string) string { return abbr }, []int64{1, 2}, []float64{0.05, 1}})
+	}
+	for _, rn := range runs {
+		for _, seed := range rn.seeds {
+			for _, scale := range rn.scales {
+				t.Run(fmt.Sprintf("%s/seed=%d/scale=%v", rn.r.Key(), seed, scale), func(t *testing.T) {
+					out, err := rn.r.Generate(context.Background(), GenConfig{Seed: seed, Scale: scale})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := referenceIncomes(t, out.Dist, rn.anchors, rn.abbrOf, seed)
+					if got := out.Incomes.Counties(); !reflect.DeepEqual(got, want) {
+						t.Errorf("income table differs from the string-keyed reference (%d vs %d counties)", len(got), len(want))
+					}
+				})
+			}
 		}
 	}
 }

@@ -206,7 +206,7 @@ func NationalCurveColumns(p DiurnalProfile, cols Columns, steps int) ([]float64,
 		utc := 24 * float64(r) / float64(steps)
 		var bins [24]float64
 		for i, d := range cols.Demand {
-			lo, w := bracket(math.Mod(utc+cols.Phase[i]+48, 24))
+			lo, w := bracket(wrap24(utc + cols.Phase[i] + 48))
 			bins[lo] += d * (1 - w)
 			bins[(lo+1)%24] += d * w
 		}
@@ -221,6 +221,22 @@ func NationalCurveColumns(p DiurnalProfile, cols Columns, steps int) ([]float64,
 		}
 	}
 	return hours, totals, nil
+}
+
+// wrap24 is math.Mod(x, 24) without its general-purpose cost on the
+// kernel's domain: for x in [0, 96), where utc+phase+48 always lies, it
+// subtracts 24 until x < 24. Each subtraction is exact (both operands
+// are multiples of x's ulp and the difference is no larger than x), and
+// so is math.Mod, so the bits are the same. Any other x, NaN and ±Inf
+// included, goes to math.Mod.
+func wrap24(x float64) float64 {
+	if x >= 0 && x < 96 {
+		for x >= 24 {
+			x -= 24
+		}
+		return x
+	}
+	return math.Mod(x, 24)
 }
 
 func gcd(a, b int) int {

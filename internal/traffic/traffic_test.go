@@ -211,6 +211,29 @@ func TestNationalCurveColumnsNaNPhase(t *testing.T) {
 	}
 }
 
+// wrap24 gives math.Mod's bits at the edges of its subtraction domain,
+// random points inside it, and every input it hands to math.Mod.
+func TestWrap24MatchesMod(t *testing.T) {
+	xs := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -24, -96, 1e300, math.MaxFloat64, math.Copysign(0, -1)}
+	for _, edge := range []float64{0, 24, 48, 72, 96} {
+		below, above := edge, edge
+		for k := 0; k < 4; k++ {
+			below, above = math.Nextafter(below, math.Inf(-1)), math.Nextafter(above, math.Inf(1))
+			xs = append(xs, below, above)
+		}
+		xs = append(xs, edge)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 10000; i++ {
+		xs = append(xs, rng.Float64()*96, 36+rng.Float64()*48)
+	}
+	for _, x := range xs {
+		if got, want := wrap24(x), math.Mod(x, 24); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("wrap24(%v) = %v, math.Mod gives %v", x, got, want)
+		}
+	}
+}
+
 func stripCells() []demand.Cell {
 	// Cells spread across the CONUS longitude span at one latitude.
 	var cells []demand.Cell
