@@ -29,11 +29,13 @@ lint-ratchet:
 		-ratchet LINT_SUPPRESSIONS -time-budget LINT_TIME_BUDGET ./...
 
 # Times every measured path (generation, each registry experiment, the
-# simulator, ablation and state-rollup paths) at workers=1 and
-# workers=0. A profiling aid: nothing gates on it. TestWorkCounts gates
-# the work counts in `make test`; _bench/ is the end-to-end benchmark.
+# simulator and ablation paths at workers=1 and workers=0, and the
+# state rollup). A profiling aid: nothing gates on it. TestWorkCounts
+# gates the work counts in `make test`; _bench/ is the end-to-end
+# benchmark.
 bench:
 	$(GO) test -bench BenchmarkRegistry -benchtime 1x -run '^$$' .
+	$(GO) test -bench BenchmarkStates -benchtime 1x -run '^$$' ./cmd/leodivide
 
 fmt:
 	gofmt -s -l -w .
@@ -72,7 +74,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLocationsCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadProviderCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCellsCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
-	$(GO) test -run '^$$' -fuzz '^FuzzFromToken$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzLatLngToCell$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
 	$(GO) test -run '^$$' -fuzz '^FuzzSortUint64$$' -fuzztime $(FUZZ_TIME) ./internal/stats

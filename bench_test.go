@@ -2,8 +2,9 @@ package leodivide
 
 // BenchmarkRegistry times every measured path of the pipeline at two
 // worker counts: dataset generation, each registry experiment, and the
-// three paths outside the registry (the simulator cross-check, the
-// ablation sweeps and the state rollup). It is a profiling aid:
+// two paths outside the registry (the simulator cross-check and the
+// ablation sweeps; the state rollup has BenchmarkStates in
+// cmd/leodivide). It is a profiling aid:
 //
 //	go test -bench BenchmarkRegistry -run '^$' .
 //	go test -bench 'BenchmarkRegistry/fig3/' -cpuprofile cpu.out -run '^$' .
@@ -19,7 +20,6 @@ import (
 	"testing"
 
 	"leodivide/internal/core"
-	"leodivide/internal/regions"
 	"leodivide/internal/sim"
 )
 
@@ -71,12 +71,6 @@ func benchRows() []benchRow {
 					c.Size(ds.Distribution(), core.FullService, 2, 0)
 				}
 				return nil
-			}
-		}},
-		benchRow{"states", func(Model) func(context.Context, *Dataset) error {
-			return func(_ context.Context, ds *Dataset) error {
-				_, err := regions.ByState(regions.DefaultConfig(), ds.Cells, ds.Incomes)
-				return err
 			}
 		}},
 	)

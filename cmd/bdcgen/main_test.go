@@ -49,9 +49,6 @@ func TestBdcgenEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bdc.Validate(locs); err != nil {
-		t.Errorf("locations invalid: %v", err)
-	}
 
 	availFile, err := os.Open(filepath.Join(dir, "availability.csv"))
 	if err != nil {

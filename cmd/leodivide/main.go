@@ -60,7 +60,6 @@ import (
 	"leodivide/internal/linkbudget"
 	"leodivide/internal/obs"
 	"leodivide/internal/orbit"
-	"leodivide/internal/regions"
 	"leodivide/internal/report"
 	"leodivide/internal/safeio"
 	"leodivide/internal/sim"
@@ -660,37 +659,6 @@ func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, seed int64,
 		fmt.Fprintf(os.Stderr, "wrote %d locations to %s\n", len(locs), locCSV)
 	}
 	return nil
-}
-
-func runStates(w io.Writer, m leodivide.Model, ds *leodivide.Dataset) error {
-	cfg := regions.DefaultConfig()
-	cfg.Beams = m.Capacity.Beams
-	cfg.MaxOversub = m.MaxOversub
-	cfg.Share = m.AffordShare
-	profiles, err := regions.ByState(cfg, ds.Cells, ds.Incomes)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("State report card — top 15 by un(der)served locations",
-		"state", "locations", "cells", "peak cell", "oversub needed", "unservable@20:1", "can't afford Starlink")
-	for i, p := range profiles {
-		if i >= 15 {
-			break
-		}
-		t.AddRow(p.Abbr, p.Locations, p.Cells, p.PeakCellLocations,
-			fmt.Sprintf("%.1f:1", p.RequiredOversub), p.UnservableAt20,
-			fmt.Sprintf("%.1f%%", 100*p.UnaffordableFraction))
-	}
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	st := report.NewTable("Most capacity-stressed states (densest cells)",
-		"state", "peak cell", "oversub needed")
-	for _, p := range regions.TopStressed(profiles, 5) {
-		st.AddRow(p.Abbr, p.PeakCellLocations, fmt.Sprintf("%.1f:1", p.RequiredOversub))
-	}
-	_, err = st.WriteTo(w)
-	return err
 }
 
 func runLatency(w io.Writer) error {

@@ -1,23 +1,61 @@
-// Package regions rolls the national analysis up to state granularity:
-// per-state demand profiles, capacity stress, and affordability — the
-// view a state broadband office (or a BEAD subgrantee evaluator) needs
-// when deciding whether LEO service can stand in for terrestrial
-// builds in its territory.
-package regions
+package main
+
+// The state rollup behind `leodivide states`: the national analysis
+// rolled up to state granularity — per-state demand profiles, capacity
+// stress, and affordability — the view a state broadband office (or a
+// BEAD subgrantee evaluator) needs when deciding whether LEO service
+// can stand in for terrestrial builds in its territory.
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
+	"leodivide"
 	"leodivide/internal/afford"
 	"leodivide/internal/beams"
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
+	"leodivide/internal/report"
 	"leodivide/internal/usgeo"
 )
 
-// StateProfile is one state's rollup.
-type StateProfile struct {
+// runStates prints the state report card and the most
+// capacity-stressed states under the model's beams, oversubscription
+// cap and affordability share.
+func runStates(w io.Writer, m leodivide.Model, ds *leodivide.Dataset) error {
+	cfg := defaultStateConfig()
+	cfg.Beams = m.Capacity.Beams
+	cfg.MaxOversub = m.MaxOversub
+	cfg.Share = m.AffordShare
+	profiles, err := byState(cfg, ds.Cells, ds.Incomes)
+	if err != nil {
+		return err
+	}
+	t := report.NewTable("State report card — top 15 by un(der)served locations",
+		"state", "locations", "cells", "peak cell", "oversub needed", "unservable@20:1", "can't afford Starlink")
+	for i, p := range profiles {
+		if i >= 15 {
+			break
+		}
+		t.AddRow(p.Abbr, p.Locations, p.Cells, p.PeakCellLocations,
+			fmt.Sprintf("%.1f:1", p.RequiredOversub), p.UnservableAt20,
+			fmt.Sprintf("%.1f%%", 100*p.UnaffordableFraction))
+	}
+	if _, err := t.WriteTo(w); err != nil {
+		return err
+	}
+	st := report.NewTable("Most capacity-stressed states (densest cells)",
+		"state", "peak cell", "oversub needed")
+	for _, p := range topStressed(profiles, 5) {
+		st.AddRow(p.Abbr, p.PeakCellLocations, fmt.Sprintf("%.1f:1", p.RequiredOversub))
+	}
+	_, err = st.WriteTo(w)
+	return err
+}
+
+// stateProfile is one state's rollup.
+type stateProfile struct {
 	// Abbr and Name identify the state.
 	Abbr, Name string
 	// Locations is the state's un(der)served location count.
@@ -38,8 +76,8 @@ type StateProfile struct {
 	UnaffordableFraction float64
 }
 
-// Config parameterizes the rollup.
-type Config struct {
+// stateConfig parameterizes the rollup.
+type stateConfig struct {
 	// Beams is the satellite beam model.
 	Beams beams.Config
 	// MaxOversub is the acceptable oversubscription cap.
@@ -51,9 +89,9 @@ type Config struct {
 	Share float64
 }
 
-// DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{
+// defaultStateConfig returns the paper's parameters.
+func defaultStateConfig() stateConfig {
+	return stateConfig{
 		Beams:      beams.DefaultConfig(),
 		MaxOversub: 20,
 		Plan:       afford.StarlinkResidential(),
@@ -61,9 +99,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// ByState computes per-state profiles from the national cells and
+// byState computes per-state profiles from the national cells and
 // income table, sorted by location count descending.
-func ByState(cfg Config, cells []demand.Cell, incomes *census.Table) ([]StateProfile, error) {
+func byState(cfg stateConfig, cells []demand.Cell, incomes *census.Table) ([]stateProfile, error) {
 	if err := cfg.Beams.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +113,7 @@ func ByState(cfg Config, cells []demand.Cell, incomes *census.Table) ([]StatePro
 		}
 		groups[s.Abbr] = append(groups[s.Abbr], c)
 	}
-	out := make([]StateProfile, 0, len(groups))
+	out := make([]stateProfile, 0, len(groups))
 	for abbr, stateCells := range groups {
 		st, err := usgeo.ByAbbr(abbr)
 		if err != nil {
@@ -85,7 +123,7 @@ func ByState(cfg Config, cells []demand.Cell, incomes *census.Table) ([]StatePro
 		if err != nil {
 			continue // a state with zero-demand cells only
 		}
-		profile := StateProfile{
+		profile := stateProfile{
 			Abbr:                abbr,
 			Name:                st.Name,
 			Locations:           dist.TotalLocations(),
@@ -131,33 +169,15 @@ func stateAffordInput(dist *demand.Distribution, incomes *census.Table) (*afford
 		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
-		return nil, fmt.Errorf("regions: no income records for state counties")
+		return nil, fmt.Errorf("states: no income records for state counties")
 	}
 	return afford.NewInput(census.NewTable(recs))
 }
 
-// National aggregates profiles back to a national summary, for
-// consistency checks against the direct national analysis.
-func National(profiles []StateProfile) StateProfile {
-	out := StateProfile{Abbr: "US", Name: "United States"}
-	for _, p := range profiles {
-		out.Locations += p.Locations
-		out.Cells += p.Cells
-		out.UnservableAt20 += p.UnservableAt20
-		if p.PeakCellLocations > out.PeakCellLocations {
-			out.PeakCellLocations = p.PeakCellLocations
-		}
-		if p.RequiredOversub > out.RequiredOversub {
-			out.RequiredOversub = p.RequiredOversub
-		}
-	}
-	return out
-}
-
-// TopStressed returns the n states whose densest cells force the
+// topStressed returns the n states whose densest cells force the
 // highest oversubscription — where LEO capacity bites first.
-func TopStressed(profiles []StateProfile, n int) []StateProfile {
-	sorted := make([]StateProfile, len(profiles))
+func topStressed(profiles []stateProfile, n int) []stateProfile {
+	sorted := make([]stateProfile, len(profiles))
 	copy(sorted, profiles)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].RequiredOversub != sorted[j].RequiredOversub {

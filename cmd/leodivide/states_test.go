@@ -1,17 +1,17 @@
-package regions
+package main
 
 import (
 	"context"
-
 	"testing"
 
+	"leodivide"
 	"leodivide/internal/bdc"
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 )
 
-func testData(t *testing.T) ([]demand.Cell, *census.Table) {
+func stateTestData(t *testing.T) ([]demand.Cell, *census.Table) {
 	t.Helper()
 	cfg := bdc.DefaultGenConfig()
 	cfg.TotalLocations = 120000
@@ -39,8 +39,8 @@ func testData(t *testing.T) ([]demand.Cell, *census.Table) {
 }
 
 func TestByState(t *testing.T) {
-	cells, incomes := testData(t)
-	profiles, err := ByState(DefaultConfig(), cells, incomes)
+	cells, incomes := stateTestData(t)
+	profiles, err := byState(defaultStateConfig(), cells, incomes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestByState(t *testing.T) {
 }
 
 func TestNationalAggregation(t *testing.T) {
-	cells, incomes := testData(t)
-	profiles, err := ByState(DefaultConfig(), cells, incomes)
+	cells, incomes := stateTestData(t)
+	profiles, err := byState(defaultStateConfig(), cells, incomes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat := National(profiles)
+	nat := national(profiles)
 	if nat.PeakCellLocations != 4000 {
 		t.Errorf("national peak = %d, want 4000", nat.PeakCellLocations)
 	}
@@ -108,12 +108,12 @@ func TestNationalAggregation(t *testing.T) {
 }
 
 func TestTopStressed(t *testing.T) {
-	cells, incomes := testData(t)
-	profiles, err := ByState(DefaultConfig(), cells, incomes)
+	cells, incomes := stateTestData(t)
+	profiles, err := byState(defaultStateConfig(), cells, incomes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := TopStressed(profiles, 5)
+	top := topStressed(profiles, 5)
 	if len(top) != 5 {
 		t.Fatalf("got %d top states", len(top))
 	}
@@ -126,20 +126,56 @@ func TestTopStressed(t *testing.T) {
 	if top[0].Abbr != "NM" {
 		t.Errorf("most stressed state = %s, want NM", top[0].Abbr)
 	}
-	if got := TopStressed(profiles, 1000); len(got) != len(profiles) {
+	if got := topStressed(profiles, 1000); len(got) != len(profiles) {
 		t.Errorf("over-long top list = %d", len(got))
 	}
 }
 
 func TestByStateWithoutIncomes(t *testing.T) {
-	cells, _ := testData(t)
-	profiles, err := ByState(DefaultConfig(), cells, nil)
+	cells, _ := stateTestData(t)
+	profiles, err := byState(defaultStateConfig(), cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range profiles {
 		if p.UnaffordableFraction != 0 {
 			t.Errorf("%s: affordability computed without incomes", p.Abbr)
+		}
+	}
+}
+
+// national aggregates profiles back to a national summary: the
+// state→national consistency oracle for byState.
+func national(profiles []stateProfile) stateProfile {
+	out := stateProfile{Abbr: "US", Name: "United States"}
+	for _, p := range profiles {
+		out.Locations += p.Locations
+		out.Cells += p.Cells
+		out.UnservableAt20 += p.UnservableAt20
+		if p.PeakCellLocations > out.PeakCellLocations {
+			out.PeakCellLocations = p.PeakCellLocations
+		}
+		if p.RequiredOversub > out.RequiredOversub {
+			out.RequiredOversub = p.RequiredOversub
+		}
+	}
+	return out
+}
+
+// BenchmarkStates times the state rollup on a full-scale dataset, the
+// path `leodivide states` runs. It is a profiling aid; nothing gates on
+// its timings.
+func BenchmarkStates(b *testing.B) {
+	ds, err := leodivide.GenerateDataset(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := defaultStateConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := byState(cfg, ds.Cells, ds.Incomes); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

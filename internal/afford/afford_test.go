@@ -49,16 +49,6 @@ func TestEffectivePrice(t *testing.T) {
 	}
 }
 
-func TestAffordable(t *testing.T) {
-	p := StarlinkResidential()
-	if !Affordable(p, nil, 72000, 0.02) {
-		t.Error("income at threshold should afford")
-	}
-	if Affordable(p, nil, 71999, 0.02) {
-		t.Error("income below threshold should not afford")
-	}
-}
-
 // testInput builds an input with three counties at known incomes and
 // weights.
 func testInput(t *testing.T) *Input {
@@ -117,26 +107,6 @@ func TestCurve(t *testing.T) {
 	}
 	if z := in.ZeroShare(StarlinkResidential(), nil); math.Abs(z-0.048) > 1e-9 {
 		t.Errorf("ZeroShare = %v, want 0.048", z)
-	}
-}
-
-func TestComparisonOrder(t *testing.T) {
-	in := testInput(t)
-	results := in.Comparison(PaperComparison(), 0.02)
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if EffectiveMonthlyUSD(results[i].Plan, results[i].Subsidy) <
-			EffectiveMonthlyUSD(results[i-1].Plan, results[i-1].Subsidy) {
-			t.Fatal("results not sorted by effective price")
-		}
-	}
-	// More expensive plans are unaffordable for at least as many.
-	for i := 1; i < len(results); i++ {
-		if results[i].UnaffordableLocations < results[i-1].UnaffordableLocations {
-			t.Fatal("unaffordability not monotone in price")
-		}
 	}
 }
 
@@ -234,8 +204,14 @@ func TestCatalog(t *testing.T) {
 	if geoPlan.MeetsBenchmark() {
 		t.Error("GEO latency should disqualify regardless of speed")
 	}
-	if got := len(QualifyingCatalog()); got != 4 {
-		t.Errorf("%d qualifying plans, want 4", got)
+	qualifying := 0
+	for _, p := range Catalog() {
+		if p.MeetsBenchmark() {
+			qualifying++
+		}
+	}
+	if qualifying != 4 {
+		t.Errorf("%d qualifying plans, want 4", qualifying)
 	}
 }
 

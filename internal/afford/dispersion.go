@@ -147,22 +147,3 @@ func (in *DispersedInput) EvaluateLifelineAware(p Plan, share float64, household
 		SubsidyUsableFraction: rescued / in.total,
 	}
 }
-
-// Curve traces the dispersed Figure-4 series for a plan.
-func (in *DispersedInput) Curve(p Plan, s *Subsidy, maxShare float64, n int) []CurvePoint {
-	if n < 2 {
-		n = 2
-	}
-	price := EffectiveMonthlyUSD(p, s)
-	out := make([]CurvePoint, 0, n)
-	for i := 0; i < n; i++ {
-		share := maxShare * float64(i+1) / float64(n)
-		threshold := 12 * price / share
-		below := 0.0
-		for _, c := range in.counties {
-			below += c.Weight * lognormalCDF(threshold, c.MedianHouseholdIncomeUSD, in.sigma)
-		}
-		out = append(out, CurvePoint{Share: share, Count: below})
-	}
-	return out
-}

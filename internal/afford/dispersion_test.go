@@ -118,24 +118,6 @@ func TestLifelineAware(t *testing.T) {
 	}
 }
 
-func TestDispersedCurve(t *testing.T) {
-	in := dispersedInput(t, 0.55)
-	curve := in.Curve(StarlinkResidential(), nil, 0.05, 40)
-	if len(curve) != 40 {
-		t.Fatalf("curve has %d points", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Count > curve[i-1].Count {
-			t.Fatal("dispersed curve not nonincreasing")
-		}
-	}
-	// Unlike the median-only curve, the dispersed curve approaches but
-	// never exactly reaches zero (lognormal tails).
-	if last := curve[len(curve)-1]; last.Count <= 0 {
-		t.Errorf("dispersed tail = %v, want small but positive", last.Count)
-	}
-}
-
 func TestNewDispersedInputDefaults(t *testing.T) {
 	table := census.NewTable([]census.CountyIncome{
 		{FIPS: "1", MedianHouseholdIncomeUSD: 50000, Weight: 10},

@@ -270,9 +270,6 @@ func TestLocationsCSVRoundTrip(t *testing.T) {
 			t.Fatalf("record %d position drifted", i)
 		}
 	}
-	if err := Validate(back); err != nil {
-		t.Errorf("round-tripped dataset invalid: %v", err)
-	}
 }
 
 func TestCellsCSVRoundTrip(t *testing.T) {
@@ -315,17 +312,13 @@ func TestReadLocationsCSVErrors(t *testing.T) {
 	}
 }
 
+// The reader validates the dataset as a whole, not just each record:
+// a location ID may appear once.
 func TestValidateCatchesDuplicates(t *testing.T) {
-	locs := []demand.Location{
-		{ID: 1, Pos: geo.LatLng{Lat: 30, Lng: -97}},
-		{ID: 1, Pos: geo.LatLng{Lat: 31, Lng: -97}},
-	}
-	if err := Validate(locs); err == nil {
-		t.Error("duplicate IDs should fail validation")
-	}
-	bad := []demand.Location{{ID: 1, Pos: geo.LatLng{Lat: 300, Lng: 0}}}
-	if err := Validate(bad); err == nil {
-		t.Error("invalid coordinate should fail validation")
+	const header = "location_id,latitude,longitude,state,county_fips,max_download_mbps,max_upload_mbps,technology\n"
+	in := header + "1,30,-97,TX,48001,10,1,dsl\n1,31,-97,TX,48001,10,1,dsl\n"
+	if _, err := ReadLocationsCSV(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "duplicate location_id 1") {
+		t.Errorf("duplicate IDs: err = %v, want a duplicate location_id error", err)
 	}
 }
 

@@ -53,7 +53,7 @@ func WriteLocationsCSV(w io.Writer, locs []demand.Location) error {
 }
 
 // ReadLocationsCSV parses a BDC-style location file, validating every
-// record.
+// record and rejecting duplicate location IDs.
 func ReadLocationsCSV(r io.Reader) ([]demand.Location, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -67,6 +67,7 @@ func ReadLocationsCSV(r io.Reader) ([]demand.Location, error) {
 		}
 	}
 	var out []demand.Location
+	seen := make(map[uint64]bool)
 	line := 1
 	for {
 		rec, err := cr.Read()
@@ -81,6 +82,10 @@ func ReadLocationsCSV(r io.Reader) ([]demand.Location, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bdc: line %d: %w", line, err)
 		}
+		if seen[l.ID] {
+			return nil, fmt.Errorf("bdc: line %d: duplicate location_id %d", line, l.ID)
+		}
+		seen[l.ID] = true
 		out = append(out, l)
 	}
 	return out, nil
@@ -229,23 +234,4 @@ func ValidFIPS(s string) bool {
 		}
 	}
 	return true
-}
-
-// Validate checks a parsed location dataset for internal consistency:
-// unique IDs, valid coordinates, nonnegative speeds.
-func Validate(locs []demand.Location) error {
-	seen := make(map[uint64]bool, len(locs))
-	for i, l := range locs {
-		if seen[l.ID] {
-			return fmt.Errorf("bdc: duplicate location_id %d at record %d", l.ID, i)
-		}
-		seen[l.ID] = true
-		if !l.Pos.Valid() {
-			return fmt.Errorf("bdc: record %d: invalid coordinate %v", i, l.Pos)
-		}
-		if l.MaxDownMbps < 0 || l.MaxUpMbps < 0 {
-			return fmt.Errorf("bdc: record %d: negative speed", i)
-		}
-	}
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"leodivide/internal/demand"
@@ -107,40 +106,6 @@ func providerClaim(rng *rand.Rand, l demand.Location, down, up float64, tech str
 	}
 }
 
-// BestService reduces provider records to the per-location maximum
-// claimed service, mirroring how the National Broadband Map derives
-// location speeds from provider filings. Records are grouped by
-// LocationID; the best download (ties broken by upload) wins.
-func BestService(records []ProviderRecord) map[uint64]ProviderRecord {
-	best := make(map[uint64]ProviderRecord)
-	for _, r := range records {
-		cur, ok := best[r.LocationID]
-		if !ok || r.MaxDownMbps > cur.MaxDownMbps ||
-			//lint:ignore floatcmp tie-break on catalog speeds, which are exact decimal constants copied through, never arithmetic results
-			(r.MaxDownMbps == cur.MaxDownMbps && r.MaxUpMbps > cur.MaxUpMbps) {
-			best[r.LocationID] = r
-		}
-	}
-	return best
-}
-
-// ApplyBestService overwrites each location's recorded maximum service
-// with the best provider claim, returning the updated copy. Locations
-// without any claim keep their recorded values.
-func ApplyBestService(locs []demand.Location, records []ProviderRecord) []demand.Location {
-	best := BestService(records)
-	out := make([]demand.Location, len(locs))
-	copy(out, locs)
-	for i := range out {
-		if b, ok := best[out[i].ID]; ok {
-			out[i].MaxDownMbps = b.MaxDownMbps
-			out[i].MaxUpMbps = b.MaxUpMbps
-			out[i].Technology = b.Technology
-		}
-	}
-	return out
-}
-
 var providerCSVHeader = []string{
 	"location_id", "provider_id", "provider_name", "technology",
 	"max_download_mbps", "max_upload_mbps", "low_latency",
@@ -223,51 +188,4 @@ func ReadProviderCSV(r io.Reader) ([]ProviderRecord, error) {
 		})
 	}
 	return out, nil
-}
-
-// ProviderStats summarizes claims per provider: locations claimed and
-// the share meeting the reliable-broadband benchmark.
-type ProviderStats struct {
-	ProviderID    int
-	ProviderName  string
-	Locations     int
-	ReliableShare float64
-}
-
-// SummarizeProviders aggregates records per provider, sorted by claimed
-// location count descending.
-func SummarizeProviders(records []ProviderRecord) []ProviderStats {
-	type agg struct {
-		name     string
-		n        int
-		reliable int
-	}
-	byID := make(map[int]*agg)
-	for _, r := range records {
-		a := byID[r.ProviderID]
-		if a == nil {
-			a = &agg{name: r.ProviderName}
-			byID[r.ProviderID] = a
-		}
-		a.n++
-		if demand.ReliablyServed(r.MaxDownMbps, r.MaxUpMbps) {
-			a.reliable++
-		}
-	}
-	out := make([]ProviderStats, 0, len(byID))
-	for id, a := range byID {
-		out = append(out, ProviderStats{
-			ProviderID:    id,
-			ProviderName:  a.name,
-			Locations:     a.n,
-			ReliableShare: float64(a.reliable) / float64(a.n),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Locations != out[j].Locations {
-			return out[i].Locations > out[j].Locations
-		}
-		return out[i].ProviderID < out[j].ProviderID
-	})
-	return out
 }

@@ -61,13 +61,12 @@ func TestBestServiceRoundTrip(t *testing.T) {
 	records := GenerateProviderRecords(1, locs)
 	// Reducing claims to best service must reproduce each location's
 	// recorded maximum (the generator's invariant).
-	restored := ApplyBestService(locs, records)
-	for i := range locs {
-		if restored[i].MaxDownMbps != locs[i].MaxDownMbps ||
-			restored[i].MaxUpMbps != locs[i].MaxUpMbps {
+	best := BestService(records)
+	for _, l := range locs {
+		b, ok := best[l.ID]
+		if !ok || b.MaxDownMbps != l.MaxDownMbps || b.MaxUpMbps != l.MaxUpMbps {
 			t.Fatalf("location %d: best service %v/%v, want %v/%v",
-				locs[i].ID, restored[i].MaxDownMbps, restored[i].MaxUpMbps,
-				locs[i].MaxDownMbps, locs[i].MaxUpMbps)
+				l.ID, b.MaxDownMbps, b.MaxUpMbps, l.MaxDownMbps, l.MaxUpMbps)
 		}
 	}
 }
@@ -126,27 +125,6 @@ func TestReadProviderCSVErrors(t *testing.T) {
 	}
 }
 
-func TestSummarizeProviders(t *testing.T) {
-	records := []ProviderRecord{
-		{LocationID: 1, ProviderID: 10, ProviderName: "A", MaxDownMbps: 100, MaxUpMbps: 20},
-		{LocationID: 2, ProviderID: 10, ProviderName: "A", MaxDownMbps: 10, MaxUpMbps: 1},
-		{LocationID: 3, ProviderID: 20, ProviderName: "B", MaxDownMbps: 500, MaxUpMbps: 50},
-	}
-	stats := SummarizeProviders(records)
-	if len(stats) != 2 {
-		t.Fatalf("got %d providers", len(stats))
-	}
-	if stats[0].ProviderID != 10 || stats[0].Locations != 2 {
-		t.Errorf("top provider = %+v", stats[0])
-	}
-	if stats[0].ReliableShare != 0.5 {
-		t.Errorf("provider A reliable share = %v, want 0.5", stats[0].ReliableShare)
-	}
-	if stats[1].ReliableShare != 1.0 {
-		t.Errorf("provider B reliable share = %v, want 1", stats[1].ReliableShare)
-	}
-}
-
 func TestGenerateLocationsAllUnderserved(t *testing.T) {
 	// The synthetic map contains only un(der)served locations; the
 	// best-service reduction must preserve that.
@@ -157,4 +135,21 @@ func TestGenerateLocationsAllUnderserved(t *testing.T) {
 			t.Fatalf("location %d claims reliable service (%v/%v)", id, r.MaxDownMbps, r.MaxUpMbps)
 		}
 	}
+}
+
+// BestService reduces provider records to the per-location maximum
+// claimed service, mirroring how the National Broadband Map derives
+// location speeds from provider filings. Records are grouped by
+// LocationID; the best download (ties broken by upload) wins. It is the
+// oracle for the generator's invariants above.
+func BestService(records []ProviderRecord) map[uint64]ProviderRecord {
+	best := make(map[uint64]ProviderRecord)
+	for _, r := range records {
+		cur, ok := best[r.LocationID]
+		if !ok || r.MaxDownMbps > cur.MaxDownMbps ||
+			(r.MaxDownMbps == cur.MaxDownMbps && r.MaxUpMbps > cur.MaxUpMbps) {
+			best[r.LocationID] = r
+		}
+	}
+	return best
 }

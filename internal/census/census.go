@@ -51,12 +51,6 @@ func FederalPovertyLevelUSD(householdSize int) float64 {
 	return FederalPovertyLevelBaseUSD + FederalPovertyLevelPerPersonUSD*float64(householdSize)
 }
 
-// LifelineEligible reports whether a household qualifies for Lifeline on
-// the income test.
-func LifelineEligible(annualIncomeUSD float64, householdSize int) bool {
-	return annualIncomeUSD <= LifelineEligibilityFPLMultiple*FederalPovertyLevelUSD(householdSize)
-}
-
 // QuantileAnchor pins the location-weighted income quantile function at
 // one point.
 type QuantileAnchor struct {
@@ -232,9 +226,6 @@ func (t *Table) Lookup(fips string) (CountyIncome, bool) {
 	return r, ok
 }
 
-// Len returns the number of counties in the table.
-func (t *Table) Len() int { return len(t.ordered) }
-
 // Counties returns the records in ascending income order.
 func (t *Table) Counties() []CountyIncome {
 	out := make([]CountyIncome, len(t.ordered))
@@ -359,34 +350,6 @@ func fipsAscending(weights []CountyWeight) bool {
 		}
 	}
 	return true
-}
-
-// WeightedFractionBelow returns the location-weight fraction of counties
-// with median income strictly below the threshold.
-func (t *Table) WeightedFractionBelow(incomeUSD float64) float64 {
-	total, below := 0.0, 0.0
-	for _, r := range t.ordered {
-		total += r.Weight
-		if r.MedianHouseholdIncomeUSD < incomeUSD {
-			below += r.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return below / total
-}
-
-// WeightedCountBelow returns the total location weight in counties with
-// median income strictly below the threshold.
-func (t *Table) WeightedCountBelow(incomeUSD float64) float64 {
-	below := 0.0
-	for _, r := range t.ordered {
-		if r.MedianHouseholdIncomeUSD < incomeUSD {
-			below += r.Weight
-		}
-	}
-	return below
 }
 
 // csvHeader is the ACS-style county income schema.

@@ -20,16 +20,12 @@ func TestPovertyLevel(t *testing.T) {
 	}
 }
 
+// TestLifelineEligible pins the Lifeline income cutoff the dispersed
+// affordability model applies: 135% of FPL, which is 1.35 × 31,900 =
+// 43,065 for a 4-person household.
 func TestLifelineEligible(t *testing.T) {
-	// 135% of FPL for a 4-person household: 1.35 × 31,900 = 43,065.
-	if !LifelineEligible(43065, 4) {
-		t.Error("income at exactly 135% FPL should qualify")
-	}
-	if LifelineEligible(43066, 4) {
-		t.Error("income above 135% FPL should not qualify")
-	}
-	if !LifelineEligible(10000, 1) {
-		t.Error("deep-poverty income should qualify")
+	if got := LifelineEligibilityFPLMultiple * FederalPovertyLevelUSD(4); math.Abs(got-43065) > 1e-9 {
+		t.Errorf("Lifeline cutoff for 4 = %v, want 43065", got)
 	}
 }
 
@@ -94,8 +90,8 @@ func TestAssignIncomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.Len() != 3 {
-		t.Fatalf("table has %d counties", table.Len())
+	if len(table.ordered) != 3 {
+		t.Fatalf("table has %d counties", len(table.ordered))
 	}
 	// Poorer rank ⇒ lower income.
 	r1, _ := table.Lookup("01001")
@@ -151,21 +147,29 @@ func TestAssignIncomesCalibration(t *testing.T) {
 		{30000, 0.0001, 0.002},
 	}
 	for _, tc := range cases {
-		got := table.WeightedFractionBelow(tc.threshold)
+		got := weightedFractionBelow(table, tc.threshold)
 		if math.Abs(got-tc.wantFrac) > tc.tol {
 			t.Errorf("fraction below $%.0f = %.4f, want %.4f±%.3f",
 				tc.threshold, got, tc.wantFrac, tc.tol)
 		}
 	}
-	// Counts and fractions agree.
-	total := 0.0
-	for _, w := range weights {
-		total += w.Weight
+}
+
+// weightedFractionBelow returns the location-weight fraction of
+// counties with median income strictly below the threshold: the oracle
+// for the calibration test above.
+func weightedFractionBelow(t *Table, incomeUSD float64) float64 {
+	total, below := 0.0, 0.0
+	for _, r := range t.ordered {
+		total += r.Weight
+		if r.MedianHouseholdIncomeUSD < incomeUSD {
+			below += r.Weight
+		}
 	}
-	below := table.WeightedCountBelow(72000)
-	if math.Abs(below/total-table.WeightedFractionBelow(72000)) > 1e-9 {
-		t.Error("WeightedCountBelow inconsistent with WeightedFractionBelow")
+	if total == 0 {
+		return 0
 	}
+	return below / total
 }
 
 func fipsFor(i int) string {
@@ -205,8 +209,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 {
-		t.Fatalf("round trip %d counties", back.Len())
+	if len(back.ordered) != 2 {
+		t.Fatalf("round trip %d counties", len(back.ordered))
 	}
 	r, ok := back.Lookup("01001")
 	if !ok || r.MedianHouseholdIncomeUSD != 45000 || r.Weight != 1200 || r.StateAbbr != "AL" {

@@ -343,18 +343,6 @@ func lookup(name string) (*System, bool) {
 // Every default model path routes through it.
 func StarlinkSystem() System { return systems[0].clone() }
 
-// StarlinkGen2System returns the Gen2 variant: the nine-shell Gen2
-// fleet with the same Schedule S spectrum convention, priced at
-// Starship-era launch economics.
-func StarlinkGen2System() System { return systems[1].clone() }
-
-// KuiperSystem returns Amazon's Project Kuiper as authorized by the
-// FCC.
-func KuiperSystem() System { return systems[2].clone() }
-
-// OneWebSystem returns the OneWeb Gen1 polar system.
-func OneWebSystem() System { return systems[3].clone() }
-
 // Systems returns a copy of every declared system in canonical order.
 // The first entry is the default (Starlink Gen1).
 func Systems() []System {

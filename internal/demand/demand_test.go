@@ -263,27 +263,3 @@ func TestScale(t *testing.T) {
 		t.Error("factor 0 should fail")
 	}
 }
-
-func TestTechnologyMix(t *testing.T) {
-	locs := []Location{
-		{Technology: "dsl", MaxDownMbps: 25, MaxUpMbps: 3},
-		{Technology: "dsl", MaxDownMbps: 10, MaxUpMbps: 1},
-		{Technology: "fiber", MaxDownMbps: 940, MaxUpMbps: 880},
-		{Technology: "cable", MaxDownMbps: 100, MaxUpMbps: 10},
-	}
-	mix := TechnologyMix(locs)
-	if len(mix) != 3 {
-		t.Fatalf("got %d technologies", len(mix))
-	}
-	if mix[0].Technology != "dsl" || mix[0].Locations != 2 {
-		t.Errorf("top tech = %+v", mix[0])
-	}
-	if mix[0].ReliableShare != 0 {
-		t.Errorf("dsl reliable share = %v", mix[0].ReliableShare)
-	}
-	for _, m := range mix {
-		if m.Technology == "fiber" && m.ReliableShare != 1 {
-			t.Errorf("fiber reliable share = %v", m.ReliableShare)
-		}
-	}
-}

@@ -158,174 +158,3 @@ func Destination(start LatLng, bearingDeg, distanceKm float64) LatLng {
 	lng2 := lo + math.Atan2(y, x)
 	return LatLng{Lat: Degrees(lat2), Lng: Degrees(lng2)}.Normalize()
 }
-
-// Cap is a spherical cap: all points within Radius radians of Center.
-type Cap struct {
-	Center LatLng
-	Radius float64 // central angle, radians
-}
-
-// Contains reports whether p lies inside the cap.
-func (c Cap) Contains(p LatLng) bool {
-	return AngularDistance(c.Center, p) <= c.Radius
-}
-
-// AreaKm2 returns the surface area of the cap in km².
-func (c Cap) AreaKm2() float64 {
-	return 2 * math.Pi * EarthRadiusKm * EarthRadiusKm * (1 - math.Cos(c.Radius))
-}
-
-// Polygon is a closed loop of vertices on the sphere, in counterclockwise
-// order when viewed from outside (the enclosed region is to the left of
-// each edge). The final vertex connects back to the first.
-type Polygon struct {
-	Vertices []LatLng
-}
-
-// AreaKm2 returns the spherical area enclosed by the polygon using
-// L'Huilier's theorem summed over a triangle fan. The polygon must be
-// simple and smaller than a hemisphere for the result to be meaningful.
-func (pg Polygon) AreaKm2() float64 {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return 0
-	}
-	// Triangle fan from vertex 0; signed spherical excess.
-	v0 := pg.Vertices[0].Vector()
-	total := 0.0
-	for i := 1; i < n-1; i++ {
-		v1 := pg.Vertices[i].Vector()
-		v2 := pg.Vertices[i+1].Vector()
-		total += signedTriangleExcess(v0, v1, v2)
-	}
-	return math.Abs(total) * EarthRadiusKm * EarthRadiusKm
-}
-
-// signedTriangleExcess returns the signed spherical excess of the
-// triangle (a, b, c): positive when the vertices wind counterclockwise
-// seen from outside the sphere.
-func signedTriangleExcess(a, b, c Vec3) float64 {
-	// Oosterom & Strackee's formula for the solid angle of a triangle.
-	num := a.Dot(b.Cross(c))
-	den := 1 + a.Dot(b) + b.Dot(c) + c.Dot(a)
-	return 2 * math.Atan2(num, den)
-}
-
-// Contains reports whether p lies inside the polygon, using the winding
-// of the point against each edge's great circle. Points exactly on an
-// edge may be reported either way.
-func (pg Polygon) Contains(p LatLng) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return false
-	}
-	v := p.Vector()
-	// The point is inside a convex CCW polygon iff it is to the left of
-	// every edge. For general simple polygons use angle-sum winding.
-	total := 0.0
-	for i := 0; i < n; i++ {
-		a := pg.Vertices[i].Vector()
-		b := pg.Vertices[(i+1)%n].Vector()
-		// Project edge endpoints onto plane orthogonal to v and take the
-		// turn angle.
-		pa := a.Sub(v.Scale(a.Dot(v)))
-		pb := b.Sub(v.Scale(b.Dot(v)))
-		if pa.Norm() < 1e-12 || pb.Norm() < 1e-12 {
-			return true // p coincides with a vertex
-		}
-		ang := pa.Unit().AngleTo(pb.Unit())
-		if v.Dot(pa.Cross(pb)) < 0 {
-			ang = -ang
-		}
-		total += ang
-	}
-	return math.Abs(total) > math.Pi // winding number != 0
-}
-
-// RectArea returns the area in km² of the latitude/longitude rectangle
-// bounded by [latLo, latHi] × [lngLo, lngHi] (degrees).
-func RectArea(latLo, latHi, lngLo, lngHi float64) float64 {
-	if latHi < latLo || lngHi < lngLo {
-		return 0
-	}
-	band := math.Sin(Radians(latHi)) - math.Sin(Radians(latLo))
-	frac := (lngHi - lngLo) / 360
-	return EarthAreaKm2 / 2 * band * frac
-}
-
-// Midpoint returns the point halfway along the great circle between a
-// and b.
-func Midpoint(a, b LatLng) LatLng {
-	return Intermediate(a, b, 0.5)
-}
-
-// Intermediate returns the point the given fraction of the way from a
-// to b along the great circle (0 = a, 1 = b). Antipodal endpoints have
-// no unique great circle; the result is then an arbitrary midpoint.
-func Intermediate(a, b LatLng, frac float64) LatLng {
-	va, vb := a.Vector(), b.Vector()
-	omega := va.AngleTo(vb)
-	if omega < 1e-12 {
-		return a
-	}
-	sinO := math.Sin(omega)
-	if sinO < 1e-12 {
-		// Antipodal: no unique great circle. Walk frac·π along an
-		// arbitrary one through both endpoints.
-		ortho := va.Cross(Vec3{X: 0, Y: 0, Z: 1})
-		if ortho.Norm() < 1e-9 {
-			ortho = va.Cross(Vec3{X: 1})
-		}
-		ortho = ortho.Unit()
-		theta := frac * math.Pi
-		return va.Scale(math.Cos(theta)).Add(ortho.Scale(math.Sin(theta))).LatLng()
-	}
-	wa := math.Sin((1-frac)*omega) / sinO
-	wb := math.Sin(frac*omega) / sinO
-	return va.Scale(wa).Add(vb.Scale(wb)).LatLng()
-}
-
-// CrossTrackKm returns the perpendicular distance from p to the great
-// circle through a and b (not the segment), in km.
-func CrossTrackKm(p, a, b LatLng) float64 {
-	normal := a.Vector().Cross(b.Vector()).Unit()
-	if normal.Norm() == 0 {
-		return DistanceKm(p, a)
-	}
-	sinD := p.Vector().Dot(normal)
-	return math.Abs(math.Asin(clamp(sinD, -1, 1))) * EarthRadiusKm
-}
-
-// BoundingCap returns the smallest-known cap centered on the points'
-// normalized centroid that contains all of them. Empty input returns a
-// zero cap.
-func BoundingCap(points []LatLng) Cap {
-	if len(points) == 0 {
-		return Cap{}
-	}
-	var sum Vec3
-	for _, p := range points {
-		sum = sum.Add(p.Vector())
-	}
-	center := sum.Unit()
-	if center.Norm() == 0 {
-		center = points[0].Vector()
-	}
-	c := Cap{Center: center.LatLng()}
-	for _, p := range points {
-		if d := AngularDistance(c.Center, p); d > c.Radius {
-			c.Radius = d
-		}
-	}
-	return c
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

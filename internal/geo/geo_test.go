@@ -132,65 +132,6 @@ func TestValid(t *testing.T) {
 	}
 }
 
-func TestCap(t *testing.T) {
-	c := Cap{Center: LatLng{Lat: 0, Lng: 0}, Radius: Radians(10)}
-	if !c.Contains(LatLng{Lat: 5, Lng: 5}) {
-		t.Error("cap should contain nearby point")
-	}
-	if c.Contains(LatLng{Lat: 15, Lng: 0}) {
-		t.Error("cap should not contain far point")
-	}
-	// Hemisphere cap covers half the sphere.
-	hemi := Cap{Center: LatLng{Lat: 90}, Radius: math.Pi / 2}
-	if got := hemi.AreaKm2(); math.Abs(got-EarthAreaKm2/2) > 1 {
-		t.Errorf("hemisphere area = %v, want %v", got, EarthAreaKm2/2)
-	}
-}
-
-func TestPolygonAreaOctant(t *testing.T) {
-	// The octant (0,0), (0,90), (90,*) covers 1/8 of the sphere.
-	oct := Polygon{Vertices: []LatLng{
-		{Lat: 0, Lng: 0}, {Lat: 0, Lng: 90}, {Lat: 90, Lng: 0},
-	}}
-	want := EarthAreaKm2 / 8
-	if got := oct.AreaKm2(); math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("octant area = %v, want %v", got, want)
-	}
-}
-
-func TestPolygonContains(t *testing.T) {
-	square := Polygon{Vertices: []LatLng{
-		{Lat: 0, Lng: 0}, {Lat: 0, Lng: 10}, {Lat: 10, Lng: 10}, {Lat: 10, Lng: 0},
-	}}
-	if !square.Contains(LatLng{Lat: 5, Lng: 5}) {
-		t.Error("polygon should contain interior point")
-	}
-	if square.Contains(LatLng{Lat: 20, Lng: 5}) {
-		t.Error("polygon should not contain exterior point")
-	}
-	if square.Contains(LatLng{Lat: -5, Lng: -5}) {
-		t.Error("polygon should not contain exterior point on other side")
-	}
-	if (Polygon{}).Contains(LatLng{}) {
-		t.Error("degenerate polygon contains nothing")
-	}
-}
-
-func TestRectArea(t *testing.T) {
-	if got := RectArea(-90, 90, -180, 180); math.Abs(got-EarthAreaKm2)/EarthAreaKm2 > 1e-12 {
-		t.Errorf("global rect = %v, want %v", got, EarthAreaKm2)
-	}
-	// Band symmetry: northern and southern bands of equal extent match.
-	n := RectArea(10, 20, 0, 90)
-	s := RectArea(-20, -10, 0, 90)
-	if math.Abs(n-s) > 1e-6 {
-		t.Errorf("band asymmetry: %v vs %v", n, s)
-	}
-	if got := RectArea(20, 10, 0, 90); got != 0 {
-		t.Errorf("inverted rect = %v, want 0", got)
-	}
-}
-
 func TestVec3Ops(t *testing.T) {
 	v := Vec3{1, 0, 0}
 	w := Vec3{0, 1, 0}
@@ -226,81 +167,5 @@ func TestAngleToStability(t *testing.T) {
 	want := Radians(0.0000001)
 	if math.Abs(got-want)/want > 1e-3 {
 		t.Errorf("AngleTo tiny angle = %v, want %v", got, want)
-	}
-}
-
-func TestMidpointAndIntermediate(t *testing.T) {
-	a := LatLng{Lat: 0, Lng: 0}
-	b := LatLng{Lat: 0, Lng: 90}
-	mid := Midpoint(a, b)
-	if math.Abs(mid.Lat) > 1e-9 || math.Abs(mid.Lng-45) > 1e-9 {
-		t.Errorf("equatorial midpoint = %v, want 0,45", mid)
-	}
-	// Intermediate endpoints.
-	if d := DistanceKm(Intermediate(a, b, 0), a); d > 1e-6 {
-		t.Errorf("Intermediate(0) off by %v km", d)
-	}
-	if d := DistanceKm(Intermediate(a, b, 1), b); d > 1e-6 {
-		t.Errorf("Intermediate(1) off by %v km", d)
-	}
-	// Fractional distances accumulate linearly along the arc.
-	q := Intermediate(a, b, 0.25)
-	if math.Abs(DistanceKm(a, q)-0.25*DistanceKm(a, b)) > 1e-6 {
-		t.Error("Intermediate(0.25) not a quarter of the way")
-	}
-	// Coincident points.
-	if got := Intermediate(a, a, 0.5); DistanceKm(got, a) > 1e-9 {
-		t.Error("Intermediate of coincident points drifted")
-	}
-	// Antipodal points return a point equidistant from both.
-	anti := LatLng{Lat: 0, Lng: 180}
-	m := Intermediate(a, anti, 0.5)
-	if math.Abs(DistanceKm(a, m)-DistanceKm(anti, m)) > 1 {
-		t.Errorf("antipodal midpoint not equidistant: %v", m)
-	}
-}
-
-func TestCrossTrack(t *testing.T) {
-	a := LatLng{Lat: 0, Lng: 0}
-	b := LatLng{Lat: 0, Lng: 90}
-	// A point on the equator has zero cross-track distance.
-	if d := CrossTrackKm(LatLng{Lat: 0, Lng: 45}, a, b); d > 1e-6 {
-		t.Errorf("on-track distance = %v", d)
-	}
-	// A point 10° north is ~1,111 km off the equatorial track.
-	want := Radians(10) * EarthRadiusKm
-	if d := CrossTrackKm(LatLng{Lat: 10, Lng: 45}, a, b); math.Abs(d-want) > 1 {
-		t.Errorf("cross-track = %v, want %v", d, want)
-	}
-}
-
-func TestBoundingCap(t *testing.T) {
-	pts := []LatLng{
-		{Lat: 40, Lng: -100}, {Lat: 42, Lng: -98}, {Lat: 38, Lng: -102},
-	}
-	c := BoundingCap(pts)
-	for _, p := range pts {
-		if !c.Contains(p) {
-			t.Errorf("cap misses %v", p)
-		}
-	}
-	// Radius is tight-ish: no larger than the max pairwise distance.
-	maxPair := 0.0
-	for i := range pts {
-		for j := range pts {
-			if d := AngularDistance(pts[i], pts[j]); d > maxPair {
-				maxPair = d
-			}
-		}
-	}
-	if c.Radius > maxPair {
-		t.Errorf("cap radius %v exceeds max pairwise %v", c.Radius, maxPair)
-	}
-	if got := BoundingCap(nil); got.Radius != 0 {
-		t.Error("empty bounding cap should be zero")
-	}
-	single := BoundingCap(pts[:1])
-	if single.Radius != 0 || DistanceKm(single.Center, pts[0]) > 1e-6 {
-		t.Errorf("single-point cap = %+v", single)
 	}
 }

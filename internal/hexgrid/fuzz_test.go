@@ -6,26 +6,6 @@ import (
 	"leodivide/internal/geo"
 )
 
-// FuzzFromToken: arbitrary strings must never panic and anything that
-// parses must round-trip.
-func FuzzFromToken(f *testing.F) {
-	f.Add("0000000000000000")
-	f.Add(LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 5).Token())
-	f.Add("zz")
-	f.Fuzz(func(t *testing.T, s string) {
-		id, err := FromToken(s)
-		if err != nil {
-			return
-		}
-		if !id.Valid() {
-			t.Fatalf("FromToken(%q) returned invalid cell %v", s, id)
-		}
-		if id.Token() != s {
-			t.Fatalf("token round trip %q -> %v -> %q", s, id, id.Token())
-		}
-	})
-}
-
 // FuzzLatLngToCell: any finite coordinate must map to a valid cell
 // whose center round-trips.
 func FuzzLatLngToCell(f *testing.F) {

@@ -375,31 +375,6 @@ func (c CellID) Neighbors() []CellID {
 	return out
 }
 
-// Ring returns all cells within k adjacency steps of c, including c
-// itself. Ring(0) is {c}.
-func (c CellID) Ring(k int) []CellID {
-	seen := map[CellID]bool{c: true}
-	frontier := []CellID{c}
-	for step := 0; step < k; step++ {
-		var next []CellID
-		for _, cell := range frontier {
-			for _, nb := range cell.Neighbors() {
-				if !seen[nb] {
-					seen[nb] = true
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	out := make([]CellID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // ForEachCell calls fn once for every cell on the globe at resolution r,
 // in canonical ID order per face. It visits each cell exactly once.
 // Enumeration is O(total cells) and intended for the coarse resolutions;
@@ -428,83 +403,4 @@ func ForEachCellOnFace(r Resolution, face int, fn func(CellID)) {
 			}
 		}
 	}
-}
-
-// CountCells enumerates the globe at r and returns the number of
-// distinct cells; used to validate NumCells.
-func CountCells(r Resolution) int {
-	count := 0
-	ForEachCell(r, func(CellID) { count++ })
-	return count
-}
-
-// ParentAt returns the cell at a coarser resolution containing this
-// cell's center. Unlike H3's exact containment hierarchy, parentage is
-// geometric (nearest coarse-cell center), which is what the model's
-// multi-resolution rollups need.
-func (c CellID) ParentAt(r Resolution) (CellID, error) {
-	if !r.Valid() {
-		return 0, fmt.Errorf("hexgrid: invalid resolution %d", r)
-	}
-	if r > c.Resolution() {
-		return 0, fmt.Errorf("hexgrid: resolution %d finer than cell's %d", r, c.Resolution())
-	}
-	return LatLngToCell(c.LatLng(), r), nil
-}
-
-// ChildrenAt returns the cells at a finer resolution whose centers fall
-// within this cell's Voronoi region (geometric children; roughly 7^Δres
-// of them).
-func (c CellID) ChildrenAt(r Resolution) ([]CellID, error) {
-	if !r.Valid() {
-		return nil, fmt.Errorf("hexgrid: invalid resolution %d", r)
-	}
-	if r < c.Resolution() {
-		return nil, fmt.Errorf("hexgrid: resolution %d coarser than cell's %d", r, c.Resolution())
-	}
-	if r == c.Resolution() {
-		return []CellID{c}, nil
-	}
-	// Candidates: fine cells within ~1.1 coarse Voronoi radii of the
-	// center, filtered by actually mapping back to this cell.
-	radiusKm := geo.EarthRadiusKm * c.latticeSpacing() * 0.8
-	var out []CellID
-	for _, fine := range DiscFill(c.LatLng(), radiusKm, r) {
-		parent := LatLngToCell(fine.LatLng(), c.Resolution())
-		if parent == c {
-			out = append(out, fine)
-		}
-	}
-	return out, nil
-}
-
-// Token renders the cell as a compact, sortable hex string (like H3's
-// string form), suitable for CSV columns and map keys in other systems.
-func (c CellID) Token() string {
-	return fmt.Sprintf("%016x", uint64(c))
-}
-
-// FromToken parses a Token back into a CellID, validating it.
-func FromToken(s string) (CellID, error) {
-	if len(s) != 16 {
-		return 0, fmt.Errorf("hexgrid: token %q must be 16 hex digits", s)
-	}
-	var v uint64
-	for _, r := range s {
-		var d uint64
-		switch {
-		case r >= '0' && r <= '9':
-			d = uint64(r - '0')
-		case r >= 'a' && r <= 'f':
-			d = uint64(r-'a') + 10
-		default:
-			return 0, fmt.Errorf("hexgrid: token %q has invalid digit %q", s, r)
-		}
-		v = v<<4 | d
-	}
-	id := CellID(v)
-	if !id.Valid() {
-		return 0, fmt.Errorf("hexgrid: token %q is not a canonical cell", s)
-	}
-	return id, nil
 }

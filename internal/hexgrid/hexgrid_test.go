@@ -39,7 +39,9 @@ func TestResolution5MatchesH3Area(t *testing.T) {
 
 func TestEnumerationMatchesFormula(t *testing.T) {
 	for r := MinResolution; r <= 2; r++ {
-		if got, want := CountCells(r), r.NumCells(); got != want {
+		got := 0
+		ForEachCell(r, func(CellID) { got++ })
+		if want := r.NumCells(); got != want {
 			t.Errorf("res %d: enumerated %d cells, want %d", r, got, want)
 		}
 	}
@@ -200,32 +202,6 @@ func TestNeighborSymmetryMostly(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	id := LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 3)
-	r0 := id.Ring(0)
-	if len(r0) != 1 || r0[0] != id {
-		t.Errorf("Ring(0) = %v", r0)
-	}
-	r1 := id.Ring(1)
-	r2 := id.Ring(2)
-	if len(r1) < 6 || len(r1) > 9 {
-		t.Errorf("Ring(1) has %d cells", len(r1))
-	}
-	if len(r2) <= len(r1) {
-		t.Errorf("Ring(2)=%d not larger than Ring(1)=%d", len(r2), len(r1))
-	}
-	// Ring(1) must include the center.
-	found := false
-	for _, c := range r1 {
-		if c == id {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Ring(1) missing center cell")
-	}
-}
-
 func TestPentagonCount(t *testing.T) {
 	// Exactly 12 cells (the icosahedron vertices) should have 5
 	// neighbors at any resolution; spot-check at res 1 by counting
@@ -269,50 +245,5 @@ func BenchmarkCellToLatLng(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = id.LatLng()
-	}
-}
-
-func TestTokenRoundTrip(t *testing.T) {
-	id := LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 5)
-	tok := id.Token()
-	if len(tok) != 16 {
-		t.Fatalf("token %q not 16 digits", tok)
-	}
-	back, err := FromToken(tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != id {
-		t.Errorf("round trip %v -> %q -> %v", id, tok, back)
-	}
-	// Errors.
-	if _, err := FromToken("short"); err == nil {
-		t.Error("short token should fail")
-	}
-	if _, err := FromToken("zzzzzzzzzzzzzzzz"); err == nil {
-		t.Error("non-hex token should fail")
-	}
-	if _, err := FromToken("0000000000000000"); err == nil {
-		t.Error("invalid cell token should fail")
-	}
-}
-
-// Property: tokens round-trip and sort like their cells.
-func TestTokenOrderProperty(t *testing.T) {
-	f := func(a, b uint16, c, d uint16) bool {
-		id1 := LatLngToCell(geo.LatLng{
-			Lat: float64(a)/65535*179 - 89.5, Lng: float64(b)/65535*360 - 180}, 3)
-		id2 := LatLngToCell(geo.LatLng{
-			Lat: float64(c)/65535*179 - 89.5, Lng: float64(d)/65535*360 - 180}, 3)
-		t1, t2 := id1.Token(), id2.Token()
-		b1, err1 := FromToken(t1)
-		b2, err2 := FromToken(t2)
-		if err1 != nil || err2 != nil || b1 != id1 || b2 != id2 {
-			return false
-		}
-		return (id1 < id2) == (t1 < t2) || id1 == id2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,7 +1,6 @@
 package hexgrid
 
 import (
-	"math"
 	"sort"
 
 	"leodivide/internal/geo"
@@ -45,111 +44,4 @@ func (c CellID) Boundary() []geo.LatLng {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// AreaKm2 returns the cell's polygon area. Cells are near-uniform;
-// individual areas vary around Resolution.AvgCellAreaKm2 with the
-// grid's geodesic distortion (roughly ±25%).
-func (c CellID) AreaKm2() float64 {
-	b := c.Boundary()
-	if len(b) < 3 {
-		return c.Resolution().AvgCellAreaKm2()
-	}
-	return geo.Polygon{Vertices: b}.AreaKm2()
-}
-
-// RectFill returns all cells at resolution r whose centers fall within
-// the latitude/longitude rectangle, in ascending CellID order. The
-// rectangle must not cross the antimeridian.
-func RectFill(latLo, latHi, lngLo, lngHi float64, r Resolution) []CellID {
-	if !r.Valid() || latHi < latLo || lngHi < lngLo {
-		return nil
-	}
-	// Seed a point lattice finer than the cell spacing, map each point
-	// to its cell, and keep the cells whose centers are inside.
-	spacingDeg := geo.Degrees(edgeAngle/float64(r.Subdivisions())) * 0.6
-	seen := make(map[CellID]bool)
-	var out []CellID
-	for lat := latLo; lat <= latHi+spacingDeg; lat += spacingDeg {
-		// Longitude degrees shrink with latitude.
-		cosLat := math.Cos(geo.Radians(math.Min(math.Abs(lat), 89)))
-		lngStep := spacingDeg
-		if cosLat > 0.02 {
-			lngStep = spacingDeg / cosLat
-		}
-		for lng := lngLo; lng <= lngHi+lngStep; lng += lngStep {
-			id := LatLngToCell(geo.LatLng{Lat: clampLat(lat), Lng: clampLng(lng)}, r)
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			center := id.LatLng()
-			if center.Lat >= latLo && center.Lat <= latHi &&
-				center.Lng >= lngLo && center.Lng <= lngHi {
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// DiscFill returns all cells at resolution r whose centers lie within
-// radiusKm of center, in ascending CellID order.
-func DiscFill(center geo.LatLng, radiusKm float64, r Resolution) []CellID {
-	if !r.Valid() || radiusKm < 0 {
-		return nil
-	}
-	// BFS outward from the center cell.
-	start := LatLngToCell(center, r)
-	seen := map[CellID]bool{start: true}
-	frontier := []CellID{start}
-	var out []CellID
-	if geo.DistanceKm(center, start.LatLng()) <= radiusKm {
-		out = append(out, start)
-	}
-	// Expand while any frontier cell is within reach of the disc; one
-	// extra ring of slack catches boundary cells.
-	slackKm := geo.EarthRadiusKm * start.latticeSpacing() * 1.5
-	for len(frontier) > 0 {
-		var next []CellID
-		for _, id := range frontier {
-			for _, nb := range id.Neighbors() {
-				if seen[nb] {
-					continue
-				}
-				seen[nb] = true
-				d := geo.DistanceKm(center, nb.LatLng())
-				if d <= radiusKm {
-					out = append(out, nb)
-					next = append(next, nb)
-				} else if d <= radiusKm+slackKm {
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-func clampLat(lat float64) float64 {
-	if lat > 90 {
-		return 90
-	}
-	if lat < -90 {
-		return -90
-	}
-	return lat
-}
-
-func clampLng(lng float64) float64 {
-	if lng > 180 {
-		return 180
-	}
-	if lng < -180 {
-		return -180
-	}
-	return lng
 }

@@ -24,7 +24,7 @@ func TestBoundary(t *testing.T) {
 		}
 	}
 	// The center must be inside its own boundary polygon.
-	if !(geo.Polygon{Vertices: b}).Contains(center) {
+	if !polygonContains(b, center) {
 		t.Error("cell center outside its boundary")
 	}
 }
@@ -50,7 +50,7 @@ func TestCellAreasSumToSphere(t *testing.T) {
 	// centroid-vertex approximation).
 	total := 0.0
 	ForEachCell(1, func(id CellID) {
-		total += id.AreaKm2()
+		total += cellAreaKm2(id)
 	})
 	if math.Abs(total-geo.EarthAreaKm2)/geo.EarthAreaKm2 > 0.05 {
 		t.Errorf("cell areas sum to %v, want ≈%v", total, geo.EarthAreaKm2)
@@ -60,135 +60,99 @@ func TestCellAreasSumToSphere(t *testing.T) {
 func TestCellAreaNearAverage(t *testing.T) {
 	id := LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 4)
 	avg := Resolution(4).AvgCellAreaKm2()
-	got := id.AreaKm2()
+	got := cellAreaKm2(id)
 	if got < 0.6*avg || got > 1.5*avg {
 		t.Errorf("cell area %v far from average %v", got, avg)
 	}
 }
 
-func TestRectFill(t *testing.T) {
-	// Colorado's frame: ~4.0x7.1 degrees at res 4 (~1770 km² cells).
-	cells := RectFill(37, 41, -109, -102, 4)
-	if len(cells) == 0 {
-		t.Fatal("no cells")
+// The polygon helpers below are the oracles for Boundary: a cell's
+// boundary must enclose its center, and the boundaries at one
+// resolution must tile the sphere.
+
+// cellAreaKm2 returns the area of the cell's boundary polygon. Cells
+// are near-uniform; individual areas vary around
+// Resolution.AvgCellAreaKm2 with the grid's geodesic distortion
+// (roughly ±25%).
+func cellAreaKm2(c CellID) float64 {
+	b := c.Boundary()
+	if len(b) < 3 {
+		return c.Resolution().AvgCellAreaKm2()
 	}
-	// Expected count ≈ area / avg cell area.
-	area := geo.RectArea(37, 41, -109, -102)
-	want := area / Resolution(4).AvgCellAreaKm2()
-	if math.Abs(float64(len(cells))-want)/want > 0.2 {
-		t.Errorf("RectFill returned %d cells, want ≈%.0f", len(cells), want)
+	return polygonAreaKm2(b)
+}
+
+// polygonAreaKm2 returns the spherical area enclosed by a closed loop
+// of vertices, summing the signed solid angles (Oosterom & Strackee) of
+// a triangle fan. The polygon must be simple and smaller than a
+// hemisphere.
+func polygonAreaKm2(vs []geo.LatLng) float64 {
+	if len(vs) < 3 {
+		return 0
 	}
-	seen := map[CellID]bool{}
-	for i, id := range cells {
-		if seen[id] {
-			t.Fatal("duplicate cell")
+	a := vs[0].Vector()
+	total := 0.0
+	for i := 1; i < len(vs)-1; i++ {
+		b, c := vs[i].Vector(), vs[i+1].Vector()
+		num := a.Dot(b.Cross(c))
+		den := 1 + a.Dot(b) + b.Dot(c) + c.Dot(a)
+		total += 2 * math.Atan2(num, den)
+	}
+	return math.Abs(total) * geo.EarthRadiusKm * geo.EarthRadiusKm
+}
+
+// polygonContains reports whether p lies inside the closed loop of
+// vertices, by the winding of p against each edge's great circle.
+// Points exactly on an edge may be reported either way.
+func polygonContains(vs []geo.LatLng, p geo.LatLng) bool {
+	n := len(vs)
+	if n < 3 {
+		return false
+	}
+	v := p.Vector()
+	total := 0.0
+	for i := 0; i < n; i++ {
+		a := vs[i].Vector()
+		b := vs[(i+1)%n].Vector()
+		// Project the edge endpoints onto the plane orthogonal to v and
+		// take the turn angle.
+		pa := a.Sub(v.Scale(a.Dot(v)))
+		pb := b.Sub(v.Scale(b.Dot(v)))
+		if pa.Norm() < 1e-12 || pb.Norm() < 1e-12 {
+			return true // p coincides with a vertex
 		}
-		seen[id] = true
-		if i > 0 && cells[i] < cells[i-1] {
-			t.Fatal("not sorted")
+		ang := pa.Unit().AngleTo(pb.Unit())
+		if v.Dot(pa.Cross(pb)) < 0 {
+			ang = -ang
 		}
-		c := id.LatLng()
-		if c.Lat < 37 || c.Lat > 41 || c.Lng < -109 || c.Lng > -102 {
-			t.Fatalf("cell center %v outside rect", c)
-		}
+		total += ang
 	}
-	if got := RectFill(41, 37, -109, -102, 4); got != nil {
-		t.Error("inverted rect should return nil")
-	}
-	if got := RectFill(37, 41, -109, -102, Resolution(-1)); got != nil {
-		t.Error("invalid resolution should return nil")
+	return math.Abs(total) > math.Pi // winding number != 0
+}
+
+func TestPolygonAreaOctant(t *testing.T) {
+	// The octant (0,0), (0,90), (90,*) covers 1/8 of the sphere.
+	oct := []geo.LatLng{{Lat: 0, Lng: 0}, {Lat: 0, Lng: 90}, {Lat: 90, Lng: 0}}
+	want := geo.EarthAreaKm2 / 8
+	if got := polygonAreaKm2(oct); math.Abs(got-want)/want > 1e-9 {
+		t.Errorf("octant area = %v, want %v", got, want)
 	}
 }
 
-func TestDiscFill(t *testing.T) {
-	center := geo.LatLng{Lat: 38, Lng: -100}
-	cells := DiscFill(center, 400, 4)
-	if len(cells) == 0 {
-		t.Fatal("no cells")
+func TestPolygonContains(t *testing.T) {
+	square := []geo.LatLng{
+		{Lat: 0, Lng: 0}, {Lat: 0, Lng: 10}, {Lat: 10, Lng: 10}, {Lat: 10, Lng: 0},
 	}
-	discArea := math.Pi * 400 * 400
-	want := discArea / Resolution(4).AvgCellAreaKm2()
-	if math.Abs(float64(len(cells))-want)/want > 0.25 {
-		t.Errorf("DiscFill returned %d cells, want ≈%.0f", len(cells), want)
+	if !polygonContains(square, geo.LatLng{Lat: 5, Lng: 5}) {
+		t.Error("polygon should contain interior point")
 	}
-	for _, id := range cells {
-		if geo.DistanceKm(center, id.LatLng()) > 400 {
-			t.Fatalf("cell %v outside disc", id)
-		}
+	if polygonContains(square, geo.LatLng{Lat: 20, Lng: 5}) {
+		t.Error("polygon should not contain exterior point")
 	}
-	// A disc smaller than one cell still returns the center cell.
-	tiny := DiscFill(center, 1, 4)
-	if len(tiny) > 1 {
-		t.Errorf("tiny disc returned %d cells", len(tiny))
+	if polygonContains(square, geo.LatLng{Lat: -5, Lng: -5}) {
+		t.Error("polygon should not contain exterior point on other side")
 	}
-	if DiscFill(center, -1, 4) != nil {
-		t.Error("negative radius should return nil")
-	}
-}
-
-func TestDiscFillGrowsWithRadius(t *testing.T) {
-	center := geo.LatLng{Lat: 38, Lng: -100}
-	small := DiscFill(center, 200, 4)
-	big := DiscFill(center, 500, 4)
-	if len(big) <= len(small) {
-		t.Errorf("disc did not grow: %d -> %d", len(small), len(big))
-	}
-	// All small-disc cells appear in the big disc.
-	inBig := map[CellID]bool{}
-	for _, id := range big {
-		inBig[id] = true
-	}
-	for _, id := range small {
-		if !inBig[id] {
-			t.Fatalf("cell %v in small disc missing from big disc", id)
-		}
-	}
-}
-
-func TestParentChild(t *testing.T) {
-	fine := LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 4)
-	parent, err := fine.ParentAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parent.Resolution() != 2 {
-		t.Fatalf("parent resolution = %d", parent.Resolution())
-	}
-	// The fine cell's center maps into the parent.
-	if LatLngToCell(fine.LatLng(), 2) != parent {
-		t.Error("parent does not contain child center")
-	}
-	// Children of the parent at the fine resolution include the cell.
-	children, err := parent.ChildrenAt(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, ch := range children {
-		if ch == fine {
-			found = true
-		}
-		if back, _ := ch.ParentAt(2); back != parent {
-			t.Fatalf("child %v maps to parent %v, want %v", ch, back, parent)
-		}
-	}
-	if !found {
-		t.Error("children missing the original fine cell")
-	}
-	// Roughly 7^2 children across two resolution steps (generous
-	// bounds: distortion varies cell sizes).
-	if len(children) < 25 || len(children) > 90 {
-		t.Errorf("got %d children across 2 levels, want ≈49", len(children))
-	}
-	// Errors.
-	if _, err := fine.ParentAt(5); err == nil {
-		t.Error("finer parent should fail")
-	}
-	if _, err := fine.ChildrenAt(2); err == nil {
-		t.Error("coarser children should fail")
-	}
-	same, err := fine.ChildrenAt(4)
-	if err != nil || len(same) != 1 || same[0] != fine {
-		t.Errorf("self children = %v, %v", same, err)
+	if polygonContains(nil, geo.LatLng{}) {
+		t.Error("degenerate polygon contains nothing")
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -237,15 +236,4 @@ func Get[T any](m *Memo[any], key string, fill func() (T, error)) (T, error) {
 		return zero, err
 	}
 	return v.(T), nil
-}
-
-// Cached memoizes an infallible typed fill. Do can still surface an
-// error — a coalesced leader's fill may panic — and with no error
-// channel to the caller, the only honest move is to re-panic.
-func Cached[T any](m *Memo[any], key string, fill func() T) T {
-	v, _, err := m.Do(context.Background(), key, func() (any, error) { return fill(), nil })
-	if err != nil {
-		panic(fmt.Sprintf("memo: infallible fill for %q failed: %v", key, err))
-	}
-	return v.(T)
 }

@@ -359,12 +359,9 @@ func TestNilMemoRunsFill(t *testing.T) {
 	if h, mi, c, e := m.Counters(); h|mi|c|e != 0 {
 		t.Fatal("nil Counters nonzero")
 	}
-	if got := Cached(m, "c", func() int { return 9 }); got != 9 {
-		t.Fatalf("Cached on a nil memo = %d, want 9", got)
-	}
 }
 
-func TestGetAndCachedTyped(t *testing.T) {
+func TestGetTyped(t *testing.T) {
 	m := New(Options[any]{MaxEntries: 4})
 	s, err := Get(m, "s", func() (string, error) { return "hello", nil })
 	if err != nil || s != "hello" {
@@ -373,47 +370,6 @@ func TestGetAndCachedTyped(t *testing.T) {
 	boom := errors.New("boom")
 	if _, err := Get(m, "e", func() ([]int, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Get err = %v, want boom", err)
-	}
-	calls := 0
-	for i := 0; i < 2; i++ {
-		if got := Cached(m, "c", func() int { calls++; return 9 }); got != 9 {
-			t.Fatalf("Cached = %d, want 9", got)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("Cached fill ran %d times, want 1", calls)
-	}
-}
-
-// TestCachedRepanicsOnPanickedLeader: a Cached follower whose leader's
-// fill panicked has no error return, so it re-panics.
-func TestCachedRepanicsOnPanickedLeader(t *testing.T) {
-	m := New(Options[any]{})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		defer func() { recover() }()
-		Cached(m, "k", func() int {
-			close(entered)
-			<-release
-			panic("fill exploded")
-		})
-	}()
-	<-entered
-	followerPanic := make(chan any, 1)
-	go func() {
-		defer func() { followerPanic <- recover() }()
-		Cached(m, "k", func() int { return 0 })
-	}()
-	for {
-		if _, _, coalesced, _ := m.Counters(); coalesced == 1 {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(release)
-	if p := <-followerPanic; p == nil {
-		t.Fatal("Cached follower of a panicked leader returned instead of panicking")
 	}
 }
 

@@ -130,12 +130,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
 // Canonical bucket sets. All are upper bounds; values past the last
 // bound land in the overflow bucket.
 var (

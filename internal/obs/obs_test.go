@@ -67,11 +67,11 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
+	if got := h.count.Load(); got != goroutines*perG {
 		t.Fatalf("count = %d, want %d", got, goroutines*perG)
 	}
 	want := float64(goroutines*perG) * 0.001
-	if got := h.Sum(); math.Abs(got-want) > 1e-6 {
+	if got := h.sum.load(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("sum = %g, want %g", got, want)
 	}
 }
@@ -174,8 +174,8 @@ func TestRegistryReset(t *testing.T) {
 	if c.Value() != 0 {
 		t.Errorf("counter after reset = %d, want 0", c.Value())
 	}
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Errorf("histogram after reset: count=%d sum=%g, want zeros", h.Count(), h.Sum())
+	if h.count.Load() != 0 || h.sum.load() != 0 {
+		t.Errorf("histogram after reset: count=%d sum=%g, want zeros", h.count.Load(), h.sum.load())
 	}
 	c.Inc() // cached pointer still records into the registry
 	if got := r.Snapshot().Counters["n"]; got != 1 {

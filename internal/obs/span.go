@@ -38,11 +38,6 @@ func Int(key string, value int64) Attr {
 	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
 }
 
-// Float builds a float attribute.
-func Float(key string, value float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(value, 'g', -1, 64)}
-}
-
 // Span is one timed, attributed region. Fields are set by StartSpan and
 // End; a span is owned by the goroutine that started it and must not be
 // mutated concurrently.

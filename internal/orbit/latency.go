@@ -43,18 +43,6 @@ func GEOBentPipeRTTMs() float64 {
 	return 2 * PropagationDelayMs(2*geoAltKm)
 }
 
-// DopplerShiftHz returns the carrier Doppler shift observed at a ground
-// point for the satellite at time t, at the given carrier frequency in
-// GHz. Positive values mean the satellite is approaching.
-func (o CircularOrbit) DopplerShiftHz(ground geo.LatLng, t, freqGHz float64) float64 {
-	const dt = 0.5
-	g := ground.Vector().Scale(geo.EarthRadiusKm)
-	r1 := ECIToECEF(o.PositionECI(t), t).Sub(g).Norm()
-	r2 := ECIToECEF(o.PositionECI(t+dt), t+dt).Sub(g).Norm()
-	rangeRate := (r2 - r1) / dt // km/s, positive = receding
-	return -rangeRate / SpeedOfLightKmPerSec * freqGHz * 1e9
-}
-
 // MaxDopplerHz returns the worst-case Doppler magnitude for a shell at
 // the given carrier: the orbital velocity projected on the line of
 // sight at the horizon.

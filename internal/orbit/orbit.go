@@ -95,23 +95,6 @@ func ECIToECEF(p geo.Vec3, t float64) geo.Vec3 {
 	}
 }
 
-// ECEFToECI is the inverse of ECIToECEF.
-func ECEFToECI(p geo.Vec3, t float64) geo.Vec3 {
-	theta := EarthRotationRadPerSec * t
-	c, s := math.Cos(theta), math.Sin(theta)
-	return geo.Vec3{
-		X: c*p.X - s*p.Y,
-		Y: s*p.X + c*p.Y,
-		Z: p.Z,
-	}
-}
-
-// SubsatellitePoint returns the geographic point directly beneath the
-// satellite at t seconds after epoch.
-func (o CircularOrbit) SubsatellitePoint(t float64) geo.LatLng {
-	return ECIToECEF(o.PositionECI(t), t).LatLng()
-}
-
 // Walker describes a Walker-delta constellation: Total satellites in
 // Planes evenly spaced planes at common altitude and inclination, with
 // relative phasing F between adjacent planes (Walker notation
@@ -235,12 +218,6 @@ func CoverageRadiusKm(altitudeKm, minElevationDeg float64) float64 {
 	return re * lam
 }
 
-// Visible reports whether the satellite at ECEF position sat can be seen
-// from ground point p with at least minElevationDeg of elevation.
-func Visible(sat geo.Vec3, p geo.LatLng, minElevationDeg float64) bool {
-	return ElevationDeg(sat, p) >= minElevationDeg
-}
-
 // ElevationDeg returns the elevation angle of the satellite at ECEF
 // position sat as seen from ground point p, in degrees. Negative values
 // mean the satellite is below the horizon.
@@ -250,88 +227,4 @@ func ElevationDeg(sat geo.Vec3, p geo.LatLng) float64 {
 	up := p.Vector()
 	sinEl := los.Dot(up) / los.Norm()
 	return geo.Degrees(math.Asin(sinEl))
-}
-
-// LatitudeHistogram propagates the constellation over one orbital period
-// in steps and counts subsatellite points into latitude bins of binDeg
-// degrees, returning the empirical per-bin density enhancement (ratio of
-// observed to uniform density). Bins outside the inclination band are
-// zero. Used to validate DensityFactor against simulated geometry.
-func (w Walker) LatitudeHistogram(binDeg float64, steps int) ([]float64, error) {
-	orbits, err := w.Orbits()
-	if err != nil {
-		return nil, err
-	}
-	if binDeg <= 0 {
-		return nil, fmt.Errorf("orbit: binDeg must be positive, got %v", binDeg)
-	}
-	if steps <= 0 {
-		steps = 256
-	}
-	nbins := int(math.Ceil(180 / binDeg))
-	counts := make([]float64, nbins)
-	period := orbits[0].PeriodSeconds()
-	total := 0.0
-	for _, o := range orbits {
-		for s := 0; s < steps; s++ {
-			t := period * float64(s) / float64(steps)
-			pt := o.SubsatellitePoint(t)
-			bin := int((pt.Lat + 90) / binDeg)
-			if bin < 0 {
-				bin = 0
-			}
-			if bin >= nbins {
-				bin = nbins - 1
-			}
-			counts[bin]++
-			total++
-		}
-	}
-	// Convert to density enhancement: observed fraction / area fraction.
-	out := make([]float64, nbins)
-	for b := 0; b < nbins; b++ {
-		latLo := -90 + binDeg*float64(b)
-		latHi := latLo + binDeg
-		areaFrac := geo.RectArea(latLo, latHi, -180, 180) / geo.EarthAreaKm2
-		if areaFrac > 0 {
-			out[b] = (counts[b] / total) / areaFrac
-		}
-	}
-	return out, nil
-}
-
-// J2 is Earth's dominant oblateness coefficient.
-const J2 = 1.08262668e-3
-
-// NodalPrecessionDegPerDay returns the secular RAAN drift rate a
-// circular orbit experiences from Earth's oblateness:
-//
-//	dΩ/dt = −(3/2)·J2·(Re/r)²·n·cos(i)
-//
-// Prograde orbits regress westward (negative); retrograde orbits
-// precess eastward. Sun-synchronous designs (e.g. Starlink's 97.6°
-// shells) pick the inclination whose precession matches the Sun's
-// apparent motion, +0.9856°/day.
-func (o CircularOrbit) NodalPrecessionDegPerDay(equatorialRadiusKm float64) float64 {
-	if equatorialRadiusKm <= 0 {
-		equatorialRadiusKm = 6378.137
-	}
-	r := o.RadiusKm()
-	n := o.MeanMotionRadPerSec() // rad/s
-	ratio := equatorialRadiusKm / r
-	radPerSec := -1.5 * J2 * ratio * ratio * n * math.Cos(geo.Radians(o.InclinationDeg))
-	return geo.Degrees(radPerSec) * 86400
-}
-
-// SunSynchronousInclinationDeg returns the inclination at which a
-// circular orbit at the given altitude precesses sun-synchronously.
-func SunSynchronousInclinationDeg(altitudeKm float64) float64 {
-	const targetDegPerDay = 360.0 / 365.2422
-	o := CircularOrbit{AltitudeKm: altitudeKm, InclinationDeg: 90}
-	r := o.RadiusKm()
-	n := o.MeanMotionRadPerSec()
-	ratio := 6378.137 / r
-	// Solve target = −(3/2)·J2·ratio²·n·cos(i) for i.
-	cosI := -geo.Radians(targetDegPerDay) / 86400 / (1.5 * J2 * ratio * ratio * n)
-	return geo.Degrees(math.Acos(cosI))
 }

@@ -40,12 +40,13 @@ func TestRadiusInvariantProperty(t *testing.T) {
 	}
 }
 
-// Property: ECI↔ECEF round-trips.
+// Property: ECI↔ECEF round-trips (the frame rotation at -t undoes the
+// one at t).
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(x, y, z int16, tRaw uint32) bool {
 		p := geo.Vec3{X: float64(x), Y: float64(y), Z: float64(z)}
 		tt := float64(tRaw % 86400)
-		q := ECEFToECI(ECIToECEF(p, tt), tt)
+		q := ECIToECEF(ECIToECEF(p, tt), -tt)
 		return q.Sub(p).Norm() < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -58,7 +59,7 @@ func TestSubsatelliteLatitudeBound(t *testing.T) {
 	o := starlinkOrbit()
 	for i := 0; i < 500; i++ {
 		tt := o.PeriodSeconds() * float64(i) / 500
-		p := o.SubsatellitePoint(tt)
+		p := subsatellitePoint(o, tt)
 		if math.Abs(p.Lat) > o.InclinationDeg+1e-6 {
 			t.Fatalf("subsatellite latitude %v exceeds inclination", p.Lat)
 		}
@@ -162,7 +163,7 @@ func TestDensityFactorNormalization(t *testing.T) {
 
 func TestLatitudeHistogramMatchesAnalytic(t *testing.T) {
 	w := Walker{AltitudeKm: 550, InclinationDeg: 53, Total: 220, Planes: 20, Phasing: 3}
-	hist, err := w.LatitudeHistogram(5, 128)
+	hist, err := latitudeHistogram(w, 5, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +185,6 @@ func TestLatitudeHistogramMatchesAnalytic(t *testing.T) {
 		if hist[bin] != 0 {
 			t.Errorf("histogram mass at bin %d beyond inclination", bin)
 		}
-	}
-}
-
-func TestLatitudeHistogramErrors(t *testing.T) {
-	w := StarlinkShell1()
-	if _, err := w.LatitudeHistogram(0, 10); err == nil {
-		t.Error("binDeg=0 should fail")
-	}
-	bad := Walker{Total: 7, Planes: 3, AltitudeKm: 550, InclinationDeg: 53}
-	if _, err := bad.LatitudeHistogram(5, 10); err == nil {
-		t.Error("invalid walker should fail")
 	}
 }
 
@@ -227,18 +217,12 @@ func TestElevation(t *testing.T) {
 	if got := ElevationDeg(antipode, p); got > -80 {
 		t.Errorf("antipodal elevation = %v, want ≈-90", got)
 	}
-	if !Visible(overhead, p, 25) {
-		t.Error("overhead satellite not visible")
-	}
-	if Visible(antipode, p, 25) {
-		t.Error("antipodal satellite visible")
-	}
 }
 
 func TestSubsatelliteGroundTrackMoves(t *testing.T) {
 	o := starlinkOrbit()
-	p0 := o.SubsatellitePoint(0)
-	p1 := o.SubsatellitePoint(60)
+	p0 := subsatellitePoint(o, 0)
+	p1 := subsatellitePoint(o, 60)
 	if geo.DistanceKm(p0, p1) < 100 {
 		t.Errorf("ground track barely moved in 60s: %v -> %v", p0, p1)
 	}
@@ -257,38 +241,41 @@ func BenchmarkPropagateShell(b *testing.B) {
 	}
 }
 
-func TestNodalPrecession(t *testing.T) {
-	// The 53°/550 km shell regresses westward a few degrees per day.
-	o := CircularOrbit{AltitudeKm: 550, InclinationDeg: 53}
-	rate := o.NodalPrecessionDegPerDay(0)
-	if rate > -3 || rate < -6 {
-		t.Errorf("53° precession = %v °/day, want ≈-4.6", rate)
-	}
-	// A polar orbit does not precess; retrograde precesses eastward.
-	polar := CircularOrbit{AltitudeKm: 550, InclinationDeg: 90}
-	if r := polar.NodalPrecessionDegPerDay(0); math.Abs(r) > 1e-9 {
-		t.Errorf("polar precession = %v", r)
-	}
-	retro := CircularOrbit{AltitudeKm: 560, InclinationDeg: 97.6}
-	if r := retro.NodalPrecessionDegPerDay(0); r <= 0 {
-		t.Errorf("retrograde precession = %v, want positive", r)
-	}
+// subsatellitePoint returns the geographic point directly beneath the
+// satellite at t seconds after epoch.
+func subsatellitePoint(o CircularOrbit, t float64) geo.LatLng {
+	return ECIToECEF(o.PositionECI(t), t).LatLng()
 }
 
-func TestSunSynchronousInclination(t *testing.T) {
-	// Gen1's 560 km polar shells at 97.6° are sun-synchronous: the
-	// solver must land on that inclination.
-	inc := SunSynchronousInclinationDeg(560)
-	if math.Abs(inc-97.6) > 0.3 {
-		t.Errorf("SSO inclination at 560 km = %v, want ≈97.6", inc)
+// latitudeHistogram propagates the constellation over one orbital
+// period in steps and counts subsatellite points into latitude bins of
+// binDeg degrees, returning the empirical per-bin density enhancement
+// (ratio of observed to uniform density). Bins outside the inclination
+// band are zero. It is the simulated-geometry oracle for DensityFactor.
+func latitudeHistogram(w Walker, binDeg float64, steps int) ([]float64, error) {
+	orbits, err := w.Orbits()
+	if err != nil {
+		return nil, err
 	}
-	// And plugging it back gives the sun rate.
-	o := CircularOrbit{AltitudeKm: 560, InclinationDeg: inc}
-	if rate := o.NodalPrecessionDegPerDay(0); math.Abs(rate-360.0/365.2422) > 0.01 {
-		t.Errorf("SSO precession = %v °/day, want 0.9856", rate)
+	nbins := int(math.Ceil(180 / binDeg))
+	counts := make([]float64, nbins)
+	period := orbits[0].PeriodSeconds()
+	total := 0.0
+	for _, o := range orbits {
+		for s := 0; s < steps; s++ {
+			pt := subsatellitePoint(o, period*float64(s)/float64(steps))
+			bin := min(max(int((pt.Lat+90)/binDeg), 0), nbins-1)
+			counts[bin]++
+			total++
+		}
 	}
-	// Higher orbits need more retrograde inclinations.
-	if SunSynchronousInclinationDeg(1200) <= inc {
-		t.Error("SSO inclination should grow with altitude")
+	// Observed fraction over the band's share of the sphere's area.
+	out := make([]float64, nbins)
+	for b := range out {
+		latLo := geo.Radians(-90 + binDeg*float64(b))
+		latHi := geo.Radians(-90 + binDeg*float64(b+1))
+		areaFrac := (math.Sin(latHi) - math.Sin(latLo)) / 2
+		out[b] = (counts[b] / total) / areaFrac
 	}
+	return out, nil
 }

@@ -71,30 +71,6 @@ func TestPassesNoneAboveInclinationReach(t *testing.T) {
 	}
 }
 
-func TestGroundTrack(t *testing.T) {
-	o := CircularOrbit{AltitudeKm: 550, InclinationDeg: 53}
-	track, err := o.GroundTrack(o.PeriodSeconds(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(track) < 100 {
-		t.Fatalf("track has %d points", len(track))
-	}
-	maxLat := 0.0
-	for _, p := range track {
-		if math.Abs(p.Lat) > maxLat {
-			maxLat = math.Abs(p.Lat)
-		}
-	}
-	// Over one period the track reaches (nearly) the inclination.
-	if maxLat < 52 || maxLat > 53.01 {
-		t.Errorf("track max |lat| = %v, want ≈53", maxLat)
-	}
-	if _, err := o.GroundTrack(-1, 30); err == nil {
-		t.Error("negative horizon should fail")
-	}
-}
-
 func TestGroundCoverage(t *testing.T) {
 	w := StarlinkShell1()
 	stats, err := w.GroundCoverage(geo.LatLng{Lat: 40, Lng: -100}, 25, 16)

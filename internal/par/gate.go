@@ -42,20 +42,8 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot without blocking and reports whether it got
-// one. A true return must be paired with exactly one Release.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire. Releasing more
-// than was acquired panics — that is a caller bug, not a recoverable
-// state.
+// Release frees a slot taken by Acquire. Releasing more than was
+// acquired panics — that is a caller bug, not a recoverable state.
 func (g *Gate) Release() {
 	select {
 	case <-g.sem:

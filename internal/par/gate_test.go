@@ -65,21 +65,6 @@ func TestGateAcquireHonorsCancellation(t *testing.T) {
 	}
 }
 
-func TestGateTryAcquire(t *testing.T) {
-	g := NewGate(1)
-	if !g.TryAcquire() {
-		t.Fatal("TryAcquire on an empty gate failed")
-	}
-	if g.TryAcquire() {
-		t.Fatal("TryAcquire on a full gate succeeded")
-	}
-	g.Release()
-	if !g.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-	g.Release()
-}
-
 func TestGateReleaseWithoutAcquirePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

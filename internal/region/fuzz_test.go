@@ -1,7 +1,9 @@
 package region
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -33,4 +35,24 @@ func FuzzRegionSpec(f *testing.F) {
 			t.Errorf("ParseSyntheticSpec accepted a spec that fails Validate: %v\ninput: %q", verr, data)
 		}
 	})
+}
+
+// ParseSyntheticSpec decodes a spec strictly: unknown fields, trailing
+// data, and any Validate violation are errors. It never panics,
+// whatever the input — the FuzzRegionSpec target enforces that, so the
+// fuzzer reaches Validate through a decoder as hostile input would.
+func ParseSyntheticSpec(data []byte) (SyntheticSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var s SyntheticSpec
+	if err := dec.Decode(&s); err != nil {
+		return SyntheticSpec{}, fmt.Errorf("region: synthetic spec: %w", err)
+	}
+	if dec.More() {
+		return SyntheticSpec{}, fmt.Errorf("region: synthetic spec: trailing data after JSON object")
+	}
+	if err := s.Validate(); err != nil {
+		return SyntheticSpec{}, err
+	}
+	return s, nil
 }

@@ -19,9 +19,7 @@ package region
 // demand-doubling invariant the metamorphic suite pins.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,8 +54,7 @@ type SyntheticPeak struct {
 // SyntheticSpec declares a synthetic region: a lat/lng demand
 // footprint on the hexgrid, a total location count with an anchored
 // per-cell shape, optional pinned peaks, and an income distribution
-// over synthetic districts. Obtain validated instances from
-// ParseSyntheticSpec or validate hand-built ones with Validate before
+// over synthetic districts. Validate a spec with Validate before
 // generating.
 type SyntheticSpec struct {
 	// Key is the canonical lowercase identifier (scenario selectors,
@@ -103,25 +100,6 @@ type SyntheticSpec struct {
 	// (census.IncomeQuantile rules: strictly increasing in both Q and
 	// income).
 	IncomeAnchors []census.QuantileAnchor `json:"income_anchors"`
-}
-
-// ParseSyntheticSpec decodes a spec strictly: unknown fields, trailing
-// data, and any Validate violation are errors. It never panics,
-// whatever the input — the FuzzRegionSpec target enforces that.
-func ParseSyntheticSpec(data []byte) (SyntheticSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s SyntheticSpec
-	if err := dec.Decode(&s); err != nil {
-		return SyntheticSpec{}, fmt.Errorf("region: synthetic spec: %w", err)
-	}
-	if dec.More() {
-		return SyntheticSpec{}, fmt.Errorf("region: synthetic spec: trailing data after JSON object")
-	}
-	if err := s.Validate(); err != nil {
-		return SyntheticSpec{}, err
-	}
-	return s, nil
 }
 
 func validRegionKey(key string) bool {

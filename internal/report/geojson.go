@@ -77,26 +77,6 @@ func WriteCellsGeoJSON(w io.Writer, cells []demand.Cell, maxCells int) error {
 	return enc.Encode(fc)
 }
 
-// ReadCellsGeoJSONCount parses a GeoJSON export and returns the feature
-// count and total locations — used by tests and sanity checks on
-// exported files.
-func ReadCellsGeoJSONCount(r io.Reader) (features, locations int, err error) {
-	var fc geoJSONFeatureCollection
-	if err := json.NewDecoder(r).Decode(&fc); err != nil {
-		return 0, 0, fmt.Errorf("report: parsing geojson: %w", err)
-	}
-	if fc.Type != "FeatureCollection" {
-		return 0, 0, fmt.Errorf("report: unexpected geojson type %q", fc.Type)
-	}
-	total := 0
-	for _, f := range fc.Features {
-		if n, ok := f.Properties["locations"].(float64); ok {
-			total += int(n)
-		}
-	}
-	return len(fc.Features), total, nil
-}
-
 // WriteGatewaysGeoJSON writes gateway points as a FeatureCollection.
 func WriteGatewaysGeoJSON(w io.Writer, names []string, positions []geo.LatLng) error {
 	if len(names) != len(positions) {

@@ -2,6 +2,9 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -96,38 +99,21 @@ func TestWriteGatewaysGeoJSON(t *testing.T) {
 	}
 }
 
-func TestLineChart(t *testing.T) {
-	xs := []float64{1, 10, 100, 1000}
-	ys := []float64{0.1, 0.5, 0.9, 1.0}
-	var buf bytes.Buffer
-	c := NewLineChart("CDF")
-	c.LogX = true
-	c.XLabel = "locations/cell"
-	c.YLabel = "P"
-	if err := c.Render(&buf, xs, ys); err != nil {
-		t.Fatal(err)
+// ReadCellsGeoJSONCount parses a GeoJSON export and returns the feature
+// count and total locations: the oracle for WriteCellsGeoJSON.
+func ReadCellsGeoJSONCount(r io.Reader) (features, locations int, err error) {
+	var fc geoJSONFeatureCollection
+	if err := json.NewDecoder(r).Decode(&fc); err != nil {
+		return 0, 0, fmt.Errorf("report: parsing geojson: %w", err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "CDF") || !strings.Contains(out, "*") {
-		t.Errorf("chart output missing content:\n%s", out)
+	if fc.Type != "FeatureCollection" {
+		return 0, 0, fmt.Errorf("report: unexpected geojson type %q", fc.Type)
 	}
-	if !strings.Contains(out, "locations/cell") {
-		t.Error("chart missing x label")
+	total := 0
+	for _, f := range fc.Features {
+		if n, ok := f.Properties["locations"].(float64); ok {
+			total += int(n)
+		}
 	}
-	// Errors.
-	if err := c.Render(&buf, xs, ys[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if err := c.Render(&buf, xs[:1], ys[:1]); err == nil {
-		t.Error("single point should fail")
-	}
-}
-
-func TestLineChartFlatSeries(t *testing.T) {
-	// A constant series must not divide by zero.
-	var buf bytes.Buffer
-	c := NewLineChart("flat")
-	if err := c.Render(&buf, []float64{1, 2, 3}, []float64{5, 5, 5}); err != nil {
-		t.Fatal(err)
-	}
+	return len(fc.Features), total, nil
 }

@@ -21,7 +21,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -217,29 +216,3 @@ func ReadFileVerified(ctx context.Context, path, wantSum string) ([]byte, error)
 	}
 	return data, nil
 }
-
-// HashingWriter tees writes into a SHA-256 alongside an underlying
-// writer, for callers that stream and want the digest afterwards.
-type HashingWriter struct {
-	w io.Writer
-	h hash.Hash
-	n int64
-}
-
-// NewHashingWriter wraps w.
-func NewHashingWriter(w io.Writer) *HashingWriter {
-	return &HashingWriter{w: strictWriter{w}, h: sha256.New()}
-}
-
-func (hw *HashingWriter) Write(p []byte) (int, error) {
-	n, err := hw.w.Write(p)
-	hw.h.Write(p[:n])
-	hw.n += int64(n)
-	return n, err
-}
-
-// SumHex returns the hex SHA-256 of everything written so far.
-func (hw *HashingWriter) SumHex() string { return hex.EncodeToString(hw.h.Sum(nil)) }
-
-// BytesWritten returns the number of bytes successfully written.
-func (hw *HashingWriter) BytesWritten() int64 { return hw.n }

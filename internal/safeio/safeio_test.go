@@ -212,20 +212,3 @@ func TestFaultWriterBudget(t *testing.T) {
 		t.Errorf("accepted bytes = %q", buf.String())
 	}
 }
-
-func TestHashingWriter(t *testing.T) {
-	var buf bytes.Buffer
-	hw := NewHashingWriter(&buf)
-	if _, err := hw.Write([]byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hw.Write([]byte("def")); err != nil {
-		t.Fatal(err)
-	}
-	if hw.SumHex() != SHA256Hex([]byte("abcdef")) {
-		t.Errorf("streamed sum differs from whole-buffer sum")
-	}
-	if hw.BytesWritten() != 6 {
-		t.Errorf("BytesWritten = %d", hw.BytesWritten())
-	}
-}

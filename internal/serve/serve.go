@@ -244,15 +244,6 @@ func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) 
 	return <-shutdownErr
 }
 
-// Request is the JSON body of POST /v1/scenario: the shared scenario
-// wire contract (leodivide.ScenarioRequest), so a body the CLI's
-// -scenario flag accepts replays byte-for-byte here. Dataset-identity
-// fields (seed, scale, calibrated) are pointers: absent means "inherit
-// the server's dataset"; present-but-different is a 409, because the
-// server answers against one immutable dataset. Parallelism is not a
-// request knob at all — results are identical at every worker count.
-type Request = leodivide.ScenarioRequest
-
 // Response is the JSON body of a successful scenario query. Key is the
 // scenario's canonical cache key; Result is the experiment's result
 // exactly as the registry returned it.

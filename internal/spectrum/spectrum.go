@@ -76,16 +76,6 @@ func UTDownlinkMHzOf(bands []Band) float64 {
 	return total
 }
 
-// TotalDownlinkMHzOf sums all downlink spectrum in a band table,
-// including gateway-only bands.
-func TotalDownlinkMHzOf(bands []Band) float64 {
-	total := 0.0
-	for _, b := range bands {
-		total += b.WidthMHz
-	}
-	return total
-}
-
 // UTBeamsOf counts the spot beams a band table lets a satellite point
 // at user-terminal cells (UT-only plus flexible bands).
 func UTBeamsOf(bands []Band) int {
@@ -98,29 +88,9 @@ func UTBeamsOf(bands []Band) int {
 	return n
 }
 
-// TotalBeamsOf counts all downlink beams in a band table.
-func TotalBeamsOf(bands []Band) int {
-	n := 0
-	for _, b := range bands {
-		n += b.Beams
-	}
-	return n
-}
-
 // UTDownlinkMHz sums the spectrum available for downlink to user
 // terminals (UT-only plus flexible bands): 3850 MHz.
 func UTDownlinkMHz() float64 { return UTDownlinkMHzOf(ScheduleS()) }
-
-// TotalDownlinkMHz sums all downlink spectrum including gateway-only
-// bands: 8850 MHz.
-func TotalDownlinkMHz() float64 { return TotalDownlinkMHzOf(ScheduleS()) }
-
-// UTBeams counts the spot beams a satellite can point at user-terminal
-// cells (UT-only plus flexible bands): 24.
-func UTBeams() int { return UTBeamsOf(ScheduleS()) }
-
-// TotalBeams counts all downlink beams: 28.
-func TotalBeams() int { return TotalBeamsOf(ScheduleS()) }
 
 // Regulatory and modelling constants.
 const (
@@ -131,8 +101,8 @@ const (
 	// MaxCellCapacityGbps is the paper's rounded maximum per-cell
 	// downlink capacity: 3850 MHz × 4.5 b/Hz ≈ 17.3 Gbps. The paper's
 	// thresholds (865 locations per beam, 3460 per cell at 20:1) follow
-	// from this rounded figure, so the model uses it by default;
-	// ExactCellCapacityGbps carries the unrounded product.
+	// from this rounded figure, so the model uses it instead of the
+	// unrounded product (≈17.325 Gbps).
 	MaxCellCapacityGbps = 17.3
 
 	// BeamsPerCellLimit is the number of beams required (and allowed,
@@ -150,16 +120,3 @@ const (
 	// providers, which the paper adopts as the acceptability bar.
 	FCCFixedWirelessOversubscription = 20
 )
-
-// ExactCellCapacityGbps returns the unrounded per-cell capacity,
-// UTDownlinkMHz × SpectralEfficiency ≈ 17.325 Gbps.
-func ExactCellCapacityGbps() float64 {
-	return UTDownlinkMHz() * SpectralEfficiencyBpsPerHz / 1000
-}
-
-// BeamCapacityGbps returns the capacity of a single spot beam under the
-// paper's convention: MaxCellCapacityGbps split over the 4 beams that
-// together serve one cell at full capacity (≈4.325 Gbps).
-func BeamCapacityGbps() float64 {
-	return MaxCellCapacityGbps / BeamsPerCellLimit
-}

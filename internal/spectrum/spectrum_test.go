@@ -10,14 +10,8 @@ func TestScheduleSTotals(t *testing.T) {
 	if got := UTDownlinkMHz(); got != 3850 {
 		t.Errorf("UTDownlinkMHz = %v, want 3850", got)
 	}
-	if got := TotalDownlinkMHz(); got != 8850 {
-		t.Errorf("TotalDownlinkMHz = %v, want 8850", got)
-	}
-	if got := UTBeams(); got != 24 {
-		t.Errorf("UTBeams = %d, want 24", got)
-	}
-	if got := TotalBeams(); got != 28 {
-		t.Errorf("TotalBeams = %d, want 28", got)
+	if got := UTBeamsOf(ScheduleS()); got != 24 {
+		t.Errorf("UTBeamsOf = %d, want 24", got)
 	}
 }
 
@@ -46,12 +40,12 @@ func TestScheduleSBands(t *testing.T) {
 
 func TestCapacities(t *testing.T) {
 	// 3850 MHz × 4.5 b/Hz = 17.325 Gbps exactly.
-	if got := ExactCellCapacityGbps(); math.Abs(got-17.325) > 1e-9 {
-		t.Errorf("ExactCellCapacityGbps = %v, want 17.325", got)
+	if got := UTDownlinkMHz() * SpectralEfficiencyBpsPerHz / 1000; math.Abs(got-17.325) > 1e-9 {
+		t.Errorf("exact cell capacity = %v, want 17.325", got)
 	}
 	// The paper rounds to 17.3; a beam carries a quarter of that.
-	if got := BeamCapacityGbps(); math.Abs(got-4.325) > 1e-9 {
-		t.Errorf("BeamCapacityGbps = %v, want 4.325", got)
+	if got := MaxCellCapacityGbps / BeamsPerCellLimit; math.Abs(got-4.325) > 1e-9 {
+		t.Errorf("beam capacity = %v, want 4.325", got)
 	}
 	if MaxCellCapacityGbps != 17.3 {
 		t.Errorf("MaxCellCapacityGbps = %v, want 17.3", MaxCellCapacityGbps)

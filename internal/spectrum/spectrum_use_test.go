@@ -50,20 +50,26 @@ func TestScheduleSPerUseSubtotals(t *testing.T) {
 		totalBeams += gotBeams
 	}
 	// The three uses partition the table: subtotals tie out against the
-	// aggregate helpers exactly.
-	if totalMHz != TotalDownlinkMHz() {
-		t.Errorf("per-use widths sum to %v, TotalDownlinkMHz is %v", totalMHz, TotalDownlinkMHz())
+	// whole table exactly (8850 MHz, 28 beams).
+	var allMHz float64
+	var allBeams int
+	for _, b := range ScheduleS() {
+		allMHz += b.WidthMHz
+		allBeams += b.Beams
 	}
-	if totalBeams != TotalBeams() {
-		t.Errorf("per-use beams sum to %d, TotalBeams is %d", totalBeams, TotalBeams())
+	if totalMHz != allMHz || allMHz != 8850 {
+		t.Errorf("per-use widths sum to %v, the table to %v, want 8850", totalMHz, allMHz)
+	}
+	if totalBeams != allBeams || allBeams != 28 {
+		t.Errorf("per-use beams sum to %d, the table to %d, want 28", totalBeams, allBeams)
 	}
 	utMHz, utBeams := perUse(DownlinkUT)
 	flexMHz, flexBeams := perUse(DownlinkFlexible)
 	if utMHz+flexMHz != UTDownlinkMHz() {
 		t.Errorf("UT+flexible width %v != UTDownlinkMHz %v", utMHz+flexMHz, UTDownlinkMHz())
 	}
-	if utBeams+flexBeams != UTBeams() {
-		t.Errorf("UT+flexible beams %d != UTBeams %d", utBeams+flexBeams, UTBeams())
+	if utBeams+flexBeams != UTBeamsOf(ScheduleS()) {
+		t.Errorf("UT+flexible beams %d != UTBeamsOf %d", utBeams+flexBeams, UTBeamsOf(ScheduleS()))
 	}
 }
 
@@ -117,16 +123,17 @@ func TestCapacityChainConsistency(t *testing.T) {
 	// The paper's capacity chain: rounded per-cell capacity within 0.2%
 	// of the exact product, beam capacity exactly a quarter of it, and
 	// the derived per-beam/per-cell location limits at 20:1.
-	exact := ExactCellCapacityGbps()
+	exact := UTDownlinkMHz() * SpectralEfficiencyBpsPerHz / 1000
+	beam := MaxCellCapacityGbps / BeamsPerCellLimit
 	if rel := math.Abs(MaxCellCapacityGbps-exact) / exact; rel > 0.002 {
 		t.Errorf("rounded capacity %v is %.4f%% off the exact %v", MaxCellCapacityGbps, 100*rel, exact)
 	}
-	if got := BeamCapacityGbps() * BeamsPerCellLimit; got != MaxCellCapacityGbps {
+	if got := beam * BeamsPerCellLimit; got != MaxCellCapacityGbps {
 		t.Errorf("beam capacity × %d = %v, want %v", BeamsPerCellLimit, got, MaxCellCapacityGbps)
 	}
 	// 4.325 Gbps × 20 / 0.1 Gbps = 865 locations per beam, 3460 per
 	// cell — the thresholds behind Finding 1.
-	perBeam := BeamCapacityGbps() * FCCFixedWirelessOversubscription / (FCCDownlinkMbps / 1000.0)
+	perBeam := beam * FCCFixedWirelessOversubscription / (FCCDownlinkMbps / 1000.0)
 	if math.Abs(perBeam-865) > 1e-9 {
 		t.Errorf("locations per beam at 20:1 = %v, want 865", perBeam)
 	}

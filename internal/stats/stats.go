@@ -46,14 +46,6 @@ func (c *CDF) P(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// CountLE returns the number of samples <= x.
-func (c *CDF) CountLE(x float64) int {
-	return sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
-}
-
-// CountGT returns the number of samples > x.
-func (c *CDF) CountGT(x float64) int { return len(c.sorted) - c.CountLE(x) }
-
 // Quantile returns the q-quantile (0 <= q <= 1) using the nearest-rank
 // method on the sorted samples. Quantile(0) is the minimum and
 // Quantile(1) the maximum.
@@ -158,15 +150,6 @@ func NewWeightedCDF(samples []WeightedSample) (*WeightedCDF, error) {
 // TotalWeight returns the sum of all weights.
 func (w *WeightedCDF) TotalWeight() float64 { return w.total }
 
-// P returns the weight-fraction with value <= x.
-func (w *WeightedCDF) P(x float64) float64 {
-	i := sort.Search(len(w.sorted), func(i int) bool { return w.sorted[i].Value > x })
-	if i == 0 {
-		return 0
-	}
-	return w.cum[i-1] / w.total
-}
-
 // WeightLE returns the total weight of samples with value <= x.
 func (w *WeightedCDF) WeightLE(x float64) float64 {
 	i := sort.Search(len(w.sorted), func(i int) bool { return w.sorted[i].Value > x })
@@ -193,58 +176,6 @@ func (w *WeightedCDF) Quantile(q float64) float64 {
 	return w.sorted[i].Value
 }
 
-// Series samples the weighted CDF at n evenly spaced points.
-func (w *WeightedCDF) Series(n int) []Point {
-	if n < 2 {
-		n = 2
-	}
-	lo := w.sorted[0].Value
-	hi := w.sorted[len(w.sorted)-1].Value
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		pts[i] = Point{X: x, Y: w.P(x)}
-	}
-	return pts
-}
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range are clamped into the end bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram builds a histogram of the samples.
-func NewHistogram(samples []float64, lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: nbins must be positive, got %d", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: invalid range [%v, %v]", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	for _, v := range samples {
-		bin := int((v - lo) / (hi - lo) * float64(nbins))
-		if bin < 0 {
-			bin = 0
-		}
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		h.Counts[bin]++
-		h.N++
-	}
-	return h, nil
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
-}
-
 // Summary holds the headline statistics of a sample set.
 type Summary struct {
 	N            int
@@ -255,19 +186,8 @@ type Summary struct {
 	StdDev       float64
 }
 
-// Summarize computes a Summary of the samples.
-func Summarize(samples []float64) (Summary, error) {
-	c, err := NewCDF(samples)
-	if err != nil {
-		return Summary{}, err
-	}
-	return SummarizeCDF(c)
-}
-
 // SummarizeCDF computes a Summary from an already-built CDF, reusing
-// its sorted sample array instead of copying and re-sorting. Sorting is
-// deterministic over the sample multiset, so this is value-identical to
-// Summarize on the same samples in any order.
+// its sorted sample array instead of copying and re-sorting.
 func SummarizeCDF(c *CDF) (Summary, error) {
 	if c == nil || len(c.sorted) == 0 {
 		return Summary{}, ErrNoSamples

@@ -33,12 +33,6 @@ func TestCDFBasics(t *testing.T) {
 			t.Errorf("P(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if got := c.CountLE(2); got != 3 {
-		t.Errorf("CountLE(2) = %d, want 3", got)
-	}
-	if got := c.CountGT(2); got != 2 {
-		t.Errorf("CountGT(2) = %d, want 2", got)
-	}
 	if got := c.Min(); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
@@ -116,23 +110,6 @@ func TestQuantileInverseProperty(t *testing.T) {
 	}
 }
 
-// Property: CountLE + CountGT = Len.
-func TestCountPartitionProperty(t *testing.T) {
-	f := func(raw []float64, x float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		c, err := NewCDF(raw)
-		if err != nil {
-			return false
-		}
-		return c.CountLE(x)+c.CountGT(x) == c.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	c, _ := NewCDF([]float64{1, 2, 3, 4})
 	pts := c.Series(5)
@@ -164,16 +141,16 @@ func TestWeightedCDF(t *testing.T) {
 	if got := w.TotalWeight(); got != 10 {
 		t.Errorf("TotalWeight = %v, want 10", got)
 	}
-	if got := w.P(10); math.Abs(got-0.1) > 1e-12 {
+	if got := weightedP(w, 10); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("P(10) = %v, want 0.1", got)
 	}
-	if got := w.P(20); math.Abs(got-0.4) > 1e-12 {
+	if got := weightedP(w, 20); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("P(20) = %v, want 0.4", got)
 	}
-	if got := w.P(25); math.Abs(got-0.4) > 1e-12 {
+	if got := weightedP(w, 25); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("P(25) = %v, want 0.4", got)
 	}
-	if got := w.P(30); got != 1 {
+	if got := weightedP(w, 30); got != 1 {
 		t.Errorf("P(30) = %v, want 1", got)
 	}
 	if got := w.WeightLE(20); got != 4 {
@@ -223,41 +200,10 @@ func TestWeightedMatchesUnweightedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(c.P(x)-w.P(x)) < 1e-9
+		return math.Abs(c.P(x)-weightedP(w, x)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0.5, 1.5, 2.5, 2.6, 9.9, -5, 100}, 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N != 7 {
-		t.Errorf("N = %d, want 7", h.N)
-	}
-	if h.Counts[0] != 2 { // 0.5 and the clamped -5
-		t.Errorf("Counts[0] = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[2] != 2 {
-		t.Errorf("Counts[2] = %d, want 2", h.Counts[2])
-	}
-	if h.Counts[9] != 2 { // 9.9 and the clamped 100
-		t.Errorf("Counts[9] = %d, want 2", h.Counts[9])
-	}
-	if got := h.BinCenter(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v, want 0.5", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("nbins=0 should fail")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 4); err == nil {
-		t.Error("empty range should fail")
 	}
 }
 
@@ -267,7 +213,7 @@ func TestSummarize(t *testing.T) {
 	for i := range samples {
 		samples[i] = rng.NormFloat64()*2 + 10
 	}
-	s, err := Summarize(samples)
+	s, err := summarize(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +232,8 @@ func TestSummarize(t *testing.T) {
 	if s.String() == "" {
 		t.Error("String() empty")
 	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("Summarize(nil) should fail")
+	if _, err := summarize(nil); err == nil {
+		t.Error("summarize(nil) should fail")
 	}
 }
 
@@ -302,7 +248,7 @@ func TestSummaryOrderProperty(t *testing.T) {
 				return true
 			}
 		}
-		s, err := Summarize(raw)
+		s, err := summarize(raw)
 		if err != nil {
 			return false
 		}
@@ -402,4 +348,18 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// weightedP returns the weight fraction of samples with value <= x.
+func weightedP(w *WeightedCDF, x float64) float64 {
+	return w.WeightLE(x) / w.TotalWeight()
+}
+
+// summarize computes a Summary of raw samples through SummarizeCDF.
+func summarize(samples []float64) (Summary, error) {
+	c, err := NewCDF(samples)
+	if err != nil {
+		return Summary{}, err
+	}
+	return SummarizeCDF(c)
 }

@@ -77,32 +77,14 @@ func (p DiurnalProfile) PeakHour() int {
 	return best
 }
 
-// LocalHour converts a UTC hour to the solar local hour at a longitude
-// (15° per hour).
-func LocalHour(utcHour float64, lngDeg float64) float64 {
-	h := math.Mod(utcHour+lngDeg/15+48, 24)
-	return h
-}
-
-// At returns the multiplier at a fractional local hour, interpolating
-// between hourly samples. Any finite hour wraps onto the day; a
-// non-finite hour yields NaN.
-func (p DiurnalProfile) At(localHour float64) float64 {
-	return p.interp(math.Mod(localHour+24, 24))
-}
-
-// CellDemandAt returns a cell's instantaneous demand multiplier at a
-// UTC hour, using the cell's longitude for the local clock.
-func CellDemandAt(p DiurnalProfile, c demand.Cell, utcHour float64) float64 {
-	return p.At(LocalHour(utcHour, c.Center.Lng))
-}
-
-// MultiplierAt is the hot-loop form of CellDemandAt over precomputed
-// columns: phase is the cell's longitude divided by 15 (see Columns).
-// The pointer receiver avoids copying the 24-entry profile per cell,
-// and the arithmetic replicates LocalHour followed by At operation for
-// operation — including At's second modulo, whose rounding is
-// observable — so the result is bit-identical.
+// MultiplierAt returns a cell's instantaneous demand multiplier at a
+// UTC hour: phase is the cell's longitude divided by 15 (see Columns),
+// which shifts UTC onto the cell's solar local clock (15° per hour);
+// the profile is interpolated between hourly samples there. The pointer
+// receiver avoids copying the 24-entry profile per cell. The second
+// modulo is kept although it looks redundant: its rounding is
+// observable, and the tests pin the result bit for bit against the
+// two-step local-hour reference.
 func (p *DiurnalProfile) MultiplierAt(utcHour, phase float64) float64 {
 	h := math.Mod(utcHour+phase+48, 24)
 	return p.interp(math.Mod(h+24, 24))
@@ -161,18 +143,10 @@ func NewColumns(cells []demand.Cell) Columns {
 	return c
 }
 
-// Len returns the number of projected cells.
-func (c Columns) Len() int { return len(c.Loc) }
-
-// NationalCurve sums instantaneous demand over all cells for each UTC
-// hour step, returning (utcHour, totalDemandGbps) samples. Time-zone
-// staggering flattens this national curve relative to any single
-// cell's curve.
-func NationalCurve(p DiurnalProfile, cells []demand.Cell, steps int) ([]float64, []float64, error) {
-	return NationalCurveColumns(p, NewColumns(cells), steps)
-}
-
-// NationalCurveColumns is NationalCurve over pre-projected columns, so
+// NationalCurveColumns sums instantaneous demand over all projected
+// cells for each UTC hour step, returning (utcHour, totalDemandGbps)
+// samples. Time-zone staggering flattens this national curve relative
+// to any single cell's curve. It takes pre-projected columns, so
 // repeated curves (footprint and national scopes of a stagger analysis)
 // share one projection.
 //

@@ -310,3 +310,22 @@ func TestPeakToMean(t *testing.T) {
 		t.Error("zero PeakToMean should be 0")
 	}
 }
+
+// LocalHour converts a UTC hour to the solar local hour at a longitude
+// (15° per hour). With At it is the two-step reference MultiplierAt
+// must match bit for bit.
+func LocalHour(utcHour float64, lngDeg float64) float64 {
+	return math.Mod(utcHour+lngDeg/15+48, 24)
+}
+
+// At returns the multiplier at a fractional local hour, interpolating
+// between hourly samples. Any finite hour wraps onto the day; a
+// non-finite hour yields NaN.
+func (p DiurnalProfile) At(localHour float64) float64 {
+	return p.interp(math.Mod(localHour+24, 24))
+}
+
+// NationalCurve is NationalCurveColumns over freshly projected cells.
+func NationalCurve(p DiurnalProfile, cells []demand.Cell, steps int) ([]float64, []float64, error) {
+	return NationalCurveColumns(p, NewColumns(cells), steps)
+}

@@ -37,11 +37,6 @@ type State struct {
 	RuralWeight float64
 }
 
-// Area returns the frame's area in km².
-func (s State) Area() float64 {
-	return geo.RectArea(s.LatLo, s.LatHi, s.LngLo, s.LngHi)
-}
-
 // Center returns the frame's central coordinate.
 func (s State) Center() geo.LatLng {
 	return geo.LatLng{Lat: (s.LatLo + s.LatHi) / 2, Lng: (s.LngLo + s.LngHi) / 2}
@@ -270,18 +265,6 @@ func TotalRuralWeight() float64 {
 		t += s.RuralWeight
 	}
 	return t
-}
-
-// ConusBounds returns the bounding frame of the contiguous United
-// States.
-func ConusBounds() (latLo, latHi, lngLo, lngHi float64) {
-	return 25.1, 49.4, -124.8, -66.9
-}
-
-// InConus reports whether p is inside the CONUS bounding frame.
-func InConus(p geo.LatLng) bool {
-	la, lh, lo, lg := ConusBounds()
-	return p.Lat >= la && p.Lat <= lh && p.Lng >= lo && p.Lng <= lg
 }
 
 // GatewaySite is one satellite ground-station (gateway) location.

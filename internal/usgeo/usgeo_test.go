@@ -38,9 +38,6 @@ func TestStatesTable(t *testing.T) {
 		if s.RuralWeight <= 0 {
 			t.Errorf("%s: nonpositive rural weight", s.Abbr)
 		}
-		if s.Area() <= 0 {
-			t.Errorf("%s: nonpositive area", s.Abbr)
-		}
 	}
 	// Texas has the most counties of any state.
 	tx, err := ByAbbr("TX")
@@ -178,19 +175,6 @@ func TestAllCounties(t *testing.T) {
 func TestTotalRuralWeight(t *testing.T) {
 	if w := TotalRuralWeight(); w <= 0 || math.IsNaN(w) {
 		t.Errorf("TotalRuralWeight = %v", w)
-	}
-}
-
-func TestConus(t *testing.T) {
-	if !InConus(geo.LatLng{Lat: 39, Lng: -98}) {
-		t.Error("Kansas should be in CONUS")
-	}
-	if InConus(geo.LatLng{Lat: 61, Lng: -150}) {
-		t.Error("Anchorage should not be in CONUS")
-	}
-	la, lh, lo, lg := ConusBounds()
-	if la >= lh || lo >= lg {
-		t.Error("degenerate CONUS bounds")
 	}
 }
 

@@ -38,8 +38,8 @@ func TestGenerateDatasetCalibration(t *testing.T) {
 	if ds.NumCells() < 20000 || ds.NumCells() > 35000 {
 		t.Errorf("cells = %d, want a plausible US demand-cell count", ds.NumCells())
 	}
-	if ds.Incomes.Len() < 1000 {
-		t.Errorf("income table has only %d counties", ds.Incomes.Len())
+	if len(ds.Incomes.Counties()) < 1000 {
+		t.Errorf("income table has only %d counties", len(ds.Incomes.Counties()))
 	}
 }
 

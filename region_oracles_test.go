@@ -160,12 +160,16 @@ func TestRegionLatitudeShiftMonotonicity(t *testing.T) {
 		t.Skip("generates ten synthetic bands")
 	}
 	centers := []float64{4, 14, 24, 34, 44}
+	oneweb, ok := constellation.SystemByName("oneweb")
+	if !ok {
+		t.Fatal("oneweb system not declared")
+	}
 	systems := []struct {
 		name string
 		sys  constellation.System
 	}{
 		{"starlink", constellation.StarlinkSystem()},
-		{"oneweb", constellation.OneWebSystem()},
+		{"oneweb", oneweb},
 	}
 	premiums := make([]float64, len(systems))
 	for si, s := range systems {
