@@ -127,6 +127,5 @@ func run(args []string, w io.Writer) error {
 // failed or interrupted generation can never leave a truncated CSV
 // that downstream ingestion would half-read.
 func writeTo(ctx context.Context, dir, name string, fn func(io.Writer) error) error {
-	_, err := safeio.WriteFile(ctx, filepath.Join(dir, name), fn)
-	return err
+	return safeio.WriteFile(ctx, filepath.Join(dir, name), fn)
 }

@@ -212,7 +212,7 @@ var allOrder = []string{
 type renderer func(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error
 
 // resultAs recovers an experiment's concrete result type from the
-// registry's any — the CLI-side counterpart of leodivide.RunAs.
+// registry's any, naming the experiment when the type does not match.
 func resultAs[T any](name string, v any) (T, error) {
 	t, ok := v.(T)
 	if !ok {
@@ -651,7 +651,7 @@ func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, seed int64,
 		if err != nil {
 			return err
 		}
-		if _, err := safeio.WriteFile(ctx, locCSV, func(f io.Writer) error {
+		if err := safeio.WriteFile(ctx, locCSV, func(f io.Writer) error {
 			return bdc.WriteLocationsCSV(f, locs)
 		}); err != nil {
 			return err
@@ -694,8 +694,7 @@ func runExport(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivid
 	// Every export artifact is written atomically with close/flush
 	// errors propagated (see internal/safeio).
 	writeFile := func(name string, fn func(io.Writer) error) error {
-		_, err := safeio.WriteFile(ctx, filepath.Join(dir, name), fn)
-		return err
+		return safeio.WriteFile(ctx, filepath.Join(dir, name), fn)
 	}
 	if err := writeFile("cells.geojson", func(out io.Writer) error {
 		return report.WriteCellsGeoJSON(out, ds.Cells, 0)

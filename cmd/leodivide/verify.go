@@ -80,11 +80,12 @@ func runVerify(ctx context.Context, w io.Writer, global leodivide.RunConfig, arg
 			return fmt.Errorf("verify: corpus %s has file for unknown experiment %q (delete it)", cc.Dir, n)
 		}
 
-		ds, err := rc.Generate(ctx)
+		sc := leodivide.ScenarioConfig{RunConfig: rc}
+		ds, err := sc.Generate(ctx)
 		if err != nil {
 			return fmt.Errorf("verify: generate %s: %w", rc, err)
 		}
-		m := rc.BuildModel()
+		m := sc.BuildModel()
 		for _, exp := range registry {
 			e, ok := m.ExperimentByName(exp.Name)
 			if !ok {

@@ -5,24 +5,13 @@ import (
 	"testing"
 )
 
-func crossConstDataset(t *testing.T) *Dataset {
-	t.Helper()
-	cfg := DefaultRunConfig()
-	cfg.Scale = 0.02
-	ds, err := cfg.Generate(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
-}
-
 // TestCostCurveInvariants checks the structural contract of the
 // costcurve experiment: one curve per declared system in canonical
 // order, a full fraction sweep per curve, and the monotonicity a
 // growing fleet implies — required spread never rises, served fraction
 // never falls.
 func TestCostCurveInvariants(t *testing.T) {
-	ds := crossConstDataset(t)
+	ds := smallDataset(t, 1)
 	r, err := NewModel().CostCurve(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +76,7 @@ func TestCostCurveInvariants(t *testing.T) {
 // system in canonical order, and a Cheapest verdict that actually is
 // the minimum monthly cost among serving systems.
 func TestCrossConstellationInvariants(t *testing.T) {
-	ds := crossConstDataset(t)
+	ds := smallDataset(t, 1)
 	r, err := NewModel().CrossConstellation(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)

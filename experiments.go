@@ -33,7 +33,7 @@ type Experiment struct {
 	Description string
 	// Run evaluates the experiment. The concrete result type is the
 	// corresponding Model method's result (e.g. Table2Result for
-	// "table2"); RunAs recovers it with type safety.
+	// "table2"); callers type-assert it back.
 	//
 	// Cancellation contract (uniform across the registry): if ctx is
 	// already cancelled, Run returns ctx.Err() immediately without

@@ -120,11 +120,12 @@ func TestGoldenCorpus(t *testing.T) {
 			rc := DefaultRunConfig()
 			rc.Seed = cfg.Seed
 			rc.Scale = cfg.Scale
-			ds, err := rc.Generate(ctx)
+			sc := ScenarioConfig{RunConfig: rc}
+			ds, err := sc.Generate(ctx)
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			m := rc.BuildModel()
+			m := sc.BuildModel()
 			for _, exp := range m.Experiments() {
 				exp := exp
 				t.Run(exp.Name, func(t *testing.T) {

@@ -14,13 +14,10 @@ package census
 
 import (
 	"cmp"
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -346,97 +343,6 @@ func incomeRecords(weights []CountyWeight, rows []rankKey) []CountyIncome {
 func fipsAscending(weights []CountyWeight) bool {
 	for i := 1; i < len(weights); i++ {
 		if weights[i-1].FIPS >= weights[i].FIPS {
-			return false
-		}
-	}
-	return true
-}
-
-// csvHeader is the ACS-style county income schema.
-var csvHeader = []string{"county_fips", "state", "median_household_income_usd", "unserved_locations"}
-
-// WriteCSV writes the table in the ACS-style schema, ordered by FIPS.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("census: writing header: %w", err)
-	}
-	recs := t.Counties()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].FIPS < recs[j].FIPS })
-	for _, r := range recs {
-		row := []string{
-			r.FIPS,
-			r.StateAbbr,
-			strconv.FormatFloat(r.MedianHouseholdIncomeUSD, 'f', 0, 64),
-			strconv.FormatFloat(r.Weight, 'f', 0, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("census: writing county %s: %w", r.FIPS, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a table written by WriteCSV, enforcing the writer's
-// invariants: digit-checked county FIPS codes with no duplicates,
-// positive incomes, nonnegative weights.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("census: reading header: %w", err)
-	}
-	for i, h := range csvHeader {
-		if header[i] != h {
-			return nil, fmt.Errorf("census: header field %d is %q, want %q", i, header[i], h)
-		}
-	}
-	var recs []CountyIncome
-	seen := make(map[string]int)
-	line := 1
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		line++
-		if err != nil {
-			return nil, fmt.Errorf("census: line %d: %w", line, err)
-		}
-		if !validFIPS(row[0]) {
-			return nil, fmt.Errorf("census: line %d: bad county_fips %q: want 5 digits", line, row[0])
-		}
-		if prev, dup := seen[row[0]]; dup {
-			return nil, fmt.Errorf("census: line %d: duplicate county_fips %q (first at line %d)", line, row[0], prev)
-		}
-		seen[row[0]] = line
-		income, err := strconv.ParseFloat(row[2], 64)
-		if err != nil || income <= 0 {
-			return nil, fmt.Errorf("census: line %d: bad income %q", line, row[2])
-		}
-		weight, err := strconv.ParseFloat(row[3], 64)
-		if err != nil || weight < 0 {
-			return nil, fmt.Errorf("census: line %d: bad weight %q", line, row[3])
-		}
-		recs = append(recs, CountyIncome{
-			FIPS:                     row[0],
-			StateAbbr:                row[1],
-			MedianHouseholdIncomeUSD: income,
-			Weight:                   weight,
-		})
-	}
-	return NewTable(recs), nil
-}
-
-// validFIPS reports whether s is a 5-digit county FIPS code.
-func validFIPS(s string) bool {
-	if len(s) != 5 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
 			return false
 		}
 	}

@@ -284,8 +284,7 @@ func WriteFile(ctx context.Context, path string, v any) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	_, err = safeio.WriteFileBytes(ctx, path, b)
-	return err
+	return safeio.WriteFileBytes(ctx, path, b)
 }
 
 // ReadFile reads one frozen encoding.

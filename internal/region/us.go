@@ -26,9 +26,7 @@ import (
 var metricIncomeSecs = obs.Default.Histogram("gen.assign_incomes.seconds", obs.DurationBuckets)
 
 // usRegion wraps the calibrated BDC generator configuration and income
-// anchors. The default instance (US) carries the paper-calibrated
-// configuration; USWith builds advanced variants for the facade's
-// WithGenConfig/WithIncomeAnchors options.
+// anchors. US is its one instance: the paper-calibrated configuration.
 type usRegion struct {
 	cfg     bdc.GenConfig
 	anchors []census.QuantileAnchor
@@ -38,12 +36,6 @@ type usRegion struct {
 // pipeline.
 func US() Region {
 	return usRegion{cfg: bdc.DefaultGenConfig(), anchors: census.DefaultIncomeAnchors()}
-}
-
-// USWith returns the US region with a replacement generator
-// configuration and income anchors (the facade's advanced options).
-func USWith(cfg bdc.GenConfig, anchors []census.QuantileAnchor) Region {
-	return usRegion{cfg: cfg, anchors: anchors}
 }
 
 func (usRegion) Key() string  { return DefaultKey }

@@ -7,8 +7,7 @@ import (
 	"sync"
 )
 
-// ErrInjected is the default error surfaced by the fault-injection
-// wrappers in this file.
+// ErrInjected is the default error FaultWriter surfaces.
 var ErrInjected = errors.New("safeio: injected fault")
 
 // FaultWriter is a test double: it forwards to W until FailAfter bytes
@@ -51,46 +50,12 @@ func (f *FaultWriter) Write(p []byte) (int, error) {
 	return n, ErrInjected
 }
 
-// FaultReader forwards to R until FailAfter bytes have been produced,
-// then fails: with Short unset it returns Err (default ErrInjected);
-// with Short set it reports a clean early io.EOF, modeling a truncated
-// file.
-type FaultReader struct {
-	R         io.Reader
-	FailAfter int64
-	Err       error
-	Short     bool
-
-	read int64
-}
-
-func (f *FaultReader) Read(p []byte) (int, error) {
-	budget := f.FailAfter - f.read
-	if budget <= 0 {
-		if f.Short {
-			return 0, io.EOF
-		}
-		if f.Err != nil {
-			return 0, f.Err
-		}
-		return 0, ErrInjected
-	}
-	if int64(len(p)) > budget {
-		p = p[:budget]
-	}
-	n, err := f.R.Read(p)
-	f.read += int64(n)
-	return n, err
-}
-
 // Fault-injection hooks. Tests install them to interpose on the real
-// file operations WriteFile and ReadFileVerified perform; production
-// code never sets them. Each setter returns a restore func so tests
-// can defer cleanup.
+// file operations WriteFile performs; production code never sets them.
+// Each setter returns a restore func so tests can defer cleanup.
 var (
 	hookMu       sync.Mutex
 	writeHookFn  func(path string, w io.Writer) io.Writer
-	readHookFn   func(path string, r io.Reader) io.Reader
 	syncFaultFn  func(path string) error
 	closeFaultFn func(path string) error
 )
@@ -105,16 +70,6 @@ func SetWriteFault(h func(path string, w io.Writer) io.Writer) (restore func()) 
 	return func() { hookMu.Lock(); writeHookFn = prev; hookMu.Unlock() }
 }
 
-// SetReadFault interposes h on the data path of every ReadFileVerified
-// until the returned restore func runs.
-func SetReadFault(h func(path string, r io.Reader) io.Reader) (restore func()) {
-	hookMu.Lock()
-	defer hookMu.Unlock()
-	prev := readHookFn
-	readHookFn = h
-	return func() { hookMu.Lock(); readHookFn = prev; hookMu.Unlock() }
-}
-
 // SetSyncFault makes WriteFile's pre-rename fsync fail with the error
 // f returns (nil = no fault) until the returned restore func runs.
 func SetSyncFault(f func(path string) error) (restore func()) {
@@ -127,8 +82,9 @@ func SetSyncFault(f func(path string) error) (restore func()) {
 
 // SetCloseFault makes WriteFile's temp-file Close fail with the error
 // f returns (nil = no fault) until the returned restore func runs.
-// This is the regression seam for the historical bug where a deferred
-// Close error was discarded by Dataset.Save.
+// It pins that a Close error reaches the caller rather than being
+// discarded by a deferred Close, the classic way a truncated file
+// ships behind a nil error.
 func SetCloseFault(f func(path string) error) (restore func()) {
 	hookMu.Lock()
 	defer hookMu.Unlock()
@@ -141,12 +97,6 @@ func writeHook() func(string, io.Writer) io.Writer {
 	hookMu.Lock()
 	defer hookMu.Unlock()
 	return writeHookFn
-}
-
-func readHook() func(string, io.Reader) io.Reader {
-	hookMu.Lock()
-	defer hookMu.Unlock()
-	return readHookFn
 }
 
 func syncFile(f *os.File) error {

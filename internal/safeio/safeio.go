@@ -1,25 +1,23 @@
-// Package safeio is the repo's hardened file I/O layer. Every number
-// the reproduction publishes rests on a pinned dataset that must
-// survive a save/load round trip exactly, so this layer guarantees two
-// properties the bare os package does not:
+// Package safeio is the repo's hardened file writer. Every artifact the
+// repo writes — the CLI's export files, cmd/bdcgen's synthetic BDC
+// extract, the golden corpus — goes through WriteFile, which guarantees
+// two properties the bare os package does not:
 //
 //   - Atomicity: WriteFile writes into a temp file in the destination
 //     directory, fsyncs it, and renames it into place, then fsyncs the
 //     directory. A crash, full disk, or failed flush leaves either the
 //     old file or the new file — never a truncated hybrid.
-//   - Loud failure: Close and Sync errors propagate; short writes are
-//     promoted to io.ErrShortWrite instead of being absorbed; reads can
-//     be verified against a SHA-256 checksum recorded at write time.
+//   - Loud failure: Close and Sync errors propagate, and short writes
+//     are promoted to io.ErrShortWrite instead of being absorbed.
 //
-// The fault-injection seams in fault.go let tests drive every error
-// path (write error, short write, close/sync failure, read error,
-// short read) without touching the real filesystem.
+// Datasets are never written: they are regenerated from their
+// (seed, region, scale) identity. The fault-injection seams in fault.go
+// let tests drive every write error path (write error, short write,
+// sync failure, close failure) without touching the real filesystem.
 package safeio
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -30,26 +28,16 @@ import (
 )
 
 // I/O observability (see internal/obs): how many artifacts the process
-// wrote and read, how many bytes moved, how often it paid for an fsync,
-// and whether any checksum verification or fault injection fired.
+// wrote, how many bytes moved, how often it paid for an fsync, and
+// whether any fault injection fired.
 var (
 	metricWrites       = obs.Default.Counter("safeio.writes")
 	metricWriteErrors  = obs.Default.Counter("safeio.write_errors")
 	metricBytesWritten = obs.Default.Counter("safeio.bytes_written")
 	metricFsyncs       = obs.Default.Counter("safeio.fsyncs")
 	metricWriteSecs    = obs.Default.Histogram("safeio.write.seconds", obs.DurationBuckets)
-	metricReads        = obs.Default.Counter("safeio.reads")
-	metricBytesRead    = obs.Default.Counter("safeio.bytes_read")
-	metricVerifies     = obs.Default.Counter("safeio.checksum_verifies")
-	metricVerifyFails  = obs.Default.Counter("safeio.checksum_failures")
 	metricFaults       = obs.Default.Counter("safeio.faults_injected")
 )
-
-// SHA256Hex returns the lowercase hex SHA-256 of data.
-func SHA256Hex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 // strictWriter enforces the io.Writer contract on a possibly
 // misbehaving underlying writer: a short count with a nil error is
@@ -80,17 +68,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteFile atomically writes the content produced by fn to path and
-// returns the SHA-256 of the bytes written. fn receives a writer that
-// tees into the checksum; any error from fn, from the underlying
-// writes, from Sync, from Close, or from the final rename surfaces as
-// a non-nil error, and the destination is left untouched (the temp
-// file is removed).
+// WriteFile atomically writes the content produced by fn to path. Any
+// error from fn, from the underlying writes, from Sync, from Close, or
+// from the final rename surfaces as a non-nil error, and the
+// destination is left untouched (the temp file is removed).
 //
 // Cancellation is observed at entry and again just before the rename;
 // a cancelled write leaves the destination untouched. Once the rename
 // starts it always completes — atomicity is never traded for latency.
-func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (sumHex string, err error) {
+func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (err error) {
 	//lint:ignore detrand wall-clock feeds the safeio.write.seconds metric only, never experiment output
 	start := time.Now()
 	defer func() {
@@ -102,12 +88,12 @@ func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (sumH
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		return "", fmt.Errorf("safeio: writing %s: %w", path, err)
+		return fmt.Errorf("safeio: writing %s: %w", path, err)
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return "", fmt.Errorf("safeio: creating temp for %s: %w", path, err)
+		return fmt.Errorf("safeio: creating temp for %s: %w", path, err)
 	}
 	tmpName := tmp.Name()
 	defer func() {
@@ -119,7 +105,6 @@ func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (sumH
 		}
 	}()
 
-	h := sha256.New()
 	var w io.Writer = tmp
 	if hook := writeHook(); hook != nil {
 		metricFaults.Inc()
@@ -127,38 +112,37 @@ func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (sumH
 	}
 	cw := &countingWriter{w: w}
 	defer func() { metricBytesWritten.Add(cw.n) }()
-	w = strictWriter{io.MultiWriter(h, strictWriter{cw})}
-	if err := fn(w); err != nil {
-		return "", fmt.Errorf("safeio: writing %s: %w", path, err)
+	if err := fn(strictWriter{cw}); err != nil {
+		return fmt.Errorf("safeio: writing %s: %w", path, err)
 	}
 	// CreateTemp makes the file 0600; match os.Create's 0666-minus-umask
 	// so written artifacts keep their historical permissions.
 	if err := tmp.Chmod(0o644); err != nil {
-		return "", fmt.Errorf("safeio: setting mode on %s: %w", path, err)
+		return fmt.Errorf("safeio: setting mode on %s: %w", path, err)
 	}
 	if err := syncFile(tmp); err != nil {
-		return "", fmt.Errorf("safeio: syncing %s: %w", path, err)
+		return fmt.Errorf("safeio: syncing %s: %w", path, err)
 	}
 	if err := closeFile(tmp); err != nil {
-		return "", fmt.Errorf("safeio: closing %s: %w", path, err)
+		return fmt.Errorf("safeio: closing %s: %w", path, err)
 	}
 	if err := ctx.Err(); err != nil {
 		//lint:ignore errdrop best-effort temp cleanup on cancellation; the cancellation error is what the caller needs
 		os.Remove(tmpName)
-		return "", fmt.Errorf("safeio: writing %s: %w", path, err)
+		return fmt.Errorf("safeio: writing %s: %w", path, err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		//lint:ignore errdrop best-effort temp cleanup; the rename error is already being returned
 		os.Remove(tmpName)
-		return "", fmt.Errorf("safeio: renaming into %s: %w", path, err)
+		return fmt.Errorf("safeio: renaming into %s: %w", path, err)
 	}
 	syncDir(dir)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return nil
 }
 
-// WriteFileBytes atomically writes data to path and returns its
-// SHA-256. Cancellation semantics are those of WriteFile.
-func WriteFileBytes(ctx context.Context, path string, data []byte) (string, error) {
+// WriteFileBytes atomically writes data to path. Cancellation
+// semantics are those of WriteFile.
+func WriteFileBytes(ctx context.Context, path string, data []byte) error {
 	return WriteFile(ctx, path, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
@@ -178,41 +162,4 @@ func syncDir(dir string) {
 	d.Sync()
 	//lint:ignore errdrop closing a read-only directory handle after a best-effort sync
 	d.Close()
-}
-
-// ReadFileVerified reads path fully and, when wantSum is nonempty,
-// verifies its SHA-256 against wantSum before returning the bytes. A
-// mismatch — a truncated file, a flipped byte, any post-write
-// corruption — is an error, never silently accepted. Cancellation is
-// observed at entry.
-func ReadFileVerified(ctx context.Context, path, wantSum string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("safeio: reading %s: %w", path, err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	//lint:ignore errdrop closing a read-only file; read errors are surfaced by ReadAll
-	defer f.Close()
-	var r io.Reader = f
-	if hook := readHook(); hook != nil {
-		metricFaults.Inc()
-		r = hook(path, r)
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("safeio: reading %s: %w", path, err)
-	}
-	metricReads.Inc()
-	metricBytesRead.Add(int64(len(data)))
-	if wantSum != "" {
-		metricVerifies.Inc()
-		if got := SHA256Hex(data); got != wantSum {
-			metricVerifyFails.Inc()
-			return nil, fmt.Errorf("safeio: checksum mismatch for %s: file has %s, manifest says %s",
-				path, got, wantSum)
-		}
-	}
-	return data, nil
 }

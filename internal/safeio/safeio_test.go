@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -15,14 +14,10 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "data.csv")
 	payload := []byte("header\n1,2,3\n")
-	sum, err := WriteFileBytes(ctx, path, payload)
-	if err != nil {
+	if err := WriteFileBytes(ctx, path, payload); err != nil {
 		t.Fatal(err)
 	}
-	if want := SHA256Hex(payload); sum != want {
-		t.Errorf("sum = %s, want %s", sum, want)
-	}
-	back, err := ReadFileVerified(ctx, path, sum)
+	back, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +37,11 @@ func TestWriteFileRoundTrip(t *testing.T) {
 func TestWriteFileReplacesAtomically(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "data.csv")
-	if _, err := WriteFileBytes(ctx, path, []byte("old contents")); err != nil {
+	if err := WriteFileBytes(ctx, path, []byte("old contents")); err != nil {
 		t.Fatal(err)
 	}
 	// A failed overwrite must leave the old contents untouched.
-	_, err := WriteFile(ctx, path, func(w io.Writer) error {
+	err := WriteFile(ctx, path, func(w io.Writer) error {
 		if _, err := io.WriteString(w, "new par"); err != nil {
 			return err
 		}
@@ -113,7 +108,7 @@ func TestWriteFileErrorMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.install(t)
 			path := filepath.Join(t.TempDir(), "out.bin")
-			_, err := WriteFileBytes(ctx, path, []byte("twelve bytes"))
+			err := WriteFileBytes(ctx, path, []byte("twelve bytes"))
 			if err == nil {
 				t.Fatal("fault did not surface as an error")
 			}
@@ -125,76 +120,6 @@ func TestWriteFileErrorMatrix(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestReadFileVerifiedErrors(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.csv")
-	payload := []byte("cells,go,here\n1,2,3\n")
-	sum, err := WriteFileBytes(ctx, path, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("checksum mismatch on single-byte flip", func(t *testing.T) {
-		flipped := append([]byte(nil), payload...)
-		flipped[5] ^= 0x01
-		if err := os.WriteFile(path, flipped, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadFileVerified(ctx, path, sum)
-		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Errorf("flipped byte not caught: %v", err)
-		}
-		if err := os.WriteFile(path, payload, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("truncation", func(t *testing.T) {
-		if err := os.WriteFile(path, payload[:7], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadFileVerified(ctx, path, sum); err == nil {
-			t.Error("truncated file not caught")
-		}
-		if err := os.WriteFile(path, payload, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("read error", func(t *testing.T) {
-		boom := errors.New("disk gone")
-		defer SetReadFault(func(path string, r io.Reader) io.Reader {
-			return &FaultReader{R: r, FailAfter: 3, Err: boom}
-		})()
-		if _, err := ReadFileVerified(ctx, path, sum); !errors.Is(err, boom) {
-			t.Errorf("err = %v, want %v", err, boom)
-		}
-	})
-
-	t.Run("short read", func(t *testing.T) {
-		defer SetReadFault(func(path string, r io.Reader) io.Reader {
-			return &FaultReader{R: r, FailAfter: 3, Short: true}
-		})()
-		if _, err := ReadFileVerified(ctx, path, sum); err == nil {
-			t.Error("short read not caught by checksum")
-		}
-	})
-
-	t.Run("missing file", func(t *testing.T) {
-		if _, err := ReadFileVerified(ctx, filepath.Join(dir, "nope"), sum); err == nil {
-			t.Error("missing file not reported")
-		}
-	})
-
-	t.Run("empty wantSum skips verification", func(t *testing.T) {
-		back, err := ReadFileVerified(ctx, path, "")
-		if err != nil || !bytes.Equal(back, payload) {
-			t.Errorf("unverified read failed: %v", err)
-		}
-	})
 }
 
 func TestFaultWriterBudget(t *testing.T) {

@@ -37,9 +37,7 @@ var (
 func sharedDataset(t *testing.T) *leodivide.Dataset {
 	t.Helper()
 	testDatasetOnce.Do(func() {
-		cfg := leodivide.DefaultRunConfig()
-		cfg.Scale = testScale
-		testDataset, testDatasetErr = cfg.Generate(context.Background())
+		testDataset, testDatasetErr = leodivide.GenerateDataset(context.Background(), leodivide.WithScale(testScale))
 	})
 	if testDatasetErr != nil {
 		t.Fatal(testDatasetErr)

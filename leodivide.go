@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"leodivide/internal/afford"
-	"leodivide/internal/bdc"
 	"leodivide/internal/census"
 	"leodivide/internal/constellation"
 	"leodivide/internal/core"
@@ -83,11 +82,9 @@ type Dataset struct {
 type Option func(*genOptions)
 
 type genOptions struct {
-	seed          int64
-	scale         float64
-	region        string
-	cfg           bdc.GenConfig
-	incomeAnchors []census.QuantileAnchor
+	seed   int64
+	scale  float64
+	region string
 }
 
 // WithSeed sets the generation seed (default 1).
@@ -109,17 +106,6 @@ func WithRegion(key string) Option {
 	return func(o *genOptions) { o.region = key }
 }
 
-// WithGenConfig replaces the calibrated BDC generator configuration
-// entirely (advanced; applies to the "us" region only).
-func WithGenConfig(cfg bdc.GenConfig) Option {
-	return func(o *genOptions) { o.cfg = cfg }
-}
-
-// WithIncomeAnchors replaces the calibrated income quantile anchors.
-func WithIncomeAnchors(anchors []census.QuantileAnchor) Option {
-	return func(o *genOptions) { o.incomeAnchors = anchors }
-}
-
 // GenerateDataset synthesizes a dataset for the selected region
 // (default the calibrated US national map). The context cancels
 // generation early; the (seed, region, scale) triple fully determines
@@ -129,40 +115,22 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "generate_dataset")
 	defer span.End()
-	o := genOptions{
-		seed:          1,
-		scale:         1,
-		region:        region.DefaultKey,
-		cfg:           bdc.DefaultGenConfig(),
-		incomeAnchors: census.DefaultIncomeAnchors(),
-	}
+	o := genOptions{seed: 1, scale: 1, region: region.DefaultKey}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.scale <= 0 || o.scale > 1 {
-		return nil, fmt.Errorf("leodivide: scale must be in (0,1], got %v", o.scale)
 	}
 	// Stages served from process-wide caches never consult ctx, so an
 	// already-cancelled generation must fail here rather than succeed.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Resolve the geography. The default "us" region is constructed from
-	// the facade's (possibly overridden) generator configuration and
-	// income anchors, so WithGenConfig/WithIncomeAnchors keep working;
-	// every other region comes from the registry as declared.
-	var r region.Region
-	if o.region == region.DefaultKey {
-		r = region.USWith(o.cfg, o.incomeAnchors)
-	} else {
-		reg, ok := region.ByName(o.region)
-		if !ok {
-			return nil, fmt.Errorf("leodivide: unknown region %q (valid: %s)",
-				o.region, strings.Join(region.Names(), ", "))
-		}
-		r = reg
+	r, ok := region.ByName(o.region)
+	if !ok {
+		return nil, fmt.Errorf("leodivide: unknown region %q (valid: %s)",
+			o.region, strings.Join(region.Names(), ", "))
 	}
+	// The region validates the scale (finite, in (0,1]) before it
+	// generates anything.
 	out, err := r.Generate(ctx, region.GenConfig{Seed: o.seed, Scale: o.scale})
 	if err != nil {
 		return nil, err

@@ -30,6 +30,16 @@ func fullDataset(t testing.TB) *Dataset {
 	return dsFull
 }
 
+// smallDataset generates a cheap (scale 0.02) dataset.
+func smallDataset(t *testing.T, seed int64) *Dataset {
+	t.Helper()
+	ds, err := GenerateDataset(context.Background(), WithSeed(seed), WithScale(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 func TestGenerateDatasetCalibration(t *testing.T) {
 	ds := fullDataset(t)
 	if got := ds.TotalLocations(); got != 4672000 {
@@ -44,11 +54,14 @@ func TestGenerateDatasetCalibration(t *testing.T) {
 }
 
 func TestGenerateDatasetOptions(t *testing.T) {
-	if _, err := GenerateDataset(context.Background(), WithScale(0)); err == nil {
-		t.Error("scale 0 should fail")
-	}
-	if _, err := GenerateDataset(context.Background(), WithScale(2)); err == nil {
-		t.Error("scale 2 should fail")
+	// Every region rejects a scale outside (0, 1], including the
+	// non-finite values that slip past a plain range comparison.
+	for _, key := range []string{"us", "brazil-rural", "taipei-dense"} {
+		for _, bad := range []float64{0, 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := GenerateDataset(context.Background(), WithRegion(key), WithScale(bad)); err == nil {
+				t.Errorf("region %s: scale %v should fail", key, bad)
+			}
+		}
 	}
 	small, err := GenerateDataset(context.Background(), WithSeed(3), WithScale(0.05))
 	if err != nil {

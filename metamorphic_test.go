@@ -13,45 +13,6 @@ import (
 	"leodivide/internal/testutil"
 )
 
-// TestSaveLoadRerunFixpoint is the persistence fixpoint oracle:
-// saving a dataset through safeio, loading it back and rerunning every
-// registry experiment must reproduce the original results
-// byte-identically. This is what licenses caching generated datasets on
-// disk — analysis cannot tell a loaded dataset from a fresh one.
-func TestSaveLoadRerunFixpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry rerun is not a -short test")
-	}
-	ctx := context.Background()
-	ds, err := GenerateDataset(ctx, WithSeed(1), WithScale(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := ds.Save(ctx, dir); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	loaded, err := LoadDataset(ctx, dir)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	m := NewModel()
-	for _, exp := range m.Experiments() {
-		exp := exp
-		t.Run(exp.Name, func(t *testing.T) {
-			orig, err := exp.Run(ctx, ds)
-			if err != nil {
-				t.Fatalf("run on generated dataset: %v", err)
-			}
-			rerun, err := exp.Run(ctx, loaded)
-			if err != nil {
-				t.Fatalf("run on loaded dataset: %v", err)
-			}
-			testutil.RequireEqual(t, exp.Name+" after save/load", orig, rerun)
-		})
-	}
-}
-
 // TestScaleInvariantRatios is the scale-invariance oracle: per-location
 // ratios must not depend on how large a sample of the nation we
 // synthesize, because scaling shrinks every cell proportionally (the

@@ -1,13 +1,12 @@
 package leodivide
 
-// RunConfig and RunAs: the unified entry points for standing up and
-// running the experiment pipeline. Library consumers, the CLI and the
-// bench harness all construct their (Model, Dataset) pair from the same
-// option set, so the parallelism knob, the seed and the scale cannot
+// RunConfig: the dataset identity and worker bound every surface
+// shares. Library consumers, the CLI, the server and the bench harness
+// embed it in a ScenarioConfig and build their (Model, Dataset) pair
+// from that, so the parallelism knob, the seed and the scale cannot
 // drift between surfaces.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -18,10 +17,10 @@ import (
 // It carries every knob that all three surfaces (library, CLI, bench
 // harness) agree on; zero value aside, obtain it from DefaultRunConfig.
 //
-// Parallelism is the single coherent worker bound: BuildModel routes it
-// through Model.Parallelism (facade fan-outs and capacity sweeps in
-// lockstep), so one field controls every per-run pool in the pipeline.
-// Output is identical at every setting.
+// Parallelism is the single coherent worker bound: ScenarioConfig's
+// BuildModel routes it through Model.Parallelism (facade fan-outs and
+// capacity sweeps in lockstep), so one field controls every per-run
+// pool in the pipeline. Output is identical at every setting.
 type RunConfig struct {
 	// Seed reproduces the dataset (default 1).
 	Seed int64
@@ -66,45 +65,4 @@ func (c RunConfig) Validate() error {
 func (c RunConfig) String() string {
 	return fmt.Sprintf("seed=%d scale=%s parallelism=%d calibrated=%t",
 		c.Seed, scenario.FormatFloat(c.Scale), c.Parallelism, c.Calibrated)
-}
-
-// BuildModel constructs the model this configuration describes.
-func (c RunConfig) BuildModel() Model {
-	m := NewModel().Parallelism(c.Parallelism)
-	if c.Calibrated {
-		m = m.Calibrated()
-	}
-	return m
-}
-
-// Generate synthesizes the dataset this configuration describes.
-func (c RunConfig) Generate(ctx context.Context) (*Dataset, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return GenerateDataset(ctx, WithSeed(c.Seed), WithScale(c.Scale))
-}
-
-// RunAs runs the named registry experiment and returns its result as T,
-// so callers get compile-time typed results from the string-keyed
-// registry instead of type-switching on any:
-//
-//	t2, err := leodivide.RunAs[leodivide.Table2Result](ctx, m, ds, "table2")
-//
-// An unknown name or a result of a different concrete type is an error.
-func RunAs[T any](ctx context.Context, m Model, d *Dataset, name string) (T, error) {
-	var zero T
-	exp, ok := m.ExperimentByName(name)
-	if !ok {
-		return zero, fmt.Errorf("leodivide: unknown experiment %q", name)
-	}
-	v, err := exp.Run(ctx, d)
-	if err != nil {
-		return zero, err
-	}
-	t, ok := v.(T)
-	if !ok {
-		return zero, fmt.Errorf("leodivide: experiment %q returned %T, not %T", name, v, zero)
-	}
-	return t, nil
 }

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// TestRunConfigEquivalence: the unified option set must build exactly
-// what the underlying constructors build, so the CLI and bench surfaces
-// cannot drift from library use.
+// TestRunConfigEquivalence: a scenario that sets only its RunConfig
+// must build exactly what the underlying constructors build, so the
+// CLI, serve and bench surfaces cannot drift from library use.
 func TestRunConfigEquivalence(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultRunConfig()
@@ -19,14 +18,15 @@ func TestRunConfigEquivalence(t *testing.T) {
 	cfg.Scale = 0.02
 	cfg.Parallelism = 2
 	cfg.Calibrated = true
+	sc := ScenarioConfig{RunConfig: cfg}
 
-	m := cfg.BuildModel()
+	m := sc.BuildModel()
 	want := NewModel().Parallelism(2).Calibrated()
 	if !reflect.DeepEqual(m, want) {
 		t.Errorf("BuildModel = %+v, want %+v", m, want)
 	}
 
-	ds, err := cfg.Generate(ctx)
+	ds, err := sc.Generate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +35,10 @@ func TestRunConfigEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ds.Cells, direct.Cells) {
-		t.Error("RunConfig.Generate produced different cells than GenerateDataset with the same options")
+		t.Error("ScenarioConfig.Generate produced different cells than GenerateDataset with the same options")
 	}
 	if ds.Seed != direct.Seed || ds.Resolution != direct.Resolution {
-		t.Error("RunConfig.Generate metadata differs from GenerateDataset")
+		t.Error("ScenarioConfig.Generate metadata differs from GenerateDataset")
 	}
 }
 
@@ -55,7 +55,7 @@ func TestRunConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("scale %v should be invalid", bad)
 		}
-		if _, err := c.Generate(context.Background()); err == nil {
+		if _, err := (ScenarioConfig{RunConfig: c}).Generate(context.Background()); err == nil {
 			t.Errorf("Generate with scale %v should fail", bad)
 		}
 	}
@@ -63,6 +63,9 @@ func TestRunConfigValidate(t *testing.T) {
 	neg.Parallelism = -1
 	if err := neg.Validate(); err == nil {
 		t.Error("negative parallelism should be invalid")
+	}
+	if _, err := (ScenarioConfig{RunConfig: neg}).Generate(context.Background()); err == nil {
+		t.Error("Generate with negative parallelism should fail")
 	}
 }
 
@@ -81,32 +84,6 @@ func TestRunConfigString(t *testing.T) {
 	cfg.Calibrated = true
 	if got, want := cfg.String(), "seed=7 scale=1 parallelism=4 calibrated=true"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestRunAs: the typed accessor returns concrete results without the
-// caller type-switching on any.
-func TestRunAs(t *testing.T) {
-	ctx := context.Background()
-	ds := fullDataset(t)
-	m := NewModel()
-
-	t2, err := RunAs[Table2Result](ctx, m, ds, "table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t2.Rows) != len(PaperTable2Spreads) {
-		t.Errorf("table2 rows = %d, want %d", len(t2.Rows), len(PaperTable2Spreads))
-	}
-
-	if _, err := RunAs[Fig1Result](ctx, m, ds, "table2"); err == nil {
-		t.Error("RunAs with the wrong type parameter should fail")
-	} else if !strings.Contains(err.Error(), "Table2Result") {
-		t.Errorf("type mismatch error should name the actual type, got: %v", err)
-	}
-
-	if _, err := RunAs[Fig1Result](ctx, m, ds, "no-such-experiment"); err == nil {
-		t.Error("RunAs with an unknown name should fail")
 	}
 }
 

@@ -35,11 +35,10 @@ const ScenarioSchema = scenario.Schema
 // The zero value of every knob means "the paper's default"; obtain a
 // fully-populated copy from Normalized.
 //
-// Construct scenarios with NewScenarioConfig and functional options
-// (WithConstellation, WithMaxOversub, ...) rather than struct
-// literals: the options validate eagerly, so a typo'd constellation
-// name or out-of-range knob fails at construction instead of
-// surfacing later from CanonicalKey or BuildModel.
+// Construct a scenario as a struct literal (or DefaultScenarioConfig,
+// or ScenarioRequest.Apply for wire input) and call Validate before
+// use: a typo'd constellation name or out-of-range knob fails there
+// instead of surfacing later from CanonicalKey or BuildModel.
 type ScenarioConfig struct {
 	RunConfig
 
@@ -323,7 +322,8 @@ func parseKeyFloat(s string, dst *float64) error {
 // BuildModel constructs the model this scenario describes: the
 // selected constellation's model (with any cost overrides applied),
 // extended with the promoted knobs. For the default scenario this is
-// exactly RunConfig.BuildModel — the Starlink spec, untouched.
+// exactly NewModel with the RunConfig's parallelism and calibration
+// applied — the Starlink spec, untouched.
 func (c ScenarioConfig) BuildModel() Model {
 	n := c.Normalized()
 	sys, ok := constellation.SystemByName(n.Constellation)
@@ -347,12 +347,13 @@ func (c ScenarioConfig) BuildModel() Model {
 }
 
 // Generate synthesizes the dataset this scenario describes: the
-// embedded RunConfig identity (seed, scale, parallelism) applied to
-// the scenario's region. This supersedes RunConfig.Generate wherever a
-// full scenario is in hand — a scenario selecting a non-default region
-// generates that region's geography, byte-identically at every
-// parallelism.
+// embedded RunConfig identity (seed, scale) applied to the scenario's
+// region, byte-identically at every parallelism. An invalid RunConfig
+// (a scale outside (0, 1], a negative parallelism) is an error.
 func (c ScenarioConfig) Generate(ctx context.Context) (*Dataset, error) {
+	if err := c.RunConfig.Validate(); err != nil {
+		return nil, err
+	}
 	n := c.Normalized()
 	return GenerateDataset(ctx,
 		WithSeed(n.Seed),

@@ -93,13 +93,12 @@ func TestScenarioKeyParseRejects(t *testing.T) {
 // non-default scenarios too, including constellation and cost
 // overrides.
 func TestScenarioKeyRoundTrip(t *testing.T) {
-	cfg, err := NewScenarioConfig("xconst",
-		WithConstellation("kuiper"),
-		WithOversub(25),
-		WithSatelliteCostUSD(3e6),
-		WithDesignLifeYears(6),
-	)
-	if err != nil {
+	cfg := DefaultScenarioConfig("xconst")
+	cfg.Constellation = "kuiper"
+	cfg.MaxOversub = 25
+	cfg.CostSatelliteUSD = 3e6
+	cfg.CostLifeYears = 6
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	key, err := cfg.CanonicalKey()
@@ -228,12 +227,12 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 // TestScenarioBuildModel: the promoted knobs land on the Model, and a
-// default scenario builds exactly what RunConfig alone builds — the
-// scenario layer adds nothing when nothing is asked for.
+// default scenario builds exactly NewModel — the scenario layer adds
+// nothing when nothing is asked for.
 func TestScenarioBuildModel(t *testing.T) {
 	def := DefaultScenarioConfig("table2")
-	if got, want := def.BuildModel(), def.RunConfig.BuildModel(); !reflect.DeepEqual(got, want) {
-		t.Errorf("default scenario model %+v differs from plain RunConfig model %+v", got, want)
+	if got, want := def.BuildModel(), NewModel(); !reflect.DeepEqual(got, want) {
+		t.Errorf("default scenario model %+v differs from NewModel %+v", got, want)
 	}
 
 	c := def

@@ -11,9 +11,11 @@ import (
 // canonical key — the contract that lets a query saved from the HTTP
 // API replay byte-for-byte through the CLI's -scenario flag and back.
 func TestScenarioWireRoundTrip(t *testing.T) {
-	cfg, err := NewScenarioConfig("costcurve",
-		WithConstellation("oneweb"), WithAffordShare(0.03), WithTerminalCostUSD(650))
-	if err != nil {
+	cfg := DefaultScenarioConfig("costcurve")
+	cfg.Constellation = "oneweb"
+	cfg.AffordShare = 0.03
+	cfg.CostTerminalUSD = 650
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	key, err := cfg.CanonicalKey()
