@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadProviderCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCellsCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
 	$(GO) test -run '^$$' -fuzz '^FuzzLatLngToCell$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
+	$(GO) test -run '^$$' -fuzz '^FuzzWalkBox$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
 	$(GO) test -run '^$$' -fuzz '^FuzzSortUint64$$' -fuzztime $(FUZZ_TIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioRequest$$' -fuzztime $(FUZZ_TIME) .

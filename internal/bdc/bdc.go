@@ -465,7 +465,8 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 // ascending ID order (the canonical grid order), with the cell's state
 // and county resolved once, plus each state's rows. None of it depends
 // on the seed, so it is built once per process and resolution
-// (usCells). The per-cell columns hold no string and no pointer, so
+// (usCells), and a fresh process waits for that build before its first
+// generation. The per-cell columns hold no string and no pointer, so
 // they cost the GC nothing to scan. Centers are not kept: recomputing
 // one for each sampled cell costs about 0.7 ms per scale-0.25
 // generation, while a centers column (16 bytes for every US cell)
@@ -504,9 +505,13 @@ func usCells(ctx context.Context, res hexgrid.Resolution) (*usGrid, error) {
 }
 
 // buildUSGrid walks the grid faces the US box reaches on up to workers
-// goroutines, RNG-free, classifying each cell by state and county, and
-// concatenates the face shards in face order: ascending ID order, the
-// same table at every worker count.
+// goroutines, RNG-free, and concatenates the face shards in face order:
+// ascending ID order, the same table at every worker count. WalkBox's
+// vector prefilter skips the cells outside the box before converting
+// them, and each in-box center is classified by usgeo's bucket-indexed
+// StateIndexAt (an index into usgeo.States(), the state column's
+// order) and CountyIndexAt, which give exactly the linear scans'
+// answers (TestUSGridDigest).
 func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid, error) {
 	//lint:ignore detrand wall-clock feeds the grid-cache timing metric only, never generated data
 	start := time.Now()
@@ -517,10 +522,8 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 	}()
 	states := usgeo.States()
 	g := &usGrid{tiles: make([][]usgeo.County, len(states)), rows: make([][]int32, len(states))}
-	index := make(map[string]uint8, len(states))
 	for i, s := range states {
 		g.tiles[i] = usgeo.CountyTiles(s)
-		index[s.Abbr] = uint8(i)
 	}
 	type cell struct {
 		id     hexgrid.CellID
@@ -528,12 +531,11 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 		county uint16
 	}
 	shards, err := hexgrid.WalkBox(ctx, res, usBox, workers, func(shard *[]cell, id hexgrid.CellID, center geo.LatLng) {
-		s, ok := usgeo.StateAt(center)
+		i, ok := usgeo.StateIndexAt(center)
 		if !ok {
 			return
 		}
-		i := index[s.Abbr]
-		*shard = append(*shard, cell{id: id, state: i, county: uint16(countyIndex(g.tiles[i], center))})
+		*shard = append(*shard, cell{id: id, state: uint8(i), county: uint16(usgeo.CountyIndexAt(i, center))})
 	})
 	if err != nil {
 		return nil, err
@@ -560,24 +562,6 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 		}
 	}
 	return g, nil
-}
-
-// countyIndex returns the index of the first tile containing p or,
-// when p falls just outside its state's tiling, of the tile whose
-// center is nearest (the first such on ties).
-func countyIndex(tiles []usgeo.County, p geo.LatLng) int {
-	for i, c := range tiles {
-		if c.Contains(p) {
-			return i
-		}
-	}
-	best, bestD := 0, math.Inf(1)
-	for i, c := range tiles {
-		if d := geo.DistanceKm(p, c.Center()); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }
 
 // GenerateLocations expands cells into individual location records.

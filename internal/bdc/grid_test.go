@@ -1,11 +1,14 @@
 package bdc
 
 // Pins for the seed-invariant generation tables: the US cell table
-// against a from-scratch classification, its memo's fill-once and
-// cancellation behaviour, and the body-count memo.
+// against a from-scratch classification and a recorded digest, its
+// memo's fill-once and cancellation behaviour, and the body-count memo.
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"slices"
@@ -16,6 +19,7 @@ import (
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/memo"
+	"leodivide/internal/par"
 	"leodivide/internal/usgeo"
 )
 
@@ -120,6 +124,56 @@ func TestUSCellsMatchFromScratch(t *testing.T) {
 		}
 		if covered != n {
 			t.Fatalf("res %d: state rows cover %d of %d table rows", res, covered, n)
+		}
+	}
+}
+
+// gridDigest is a SHA-256 over the table's ids, state and county
+// columns and each state's rows, little-endian, each column and each
+// state's rows prefixed by its length.
+func gridDigest(g *usGrid) string {
+	h := sha256.New()
+	var b []byte
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.ids)))
+	for _, id := range g.ids {
+		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.state)))
+	b = append(b, g.state...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.county)))
+	for _, c := range g.county {
+		b = binary.LittleEndian.AppendUint16(b, c)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.rows)))
+	for _, rows := range g.rows {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(rows)))
+		for _, row := range rows {
+			b = binary.LittleEndian.AppendUint32(b, uint32(row))
+		}
+	}
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestUSGridDigest pins the US cell table byte for byte at resolutions
+// 4 and 5, at 1 and 3 workers. The digests were recorded before the
+// walk gained its vector prefilter and the state and county lookups
+// their bucket indexes; any change to the walk or the lookups must
+// leave them as they are.
+func TestUSGridDigest(t *testing.T) {
+	want := map[hexgrid.Resolution]string{
+		4: "73f5f4e2970638ced0c61c3c720b59b83cf7bd41390063688656ec0b5cd18371",
+		5: "677a37a6815d5cc7ca39584a692225dbe084acd989893767aa549203473b481a",
+	}
+	for _, res := range []hexgrid.Resolution{4, 5} {
+		for _, workers := range []int{1, 3} {
+			g, err := buildUSGrid(context.Background(), res, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := gridDigest(g); got != want[res] {
+				t.Errorf("res %d, %d workers: grid digest %s, want %s", res, workers, got, want[res])
+			}
 		}
 	}
 }
@@ -267,6 +321,16 @@ func TestGenerationMemosFillOnce(t *testing.T) {
 		if hits != gens-1 || misses != 1 || coalesced != 0 || evictions != 0 {
 			t.Errorf("%s after %d generations: hits/misses/coalesced/evictions = %d/%d/%d/%d, want %d/1/0/0",
 				m.name, gens, hits, misses, coalesced, evictions, gens-1)
+		}
+	}
+}
+
+// BenchmarkBuildUSGrid times the cold US cell table build at resolution
+// 5 on one worker per CPU, the build a fresh process waits for.
+func BenchmarkBuildUSGrid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := buildUSGrid(context.Background(), 5, par.Workers(0)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -63,7 +63,9 @@ func (b Box) mayReach(f int, r Resolution) bool {
 // the box. Faces the box cannot reach are skipped; the rest are walked
 // concurrently on up to workers goroutines (par.ForEach semantics),
 // each face into its own shard in ForEachCellOnFace order, and visit
-// sees every in-box cell with its center. The shards come back in
+// sees every in-box cell with its center. Cells whose center vector
+// the box's prefilter rejects are skipped before the lat/lng
+// conversion; Box.Contains decides the rest. The shards come back in
 // ascending face order, so concatenating them reproduces ForEachCell's
 // visit order restricted to the box. visit may only touch the shard it
 // is given.
@@ -75,13 +77,66 @@ func WalkBox[S any](ctx context.Context, r Resolution, box Box, workers int,
 			faces = append(faces, f)
 		}
 	}
+	pre, n := box.prefilter(), r.Subdivisions()
 	return par.Map(ctx, workers, len(faces), func(k int) (S, error) {
 		var shard S
 		ForEachCellOnFace(r, faces[k], func(id CellID) {
-			if c := id.LatLng(); box.Contains(c) {
+			i, j := id.Coords()
+			v := vertexVec(faces[k], n, i, j) // exactly what id.LatLng() converts
+			if !pre.mayContain(v) {
+				return
+			}
+			if c := v.LatLng(); box.Contains(c) {
 				visit(&shard, id, c)
 			}
 		})
 		return shard, nil
 	})
+}
+
+// vecFilter is a conservative unit-vector test for a Box: it passes
+// every vector whose lat/lng lies in the box, and few others, without
+// the atan2 and hypot of the conversion. On the unit sphere the
+// latitude band is a band of z, and a longitude range narrower than
+// 180° is the wedge between two meridian half-planes, so testing those
+// with slack eps is exact up to rounding the slack absorbs.
+type vecFilter struct {
+	zLo, zHi float64
+	// The wedge's edge meridians as horizontal unit directions; used
+	// only when lngs is set.
+	loX, loY, hiX, hiY float64
+	lngs               bool
+}
+
+// prefilterEps is the slack on every vecFilter comparison. The
+// quantities compared are within a few ulps (~1e-15) of the exact
+// ones; the slack is a million times that, yet admits only a sliver
+// outside the box (under 300 m even at a pole), so the filter stays
+// tight.
+const prefilterEps = 1e-9
+
+// prefilter returns the box's vecFilter.
+func (b Box) prefilter() vecFilter {
+	f := vecFilter{
+		zLo: math.Sin(geo.Radians(b.LatLo)) - prefilterEps,
+		zHi: math.Sin(geo.Radians(b.LatHi)) + prefilterEps,
+	}
+	if b.LngHi-b.LngLo < 180 {
+		lo, hi := geo.Radians(b.LngLo), geo.Radians(b.LngHi)
+		f.loX, f.loY, f.hiX, f.hiY = math.Cos(lo), math.Sin(lo), math.Cos(hi), math.Sin(hi)
+		f.lngs = true
+	}
+	return f
+}
+
+// mayContain reports whether unit vector v may lie in the box: false
+// only when its latitude or longitude is certainly outside. A
+// longitude lng lies in [lo, hi] with hi-lo < 180° iff sin(lng-lo) and
+// sin(hi-lng) are both nonnegative, and those sines, scaled by the
+// horizontal length of v, are the two cross products below.
+func (f vecFilter) mayContain(v geo.Vec3) bool {
+	if v.Z < f.zLo || v.Z > f.zHi {
+		return false
+	}
+	return !f.lngs || (f.loX*v.Y-f.loY*v.X >= -prefilterEps && v.X*f.hiY-v.Y*f.hiX >= -prefilterEps)
 }

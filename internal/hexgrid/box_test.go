@@ -86,6 +86,87 @@ func TestWalkBoxMatchesFullWalk(t *testing.T) {
 	}
 }
 
+// prefilterCounts walks every cell of the faces box reaches at r and
+// reports how many lie in the box and how many pass its prefilter,
+// failing on any in-box cell the prefilter rejects.
+func prefilterCounts(t *testing.T, r Resolution, box Box) (in, passed int) {
+	t.Helper()
+	pre, n := box.prefilter(), r.Subdivisions()
+	for f := 0; f < 20; f++ {
+		if !box.mayReach(f, r) {
+			continue
+		}
+		ForEachCellOnFace(r, f, func(id CellID) {
+			i, j := id.Coords()
+			v := vertexVec(f, n, i, j)
+			ok := pre.mayContain(v)
+			if ok {
+				passed++
+			}
+			if box.Contains(v.LatLng()) {
+				in++
+				if !ok {
+					t.Fatalf("res %d box %+v: prefilter rejects in-box cell %v at %v", r, box, id, v.LatLng())
+				}
+			}
+		})
+	}
+	return in, passed
+}
+
+// TestPrefilterHasNoFalseNegatives: the prefilter passes every in-box
+// cell of the faces a box reaches, for the named boxes at resolution 5
+// and, at resolution 3, for boxes that touch a pole, span 180° of
+// longitude or more, have zero height or width, or have cell centres
+// on their edges. For the US box it passes at most 1.10× the in-box
+// cells, so it cannot quietly become a no-op.
+func TestPrefilterHasNoFalseNegatives(t *testing.T) {
+	named := map[string]Box{
+		"us":           {LatLo: 18, LatHi: 67, LngLo: -169, LngHi: -66},
+		"brazil-rural": {LatLo: -25, LatHi: -3, LngLo: -61, LngHi: -40},
+		"taipei-dense": {LatLo: 24.4, LatHi: 25.6, LngLo: 121.0, LngHi: 122.2},
+	}
+	for name, box := range named {
+		if in, passed := prefilterCounts(t, 5, box); name == "us" && float64(passed) > 1.10*float64(in) {
+			t.Errorf("us box: prefilter passes %d cells for %d in the box, want at most 1.10x", passed, in)
+		}
+	}
+
+	full := newFullWalk(3)
+	rng := rand.New(rand.NewSource(11))
+	center := func() geo.LatLng { return full.centers[rng.Intn(len(full.centers))] }
+	lngSpan := func(minW float64) (lo, hi float64) {
+		w := minW + rng.Float64()*(360-minW)
+		lo = -180 + rng.Float64()*(360-w)
+		return lo, lo + w
+	}
+	var boxes []Box
+	for trial := 0; trial < 40; trial++ {
+		lo, hi := lngSpan(0)
+		wideLo, wideHi := lngSpan(180)
+		h := rng.Float64() * 60
+		c, d := center(), center()
+		boxes = append(boxes,
+			Box{LatLo: 90 - h, LatHi: 90, LngLo: lo, LngHi: hi},                                          // north pole
+			Box{LatLo: -90, LatHi: -90 + h, LngLo: lo, LngHi: hi},                                        // south pole
+			Box{LatLo: -h, LatHi: h / 2, LngLo: wideLo, LngHi: wideHi},                                   // ≥180° wide
+			Box{LatLo: c.Lat, LatHi: c.Lat, LngLo: math.Min(lo, c.Lng), LngHi: math.Max(hi, c.Lng)},      // zero height
+			Box{LatLo: math.Max(-90, c.Lat-h), LatHi: math.Min(90, c.Lat+h), LngLo: c.Lng, LngHi: c.Lng}, // zero width
+			Box{LatLo: math.Min(c.Lat, d.Lat), LatHi: math.Max(c.Lat, d.Lat), // centres on
+				LngLo: math.Min(c.Lng, d.Lng), LngHi: math.Max(c.Lng, d.Lng)}, // every edge
+		)
+	}
+	for k, box := range boxes {
+		in, _ := prefilterCounts(t, 3, box)
+		if in != len(full.in(box)) {
+			t.Fatalf("res 3 box %+v: reachable faces hold %d in-box cells, the globe %d", box, in, len(full.in(box)))
+		}
+		if k%6 >= 3 && in == 0 { // the boxes built on a cell centre hold it
+			t.Fatalf("res 3 box %+v holds no cell", box)
+		}
+	}
+}
+
 // TestWalkBoxCullsFaces checks the culling actually skips faces: cells
 // of the US frame lie on 6 of the 20 faces, and the circumradius test
 // keeps one more (face 4, whose circumcircle but not triangle reaches

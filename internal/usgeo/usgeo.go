@@ -126,21 +126,126 @@ func ByAbbr(abbr string) (State, error) {
 }
 
 // StateAt returns the state whose frame contains p. When frames overlap
-// (coarse rectangles do), the state whose center is nearest wins.
+// (coarse rectangles do), the state whose center is nearest wins, the
+// first in FIPS order on ties. It is StateIndexAt returning the State.
 func StateAt(p geo.LatLng) (State, bool) {
-	best := State{}
-	bestDist := math.Inf(1)
-	found := false
-	for _, s := range states {
+	i, ok := StateIndexAt(p)
+	if !ok {
+		return State{}, false
+	}
+	return states[i], true
+}
+
+// StateIndexAt is StateAt returning the state's index in States(). It
+// scans only the frames listed in p's 1° bucket, in table order, with
+// the same strict nearest-center comparison as a scan of all fifty, so
+// it picks the same state. Distances are measured only when a second
+// frame contains p: the first always wins a comparison with no rival.
+func StateIndexAt(p geo.LatLng) (int, bool) {
+	best, bestDist, measured := -1, 0.0, false
+	for _, k := range stateIndex().candidates(p) {
+		s := &states[k]
 		if !s.Contains(p) {
 			continue
 		}
-		d := geo.DistanceKm(p, s.Center())
-		if d < bestDist {
-			best, bestDist, found = s, d, true
+		if best < 0 {
+			best = int(k)
+			continue
+		}
+		if !measured {
+			bestDist, measured = geo.DistanceKm(p, states[best].Center()), true
+		}
+		if d := geo.DistanceKm(p, s.Center()); d < bestDist {
+			best, bestDist = int(k), d
 		}
 	}
-	return best, found
+	return best, best >= 0
+}
+
+// bucketIndex lists, for each bucket of a uniform lat/lng grid, the
+// rectangles that may contain a point in it, in CSR layout: bucket
+// b = row*cols + col lists items[offsets[b]:offsets[b+1]], in ascending
+// rectangle order. A point's row is floor((lat-latLo)*latK) clamped to
+// [0, rows), and its column likewise; both maps are monotone, so a
+// rectangle listed in the buckets of its own corners is listed in the
+// bucket of every point it contains. Points off the grid clamp to an
+// edge bucket, where the caller's exact Contains test rejects them.
+type bucketIndex struct {
+	latLo, lngLo, latK, lngK float64
+	rows, cols               int
+	offsets                  []int32
+	items                    []uint16
+}
+
+// rect is a rectangle's lat/lng bounds, as State and County hold them.
+type rect struct{ latLo, latHi, lngLo, lngHi float64 }
+
+// newBucketIndex indexes rects over a rows × cols grid whose origin is
+// (latLo, lngLo) and whose buckets span 1/latK by 1/lngK degrees.
+func newBucketIndex(rects []rect, latLo, lngLo, latK, lngK float64, rows, cols int) bucketIndex {
+	x := bucketIndex{latLo: latLo, lngLo: lngLo, latK: latK, lngK: lngK, rows: rows, cols: cols,
+		offsets: make([]int32, rows*cols+1)}
+	each := func(fn func(b, k int)) {
+		for k, r := range rects {
+			r0, r1 := x.row(r.latLo), x.row(r.latHi)
+			c0, c1 := x.col(r.lngLo), x.col(r.lngHi)
+			for row := r0; row <= r1; row++ {
+				for col := c0; col <= c1; col++ {
+					fn(row*cols+col, k)
+				}
+			}
+		}
+	}
+	each(func(b, _ int) { x.offsets[b+1]++ })
+	for b := 1; b < len(x.offsets); b++ {
+		x.offsets[b] += x.offsets[b-1]
+	}
+	x.items = make([]uint16, x.offsets[len(x.offsets)-1])
+	fill := slices.Clone(x.offsets[:rows*cols])
+	each(func(b, k int) {
+		x.items[fill[b]] = uint16(k)
+		fill[b]++
+	})
+	return x
+}
+
+// clampBucket is floor((v-lo)*k) clamped to [0, n); NaN maps to 0.
+func clampBucket(v, lo, k float64, n int) int {
+	t := math.Floor((v - lo) * k)
+	switch {
+	case !(t >= 0):
+		return 0
+	case t >= float64(n):
+		return n - 1
+	}
+	return int(t)
+}
+
+func (x *bucketIndex) row(lat float64) int { return clampBucket(lat, x.latLo, x.latK, x.rows) }
+func (x *bucketIndex) col(lng float64) int { return clampBucket(lng, x.lngLo, x.lngK, x.cols) }
+
+// candidates returns the rectangles listed in p's bucket.
+func (x *bucketIndex) candidates(p geo.LatLng) []uint16 {
+	b := x.row(p.Lat)*x.cols + x.col(p.Lng)
+	return x.items[x.offsets[b]:x.offsets[b+1]]
+}
+
+// stateIndex buckets the state frames by whole degree over the frames'
+// bounding box. It is built on first use.
+var stateIndex = sync.OnceValue(buildStateIndex)
+
+func buildStateIndex() *bucketIndex {
+	rects := make([]rect, len(states))
+	latLo, latHi, lngLo, lngHi := math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
+	for i, s := range states {
+		rects[i] = rect{s.LatLo, s.LatHi, s.LngLo, s.LngHi}
+		latLo, latHi = math.Min(latLo, s.LatLo), math.Max(latHi, s.LatHi)
+		lngLo, lngHi = math.Min(lngLo, s.LngLo), math.Max(lngHi, s.LngHi)
+	}
+	latLo, lngLo = math.Floor(latLo), math.Floor(lngLo)
+	x := newBucketIndex(rects, latLo, lngLo, 1, 1,
+		int(math.Floor(latHi)-latLo)+1, int(math.Floor(lngHi)-lngLo)+1)
+	return &x
 }
 
 // County is a synthetic county: a deterministic tile of its state's
@@ -197,16 +302,19 @@ var countyTiles = sync.OnceValue(func() [][]County {
 	return out
 })
 
+// tileGrid returns the number of county tiles of s and the cols × rows
+// grid they fill: at least that many cells, with an aspect close to
+// the frame's.
+func tileGrid(s State) (n, cols, rows int) {
+	n = max(s.Counties, 1)
+	aspect := (s.LngHi - s.LngLo) / math.Max(s.LatHi-s.LatLo, 1e-9)
+	cols = int(math.Max(1, math.Round(math.Sqrt(float64(n)*aspect))))
+	return n, cols, (n + cols - 1) / cols
+}
+
 // tileCounties tiles one state frame (see Counties).
 func tileCounties(s State) []County {
-	n := s.Counties
-	if n <= 0 {
-		n = 1
-	}
-	// Choose a grid cols × rows >= n with aspect close to the frame's.
-	aspect := (s.LngHi - s.LngLo) / math.Max(s.LatHi-s.LatLo, 1e-9)
-	cols := int(math.Max(1, math.Round(math.Sqrt(float64(n)*aspect))))
-	rows := (n + cols - 1) / cols
+	n, cols, rows := tileGrid(s)
 	out := make([]County, 0, n)
 	for idx := 0; idx < n; idx++ {
 		r := idx / cols
@@ -246,16 +354,65 @@ func AllCounties() []County {
 // CountyAt returns the county containing p, searching the containing
 // state's tiles.
 func CountyAt(p geo.LatLng) (County, bool) {
-	s, ok := StateAt(p)
+	i, ok := StateIndexAt(p)
 	if !ok {
 		return County{}, false
 	}
-	for _, c := range CountyTiles(s) {
-		if c.Contains(p) {
-			return c, true
-		}
+	if k := countyContaining(i, p); k >= 0 {
+		return countyTiles()[i][k], true
 	}
 	return County{}, false
+}
+
+// CountyIndexAt returns the index, in CountyTiles(States()[state]), of
+// the first tile containing p or, when p falls just outside the
+// state's tiling, of the tile whose center is nearest (the first such
+// on ties).
+func CountyIndexAt(state int, p geo.LatLng) int {
+	if k := countyContaining(state, p); k >= 0 {
+		return k
+	}
+	best, bestD := 0, math.Inf(1)
+	for i, c := range countyTiles()[state] {
+		if d := geo.DistanceKm(p, c.Center()); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// countyContaining returns the index of the first of state i's tiles
+// containing p, or -1. The candidates of p's bucket ascend and include
+// every tile containing p, so the first that contains it is the first
+// of all the tiles.
+func countyContaining(i int, p geo.LatLng) int {
+	tiles := countyTiles()[i]
+	for _, k := range countyIndexes()[i].candidates(p) {
+		if tiles[k].Contains(p) {
+			return int(k)
+		}
+	}
+	return -1
+}
+
+// countyIndexes buckets each table state's county tiles over the
+// state's frame, one bucket per cell of the tiling's grid, so a bucket
+// lists the few tiles that touch it. It is built on first use.
+var countyIndexes = sync.OnceValue(buildCountyIndexes)
+
+func buildCountyIndexes() []bucketIndex {
+	out := make([]bucketIndex, len(states))
+	for i, s := range states {
+		tiles := countyTiles()[i]
+		rects := make([]rect, len(tiles))
+		for k, c := range tiles {
+			rects[k] = rect{c.LatLo, c.LatHi, c.LngLo, c.LngHi}
+		}
+		_, cols, rows := tileGrid(s)
+		out[i] = newBucketIndex(rects, s.LatLo, s.LngLo,
+			float64(rows)/(s.LatHi-s.LatLo), float64(cols)/(s.LngHi-s.LngLo), rows, cols)
+	}
+	return out
 }
 
 // TotalRuralWeight sums all states' rural weights.
