@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortUint64$$' -fuzztime $(FUZZ_TIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioRequest$$' -fuzztime $(FUZZ_TIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioKey$$' -fuzztime $(FUZZ_TIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFig3JSON$$' -fuzztime $(FUZZ_TIME) .
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR, percent). The floor
 # sits ~1pt under the measured total because worker-occupancy branches

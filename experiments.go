@@ -11,15 +11,15 @@ package leodivide
 //
 //   - Observability: per-experiment run/error counters and duration
 //     histograms in obs.Default, plus an "experiment.<name>" span
-//     (carrying the JSON-encoded result size) when a span collector is
-//     installed.
+//     (carrying the error of a failed run) when a span collector is
+//     installed. The span times the kernel alone: a caller that
+//     encodes the result does so after it ends.
 //   - Cancellation: Run returns ctx.Err() without touching the dataset
 //     when the context is already cancelled at entry; long runners
 //     additionally observe cancellation between fan-out stages.
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 
 	"leodivide/internal/obs"
@@ -73,34 +73,12 @@ func instrument(name string, fn runner) runner {
 		} else {
 			okRuns.Inc()
 		}
-		if span != nil {
-			if err != nil {
-				span.SetAttr(obs.String("error", err.Error()))
-			} else {
-				span.SetAttr(obs.Int("result_bytes", resultBytes(v)))
-			}
+		if span != nil && err != nil {
+			span.SetAttr(obs.String("error", err.Error()))
 		}
 		span.End()
 		return v, err
 	}
-}
-
-// resultBytes measures a result's JSON-encoded size without buffering
-// it. Only called when a span collector is installed, so the encoding
-// cost is opt-in.
-func resultBytes(v any) int64 {
-	var cw countingDiscard
-	if err := json.NewEncoder(&cw).Encode(v); err != nil {
-		return -1
-	}
-	return cw.n
-}
-
-type countingDiscard struct{ n int64 }
-
-func (c *countingDiscard) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 // registryEntry is one row of the registry table: a name, a

@@ -120,9 +120,7 @@ func closeFile(f *os.File) error {
 	if fault != nil {
 		if err := fault(f.Name()); err != nil {
 			metricFaults.Inc()
-			//lint:ignore errdrop the injected fault must surface; a close error on the probe handle is secondary
-			f.Close()
-			return err
+			return errors.Join(err, f.Close())
 		}
 	}
 	return f.Close()

@@ -18,8 +18,10 @@ package safeio
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -71,7 +73,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // WriteFile atomically writes the content produced by fn to path. Any
 // error from fn, from the underlying writes, from Sync, from Close, or
 // from the final rename surfaces as a non-nil error, and the
-// destination is left untouched (the temp file is removed).
+// destination is left untouched (the temp file is removed; a failure
+// to remove it is joined onto the returned error).
 //
 // Cancellation is observed at entry and again just before the rename;
 // a cancelled write leaves the destination untouched. Once the rename
@@ -95,13 +98,11 @@ func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (err 
 	if err != nil {
 		return fmt.Errorf("safeio: creating temp for %s: %w", path, err)
 	}
-	tmpName := tmp.Name()
 	defer func() {
 		if err != nil {
-			//lint:ignore errdrop best-effort cleanup on the error path; the original write error is what the caller needs
-			tmp.Close()
-			//lint:ignore errdrop best-effort cleanup on the error path; the original write error is what the caller needs
-			os.Remove(tmpName)
+			if cerr := discardTemp(tmp); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
 		}
 	}()
 
@@ -127,16 +128,32 @@ func WriteFile(ctx context.Context, path string, fn func(io.Writer) error) (err 
 		return fmt.Errorf("safeio: closing %s: %w", path, err)
 	}
 	if err := ctx.Err(); err != nil {
-		//lint:ignore errdrop best-effort temp cleanup on cancellation; the cancellation error is what the caller needs
-		os.Remove(tmpName)
 		return fmt.Errorf("safeio: writing %s: %w", path, err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		//lint:ignore errdrop best-effort temp cleanup; the rename error is already being returned
-		os.Remove(tmpName)
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("safeio: renaming into %s: %w", path, err)
 	}
 	syncDir(dir)
+	return nil
+}
+
+// discardTemp closes and removes the temp file of a failed write. A
+// handle that is already closed and a file that is already gone are
+// what discarding wants, not failures; any other error is returned, to
+// be joined onto the error that failed the write, so a temp file left
+// behind is reported rather than silent.
+func discardTemp(f *os.File) error {
+	cerr := f.Close()
+	if errors.Is(cerr, os.ErrClosed) {
+		cerr = nil
+	}
+	rerr := os.Remove(f.Name())
+	if errors.Is(rerr, fs.ErrNotExist) {
+		rerr = nil
+	}
+	if cerr != nil || rerr != nil {
+		return fmt.Errorf("safeio: discarding temp file: %w", errors.Join(cerr, rerr))
+	}
 	return nil
 }
 

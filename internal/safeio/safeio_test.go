@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -107,7 +108,8 @@ func TestWriteFileErrorMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.install(t)
-			path := filepath.Join(t.TempDir(), "out.bin")
+			dir := t.TempDir()
+			path := filepath.Join(dir, "out.bin")
 			err := WriteFileBytes(ctx, path, []byte("twelve bytes"))
 			if err == nil {
 				t.Fatal("fault did not surface as an error")
@@ -115,10 +117,47 @@ func TestWriteFileErrorMatrix(t *testing.T) {
 			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
 				t.Errorf("err = %v, want %v", err, tc.wantErr)
 			}
-			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-				t.Errorf("failed write left a destination file")
+			// The temp file went cleanly, so its discard adds nothing.
+			if strings.Contains(err.Error(), "discarding") {
+				t.Errorf("err = %v, want the fault alone", err)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("failed write left %d files behind", len(left))
 			}
 		})
+	}
+}
+
+// TestWriteFileCleanupErrors: a failed write whose temp file cannot be
+// removed reports both errors.
+func TestWriteFileCleanupErrors(t *testing.T) {
+	ctx := context.Background()
+	boom := errors.New("boom")
+
+	// Replace the temp file with a non-empty directory of the same
+	// name mid-write: the write fails, and so does removing the temp.
+	path := filepath.Join(t.TempDir(), "out.bin")
+	t.Cleanup(SetWriteFault(func(path string, w io.Writer) io.Writer {
+		tmps, _ := filepath.Glob(path + ".tmp-*")
+		for _, tmp := range tmps {
+			if err := os.Remove(tmp); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(tmp, "blocker"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &FaultWriter{W: w, Err: boom}
+	}))
+	err := WriteFileBytes(ctx, path, []byte("twelve bytes"))
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the write fault", err)
+	}
+	if !strings.Contains(err.Error(), "discarding temp file") {
+		t.Errorf("err = %v, want the failed temp-file removal joined on", err)
+	}
+	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+		t.Errorf("failed write left a destination file")
 	}
 }
 

@@ -63,8 +63,8 @@ import (
 )
 
 // Serving-layer observability (see internal/obs): request counts and
-// latency, cache traffic, failed response writes, and experiment
-// admission wait. The cache counters count the same events as the
+// latency, cache traffic, failed response writes, experiment admission
+// wait, and the size of each response body a cache miss encodes. The cache counters count the same events as the
 // result memo's own Counters, summed over every server in the process.
 var (
 	metricRequests    = obs.Default.Counter("serve.requests")
@@ -74,6 +74,7 @@ var (
 	metricReqSecs     = obs.Default.Histogram("serve.request.seconds", obs.DurationBuckets)
 	metricRunSecs     = obs.Default.Histogram("serve.run.seconds", obs.DurationBuckets)
 	metricWaitSecs    = obs.Default.Histogram("serve.admission_wait.seconds", obs.DurationBuckets)
+	metricRespBytes   = obs.Default.Histogram("serve.response.bytes", obs.SizeBuckets)
 
 	// metricCache is indexed by memo.Status.
 	metricCache = [...]*obs.Counter{
@@ -421,14 +422,38 @@ func (s *Server) runScenario(ctx context.Context, cfg leodivide.ScenarioConfig, 
 		return nil, err
 	}
 	metricRunSecs.ObserveSince(runStart)
-	return json.Marshal(Response{
+	body, err := encodeResponse(Response{
 		Schema:     leodivide.ScenarioSchema,
 		Key:        key,
 		Experiment: n.Experiment,
 		Seed:       n.Seed,
 		Scale:      n.Scale,
-		Result:     v,
-	})
+	}, v)
+	if err != nil {
+		return nil, err
+	}
+	metricRespBytes.Observe(float64(len(body)))
+	return body, nil
+}
+
+// encodeResponse returns the bytes of json.Marshal(r) with r.Result
+// set to v. The envelope is marshalled with a nil Result, which, as
+// Response's last field, ends the object in `null}`; the result is
+// appended in place of that null by leodivide.AppendResultJSON, which
+// writes a Figure 3 result without reflection. Encoding the envelope
+// by hand would save a microsecond and copy encoding/json's string
+// escaping rules; the result is where the time goes.
+func encodeResponse(r Response, v any) ([]byte, error) {
+	r.Result = nil
+	head, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	body, err := leodivide.AppendResultJSON(head[:len(head)-len("null}")], v)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '}'), nil
 }
 
 // datasetFor resolves the dataset a query's region runs against: the

@@ -220,6 +220,68 @@ func TestScenarioKnobs(t *testing.T) {
 	}
 }
 
+// TestServedBodiesMatchMarshal is the serving benchmark's per-request
+// check in tier-1: for every experiment under the default scenario, an
+// oversubscription cap, another constellation and another region, the
+// served body is byte for byte json.Marshal of a Response built from a
+// library run of the same scenario on a dataset of the test's own.
+func TestServedBodiesMatchMarshal(t *testing.T) {
+	ctx := context.Background()
+	_, ts := newTestServer(t, Config{})
+	base := leodivide.ScenarioConfig{RunConfig: leodivide.RunConfig{Seed: leodivide.DefaultRunConfig().Seed, Scale: testScale}}
+	datasets := map[string]*leodivide.Dataset{}
+	for _, variant := range []leodivide.ScenarioRequest{
+		{},
+		{MaxOversub: 25},
+		{Constellation: "kuiper"},
+		{Region: "taipei-dense"},
+	} {
+		for _, e := range leodivide.NewModel().Experiments() {
+			req := variant
+			req.Schema, req.Experiment = leodivide.ScenarioSchema, e.Name
+			cfg, err := req.Apply(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := cfg.Normalized()
+			ds, ok := datasets[n.Region]
+			if !ok {
+				if ds, err = cfg.Generate(ctx); err != nil {
+					t.Fatal(err)
+				}
+				datasets[n.Region] = ds
+			}
+			key, err := cfg.CanonicalKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, _ := cfg.BuildModel().ExperimentByName(n.Experiment)
+			v, err := exp.Run(ctx, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(Response{
+				Schema: leodivide.ScenarioSchema, Key: key, Experiment: n.Experiment,
+				Seed: n.Seed, Scale: n.Scale, Result: v,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqBody, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, got := postScenario(t, ts.URL, string(reqBody))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %d %s", reqBody, resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: served body differs from json.Marshal(Response{…})\n got %.200s\nwant %.200s", reqBody, got, want)
+			}
+		}
+	}
+}
+
 func TestScenarioValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
