@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkBox$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
 	$(GO) test -run '^$$' -fuzz '^FuzzSortUint64$$' -fuzztime $(FUZZ_TIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzCDFGiniLorenz$$' -fuzztime $(FUZZ_TIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioRequest$$' -fuzztime $(FUZZ_TIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioKey$$' -fuzztime $(FUZZ_TIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFig3JSON$$' -fuzztime $(FUZZ_TIME) .

@@ -25,9 +25,11 @@ import (
 // county income distributions.
 const DefaultIncomeSigmaLog = 0.55
 
-// lognormalCDF returns P[X <= x] for X lognormal with the given median
-// and log-σ.
-func lognormalCDF(x, median, sigma float64) float64 {
+// lognormalCDFLog returns P[X <= x] for X lognormal with the given median
+// and log-σ, given logX = log(x) and logMedian = log(median): a
+// threshold's log is taken once per evaluation and a county's once per
+// input, not once per (threshold, county) pair.
+func lognormalCDFLog(x, logX, median, logMedian, sigma float64) float64 {
 	if x <= 0 {
 		return 0
 	}
@@ -37,7 +39,7 @@ func lognormalCDF(x, median, sigma float64) float64 {
 		}
 		return 1
 	}
-	z := (math.Log(x) - math.Log(median)) / sigma
+	z := (logX - logMedian) / sigma
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }
 
@@ -45,8 +47,10 @@ func lognormalCDF(x, median, sigma float64) float64 {
 // dispersion. Construct with NewDispersedInput.
 type DispersedInput struct {
 	counties []census.CountyIncome
-	sigma    float64
-	total    float64
+	// logMedians[i] is log(counties[i].MedianHouseholdIncomeUSD).
+	logMedians []float64
+	sigma      float64
+	total      float64
 }
 
 // NewDispersedInput wraps a census table with a lognormal within-county
@@ -56,14 +60,16 @@ func NewDispersedInput(t *census.Table, sigma float64) (*DispersedInput, error) 
 		sigma = DefaultIncomeSigmaLog
 	}
 	counties := t.Counties()
+	logMedians := make([]float64, len(counties))
 	total := 0.0
-	for _, c := range counties {
+	for i, c := range counties {
+		logMedians[i] = math.Log(c.MedianHouseholdIncomeUSD)
 		total += c.Weight
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("afford: census table has no location weight")
 	}
-	return &DispersedInput{counties: counties, sigma: sigma, total: total}, nil
+	return &DispersedInput{counties: counties, logMedians: logMedians, sigma: sigma, total: total}, nil
 }
 
 // TotalLocations returns the location count behind the input.
@@ -74,9 +80,10 @@ func (in *DispersedInput) TotalLocations() float64 { return in.total }
 // household income below the plan's threshold.
 func (in *DispersedInput) Evaluate(p Plan, s *Subsidy, share float64) Result {
 	threshold := IncomeThresholdUSD(p, s, share)
+	logT := math.Log(threshold)
 	below := 0.0
-	for _, c := range in.counties {
-		below += c.Weight * lognormalCDF(threshold, c.MedianHouseholdIncomeUSD, in.sigma)
+	for i, c := range in.counties {
+		below += c.Weight * lognormalCDFLog(threshold, logT, c.MedianHouseholdIncomeUSD, in.logMedians[i], in.sigma)
 	}
 	return Result{
 		Plan:                  p,
@@ -110,28 +117,29 @@ func (in *DispersedInput) EvaluateLifelineAware(p Plan, share float64, household
 	tFull := IncomeThresholdUSD(p, nil, share)
 	tSub := IncomeThresholdUSD(p, &lifeline, share)
 	cut := census.LifelineEligibilityFPLMultiple * census.FederalPovertyLevelUSD(householdSize)
+	logFull, logSub, logCut := math.Log(tFull), math.Log(tSub), math.Log(cut)
 
 	unaffordable := 0.0
 	eligible := 0.0
 	rescued := 0.0
-	for _, c := range in.counties {
-		med := c.MedianHouseholdIncomeUSD
-		pEligible := lognormalCDF(cut, med, in.sigma)
+	for i, c := range in.counties {
+		med, logMed := c.MedianHouseholdIncomeUSD, in.logMedians[i]
+		pEligible := lognormalCDFLog(cut, logCut, med, logMed, in.sigma)
 		eligible += c.Weight * pEligible
 		if tSub <= cut {
 			// Eligible households in [tSub, cut] are rescued by the
 			// subsidy; everyone below tSub, and ineligible households
 			// below tFull, cannot afford.
-			pBelowSub := lognormalCDF(tSub, med, in.sigma)
+			pBelowSub := lognormalCDFLog(tSub, logSub, med, logMed, in.sigma)
 			pRescued := math.Max(0, pEligible-pBelowSub)
 			rescued += c.Weight * pRescued
-			gapHi := lognormalCDF(tFull, med, in.sigma)
+			gapHi := lognormalCDFLog(tFull, logFull, med, logMed, in.sigma)
 			pIneligibleGap := math.Max(0, gapHi-pEligible)
 			unaffordable += c.Weight * (pBelowSub + pIneligibleGap)
 		} else {
 			// The subsidized price still requires more income than the
 			// eligibility cutoff allows: the subsidy is unusable.
-			unaffordable += c.Weight * lognormalCDF(tFull, med, in.sigma)
+			unaffordable += c.Weight * lognormalCDFLog(tFull, logFull, med, logMed, in.sigma)
 		}
 	}
 	return LifelineAwareResult{

@@ -22,20 +22,25 @@ func dispersedInput(t *testing.T, sigma float64) *DispersedInput {
 	return in
 }
 
+// cdf is lognormalCDFLog with both logs taken here.
+func cdf(x, median, sigma float64) float64 {
+	return lognormalCDFLog(x, math.Log(x), median, math.Log(median), sigma)
+}
+
 func TestLognormalCDF(t *testing.T) {
 	// Median property: P[X <= median] = 0.5.
-	if got := lognormalCDF(60000, 60000, 0.5); math.Abs(got-0.5) > 1e-12 {
+	if got := cdf(60000, 60000, 0.5); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("CDF at median = %v, want 0.5", got)
 	}
-	if got := lognormalCDF(0, 60000, 0.5); got != 0 {
+	if got := cdf(0, 60000, 0.5); got != 0 {
 		t.Errorf("CDF at 0 = %v", got)
 	}
 	// Monotone in x.
-	if lognormalCDF(50000, 60000, 0.5) >= lognormalCDF(70000, 60000, 0.5) {
+	if cdf(50000, 60000, 0.5) >= cdf(70000, 60000, 0.5) {
 		t.Error("CDF not monotone")
 	}
 	// Degenerate sigma behaves like a step at the median.
-	if lognormalCDF(59999, 60000, 0) != 0 || lognormalCDF(60001, 60000, 0) != 1 {
+	if cdf(59999, 60000, 0) != 0 || cdf(60001, 60000, 0) != 1 {
 		t.Error("zero-sigma CDF should step at the median")
 	}
 }

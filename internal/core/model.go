@@ -417,8 +417,18 @@ func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, s
 		return nil, err
 	}
 
-	out := make([]ReturnsPoint, 0, len(prof))
+	// Count the compressed curve's points first, so it is allocated at
+	// its exact size: caps often repeat their predecessor's point.
+	points := 0
 	lastUnserved, lastSats := -1, -1
+	for _, p := range prof {
+		if sats := bandSats[p.beams]; p.unserved != lastUnserved || sats != lastSats {
+			points++
+			lastUnserved, lastSats = p.unserved, sats
+		}
+	}
+	out := make([]ReturnsPoint, 0, points)
+	lastUnserved, lastSats = -1, -1
 	for i, p := range prof {
 		sats := bandSats[p.beams]
 		if p.unserved == lastUnserved && sats == lastSats {

@@ -223,57 +223,45 @@ func (s Summary) String() string {
 
 // Lorenz returns n+1 points of the Lorenz curve of the samples: the
 // cumulative share of the total held by the poorest fraction p of
-// samples, for p = 0, 1/n, …, 1. Samples must be nonnegative.
-func Lorenz(samples []float64, n int) ([]Point, error) {
-	if len(samples) == 0 {
-		return nil, ErrNoSamples
-	}
+// samples, for p = 0, 1/n, …, 1. Samples must be nonnegative. It reads
+// the CDF's own sorted column, so nothing is copied or sorted.
+func (c *CDF) Lorenz(n int) ([]Point, error) {
 	if n < 1 {
 		n = 100
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	if sorted[0] < 0 {
-		return nil, fmt.Errorf("stats: Lorenz requires nonnegative samples, got %v", sorted[0])
+	if c.sorted[0] < 0 {
+		return nil, fmt.Errorf("stats: Lorenz requires nonnegative samples, got %v", c.sorted[0])
 	}
-	total := 0.0
-	cum := make([]float64, len(sorted)+1)
-	for i, v := range sorted {
-		total += v
-		cum[i+1] = total
-	}
+	total := c.Sum()
 	if total == 0 {
 		return nil, fmt.Errorf("stats: Lorenz of all-zero samples")
 	}
+	// One running sum, read at each point's rank: the same additions in
+	// the same order as a cumulative array, so the same values.
 	out := make([]Point, 0, n+1)
+	cum, next := 0.0, 0
 	for k := 0; k <= n; k++ {
 		p := float64(k) / float64(n)
-		idx := int(p * float64(len(sorted)))
-		if idx > len(sorted) {
-			idx = len(sorted)
+		idx := min(int(p*float64(len(c.sorted))), len(c.sorted))
+		for ; next < idx; next++ {
+			cum += c.sorted[next]
 		}
-		out = append(out, Point{X: p, Y: cum[idx] / total})
+		out = append(out, Point{X: p, Y: cum / total})
 	}
 	return out, nil
 }
 
 // Gini returns the Gini coefficient of the samples (0 = perfectly
-// even, →1 = maximally concentrated). Samples must be nonnegative.
-func Gini(samples []float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, ErrNoSamples
+// even, →1 = maximally concentrated). Samples must be nonnegative. Like
+// Lorenz it reads the CDF's sorted column in place.
+func (c *CDF) Gini() (float64, error) {
+	if c.sorted[0] < 0 {
+		return 0, fmt.Errorf("stats: Gini requires nonnegative samples, got %v", c.sorted[0])
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	if sorted[0] < 0 {
-		return 0, fmt.Errorf("stats: Gini requires nonnegative samples, got %v", sorted[0])
-	}
-	n := float64(len(sorted))
+	n := float64(len(c.sorted))
 	total := 0.0
 	weighted := 0.0
-	for i, v := range sorted {
+	for i, v := range c.sorted {
 		total += v
 		weighted += float64(i+1) * v
 	}

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -264,30 +266,30 @@ func TestSummaryOrderProperty(t *testing.T) {
 
 func TestGini(t *testing.T) {
 	// Perfect equality.
-	if g, err := Gini([]float64{5, 5, 5, 5}); err != nil || math.Abs(g) > 1e-12 {
+	if g, err := gini([]float64{5, 5, 5, 5}); err != nil || math.Abs(g) > 1e-12 {
 		t.Errorf("Gini(equal) = %v, %v", g, err)
 	}
 	// Maximal concentration approaches 1 − 1/n.
-	g, err := Gini([]float64{0, 0, 0, 100})
+	g, err := gini([]float64{0, 0, 0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(g-0.75) > 1e-12 {
 		t.Errorf("Gini(concentrated) = %v, want 0.75", g)
 	}
-	if _, err := Gini(nil); err == nil {
+	if _, err := gini(nil); err == nil {
 		t.Error("empty Gini should fail")
 	}
-	if _, err := Gini([]float64{-1, 2}); err == nil {
+	if _, err := gini([]float64{-1, 2}); err == nil {
 		t.Error("negative Gini should fail")
 	}
-	if _, err := Gini([]float64{0, 0}); err == nil {
+	if _, err := gini([]float64{0, 0}); err == nil {
 		t.Error("all-zero Gini should fail")
 	}
 }
 
 func TestLorenz(t *testing.T) {
-	pts, err := Lorenz([]float64{1, 1, 1, 97}, 4)
+	pts, err := lorenz([]float64{1, 1, 1, 97}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +312,7 @@ func TestLorenz(t *testing.T) {
 			t.Fatal("Lorenz above diagonal")
 		}
 	}
-	if _, err := Lorenz(nil, 10); err == nil {
+	if _, err := lorenz(nil, 10); err == nil {
 		t.Error("empty Lorenz should fail")
 	}
 }
@@ -330,7 +332,7 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 		if !anyPositive {
 			return true
 		}
-		g1, err := Gini(samples)
+		g1, err := gini(samples)
 		if err != nil {
 			return false
 		}
@@ -339,7 +341,7 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 		for i := range samples {
 			scaled[i] = samples[i] * scale
 		}
-		g2, err := Gini(scaled)
+		g2, err := gini(scaled)
 		if err != nil {
 			return false
 		}
@@ -348,6 +350,166 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// gini is NewCDF(samples).Gini(); no samples fail in NewCDF.
+func gini(samples []float64) (float64, error) {
+	c, err := NewCDF(samples)
+	if err != nil {
+		return 0, err
+	}
+	return c.Gini()
+}
+
+// lorenz is NewCDF(samples).Lorenz(n); no samples fail in NewCDF.
+func lorenz(samples []float64, n int) ([]Point, error) {
+	c, err := NewCDF(samples)
+	if err != nil {
+		return nil, err
+	}
+	return c.Lorenz(n)
+}
+
+// giniOracle is the copy-sort-sum Gini that CDF.Gini replaced.
+func giniOracle(samples []float64) (float64, error) {
+	if len(samples) == 0 {
+		return 0, ErrNoSamples
+	}
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	if sorted[0] < 0 {
+		return 0, fmt.Errorf("stats: Gini requires nonnegative samples, got %v", sorted[0])
+	}
+	n := float64(len(sorted))
+	total := 0.0
+	weighted := 0.0
+	for i, v := range sorted {
+		total += v
+		weighted += float64(i+1) * v
+	}
+	if total == 0 {
+		return 0, fmt.Errorf("stats: Gini of all-zero samples")
+	}
+	return (2*weighted - (n+1)*total) / (n * total), nil
+}
+
+// lorenzOracle is the copy-sort Lorenz curve over a cumulative array
+// that CDF.Lorenz replaced.
+func lorenzOracle(samples []float64, n int) ([]Point, error) {
+	if len(samples) == 0 {
+		return nil, ErrNoSamples
+	}
+	if n < 1 {
+		n = 100
+	}
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	if sorted[0] < 0 {
+		return nil, fmt.Errorf("stats: Lorenz requires nonnegative samples, got %v", sorted[0])
+	}
+	total := 0.0
+	cum := make([]float64, len(sorted)+1)
+	for i, v := range sorted {
+		total += v
+		cum[i+1] = total
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("stats: Lorenz of all-zero samples")
+	}
+	out := make([]Point, 0, n+1)
+	for k := 0; k <= n; k++ {
+		p := float64(k) / float64(n)
+		idx := int(p * float64(len(sorted)))
+		if idx > len(sorted) {
+			idx = len(sorted)
+		}
+		out = append(out, Point{X: p, Y: cum[idx] / total})
+	}
+	return out, nil
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkGiniLorenzBits fails t unless CDF.Gini and CDF.Lorenz(n) equal
+// their oracles bit for bit, with the same error text.
+func checkGiniLorenzBits(t *testing.T, samples []float64, n int) {
+	t.Helper()
+	g, err := gini(samples)
+	wantG, wantErr := giniOracle(samples)
+	if errText(err) != errText(wantErr) || math.Float64bits(g) != math.Float64bits(wantG) {
+		t.Errorf("Gini(%v) = %v, %q; oracle %v, %q", samples, g, errText(err), wantG, errText(wantErr))
+	}
+	pts, err := lorenz(samples, n)
+	want, wantErr := lorenzOracle(samples, n)
+	if errText(err) != errText(wantErr) || len(pts) != len(want) {
+		t.Fatalf("Lorenz(%v, %d) = %d points, %q; oracle %d points, %q",
+			samples, n, len(pts), errText(err), len(want), errText(wantErr))
+	}
+	for i := range want {
+		if math.Float64bits(pts[i].X) != math.Float64bits(want[i].X) ||
+			math.Float64bits(pts[i].Y) != math.Float64bits(want[i].Y) {
+			t.Fatalf("Lorenz(%v, %d)[%d] = %v, oracle %v", samples, n, i, pts[i], want[i])
+		}
+	}
+}
+
+// giniLorenzSeeds are the oracle cases: ties, zeros, a single sample,
+// all-zero input, a negative sample, and sample counts that do not
+// divide the point count.
+func giniLorenzSeeds() [][]float64 {
+	rng := rand.New(rand.NewSource(11))
+	skewed := make([]float64, 997)
+	for i := range skewed {
+		skewed[i] = math.Floor(math.Exp(rng.NormFloat64() * 2))
+	}
+	return [][]float64{
+		nil,
+		{7},
+		{0},
+		{0, 0, 0},
+		{5, 5, 5, 5},
+		{0, 0, 0, 100},
+		{1, 1, 1, 97},
+		{3, 0, 3, 0, 1, 2, 2},
+		{-1, 2},
+		{4, -0.5, 0},
+		{0.1, 0.2, 0.3},
+		{1e300, 1e300, 1},
+		skewed,
+	}
+}
+
+func TestCDFGiniLorenzMatchOracle(t *testing.T) {
+	for _, samples := range giniLorenzSeeds() {
+		for _, n := range []int{-1, 0, 1, 3, 4, 7, 100, 1500} {
+			checkGiniLorenzBits(t, samples, n)
+		}
+	}
+}
+
+func FuzzCDFGiniLorenz(f *testing.F) {
+	for _, samples := range giniLorenzSeeds() {
+		data := make([]byte, 8*len(samples))
+		for i, v := range samples {
+			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(v))
+		}
+		f.Add(data, uint8(100))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		samples := make([]float64, len(data)/8)
+		for i := range samples {
+			samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkGiniLorenzBits(t, samples, int(n))
+	})
 }
 
 // weightedP returns the weight fraction of samples with value <= x.

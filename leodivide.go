@@ -256,15 +256,13 @@ func (m Model) Fig1(ctx context.Context, d *Dataset) (Fig1Result, error) {
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	samples := make([]float64, 0, dist.NumCells())
-	for _, c := range dist.Cells() {
-		samples = append(samples, float64(c.Locations))
-	}
-	gini, err := stats.Gini(samples)
+	// The CDF's column holds every cell's location count, sorted.
+	cdf := dist.CDF()
+	gini, err := cdf.Gini()
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	lorenz, err := stats.Lorenz(samples, 100)
+	lorenz, err := cdf.Lorenz(100)
 	if err != nil {
 		return Fig1Result{}, err
 	}
@@ -275,7 +273,7 @@ func (m Model) Fig1(ctx context.Context, d *Dataset) (Fig1Result, error) {
 		P99:        dist.Quantile(0.99),
 		TotalCells: dist.NumCells(),
 		TotalLocs:  dist.TotalLocations(),
-		CDF:        dist.CDF().Series(200),
+		CDF:        cdf.Series(200),
 		Gini:       gini,
 		Lorenz:     lorenz,
 	}, nil

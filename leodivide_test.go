@@ -234,6 +234,42 @@ func TestFig3(t *testing.T) {
 	}
 }
 
+// TestFig3CurvesExactlySized: every Figure 3 curve is allocated at its
+// final length, for each of the paper's spreads at each
+// oversubscription a scenario asks for, so a curve cached with its
+// result holds no spare capacity. Where caps repeat the previous point,
+// a curve sized to the cap sweep would be bigger than its points.
+func TestFig3CurvesExactlySized(t *testing.T) {
+	// At the serving scale the peak cell falls below the top caps, so
+	// those caps repeat the last point.
+	ds, err := GenerateDataset(context.Background(), WithSeed(7), WithScale(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed := 0
+	for _, oversub := range []float64{10, 15, 20, 25, 30} {
+		m := NewModel()
+		m.MaxOversub = oversub
+		results, err := m.Fig3(context.Background(), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := m.Capacity.Beams.MaxServableLocations(oversub) - m.Capacity.Beams.LocationsPerBeam(oversub) + 1
+		for _, r := range results {
+			if len(r.Points) == 0 || cap(r.Points) != len(r.Points) {
+				t.Errorf("spread %v oversub %v: %d points in a curve of capacity %d",
+					r.Spread, oversub, len(r.Points), cap(r.Points))
+			}
+			if len(r.Points) < caps {
+				compressed++
+			}
+		}
+	}
+	if compressed == 0 {
+		t.Error("no curve repeats a point, so the sizing is untested")
+	}
+}
+
 func TestFig4AgainstPaper(t *testing.T) {
 	m := NewModel()
 	r, err := m.Fig4(context.Background(), fullDataset(t))
