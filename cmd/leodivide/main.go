@@ -186,7 +186,7 @@ func run(args []string, w io.Writer) error {
 	case "export":
 		return runExport(ctx, w, m, ds, *exportDir)
 	case "gen":
-		return runGen(ctx, w, ds, cfg.Seed, *locCSV, *locScale)
+		return runGen(ctx, w, ds, *locCSV, *locScale)
 	case "all":
 		for _, name := range allOrder {
 			if err := runOne(ctx, w, m, ds, name); err != nil {
@@ -640,14 +640,12 @@ func runLinkBudget(w io.Writer) error {
 	return err
 }
 
-func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, seed int64, locCSV string, locScale float64) error {
+func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, locCSV string, locScale float64) error {
 	if err := bdc.WriteCellsCSV(w, ds.Cells); err != nil {
 		return err
 	}
 	if locCSV != "" {
-		cfg := bdc.DefaultGenConfig()
-		cfg.Seed = seed
-		locs, err := bdc.GenerateLocations(cfg, ds.Cells, locScale)
+		locs, err := bdc.GenerateLocations(ds.Seed, ds.Resolution, ds.Cells, locScale)
 		if err != nil {
 			return err
 		}
@@ -697,7 +695,7 @@ func runExport(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivid
 		return safeio.WriteFile(ctx, filepath.Join(dir, name), fn)
 	}
 	if err := writeFile("cells.geojson", func(out io.Writer) error {
-		return report.WriteCellsGeoJSON(out, ds.Cells, 0)
+		return report.WriteCellsGeoJSON(out, ds.Cells)
 	}); err != nil {
 		return err
 	}
@@ -773,9 +771,12 @@ func runExport(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivid
 		if err != nil {
 			return err
 		}
+		// Plans in the figure's own order (by effective price), not in
+		// the curve map's random iteration order.
 		t := report.NewTable("", "plan", "share_of_income", "locations_unable")
-		for name, curve := range r.Curves {
-			for _, p := range curve {
+		for _, res := range r.Results {
+			name := label(res)
+			for _, p := range r.Curves[name] {
 				t.AddRow(name, fmt.Sprintf("%.4f", p.Share), fmt.Sprintf("%.0f", p.Count))
 			}
 		}

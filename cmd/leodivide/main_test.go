@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -124,6 +125,34 @@ func TestGenLocationsCSV(t *testing.T) {
 	}
 }
 
+// The locations file comes from the dataset's own seed, so a seed set
+// through -scenario gives the same locations as the -seed flag, just as
+// it gives the same cells.
+func TestGenLocationsFollowScenarioSeed(t *testing.T) {
+	gen := func(seedArgs ...string) (cells string, locs []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "locs.csv")
+		var buf bytes.Buffer
+		args := append([]string{"-scale", "0.02"}, seedArgs...)
+		if err := run(append(args, "-locations-csv", path, "gen"), &buf); err != nil {
+			t.Fatal(err)
+		}
+		locs, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), locs
+	}
+	flagCells, flagLocs := gen("-seed", "5")
+	scenarioCells, scenarioLocs := gen("-scenario", `{"seed":5}`)
+	if flagCells != scenarioCells {
+		t.Fatal("-seed 5 and -scenario {\"seed\":5} wrote different cells")
+	}
+	if !bytes.Equal(flagLocs, scenarioLocs) {
+		t.Error("-seed 5 and -scenario {\"seed\":5} wrote different locations files")
+	}
+}
+
 func TestUnknownCommand(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"nonsense"}, &buf); err == nil {
@@ -192,15 +221,16 @@ func TestExportCommand(t *testing.T) {
 
 // TestExportReportsWriteFailures: report/export artifacts are written
 // through safeio, so an injected write error, short write, or close
-// failure on any output file must fail the export command instead of
-// leaving a truncated artifact behind a nil error.
+// failure on any output file must fail the export command and leave no
+// file at the faulted artifact's path.
 func TestExportReportsWriteFailures(t *testing.T) {
 	boom := errors.New("disk full")
 	for _, mode := range []struct {
-		name    string
-		install func() func()
+		name     string
+		artifact string
+		install  func() func()
 	}{
-		{"write error", func() func() {
+		{"write error", "fig1_cdf.csv", func() func() {
 			return safeio.SetWriteFault(func(path string, w io.Writer) io.Writer {
 				if filepath.Base(path) == "fig1_cdf.csv" {
 					return &safeio.FaultWriter{W: w, FailAfter: 8, Err: boom}
@@ -208,7 +238,7 @@ func TestExportReportsWriteFailures(t *testing.T) {
 				return w
 			})
 		}},
-		{"short write", func() func() {
+		{"short write", "cells.geojson", func() func() {
 			return safeio.SetWriteFault(func(path string, w io.Writer) io.Writer {
 				if filepath.Base(path) == "cells.geojson" {
 					return &safeio.FaultWriter{W: w, FailAfter: 8, Short: true}
@@ -216,7 +246,7 @@ func TestExportReportsWriteFailures(t *testing.T) {
 				return w
 			})
 		}},
-		{"close failure", func() func() {
+		{"close failure", "cells.csv", func() func() {
 			return safeio.SetCloseFault(func(path string) error {
 				if strings.HasPrefix(filepath.Base(path), "cells.csv") {
 					return boom
@@ -227,9 +257,13 @@ func TestExportReportsWriteFailures(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			defer mode.install()()
+			dir := t.TempDir()
 			var buf bytes.Buffer
-			if err := run([]string{"-scale", "0.02", "-dir", t.TempDir(), "export"}, &buf); err == nil {
+			if err := run([]string{"-scale", "0.02", "-dir", dir, "export"}, &buf); err == nil {
 				t.Error("export swallowed the injected write failure")
+			}
+			if _, err := os.Stat(filepath.Join(dir, mode.artifact)); !os.IsNotExist(err) {
+				t.Errorf("failed export left %s behind (stat: %v)", mode.artifact, err)
 			}
 		})
 	}
@@ -383,6 +417,37 @@ func TestExportFigureCSVs(t *testing.T) {
 		if len(data) < 100 {
 			t.Errorf("%s implausibly small (%d bytes)", name, len(data))
 		}
+	}
+
+	// fig4_curves.csv lists each plan's curve as one block, in the
+	// figure's own plan order, so the file's bytes do not depend on map
+	// iteration order.
+	data, err := os.ReadFile(filepath.Join(dir, "fig4_curves.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		plan, _, _ := strings.Cut(line, ",")
+		if len(got) == 0 || got[len(got)-1] != plan {
+			got = append(got, plan)
+		}
+	}
+	ctx := context.Background()
+	ds, err := leodivide.GenerateDataset(ctx, leodivide.WithScale(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := leodivide.NewModel().Fig4(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, res := range r.Results {
+		want = append(want, label(res))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fig4_curves.csv plan blocks %q, want the figure's order %q", got, want)
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 // for the root package. Keep it short: a helper only one package's
 // tests need belongs in that package's _test.go.
 var testSupportAPI = map[string]string{
-	"bdc.ReadCellsCSV":                 "round-trip oracle for the cells file cmd/bdcgen and export write; fuzzed",
-	"bdc.ReadLocationsCSV":             "round-trip oracle for cmd/bdcgen's locations file; fuzzed",
-	"bdc.ReadProviderCSV":              "round-trip oracle for cmd/bdcgen's availability file; fuzzed",
+	"bdc.ReadCellsCSV":                 "round-trip oracle for the cells file leodivide gen and export write; fuzzed",
+	"bdc.ReadLocationsCSV":             "round-trip oracle for the locations file leodivide gen -locations-csv writes; fuzzed",
 	"constellation.System.Validate":    "invariant check the declared system table is tested against",
 	"core.NewModel":                    "paper-default capacity model the core tests start from",
 	"demand.Aggregate":                 "reference aggregation the bdc generator tests compare against",
@@ -28,7 +27,7 @@ var testSupportAPI = map[string]string{
 	"leodivide.ParseScenarioKey":       "injectivity oracle FuzzParseScenarioKey checks CanonicalKey against",
 	"leodivide.ScenarioConfig.Request": "wire form of a scenario that FuzzParseScenarioRequest round-trips",
 	"obs.Registry.Reset":               "zeroes a registry in place so tests can isolate readings",
-	"safeio.FaultWriter":               "write-fault double for the safeio, bdcgen and CLI export fault tests",
+	"safeio.FaultWriter":               "write-fault double for the safeio and leodivide gen/export fault tests",
 	"safeio.SetCloseFault":             "fault hook: fails WriteFile's temp-file Close in tests",
 	"safeio.SetSyncFault":              "fault hook: fails WriteFile's fsync in tests",
 	"safeio.SetWriteFault":             "fault hook: interposes on WriteFile in tests",

@@ -569,12 +569,14 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 // (minimum 1) so tests can exercise the per-location path cheaply.
 // Locations are jittered within 30% of the cell radius of the cell
 // center, which keeps every location inside its cell's Voronoi region.
-func GenerateLocations(cfg GenConfig, cells []demand.Cell, scale float64) ([]demand.Location, error) {
+// seed and res are the dataset's own generation seed and cell
+// resolution, so a dataset's locations follow from its identity.
+func GenerateLocations(seed int64, res hexgrid.Resolution, cells []demand.Cell, scale float64) ([]demand.Location, error) {
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("bdc: scale must be in (0,1], got %v", scale)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x10c5))
-	spacingKm := cellSpacingKm(cfg.Resolution)
+	rng := rand.New(rand.NewSource(seed + 0x10c5))
+	spacingKm := cellSpacingKm(res)
 	var out []demand.Location
 	var nextID uint64 = 1
 	for _, c := range cells {

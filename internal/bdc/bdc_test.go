@@ -183,7 +183,7 @@ func TestGenerateLocationsStayInCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := GenerateLocations(cfg, cells, 1.0)
+	locs, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,23 @@ func TestGenerateLocationsStayInCell(t *testing.T) {
 			t.Errorf("cell %v: aggregated %d, want %d", c.ID, c.Locations, want[c.ID])
 		}
 	}
-	// Every generated location is un(der)served.
+}
+
+func TestGenerateLocationsAllUnderserved(t *testing.T) {
+	// The synthetic map contains only un(der)served locations, in the
+	// peak cells and the body alike.
+	cfg := smallConfig()
+	cells, err := GenerateCells(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(locs) == 0 {
+		t.Fatal("generated no locations")
+	}
 	for _, l := range locs {
 		if !l.Underserved() {
 			t.Fatalf("location %d is served (%v/%v)", l.ID, l.MaxDownMbps, l.MaxUpMbps)
@@ -223,7 +239,7 @@ func TestGenerateLocationsScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := GenerateLocations(cfg, cells, 0.01)
+	locs, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +248,10 @@ func TestGenerateLocationsScale(t *testing.T) {
 	if len(locs) < cfg.TotalLocations/100 || len(locs) > cfg.TotalLocations/100+len(cells) {
 		t.Errorf("scaled to %d locations from %d", len(locs), cfg.TotalLocations)
 	}
-	if _, err := GenerateLocations(cfg, cells, 0); err == nil {
+	if _, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells, 0); err == nil {
 		t.Error("scale 0 should fail")
 	}
-	if _, err := GenerateLocations(cfg, cells, 1.5); err == nil {
+	if _, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells, 1.5); err == nil {
 		t.Error("scale >1 should fail")
 	}
 }
@@ -246,7 +262,7 @@ func TestLocationsCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := GenerateLocations(cfg, cells[:50], 1.0)
+	locs, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells[:50], 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,29 +39,6 @@ func FuzzReadLocationsCSV(f *testing.F) {
 	})
 }
 
-func FuzzReadProviderCSV(f *testing.F) {
-	f.Add("location_id,provider_id,provider_name,technology,max_download_mbps,max_upload_mbps,low_latency\n" +
-		"1,130077,Windstream,dsl,25.00,3.00,true\n")
-	f.Add("x")
-	f.Fuzz(func(t *testing.T, input string) {
-		records, err := ReadProviderCSV(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteProviderCSV(&buf, records); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := ReadProviderCSV(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if len(again) != len(records) {
-			t.Fatalf("fixed point violated: %d -> %d", len(records), len(again))
-		}
-	})
-}
-
 func FuzzReadCellsCSV(f *testing.F) {
 	valid := testCellID(35.5, -106.3)
 	f.Add(fmt.Sprintf("cell_id,latitude,longitude,county_fips,unserved_locations\n"+

@@ -33,21 +33,18 @@ type geoJSONGeometry struct {
 
 // WriteCellsGeoJSON writes demand cells as a GeoJSON FeatureCollection:
 // one polygon per cell (its hexagonal boundary) with location count and
-// county properties. maxCells caps output size (0 = no cap); cells are
-// written densest-first so a capped export keeps the interesting head.
-func WriteCellsGeoJSON(w io.Writer, cells []demand.Cell, maxCells int) error {
+// county properties. Cells are written densest-first (ties by cell ID),
+// so the file's order is fixed whatever order the cells arrive in and
+// its head is the paper's peak-demand cells.
+func WriteCellsGeoJSON(w io.Writer, cells []demand.Cell) error {
 	ordered := make([]demand.Cell, len(cells))
 	copy(ordered, cells)
-	// Densest first so a capped export keeps the interesting head.
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Locations != ordered[j].Locations {
 			return ordered[i].Locations > ordered[j].Locations
 		}
 		return ordered[i].ID < ordered[j].ID
 	})
-	if maxCells > 0 && len(ordered) > maxCells {
-		ordered = ordered[:maxCells]
-	}
 	fc := geoJSONFeatureCollection{Type: "FeatureCollection"}
 	for _, c := range ordered {
 		boundary := c.ID.Boundary()

@@ -33,8 +33,12 @@ func sampleCells(t *testing.T) []demand.Cell {
 
 func TestWriteCellsGeoJSON(t *testing.T) {
 	cells := sampleCells(t)
+	// Hand the writer the densest cell last, so the order below is the
+	// writer's own.
+	densest := cells[0]
+	cells = append(cells[1:], densest)
 	var buf bytes.Buffer
-	if err := WriteCellsGeoJSON(&buf, cells, 0); err != nil {
+	if err := WriteCellsGeoJSON(&buf, cells); err != nil {
 		t.Fatal(err)
 	}
 	features, locations, err := ReadCellsGeoJSONCount(bytes.NewReader(buf.Bytes()))
@@ -53,24 +57,20 @@ func TestWriteCellsGeoJSON(t *testing.T) {
 			t.Errorf("geojson missing %q", want)
 		}
 	}
-}
-
-func TestWriteCellsGeoJSONCap(t *testing.T) {
-	cells := sampleCells(t)
-	var buf bytes.Buffer
-	if err := WriteCellsGeoJSON(&buf, cells, 2); err != nil {
+	// Densest first: the head of the file is the peak-demand cell.
+	var fc geoJSONFeatureCollection
+	if err := json.Unmarshal(buf.Bytes(), &fc); err != nil {
 		t.Fatal(err)
 	}
-	features, locations, err := ReadCellsGeoJSONCount(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var order []float64
+	for _, f := range fc.Features {
+		order = append(order, f.Properties["locations"].(float64))
 	}
-	if features != 2 {
-		t.Errorf("capped features = %d, want 2", features)
+	if fmt.Sprint(order) != "[500 120 50 8]" {
+		t.Errorf("feature order by locations = %v, want densest first [500 120 50 8]", order)
 	}
-	// The cap keeps the densest cells (500 + 120).
-	if locations != 620 {
-		t.Errorf("capped locations = %d, want 620", locations)
+	if got, want := fc.Features[0].Properties["cell_id"], fmt.Sprintf("%d", uint64(densest.ID)); got != want {
+		t.Errorf("first feature is cell %v, want the densest cell %s", got, want)
 	}
 }
 

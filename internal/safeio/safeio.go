@@ -1,6 +1,6 @@
 // Package safeio is the repo's hardened file writer. Every artifact the
-// repo writes — the CLI's export files, cmd/bdcgen's synthetic BDC
-// extract, the golden corpus — goes through WriteFile, which guarantees
+// repo writes — the CLI's export files and gen's locations file, the
+// golden corpus — goes through WriteFile, which guarantees
 // two properties the bare os package does not:
 //
 //   - Atomicity: WriteFile writes into a temp file in the destination
