@@ -116,8 +116,9 @@ func (m Model) CrossRegion(ctx context.Context, d *Dataset) (CrossRegionResult, 
 
 // regionDataset resolves the dataset for one region: the active
 // dataset when it already is that geography, a fresh generation at the
-// same (seed, scale) otherwise. Datasets predating the region field
-// (zero Region/Scale) count as the default region at full scale.
+// same (seed, scale) on the model's workers otherwise. Datasets
+// predating the region field (zero Region/Scale) count as the default
+// region at full scale.
 func (m Model) regionDataset(ctx context.Context, d *Dataset, key string) (*Dataset, error) {
 	dsRegion, dsScale := d.Region, d.Scale
 	if dsRegion == "" {
@@ -129,11 +130,9 @@ func (m Model) regionDataset(ctx context.Context, d *Dataset, key string) (*Data
 	if dsRegion == key {
 		return d, nil
 	}
-	return GenerateDataset(ctx,
-		WithSeed(d.Seed),
-		WithScale(dsScale),
-		WithRegion(key),
-	)
+	return generateDataset(ctx, genOptions{
+		seed: d.Seed, scale: dsScale, region: key, parallelism: m.Capacity.Parallelism,
+	})
 }
 
 // regionRow analyzes one generated geography under the active system.

@@ -44,7 +44,7 @@ func TestRegistryDeterminismMatrix(t *testing.T) {
 			// the reference's.
 			datasets := make(map[int]*Dataset, len(determinismCounts))
 			for _, n := range determinismCounts {
-				ds, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05))
+				ds, err := ScenarioConfig{RunConfig: RunConfig{Seed: seed, Scale: 0.05, Parallelism: n}}.Generate(ctx)
 				if err != nil {
 					t.Fatalf("generate parallelism=%d: %v", n, err)
 				}
@@ -69,39 +69,36 @@ func TestRegistryDeterminismMatrix(t *testing.T) {
 }
 
 // TestGenerateDatasetDeterministicAcrossParallelism proves dataset
-// synthesis is repeatable for every declared region: identical cells
-// (IDs, locations, county assignment, centers) and identical county
-// income tables on every repeated generation, for several seeds.
-// Generation has no worker knob; its one parallel phase, the walk
-// behind the process-wide grid tables, uses every CPU and must collect
-// in canonical order.
+// synthesis is the same at every worker bound for every declared
+// region: identical cells (IDs, locations, county assignment, centers)
+// and identical county income tables from ScenarioConfig.Generate at
+// Parallelism 1 (the serial reference), 2, 4 and 0 (one worker per
+// CPU), for several seeds. The center fill and the distribution built
+// beside the incomes fan out on that bound; the grid tables behind
+// them are built once per process on every CPU, collected in
+// canonical order.
 func TestGenerateDatasetDeterministicAcrossParallelism(t *testing.T) {
 	ctx := context.Background()
 	for _, regionKey := range []string{"us", "brazil-rural", "taipei-dense"} {
-		regionKey := regionKey
 		t.Run(regionKey, func(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
-				first, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05), WithRegion(regionKey))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				for n := 1; n < len(determinismCounts); n++ {
-					again, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05), WithRegion(regionKey))
+				generate := func(parallelism int) *Dataset {
+					t.Helper()
+					sc := ScenarioConfig{RunConfig: RunConfig{Seed: seed, Scale: 0.05, Parallelism: parallelism}, Region: regionKey}
+					ds, err := sc.Generate(ctx)
 					if err != nil {
-						t.Fatalf("seed %d repeat %d: %v", seed, n, err)
+						t.Fatalf("seed %d parallelism %d: %v", seed, parallelism, err)
 					}
-					if len(first.Cells) != len(again.Cells) {
-						t.Fatalf("seed %d repeat %d: cell count %d != %d (first generation)",
-							seed, n, len(again.Cells), len(first.Cells))
+					return ds
+				}
+				serial := generate(1)
+				for _, n := range []int{2, 4, 0} {
+					ds := generate(n)
+					if !reflect.DeepEqual(serial.Cells, ds.Cells) {
+						t.Fatalf("seed %d: cells at parallelism %d differ from the serial cells", seed, n)
 					}
-					for i := range first.Cells {
-						if !reflect.DeepEqual(first.Cells[i], again.Cells[i]) {
-							t.Fatalf("seed %d repeat %d: cell %d differs: first %+v repeat %+v",
-								seed, n, i, first.Cells[i], again.Cells[i])
-						}
-					}
-					if !reflect.DeepEqual(first.Incomes.Counties(), again.Incomes.Counties()) {
-						t.Fatalf("seed %d repeat %d: county income tables differ", seed, n)
+					if !reflect.DeepEqual(serial.Incomes.Counties(), ds.Incomes.Counties()) {
+						t.Fatalf("seed %d: county income tables at parallelism %d differ from the serial table", seed, n)
 					}
 				}
 			}

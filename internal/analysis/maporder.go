@@ -29,8 +29,12 @@ var Maporder = &Analyzer{
 	Run:    maporderRun,
 }
 
+// maporderWriteMethods are the output-writing methods: the io and
+// bytes/strings writers, and AddRow, which appends a row to a
+// report.Table that is later written out in row order.
 var maporderWriteMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
+	"AddRow": true,
 }
 
 var maporderFmtWriters = map[string]bool{

@@ -73,6 +73,17 @@ func writeInLoop(m map[string]int, b *strings.Builder) {
 	}
 }
 
+// table stands in for report.Table: rows come out in AddRow order.
+type table struct{ rows [][]string }
+
+func (t *table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
+
+func addRowInLoop(m map[string]int, t *table) {
+	for k := range m {
+		t.AddRow(k) // want "AddRow inside a map range writes in random iteration order"
+	}
+}
+
 func printInLoop(m map[string]int) {
 	for k, v := range m {
 		fmt.Println(k, v) // want "fmt.Println inside a map range writes in random iteration order"

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -74,6 +75,10 @@ type GenConfig struct {
 	BodyAnchors []QuantileAnchor
 	// Peaks are the pinned head cells.
 	Peaks []PeakCell
+	// Parallelism bounds the workers that fill the cell centers (0 =
+	// one per CPU, 1 = serial on the calling goroutine). It never
+	// changes the cells.
+	Parallelism int
 }
 
 // DefaultGenConfig returns the paper-calibrated configuration.
@@ -271,7 +276,8 @@ func (c GenConfig) memoBodyCounts(ctx context.Context, target int) ([]int, error
 // Only the seeded work runs per call, plus one center per sampled
 // cell: the US cell table (counties included) and the body counts come
 // from process-wide memos. All seeded-RNG decisions run on the calling
-// goroutine in a fixed order.
+// goroutine in a fixed order; the centers, RNG-free, are filled after
+// on up to cfg.Parallelism workers (FillCenters).
 func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err error) {
 	//lint:ignore detrand wall-clock feeds the generation timing metric only, never generated data
 	start := time.Now()
@@ -336,16 +342,19 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 
 	// Emit the cells in ID order, each built once in its final slot.
 	// Table rows ascend by ID, so ordering the sites is an integer sort of
-	// (row, site) pairs; the few peaks merge in by ID.
+	// (row, site) pairs, packed with the site in the low siteBits bits
+	// so the keys span as few radix digits as the table and the site
+	// count need; the few peaks merge in by ID.
+	siteBits := bits.Len(uint(len(picks)))
 	keys := make([]uint64, len(picks))
 	for j, row := range picks {
-		keys[j] = uint64(row)<<32 | uint64(j)
+		keys[j] = uint64(row)<<siteBits | uint64(j)
 	}
 	stats.SortUint64(keys)
 	slices.SortFunc(peaks, func(a, b demand.Cell) int { return cmp.Compare(a.ID, b.ID) })
 	cells = make([]demand.Cell, 0, len(peaks)+len(keys))
 	for _, k := range keys {
-		row, j := k>>32, uint32(k)
+		row, j := k>>siteBits, k&(1<<siteBits-1)
 		id := grid.ids[row]
 		for len(peaks) > 0 && peaks[0].ID < id {
 			cells, peaks = append(cells, peaks[0]), peaks[1:]
@@ -354,10 +363,33 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 			ID:         id,
 			Locations:  counts[perm[j]],
 			CountyFIPS: grid.tiles[grid.state[row]][grid.county[row]].FIPS,
-			Center:     id.LatLng(),
 		})
 	}
-	return append(cells, peaks...), nil
+	cells = append(cells, peaks...)
+	if err := FillCenters(ctx, cfg.Parallelism, cells); err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// centerChunk is the number of cells one FillCenters task converts:
+// large enough that the pool's per-task cost vanishes, small enough
+// that two workers split a scale-0.25 US dataset evenly.
+const centerChunk = 512
+
+// FillCenters sets each cell's Center to its ID's center, over
+// contiguous chunks of cells on up to workers goroutines (par.ForEach:
+// 0 = one per CPU, 1 = serial inline). Each chunk writes only its own
+// cells, and a center is a pure function of the ID, so the cells are
+// the same at every worker count.
+func FillCenters(ctx context.Context, workers int, cells []demand.Cell) error {
+	chunks := (len(cells) + centerChunk - 1) / centerChunk
+	return par.ForEach(ctx, workers, chunks, func(k int) error {
+		for i := k * centerChunk; i < min(len(cells), (k+1)*centerChunk); i++ {
+			cells[i].Center = cells[i].ID.LatLng()
+		}
+		return nil
+	})
 }
 
 // sampleSites draws n distinct grid cells across the US, weighted by
@@ -388,23 +420,19 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 
 	// Shuffled per-state pools of table rows, minus the excluded cells'
 	// rows. Shuffling rows draws exactly what shuffling the cell IDs
-	// would.
-	skip := make([]bool, len(grid.ids))
+	// would. A state's rows ascend, so its pool is copied run by run
+	// around the few excluded rows.
+	var skip []int32
 	for _, id := range exclude {
 		if row, ok := slices.BinarySearch(grid.ids, id); ok {
-			skip[row] = true
+			skip = append(skip, int32(row))
 		}
 	}
+	slices.Sort(skip)
 	pools := make([][]int32, len(states))
 	totalCapacity := 0
 	for i := range states {
-		rows := grid.rows[i]
-		pool := make([]int32, 0, len(rows))
-		for _, row := range rows {
-			if !skip[row] {
-				pool = append(pool, row)
-			}
-		}
+		pool := appendExcept(make([]int32, 0, len(grid.rows[i])), grid.rows[i], skip)
 		rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
 		pools[i] = pool
 		totalCapacity += len(pool)
@@ -460,6 +488,18 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 	return grid, picks, nil
 }
 
+// appendExcept appends to dst the values of src that are not in drop,
+// copying the runs between them. src and drop ascend.
+func appendExcept(dst, src, drop []int32) []int32 {
+	for _, d := range drop {
+		if k, found := slices.BinarySearch(src, d); found {
+			dst = append(dst, src[:k]...)
+			src = src[k+1:]
+		}
+	}
+	return append(dst, src...)
+}
+
 // usGrid is the US cell table at one resolution: every grid cell whose
 // center falls inside a US state frame, as parallel columns in
 // ascending ID order (the canonical grid order), with the cell's state
@@ -468,10 +508,11 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 // (usCells), and a fresh process waits for that build before its first
 // generation. The per-cell columns hold no string and no pointer, so
 // they cost the GC nothing to scan. Centers are not kept: recomputing
-// one for each sampled cell costs about 0.7 ms per scale-0.25
-// generation, while a centers column (16 bytes for every US cell)
-// raised the reproduce benchmark's peak RSS from a median of 27.7 to
-// 31.8 MB over 11 runs (2 vCPU, Go 1.24), about +15%.
+// one for each sampled cell costs about 0.65 ms of CPU per scale-0.25
+// generation, split over the generation's workers (FillCenters), while
+// a centers column (16 bytes for every US cell) raised the reproduce
+// benchmark's peak RSS from a median of 27.7 to 31.8 MB over 11 runs
+// (2 vCPU, Go 1.24), about +15%.
 type usGrid struct {
 	ids    []hexgrid.CellID
 	state  []uint8          // index into usgeo.States()

@@ -256,7 +256,12 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 	for i, w := range weights {
 		keys[i] = rankKey{key: w.PovertyRank, idx: int32(i)}
 	}
-	sortRows(keys, weights, ascending)
+	// Both sorts share one radix scratch buffer.
+	var scratch []radixRow
+	if ascending && len(keys) >= radixMin {
+		scratch = make([]radixRow, 2*len(keys))
+	}
+	sortRows(keys, weights, ascending, scratch)
 	total := 0.0
 	for _, k := range keys {
 		w := weights[k.idx]
@@ -287,7 +292,7 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 		// the last record of a code in poverty order.
 		return NewTable(incomeRecords(weights, keys)), nil
 	}
-	sortRows(keys, weights, ascending)
+	sortRows(keys, weights, ascending, scratch)
 	return &Table{ordered: incomeRecords(weights, keys)}, nil
 }
 
@@ -302,11 +307,16 @@ type rankKey struct {
 // AssignIncomes run over this pointer-free column. When the FIPS codes
 // strictly ascend (ascending), as both generators emit them, the input
 // index orders exactly as the FIPS does, so the tie-break compares
-// integers instead of strings. Every comparison then returns what the
-// struct comparators AssignIncomes and NewTable first used return for
-// the same pair, so pdqsort permutes identically, ties and NaN keys
-// included.
-func sortRows(rows []rankKey, weights []CountyWeight, ascending bool) {
+// integers instead of strings, and from radixMin rows on, with no NaN
+// key, radixRows orders them without comparisons in scratch, which
+// holds two rows for each row sorted (nil below radixMin). Every
+// comparison returns what the struct comparators AssignIncomes and
+// NewTable first used return for the same pair, so pdqsort permutes
+// identically, ties and NaN keys included.
+func sortRows(rows []rankKey, weights []CountyWeight, ascending bool, scratch []radixRow) {
+	if ascending && scratch != nil && radixRows(rows, scratch) {
+		return
+	}
 	if ascending {
 		slices.SortFunc(rows, func(a, b rankKey) int {
 			if a.key != b.key {
@@ -322,6 +332,75 @@ func sortRows(rows []rankKey, weights []CountyWeight, ascending bool) {
 		}
 		return strings.Compare(weights[a.idx].FIPS, weights[b.idx].FIPS)
 	})
+}
+
+// radixMin is the row count from which sortRows radix-sorts: below
+// it the counters and scratch column cost more than pdqsort saves.
+const radixMin = 256
+
+// radixRow is a row in radixRows' scratch: the row and its key's
+// order-preserving bits.
+type radixRow struct {
+	bits uint64
+	row  rankKey
+}
+
+// radixRows sorts rows by (key, idx), where idx is a permutation of
+// 0..len(rows)-1 as in both sorts of AssignIncomes, and reports
+// whether it did; with a NaN key it leaves rows untouched. Without NaN
+// the comparators of sortRows define a strict total order in which −0
+// and +0 tie, so any correct sort gives their result. This one lays
+// the rows out in index order, then runs a stable LSD radix sort on
+// 8-bit digits of each key's order-preserving bits (the sign bit set
+// for a positive key, every bit flipped for a negative one, −0 folded
+// onto +0), skipping the digits all keys share: equal keys keep index
+// order, which is the tie-break. scratch holds at least 2·len(rows)
+// rows.
+func radixRows(rows []rankKey, scratch []radixRow) bool {
+	src, dst := scratch[:len(rows)], scratch[len(rows):2*len(rows)]
+	for _, r := range rows {
+		if math.IsNaN(r.key) {
+			return false
+		}
+		b := math.Float64bits(r.key)
+		if b == 1<<63 { // −0
+			b = 0
+		}
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		src[r.idx] = radixRow{bits: b, row: r}
+	}
+	var diff uint64
+	for _, r := range src {
+		diff |= r.bits ^ src[0].bits
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for _, r := range src {
+			next[r.bits>>shift&0xff]++
+		}
+		at := 0
+		for d, n := range next {
+			next[d] = at
+			at += n
+		}
+		for _, r := range src {
+			d := r.bits >> shift & 0xff
+			dst[next[d]] = r
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	for j, r := range src {
+		rows[j] = r.row
+	}
+	return true
 }
 
 // incomeRecords gathers the records of (income, input index) rows.

@@ -152,6 +152,96 @@ func TestAssignIncomesAscendingFIPSMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
+// From radixMin rows on, ascending codes take the radix sort; it must
+// order exactly as the reference too: −0 tying +0, NaN ranks (which
+// keep the comparator sort), heavily repeated ranks, and incomes
+// repeated across many counties.
+func TestAssignIncomesRadixMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 60; trial++ {
+		n := radixMin + rng.Intn(3*radixMin)
+		if trial == 0 {
+			n = radixMin
+		}
+		ws := make([]CountyWeight, n)
+		for i := range ws {
+			ws[i] = CountyWeight{
+				FIPS:      fmt.Sprintf("%05d", 3*i+1),
+				StateAbbr: fmt.Sprintf("S%d", i),
+				Weight:    float64(1 + rng.Intn(50)),
+			}
+			switch trial % 4 {
+			case 0: // signed zeros among a few repeated ranks
+				ws[i].PovertyRank = []float64{0, negZero, 0.5, -0.25}[rng.Intn(4)]
+			case 1: // two ranks only: long runs of ties
+				ws[i].PovertyRank = float64(rng.Intn(2))
+			case 2: // the generators' jitter: steps of 1e-4
+				ws[i].PovertyRank = float64(rng.Intn(10000)) / 10000
+			default: // wide magnitudes and signs
+				ws[i].PovertyRank = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+		if trial%5 == 4 {
+			ws[rng.Intn(n)].PovertyRank = math.NaN()
+		}
+		table, err := AssignIncomes(ws, DefaultIncomeAnchors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceNewTable(referenceAssignIncomes(ws, DefaultIncomeAnchors()))
+		if got := table.Counties(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d counties): AssignIncomes order differs from the reference", trial, n)
+		}
+	}
+}
+
+// radixRows orders rows by (key, idx) exactly as a comparator sort
+// does, −0 and +0 tied, and refuses a NaN key without touching rows.
+func TestRadixRowsMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	values := []float64{math.Inf(-1), -1e300, -2, -1, -5e-324, math.Copysign(0, -1), 0, 5e-324, 1, 2, 1e300, math.Inf(1)}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(600)
+		rows := make([]rankKey, n)
+		for i, p := range rng.Perm(n) {
+			rows[i] = rankKey{key: values[rng.Intn(len(values))], idx: int32(p)}
+		}
+		want := append([]rankKey(nil), rows...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].key != want[j].key {
+				return want[i].key < want[j].key
+			}
+			return want[i].idx < want[j].idx
+		})
+		got := append([]rankKey(nil), rows...)
+		scratch := make([]radixRow, 2*n)
+		if !radixRows(got, scratch) {
+			t.Fatalf("trial %d: radixRows refused keys without NaN", trial)
+		}
+		for i := range want {
+			if got[i].idx != want[i].idx || math.Float64bits(got[i].key) != math.Float64bits(want[i].key) {
+				t.Fatalf("trial %d: row %d = %+v, comparator gives %+v", trial, i, got[i], want[i])
+			}
+		}
+		rows[rng.Intn(n)].key = math.NaN()
+		before := append([]rankKey(nil), rows...)
+		if radixRows(rows, scratch) || !reflect.DeepEqual(keyBits(rows), keyBits(before)) {
+			t.Fatalf("trial %d: radixRows sorted or changed rows with a NaN key", trial)
+		}
+	}
+}
+
+// keyBits is rows with each key as its bits, so NaN compares equal to
+// itself.
+func keyBits(rows []rankKey) [][2]uint64 {
+	out := make([][2]uint64, len(rows))
+	for i, r := range rows {
+		out[i] = [2]uint64{math.Float64bits(r.key), uint64(r.idx)}
+	}
+	return out
+}
+
 // quantileWalk gives IncomeQuantile's bits for rising, falling and NaN
 // quantiles, over the default anchors and anchors with a NaN Q.
 func TestQuantileWalkMatchesIncomeQuantile(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -128,9 +129,9 @@ type Distribution struct {
 // NewDistribution indexes the cells. Cells with zero locations are
 // dropped (they impose coverage but no demand).
 func NewDistribution(cells []Cell) (*Distribution, error) {
-	// The kept rows, by input index, and their IDs.
+	// The kept rows, by input index, and whether their IDs ascend.
 	rows := make([]int32, 0, len(cells))
-	ids := make([]hexgrid.CellID, 0, len(cells))
+	ascending := true
 	for i, c := range cells {
 		if c.Locations < 0 {
 			return nil, fmt.Errorf("demand: cell %v has negative locations", c.ID)
@@ -139,8 +140,10 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 			return nil, fmt.Errorf("demand: cell %v has %d locations, beyond the int32 column range", c.ID, c.Locations)
 		}
 		if c.Locations > 0 {
+			if len(rows) > 0 && cells[rows[len(rows)-1]].ID > c.ID {
+				ascending = false
+			}
 			rows = append(rows, int32(i))
-			ids = append(ids, c.ID)
 		}
 	}
 	if len(rows) == 0 {
@@ -148,7 +151,11 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 	}
 	// Rank the rows by (ID, input index); generated cells arrive in ID
 	// order and are ranked already.
-	if !slices.IsSorted(ids) {
+	if !ascending {
+		ids := make([]hexgrid.CellID, len(rows))
+		for r, i := range rows {
+			ids[r] = cells[i].ID
+		}
 		ranked := make([]int32, len(rows))
 		for r, k := range IDOrder(ids) {
 			ranked[r] = rows[k]
@@ -156,17 +163,18 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 		rows = ranked
 	}
 	// Order by descending locations, then rank: each key packs the
-	// location count's complement above the rank, so one integer sort of
-	// a pointer-free column orders the rows, which are then gathered once
-	// into a slice of their final size.
+	// location count's complement above the rank's rankBits bits, so one
+	// integer sort of a pointer-free column orders the rows, which are
+	// then gathered once into a slice of their final size.
+	rankBits := bits.Len(uint(len(rows)))
 	keys := make([]uint64, len(rows))
 	for r, i := range rows {
-		keys[r] = uint64(math.MaxInt32-cells[i].Locations)<<32 | uint64(r)
+		keys[r] = uint64(math.MaxInt32-cells[i].Locations)<<rankBits | uint64(r)
 	}
 	stats.SortUint64(keys)
 	kept := make([]Cell, len(keys))
 	for k, key := range keys {
-		kept[k] = cells[rows[uint32(key)]]
+		kept[k] = cells[rows[key&(1<<rankBits-1)]]
 	}
 	samples := make([]float64, len(kept))
 	suffix := make([]int, len(kept))

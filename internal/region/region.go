@@ -15,11 +15,13 @@
 //     the per-cell beam-stacking cap binds long before affordability.
 //
 // The determinism contract of the repository applies unchanged: every
-// region's output is a pure function of (seed, scale). Synthetic
-// regions draw all randomness from a single rand.New(rand.NewSource(seed))
-// stream consumed serially in a fixed order, mirroring the BDC
-// generator's idiom; only the RNG-free grid enumeration fans out, once
-// per process, collected in canonical face order.
+// region's output is a pure function of (seed, scale), whatever
+// GenConfig.Parallelism is. Synthetic regions draw all randomness from
+// a single rand.New(rand.NewSource(seed)) stream consumed serially in a
+// fixed order, mirroring the BDC generator's idiom; only RNG-free work
+// fans out, each task writing its own slots: the grid enumeration, once
+// per process, collected in canonical face order, and per seed the
+// cell centers and the distribution beside the income table.
 package region
 
 import (
@@ -31,6 +33,7 @@ import (
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/hexgrid"
+	"leodivide/internal/par"
 )
 
 // GenConfig is the per-generation parameter set every Region receives:
@@ -43,6 +46,10 @@ type GenConfig struct {
 	// in (0, 1]. Peak cells scale too, so distribution shape is
 	// preserved.
 	Scale float64
+	// Parallelism bounds the workers of generation's RNG-free stages:
+	// 0 = one per CPU, 1 = serial on the calling goroutine. It never
+	// changes the output.
+	Parallelism int
 }
 
 // Validate reports whether the generation parameters are usable.
@@ -62,6 +69,30 @@ type Output struct {
 	Dist       *demand.Distribution
 	Incomes    *census.Table
 	Resolution hexgrid.Resolution
+}
+
+// distAndIncomes builds the distribution of cells and the table
+// incomes returns side by side, on up to workers goroutines
+// (par.Map; 1 runs them in turn on the calling goroutine). Neither
+// writes the cells. A distribution error outranks an income error.
+func distAndIncomes(ctx context.Context, workers int, cells []demand.Cell,
+	incomes func() (*census.Table, error)) (*demand.Distribution, *census.Table, error) {
+	type stage struct {
+		dist    *demand.Distribution
+		incomes *census.Table
+	}
+	out, err := par.Map(ctx, workers, 2, func(i int) (stage, error) {
+		if i == 0 {
+			dist, err := demand.NewDistribution(cells)
+			return stage{dist: dist}, err
+		}
+		t, err := incomes()
+		return stage{incomes: t}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out[0].dist, out[1].incomes, nil
 }
 
 // Region is one pluggable demand/income geography.

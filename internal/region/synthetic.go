@@ -7,8 +7,8 @@ package region
 // counts attached through rng.Perm, cells sorted by ID — so synthetic
 // output is byte-identical at every worker count for the same reasons
 // the US pipeline is: every RNG decision runs serially in a fixed
-// order, and the only fan-out (grid enumeration) is RNG-free and
-// collected in canonical face order.
+// order, and the fan-outs (grid enumeration, cell centers, the
+// distribution beside the incomes) are RNG-free and collected by index.
 //
 // The body-count rule differs from BDC in one deliberate way: the
 // number of demand cells is fixed by the spec instead of derived from
@@ -22,17 +22,20 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
 
+	"leodivide/internal/bdc"
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/memo"
 	"leodivide/internal/par"
+	"leodivide/internal/stats"
 )
 
 // DensityAnchor pins the synthetic per-cell demand shape at one
@@ -344,18 +347,14 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	}
 
 	rng := rand.New(rand.NewSource(g.Seed))
-	used := make(map[hexgrid.CellID]bool)
-	ids := make([]hexgrid.CellID, 0, len(peaks)+s.Cells)
-	rowLocs := make([]int, 0, len(peaks)+s.Cells)
+	peakIDs := make([]hexgrid.CellID, 0, len(peaks))
 	peakSum := 0
 	for _, p := range peaks {
 		id := hexgrid.LatLngToCell(geo.LatLng{Lat: p.LatDeg, Lng: p.LngDeg}, s.Resolution)
-		if used[id] {
+		if slices.Contains(peakIDs, id) {
 			return Output{}, fmt.Errorf("region: spec %q: peak anchors collide in cell %v", s.Key, id)
 		}
-		used[id] = true
-		ids = append(ids, id)
-		rowLocs = append(rowLocs, p.Locations)
+		peakIDs = append(peakIDs, id)
 		peakSum += p.Locations
 	}
 	if peakSum >= total {
@@ -370,49 +369,86 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	pool := make([]hexgrid.CellID, 0, len(candidates))
-	for _, id := range candidates {
-		if !used[id] {
-			pool = append(pool, id)
-		}
-	}
+	pool := sitePool(candidates, peakIDs)
 	if len(pool) < len(counts) {
 		return Output{}, fmt.Errorf("region: spec %q: footprint holds only %d free cells, need %d",
 			s.Key, len(pool), len(counts))
 	}
 	rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
 	perm := rng.Perm(len(counts))
-	for i, id := range pool[:len(counts)] {
-		ids = append(ids, id)
-		rowLocs = append(rowLocs, counts[perm[i]])
-	}
 
-	// The rows are the peaks, then the sites; build each cell once, in
-	// ID order. Districts partition the ID-sorted cells into contiguous
-	// blocks, so a district is a coherent slice of the geography and the
-	// codes are a pure function of the sorted order; each code is
-	// formatted once, and each district's weight summed in the same pass.
-	cells := make([]demand.Cell, len(ids))
+	// Build each cell once, in ID order, and fill the centers after
+	// (bdc.FillCenters). The candidates ascend by ID, so ordering the
+	// sites is an integer sort of (candidate, site) pairs, as in
+	// bdc.GenerateCells; the few peaks merge in by ID.
+	siteBits := bits.Len(uint(len(counts)))
+	keys := make([]uint64, len(counts))
+	for j, c := range pool[:len(counts)] {
+		keys[j] = uint64(c)<<siteBits | uint64(j)
+	}
+	stats.SortUint64(keys)
+	peakCells := make([]demand.Cell, len(peaks))
+	for i, k := range demand.IDOrder(peakIDs) {
+		peakCells[i] = demand.Cell{ID: peakIDs[k], Locations: peaks[k].Locations}
+	}
+	cells := make([]demand.Cell, 0, len(peaks)+len(keys))
+	for _, k := range keys {
+		id := candidates[k>>siteBits]
+		for len(peakCells) > 0 && peakCells[0].ID < id {
+			cells, peakCells = append(cells, peakCells[0]), peakCells[1:]
+		}
+		cells = append(cells, demand.Cell{ID: id, Locations: counts[perm[k&(1<<siteBits-1)]]})
+	}
+	cells = append(cells, peakCells...)
+
+	// Districts partition the ID-sorted cells into contiguous blocks,
+	// so a district is a coherent slice of the geography and the codes
+	// are a pure function of the sorted order; each code is formatted
+	// once, and each district's weight summed in the same pass.
 	codes := make([]string, s.Districts)
 	weights := make([]int, s.Districts)
 	district := -1
-	for i, k := range demand.IDOrder(ids) {
+	for i := range cells {
 		d := i * s.Districts / len(cells)
 		if d != district {
 			codes[d], district = fmt.Sprintf("%s%03d", s.DistrictPrefix, d), d
 		}
-		weights[d] += rowLocs[k]
-		cells[i] = demand.Cell{ID: ids[k], Locations: rowLocs[k], CountyFIPS: codes[d], Center: ids[k].LatLng()}
+		weights[d] += cells[i].Locations
+		cells[i].CountyFIPS = codes[d]
 	}
-	dist, err := demand.NewDistribution(cells)
-	if err != nil {
+	if err := bdc.FillCenters(ctx, g.Parallelism, cells); err != nil {
 		return Output{}, err
 	}
-	incomes, err := districtIncomes(codes, weights, s, g.Seed)
+	dist, incomes, err := distAndIncomes(ctx, g.Parallelism, cells, func() (*census.Table, error) {
+		return districtIncomes(codes, weights, s, g.Seed)
+	})
 	if err != nil {
 		return Output{}, err
 	}
 	return Output{Cells: cells, Dist: dist, Incomes: incomes, Resolution: s.Resolution}, nil
+}
+
+// sitePool returns the indices of the candidates, which ascend by ID,
+// minus the peaks' cells: a handful, found by binary search, so the
+// pool is built without a lookup per candidate. Shuffling the indices
+// draws exactly what shuffling the IDs would.
+func sitePool(candidates, peakIDs []hexgrid.CellID) []int32 {
+	drop := make([]int, 0, len(peakIDs))
+	for _, id := range peakIDs {
+		if i, ok := slices.BinarySearch(candidates, id); ok {
+			drop = append(drop, i)
+		}
+	}
+	slices.Sort(drop)
+	pool := make([]int32, 0, len(candidates))
+	for i := range candidates {
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
+			continue
+		}
+		pool = append(pool, int32(i))
+	}
+	return pool
 }
 
 // districtIncomes assigns the anchored income quantile function over
@@ -424,6 +460,7 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 // three digits below the 1000-district cap.
 func districtIncomes(codes []string, weights []int, s SyntheticSpec, seed int64) (*census.Table, error) {
 	cw := make([]census.CountyWeight, 0, len(codes))
+	prefix := jitterPrefix(seed)
 	for d, w := range weights {
 		if w == 0 {
 			continue
@@ -432,7 +469,7 @@ func districtIncomes(codes []string, weights []int, s SyntheticSpec, seed int64)
 			FIPS:        codes[d],
 			StateAbbr:   s.RegionAbbr,
 			Weight:      float64(w),
-			PovertyRank: rankJitter(seed, codes[d]),
+			PovertyRank: rankJitter(prefix, codes[d]),
 		})
 	}
 	return census.AssignIncomes(cw, s.IncomeAnchors)

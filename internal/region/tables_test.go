@@ -21,16 +21,13 @@ import (
 	"leodivide/internal/memo"
 )
 
+// The jitter hashes what fmt prints for "%d:%s", the seed's part once.
 func TestJitterInputMatchesFmt(t *testing.T) {
 	for _, seed := range []int64{0, -1, 1, 42, math.MaxInt64, math.MinInt64} {
 		for _, code := range []string{"", "01001", "90999", "a:b"} {
-			want := fmt.Sprintf("%d:%s", seed, code)
-			if got := string(jitterInput(nil, seed, code)); got != want {
-				t.Errorf("jitterInput(%d, %q) = %q, want %q", seed, code, got, want)
-			}
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%d:%s", seed, code)
-			if got, want := rankJitter(seed, code), float64(h.Sum64()%10000)/10000; got != want {
+			if got, want := rankJitter(jitterPrefix(seed), code), float64(h.Sum64()%10000)/10000; got != want {
 				t.Errorf("rankJitter(%d, %q) = %v, want %v", seed, code, got, want)
 			}
 		}
@@ -70,6 +67,37 @@ func TestBoxCellsConcurrentFirstCallsFillOnce(t *testing.T) {
 	}
 	if _, misses, _, _ := boxGrids.Counters(); misses != 1 {
 		t.Errorf("%d walks for %d concurrent first calls, want 1", misses, n)
+	}
+}
+
+// Generation orders sites by candidate index (sitePool), which is ID
+// order only because the candidates ascend by ID.
+func TestBoxCellsAscendByID(t *testing.T) {
+	for _, s := range []SyntheticSpec{testSpec(), brazilRuralSpec, taipeiDenseSpec} {
+		ids, err := boxCells(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) == 0 || !slices.IsSorted(ids) {
+			t.Errorf("%s: %d candidates, not in ascending ID order", s.Key, len(ids))
+		}
+	}
+}
+
+// sitePool keeps every candidate index but the peaks' cells, in order.
+func TestSitePool(t *testing.T) {
+	candidates := []hexgrid.CellID{10, 20, 30, 40, 50}
+	for _, tc := range []struct {
+		peaks []hexgrid.CellID
+		want  []int32
+	}{
+		{nil, []int32{0, 1, 2, 3, 4}},
+		{[]hexgrid.CellID{50, 10}, []int32{1, 2, 3}},
+		{[]hexgrid.CellID{35, 30, 5}, []int32{0, 1, 3, 4}},
+	} {
+		if got := sitePool(candidates, tc.peaks); !slices.Equal(got, tc.want) {
+			t.Errorf("sitePool(peaks %v) = %v, want %v", tc.peaks, got, tc.want)
+		}
 	}
 }
 

@@ -45,13 +45,15 @@ func (usRegion) Description() string {
 }
 
 // Generate runs the legacy pipeline: scale the BDC configuration,
-// synthesize cells, build the distribution, assign county incomes.
+// synthesize cells, then build the distribution and assign county
+// incomes side by side (distAndIncomes).
 func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err := g.Validate(); err != nil {
 		return Output{}, err
 	}
 	cfg := u.cfg
 	cfg.Seed = g.Seed
+	cfg.Parallelism = g.Parallelism
 	if g.Scale < 1 {
 		cfg.TotalLocations = int(float64(cfg.TotalLocations) * g.Scale)
 		peaks := make([]bdc.PeakCell, len(cfg.Peaks))
@@ -68,11 +70,9 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	dist, err := demand.NewDistribution(cells)
-	if err != nil {
-		return Output{}, err
-	}
-	incomes, err := assignIncomes(ctx, dist, u.anchors, g.Seed)
+	dist, incomes, err := distAndIncomes(ctx, g.Parallelism, cells, func() (*census.Table, error) {
+		return assignIncomes(ctx, cells, u.anchors, g.Seed)
+	})
 	if err != nil {
 		return Output{}, err
 	}
@@ -83,7 +83,11 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 // poverty ordering: a seed-keyed per-county hash jitter. It sums each
 // cell's locations into its county's slot of the FIPS-rank table and
 // emits the counties with demand in rank order, which is FIPS order.
-func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []census.QuantileAnchor, seed int64) (*census.Table, error) {
+// It reads the cells the distribution is built from and skips the ones
+// without demand, which the distribution drops (a negative count fails
+// the distribution, whose error comes first); integer sums do not
+// depend on the order they are taken in.
+func assignIncomes(ctx context.Context, cells []demand.Cell, anchors []census.QuantileAnchor, seed int64) (*census.Table, error) {
 	//lint:ignore detrand wall-clock feeds the generation span timing only, never the dataset
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "gen.assign_incomes")
@@ -94,7 +98,10 @@ func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []cen
 	counties := usCounties()
 	weights := make([]int, len(counties.fips))
 	n := 0
-	for _, c := range dist.Cells() {
+	for _, c := range cells {
+		if c.Locations <= 0 {
+			continue
+		}
 		r, err := counties.rankOf(c.CountyFIPS)
 		if err != nil {
 			return nil, err
@@ -105,6 +112,7 @@ func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []cen
 		weights[r] += c.Locations
 	}
 	cw := make([]census.CountyWeight, 0, n)
+	prefix := jitterPrefix(seed)
 	for r, w := range weights {
 		if w == 0 {
 			continue
@@ -113,7 +121,7 @@ func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []cen
 			FIPS:        counties.fips[r],
 			StateAbbr:   counties.abbr[r],
 			Weight:      float64(w),
-			PovertyRank: rankJitter(seed, counties.fips[r]),
+			PovertyRank: rankJitter(prefix, counties.fips[r]),
 		})
 	}
 	return census.AssignIncomes(cw, anchors)
@@ -123,24 +131,31 @@ func assignIncomes(ctx context.Context, dist *demand.Distribution, anchors []cen
 // district code: the 64-bit FNV-1a hash (hash/fnv's New64a, computed
 // inline) of "<seed>:<code>", reduced to [0, 1) in steps of 1e-4. It
 // is independent of geography, so income and demand density stay
-// uncorrelated.
-func rankJitter(seed int64, code string) float64 {
-	var buf [32]byte
-	h := uint64(14695981039346656037) // FNV-64 offset basis
-	for _, b := range jitterInput(buf[:0], seed, code) {
-		h ^= uint64(b)
-		h *= 1099511628211 // FNV-64 prime
+// uncorrelated. prefix is jitterPrefix(seed): FNV-1a hashes byte by
+// byte, so the hash of the "<seed>:" every code shares is taken once
+// per generation and each code hashes only its own bytes.
+func rankJitter(prefix uint64, code string) float64 {
+	h := prefix
+	for i := 0; i < len(code); i++ {
+		h ^= uint64(code[i])
+		h *= fnvPrime
 	}
 	return float64(h%10000) / 10000
 }
 
-// jitterInput appends the bytes rankJitter hashes to buf: exactly what
-// fmt prints for "%d:%s", without fmt's per-call cost.
-func jitterInput(buf []byte, seed int64, code string) []byte {
-	buf = strconv.AppendInt(buf, seed, 10)
-	buf = append(buf, ':')
-	return append(buf, code...)
+// jitterPrefix is the FNV-1a state after hashing "<seed>:", exactly
+// what fmt prints for the "%d:" of "%d:%s".
+func jitterPrefix(seed int64) uint64 {
+	var buf [24]byte
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, b := range append(strconv.AppendInt(buf[:0], seed, 10), ':') {
+		h ^= uint64(b)
+		h *= fnvPrime
+	}
+	return h
 }
+
+const fnvPrime = 1099511628211 // FNV-64 prime
 
 // countyTable is the FIPS-rank table: every US county in
 // usgeo.AllCounties order, which is ascending FIPS, with its state, and

@@ -68,7 +68,7 @@ func referenceIncomes(t *testing.T, dist *demand.Distribution, anchors []census.
 			FIPS:        code,
 			StateAbbr:   abbrOf(code),
 			Weight:      float64(weights[code]),
-			PovertyRank: rankJitter(seed, code),
+			PovertyRank: rankJitter(jitterPrefix(seed), code),
 		}
 	}
 	table, err := census.AssignIncomes(cw, anchors)

@@ -374,9 +374,13 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The leader's fill answers every follower coalesced on its key, so
+	// it runs detached from the leader's client: a leader whose client
+	// goes away still finishes the run its followers wait for.
 	ctx := r.Context()
+	fillCtx := context.WithoutCancel(ctx)
 	body, status, err := s.results.Do(ctx, key, func() ([]byte, error) {
-		return s.runScenario(ctx, cfg, key)
+		return s.runScenario(fillCtx, cfg, key)
 	})
 	metricCache[status].Inc()
 	if err != nil {

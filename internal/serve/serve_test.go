@@ -722,6 +722,52 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCancelledLeaderServesFollowers: a leader whose client goes away
+// while it waits for admission still runs the fill, so a coalesced
+// follower whose client stayed gets a 200 with the body a fresh run
+// gives, not the leader's cancellation.
+func TestCancelledLeaderServesFollowers(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxInflight: 1})
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body := scenarioBody("fig1", "")
+	serveTo := func(ctx context.Context, done chan<- *httptest.ResponseRecorder) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(body)).WithContext(ctx)
+		s.Handler().ServeHTTP(w, r)
+		done <- w
+	}
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader, follower := make(chan *httptest.ResponseRecorder, 1), make(chan *httptest.ResponseRecorder, 1)
+	go serveTo(leaderCtx, leader)
+	waitCounters(s.results, func(_, misses, _ int64) bool { return misses == 1 })
+	go serveTo(context.Background(), follower)
+	waitCounters(s.results, func(_, _, coalesced int64) bool { return coalesced == 1 })
+
+	cancelLeader()
+	// A fill that followed the leader's cancellation fails the follower
+	// now, while the slot is still held; give it the time to.
+	select {
+	case w := <-follower:
+		s.gate.Release()
+		t.Fatalf("follower answered %d before the slot freed: %s", w.Code, w.Body)
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.gate.Release()
+	<-leader
+	w := <-follower
+	if w.Code != http.StatusOK {
+		t.Fatalf("follower: status %d: %s, want 200", w.Code, w.Body)
+	}
+	_, fresh := newTestServer(t, Config{})
+	resp, want := postScenario(t, fresh.URL, body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
+		t.Errorf("follower body differs from a fresh run's (status %d)", resp.StatusCode)
+	}
+}
+
 // TestEvictionsCounted: an eviction shows in /v1/stats and in the
 // process-wide serve.cache.evictions metric.
 func TestEvictionsCounted(t *testing.T) {

@@ -17,6 +17,11 @@ import (
 // ErrNoSamples is returned by constructors given an empty sample set.
 var ErrNoSamples = errors.New("stats: no samples")
 
+// ErrNaNSample is returned by NewCDF given a NaN sample: NaN has no
+// place in a sorted order, so no quantile or curve over it means
+// anything.
+var ErrNaNSample = errors.New("stats: NaN sample")
+
 // CDF is an empirical cumulative distribution function over a fixed
 // sample set. The zero value is unusable; construct with NewCDF.
 type CDF struct {
@@ -24,10 +29,15 @@ type CDF struct {
 }
 
 // NewCDF builds an empirical CDF from samples. The input slice is copied
-// and may be reused by the caller.
+// and may be reused by the caller. A NaN sample is ErrNaNSample.
 func NewCDF(samples []float64) (*CDF, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
+	}
+	for _, v := range samples {
+		if math.IsNaN(v) {
+			return nil, ErrNaNSample
+		}
 	}
 	s := make([]float64, len(samples))
 	copy(s, samples)

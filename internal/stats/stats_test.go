@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,15 @@ import (
 func TestNewCDFEmpty(t *testing.T) {
 	if _, err := NewCDF(nil); err != ErrNoSamples {
 		t.Fatalf("NewCDF(nil) err = %v, want ErrNoSamples", err)
+	}
+}
+
+func TestNewCDFRejectsNaN(t *testing.T) {
+	quiet, signalling := math.NaN(), math.Float64frombits(0x7ff0000000000001)
+	for _, samples := range [][]float64{{quiet}, {1, quiet, 2}, {signalling}, {0, 0, signalling}} {
+		if c, err := NewCDF(samples); err != ErrNaNSample {
+			t.Errorf("NewCDF(%v) = %v, %v; want ErrNaNSample", samples, c, err)
+		}
 	}
 }
 
@@ -370,10 +380,18 @@ func lorenz(samples []float64, n int) ([]Point, error) {
 	return c.Lorenz(n)
 }
 
+// hasNaN reports whether samples hold a NaN, which NewCDF refuses.
+func hasNaN(samples []float64) bool {
+	return slices.ContainsFunc(samples, math.IsNaN)
+}
+
 // giniOracle is the copy-sort-sum Gini that CDF.Gini replaced.
 func giniOracle(samples []float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, ErrNoSamples
+	}
+	if hasNaN(samples) {
+		return 0, ErrNaNSample
 	}
 	sorted := make([]float64, len(samples))
 	copy(sorted, samples)
@@ -399,6 +417,9 @@ func giniOracle(samples []float64) (float64, error) {
 func lorenzOracle(samples []float64, n int) ([]Point, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
+	}
+	if hasNaN(samples) {
+		return nil, ErrNaNSample
 	}
 	if n < 1 {
 		n = 100
@@ -483,6 +504,7 @@ func giniLorenzSeeds() [][]float64 {
 		{4, -0.5, 0},
 		{0.1, 0.2, 0.3},
 		{1e300, 1e300, 1},
+		{3, math.NaN(), 1},
 		skewed,
 	}
 }
@@ -503,6 +525,9 @@ func FuzzCDFGiniLorenz(f *testing.F) {
 		}
 		f.Add(data, uint8(100))
 	}
+	// Two NaNs with different payloads, one signalling and one quiet:
+	// the sorts ordered them differently before NewCDF refused NaN.
+	f.Add([]byte("000000\xf2\xff000000\xff\xff"), uint8(218))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		samples := make([]float64, len(data)/8)
 		for i := range samples {

@@ -85,6 +85,10 @@ type genOptions struct {
 	seed   int64
 	scale  float64
 	region string
+	// parallelism bounds generation's workers (region.GenConfig). No
+	// Option sets it: GenerateDataset uses one worker per CPU, and a
+	// ScenarioConfig or Model passes its own Parallelism.
+	parallelism int
 }
 
 // WithSeed sets the generation seed (default 1).
@@ -107,18 +111,24 @@ func WithRegion(key string) Option {
 }
 
 // GenerateDataset synthesizes a dataset for the selected region
-// (default the calibrated US national map). The context cancels
-// generation early; the (seed, region, scale) triple fully determines
-// the result.
+// (default the calibrated US national map), with one worker per CPU on
+// generation's RNG-free stages. The context cancels generation early;
+// the (seed, region, scale) triple fully determines the result.
 func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
-	//lint:ignore detrand wall-clock feeds the generate_dataset duration metric only, never the dataset
-	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "generate_dataset")
-	defer span.End()
 	o := genOptions{seed: 1, scale: 1, region: region.DefaultKey}
 	for _, opt := range opts {
 		opt(&o)
 	}
+	return generateDataset(ctx, o)
+}
+
+// generateDataset is GenerateDataset over resolved options, the
+// worker bound included.
+func generateDataset(ctx context.Context, o genOptions) (*Dataset, error) {
+	//lint:ignore detrand wall-clock feeds the generate_dataset duration metric only, never the dataset
+	start := time.Now()
+	ctx, span := obs.StartSpan(ctx, "generate_dataset")
+	defer span.End()
 	// Stages served from process-wide caches never consult ctx, so an
 	// already-cancelled generation must fail here rather than succeed.
 	if err := ctx.Err(); err != nil {
@@ -131,7 +141,7 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	}
 	// The region validates the scale (finite, in (0,1]) before it
 	// generates anything.
-	out, err := r.Generate(ctx, region.GenConfig{Seed: o.seed, Scale: o.scale})
+	out, err := r.Generate(ctx, region.GenConfig{Seed: o.seed, Scale: o.scale, Parallelism: o.parallelism})
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
 	"strconv"
 
@@ -105,14 +106,20 @@ func decimalLen(n int) int {
 		if n == math.MinInt {
 			return intBytes
 		}
-		return 1 + decimalLen(-n)
+		return 1 + decimalDigits(uint64(-n))
 	}
-	l := 1
-	for n >= 10 {
-		n /= 10
-		l++
+	return decimalDigits(uint64(n))
+}
+
+// decimalDigits is the number of decimal digits of u, 0 counting as
+// one. log10(2) ≈ 1233/4096 turns the bit length into the count or
+// one less, which a power of ten settles.
+func decimalDigits(u uint64) int {
+	n := bits.Len64(u|1) * 1233 >> 12
+	if u|1 >= pow10[n] {
+		n++
 	}
-	return l
+	return n
 }
 
 // appendFig3JSON appends json.Marshal(rs)'s bytes for a Figure 3
@@ -142,7 +149,7 @@ func appendFig3JSON(b []byte, rs []Fig3Result) ([]byte, error) {
 		b = append(b, `,"Steps":`...)
 		b = appendStepCosts(b, r.Steps)
 		b = append(b, `,"FloorUnserved":`...)
-		b = strconv.AppendInt(b, int64(r.FloorUnserved), 10)
+		b = appendInt(b, r.FloorUnserved)
 		b = append(b, '}')
 	}
 	return append(b, ']'), nil
@@ -159,13 +166,13 @@ func appendReturnsPoints(b []byte, ps []core.ReturnsPoint) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `{"CapLocations":`...)
-		b = strconv.AppendInt(b, int64(p.CapLocations), 10)
+		b = appendInt(b, p.CapLocations)
 		b = append(b, `,"UnservedLocations":`...)
-		b = strconv.AppendInt(b, int64(p.UnservedLocations), 10)
+		b = appendInt(b, p.UnservedLocations)
 		b = append(b, `,"Satellites":`...)
-		b = strconv.AppendInt(b, int64(p.Satellites), 10)
+		b = appendInt(b, p.Satellites)
 		b = append(b, `,"PeakBeams":`...)
-		b = strconv.AppendInt(b, int64(p.PeakBeams), 10)
+		b = appendInt(b, p.PeakBeams)
 		b = append(b, '}')
 	}
 	return append(b, ']')
@@ -182,17 +189,73 @@ func appendStepCosts(b []byte, ss []core.StepCost) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `{"FromUnserved":`...)
-		b = strconv.AppendInt(b, int64(s.FromUnserved), 10)
+		b = appendInt(b, s.FromUnserved)
 		b = append(b, `,"ToUnserved":`...)
-		b = strconv.AppendInt(b, int64(s.ToUnserved), 10)
+		b = appendInt(b, s.ToUnserved)
 		b = append(b, `,"LocationsGained":`...)
-		b = strconv.AppendInt(b, int64(s.LocationsGained), 10)
+		b = appendInt(b, s.LocationsGained)
 		b = append(b, `,"AdditionalSatellites":`...)
-		b = strconv.AppendInt(b, int64(s.AdditionalSatellites), 10)
+		b = appendInt(b, s.AdditionalSatellites)
 		b = append(b, '}')
 	}
 	return append(b, ']')
 }
+
+// digitPairs spells 00 through 99, so appendInt writes two digits per
+// division.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendInt appends strconv.AppendInt(b, int64(v), 10)'s bytes. It
+// writes the digits in place, back to front and two per division, into
+// b's spare capacity, which growFig3 reserved: strconv formats into a
+// scratch array and copies it over. With too little capacity (a
+// hand-built result whose curve is out of order) or for math.MinInt,
+// whose magnitude is no int, it calls strconv.
+func appendInt(b []byte, v int) []byte {
+	if v == math.MinInt {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	u, sign := uint64(v), 0
+	if v < 0 {
+		u, sign = uint64(-v), 1
+	}
+	n := decimalDigits(u)
+	start := len(b)
+	if cap(b)-start < sign+n {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	b = b[:start+sign+n]
+	out := b[start+sign:]
+	for u >= 100 {
+		q := u / 100
+		d := 2 * (u - 100*q)
+		n -= 2
+		out[n], out[n+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		out[0], out[1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		out[0] = byte('0' + u)
+	}
+	if sign != 0 {
+		b[start] = '-'
+	}
+	return b
+}
+
+// pow10[i] is 10^i, as far as decimalDigits needs for an int.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
 
 // appendJSONFloat appends f the way encoding/json encodes a float64:
 // the shortest decimal that round-trips, in 'f' format unless

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"leodivide/internal/constellation"
@@ -105,6 +106,24 @@ func TestAppendFig3JSONEdgeCases(t *testing.T) {
 		{Points: pts, Steps: steps, FloorUnserved: math.MinInt},
 		{Points: pts[:1], Steps: nil, FloorUnserved: math.MaxInt},
 	})
+	// Every digit-count boundary, through the in-place digit writer
+	// (an ordered curve that growFig3 sizes) and through its strconv
+	// fallback (a curve out of order, so the reserve runs short).
+	ints := digitBoundaryInts()
+	for i, v := range ints {
+		w := ints[len(ints)-1-i]
+		ordered := []core.ReturnsPoint{{}, {CapLocations: v, UnservedLocations: v, Satellites: v, PeakBeams: v}}
+		if v < 0 {
+			ordered[0], ordered[1] = ordered[1], ordered[0]
+		}
+		checkAppendMatchesMarshal(t, fmt.Sprintf("int %d", v), []Fig3Result{{
+			Points: ordered, FloorUnserved: v,
+			Steps: []core.StepCost{{FromUnserved: v, ToUnserved: w, LocationsGained: v, AdditionalSatellites: w}},
+		}})
+		checkAppendMatchesMarshal(t, fmt.Sprintf("unordered int %d", v), []Fig3Result{{
+			Points: []core.ReturnsPoint{{}, {CapLocations: v, UnservedLocations: w}, {}},
+		}})
+	}
 
 	floats := []float64{
 		math.Copysign(0, -1), 0, 1, -1, 0.1, 1.5, 123456.789,
@@ -127,6 +146,35 @@ func TestAppendFig3JSONEdgeCases(t *testing.T) {
 				t.Fatalf("json.Marshal accepted %v; the oracle assumes it refuses it", f)
 			}
 			checkAppendMatchesMarshal(t, fmt.Sprintf("refused %v", f), rs)
+		}
+	}
+}
+
+// digitBoundaryInts are the ints on both sides of every change in
+// decimal length: 0, 9 and 10, 99 and 100, each power of ten up to
+// math.MaxInt with its predecessor, their negatives, and math.MinInt.
+func digitBoundaryInts() []int {
+	ints := []int{0, math.MaxInt, -math.MaxInt, math.MinInt}
+	for p := 10; ; p *= 10 {
+		ints = append(ints, p-1, p, 1-p, -p)
+		if p > math.MaxInt/10 {
+			return ints
+		}
+	}
+}
+
+// TestAppendIntMatchesStrconv checks the in-place digit writer against
+// strconv at every digit-count boundary, with room to spare, with
+// exactly enough room, and one byte short of it.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	for _, v := range digitBoundaryInts() {
+		want := strconv.AppendInt([]byte("x"), int64(v), 10)
+		for _, room := range []int{intBytes, len(want) - 1, len(want) - 2} {
+			b := make([]byte, 1, 1+room)
+			b[0] = 'x'
+			if got := appendInt(b, v); !bytes.Equal(got, want) {
+				t.Errorf("appendInt(%d) with %d spare bytes = %q, want %q", v, room, got, want)
+			}
 		}
 	}
 }
@@ -211,6 +259,9 @@ func FuzzAppendFig3JSON(f *testing.F) {
 	} {
 		f.Add(x, 20.0, int64(0), int64(-1), int64(math.MinInt64), int64(math.MaxInt64), uint8(0x1f))
 		f.Add(1.5, x, int64(42), int64(5000), int64(12), int64(3), uint8(0x2e))
+	}
+	for _, v := range digitBoundaryInts() {
+		f.Add(1.5, 20.0, int64(v), int64(-v), int64(v), int64(v/10), uint8(0x17))
 	}
 	f.Fuzz(func(t *testing.T, spread, oversub float64, a, b, c, d int64, shape uint8) {
 		mk := func(a, b, c, d int64) core.ReturnsPoint {

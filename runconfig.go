@@ -18,17 +18,21 @@ import (
 // harness) agree on; zero value aside, obtain it from DefaultRunConfig.
 //
 // Parallelism is the single coherent worker bound: ScenarioConfig's
-// BuildModel routes it through Model.Parallelism (facade fan-outs and
-// capacity sweeps in lockstep), so one field controls every per-run
-// pool in the pipeline. Output is identical at every setting.
+// Generate passes it to dataset generation, and BuildModel routes it
+// through Model.Parallelism (facade fan-outs, capacity sweeps and
+// xregion's sibling generations in lockstep), so one field controls
+// every per-run pool in the pipeline. Output is identical at every
+// setting.
 type RunConfig struct {
 	// Seed reproduces the dataset (default 1).
 	Seed int64
 	// Scale shrinks the dataset to this fraction of the national total,
 	// in (0, 1] (default 1).
 	Scale float64
-	// Parallelism bounds worker counts everywhere: 0 = one worker per
-	// CPU, 1 = the exact serial path.
+	// Parallelism bounds worker counts everywhere, dataset generation
+	// included: 0 = one worker per CPU, 1 = the exact serial path. The
+	// once-per-process grid tables behind generation are not per run
+	// and always use one worker per CPU.
 	Parallelism int
 	// Calibrated pins constellation sizing to the paper's fitted
 	// effective cell count (Model.Calibrated).

@@ -348,18 +348,17 @@ func (c ScenarioConfig) BuildModel() Model {
 
 // Generate synthesizes the dataset this scenario describes: the
 // embedded RunConfig identity (seed, scale) applied to the scenario's
-// region, byte-identically at every parallelism. An invalid RunConfig
-// (a scale outside (0, 1], a negative parallelism) is an error.
+// region, on up to Parallelism workers, byte-identically at every
+// parallelism. An invalid RunConfig (a scale outside (0, 1], a
+// negative parallelism) is an error.
 func (c ScenarioConfig) Generate(ctx context.Context) (*Dataset, error) {
 	if err := c.RunConfig.Validate(); err != nil {
 		return nil, err
 	}
 	n := c.Normalized()
-	return GenerateDataset(ctx,
-		WithSeed(n.Seed),
-		WithScale(n.Scale),
-		WithRegion(n.Region),
-	)
+	return generateDataset(ctx, genOptions{
+		seed: n.Seed, scale: n.Scale, region: n.Region, parallelism: n.Parallelism,
+	})
 }
 
 // appliedCost folds the scenario's cost overrides into a system's

@@ -187,8 +187,12 @@ func TestWorkCounts(t *testing.T) {
 				sweeps++
 			}
 		}
-		if sweeps != 14 {
-			t.Errorf("par.sweep spans per op = %d, want 14", sweeps)
+		// 14 in the experiments, plus two per generation (the center
+		// fill and the distribution beside the incomes) for the US
+		// dataset and xregion's two sibling geographies: a serial sweep
+		// still records its span.
+		if sweeps != 20 {
+			t.Errorf("par.sweep spans per op = %d, want 20", sweeps)
 		}
 	})
 
