@@ -82,7 +82,7 @@ func run(args []string, w io.Writer) error {
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "dataset generation seed")
 	fs.Float64Var(&cfg.Scale, "scale", cfg.Scale, "dataset scale in (0,1]")
 	fs.BoolVar(&cfg.Calibrated, "calibrated", cfg.Calibrated, "pin effective cells to the paper's fitted value")
-	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism, "worker bound for experiments (0 = all CPUs, 1 = serial)")
+	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism, "worker bound for dataset generation and experiments (0 = all CPUs, 1 = serial)")
 	regionKey := fs.String("region", "", "demand/income geography (us, brazil-rural, taipei-dense; default us)")
 	scenarioJSON := fs.String("scenario", "", "scenario request JSON (the exact POST /v1/scenario body); overrides the shorthand flags")
 	metrics := fs.Bool("metrics", false, "print the metric snapshot to stderr after the command")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"leodivide"
@@ -18,7 +19,7 @@ func stateTestData(t *testing.T) ([]demand.Cell, *census.Table) {
 	cfg.Peaks = []bdc.PeakCell{
 		{Locations: 4000, Anchor: geo.LatLng{Lat: 35.5, Lng: -106.3}},
 	}
-	cells, err := bdc.GenerateCells(context.Background(), cfg)
+	cells, _, err := bdc.GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +28,14 @@ func stateTestData(t *testing.T) ([]demand.Cell, *census.Table) {
 		t.Fatal(err)
 	}
 	weights := dist.CountyWeights()
-	cw := make([]census.CountyWeight, 0, len(weights))
-	for f, w := range weights {
-		cw = append(cw, census.CountyWeight{FIPS: f, Weight: float64(w), PovertyRank: float64(len(f) % 7)})
+	codes := make([]string, 0, len(weights))
+	for f := range weights {
+		codes = append(codes, f)
+	}
+	slices.Sort(codes)
+	cw := make([]census.CountyWeight, 0, len(codes))
+	for _, f := range codes {
+		cw = append(cw, census.CountyWeight{FIPS: f, Weight: float64(weights[f]), PovertyRank: float64(len(f) % 7)})
 	}
 	table, err := census.AssignIncomes(cw, census.DefaultIncomeAnchors())
 	if err != nil {

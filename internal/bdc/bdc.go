@@ -269,16 +269,17 @@ func (c GenConfig) memoBodyCounts(ctx context.Context, target int) ([]int, error
 }
 
 // GenerateCells synthesizes the national dataset at cell granularity:
-// every cell's location count, county and center. This is the fast path
-// the capacity model consumes; per-location records are produced by
-// GenerateLocations.
+// every cell's location count, county and center, and the location sum
+// of each county, weights[r] for county r of usgeo.AllCounties(), added
+// up as the cells are emitted. This is the fast path the capacity model
+// consumes; per-location records are produced by GenerateLocations.
 //
 // Only the seeded work runs per call, plus one center per sampled
 // cell: the US cell table (counties included) and the body counts come
 // from process-wide memos. All seeded-RNG decisions run on the calling
 // goroutine in a fixed order; the centers, RNG-free, are filled after
-// on up to cfg.Parallelism workers (FillCenters).
-func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err error) {
+// on up to cfg.Parallelism workers (EmitCells).
+func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, weights []int, err error) {
 	//lint:ignore detrand wall-clock feeds the generation timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.generate_cells")
@@ -295,9 +296,11 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 		span.End()
 	}()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	counties := usgeo.AllCounties()
+	weights = make([]int, len(counties))
 
 	// Pin the head cells first so body sampling can avoid them.
 	peaks := make([]demand.Cell, 0, len(cfg.Peaks))
@@ -306,7 +309,7 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 	for _, p := range cfg.Peaks {
 		id := hexgrid.LatLngToCell(p.Anchor, cfg.Resolution)
 		if slices.Contains(peakIDs, id) {
-			return nil, fmt.Errorf("bdc: peak anchors collide in cell %v", id)
+			return nil, nil, fmt.Errorf("bdc: peak anchors collide in cell %v", id)
 		}
 		peakIDs = append(peakIDs, id)
 		center := id.LatLng()
@@ -314,83 +317,84 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, err
 		if !ok {
 			county, ok = usgeo.CountyAt(p.Anchor)
 			if !ok {
-				return nil, fmt.Errorf("bdc: peak anchor %v outside US frames", p.Anchor)
+				return nil, nil, fmt.Errorf("bdc: peak anchor %v outside US frames", p.Anchor)
 			}
 		}
-		peaks = append(peaks, demand.Cell{
-			ID: id, Locations: p.Locations, CountyFIPS: county.FIPS, Center: center,
-		})
+		// CountyAt returns a table county, and AllCounties ascend by FIPS.
+		r, _ := slices.BinarySearchFunc(counties, county.FIPS, func(c usgeo.County, fips string) int { return cmp.Compare(c.FIPS, fips) })
+		weights[r] += p.Locations
+		peaks = append(peaks, demand.Cell{ID: id, Locations: p.Locations, CountyFIPS: county.FIPS})
 		peakSum += p.Locations
 	}
 	counts, err := cfg.memoBodyCounts(ctx, cfg.TotalLocations-peakSum)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Sample body cell sites state by state, proportional to rural
 	// weight, rejecting duplicates and off-frame centers.
 	grid, picks, err := sampleSites(ctx, rng, cfg.Resolution, len(counts), peakIDs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(picks) < len(counts) {
-		return nil, fmt.Errorf("bdc: sampled only %d of %d body cells", len(picks), len(counts))
+		return nil, nil, fmt.Errorf("bdc: sampled only %d of %d body cells", len(picks), len(counts))
 	}
 	// Counts are assigned to sites in shuffled order so geography and
 	// density are independent.
 	perm := rng.Perm(len(counts))
+	cells, err = EmitCells(ctx, cfg.Parallelism, picks, peaks, func(row int32, site int) demand.Cell {
+		r, n := grid.county[row], counts[perm[site]]
+		weights[r] += n
+		return demand.Cell{ID: grid.ids[row], Locations: n, CountyFIPS: counties[r].FIPS}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cells, weights, nil
+}
 
-	// Emit the cells in ID order, each built once in its final slot.
-	// Table rows ascend by ID, so ordering the sites is an integer sort of
-	// (row, site) pairs, packed with the site in the low siteBits bits
-	// so the keys span as few radix digits as the table and the site
-	// count need; the few peaks merge in by ID.
-	siteBits := bits.Len(uint(len(picks)))
-	keys := make([]uint64, len(picks))
-	for j, row := range picks {
+// EmitCells builds a dataset's cells in ascending ID order, each once
+// in its final slot, then fills their centers. Site j is row sites[j]
+// of a table whose rows ascend by ID, and cell(row, j) builds its cell;
+// the peaks, which it sorts, merge in by ID. Ordering the sites is an
+// integer sort of (row, site) pairs, packed with the site in the low
+// bits so the keys span as few radix digits as the table and the site
+// count need. The centers, a pure function of the IDs, are filled over
+// contiguous chunks of cells on up to workers goroutines (par.ForEach:
+// 0 = one per CPU, 1 = serial inline), so the cells are the same at
+// every worker count.
+func EmitCells(ctx context.Context, workers int, sites []int32, peaks []demand.Cell, cell func(row int32, site int) demand.Cell) ([]demand.Cell, error) {
+	siteBits := bits.Len(uint(len(sites)))
+	keys := make([]uint64, len(sites))
+	for j, row := range sites {
 		keys[j] = uint64(row)<<siteBits | uint64(j)
 	}
 	stats.SortUint64(keys)
 	slices.SortFunc(peaks, func(a, b demand.Cell) int { return cmp.Compare(a.ID, b.ID) })
-	cells = make([]demand.Cell, 0, len(peaks)+len(keys))
+	cells := make([]demand.Cell, 0, len(peaks)+len(keys))
 	for _, k := range keys {
-		row, j := k>>siteBits, k&(1<<siteBits-1)
-		id := grid.ids[row]
-		for len(peaks) > 0 && peaks[0].ID < id {
+		c := cell(int32(k>>siteBits), int(k&(1<<siteBits-1)))
+		for len(peaks) > 0 && peaks[0].ID < c.ID {
 			cells, peaks = append(cells, peaks[0]), peaks[1:]
 		}
-		cells = append(cells, demand.Cell{
-			ID:         id,
-			Locations:  counts[perm[j]],
-			CountyFIPS: grid.tiles[grid.state[row]][grid.county[row]].FIPS,
-		})
+		cells = append(cells, c)
 	}
 	cells = append(cells, peaks...)
-	if err := FillCenters(ctx, cfg.Parallelism, cells); err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// centerChunk is the number of cells one FillCenters task converts:
-// large enough that the pool's per-task cost vanishes, small enough
-// that two workers split a scale-0.25 US dataset evenly.
-const centerChunk = 512
-
-// FillCenters sets each cell's Center to its ID's center, over
-// contiguous chunks of cells on up to workers goroutines (par.ForEach:
-// 0 = one per CPU, 1 = serial inline). Each chunk writes only its own
-// cells, and a center is a pure function of the ID, so the cells are
-// the same at every worker count.
-func FillCenters(ctx context.Context, workers int, cells []demand.Cell) error {
 	chunks := (len(cells) + centerChunk - 1) / centerChunk
-	return par.ForEach(ctx, workers, chunks, func(k int) error {
+	err := par.ForEach(ctx, workers, chunks, func(k int) error {
 		for i := k * centerChunk; i < min(len(cells), (k+1)*centerChunk); i++ {
 			cells[i].Center = cells[i].ID.LatLng()
 		}
 		return nil
 	})
+	return cells, err
 }
+
+// centerChunk is the number of cells one EmitCells center task
+// converts: large enough that the pool's per-task cost vanishes, small
+// enough that two workers split a scale-0.25 US dataset evenly.
+const centerChunk = 512
 
 // sampleSites draws n distinct grid cells across the US, weighted by
 // state rural weight and avoiding the excluded cells, as rows of the US
@@ -503,22 +507,23 @@ func appendExcept(dst, src, drop []int32) []int32 {
 // usGrid is the US cell table at one resolution: every grid cell whose
 // center falls inside a US state frame, as parallel columns in
 // ascending ID order (the canonical grid order), with the cell's state
-// and county resolved once, plus each state's rows. None of it depends
-// on the seed, so it is built once per process and resolution
-// (usCells), and a fresh process waits for that build before its first
-// generation. The per-cell columns hold no string and no pointer, so
-// they cost the GC nothing to scan. Centers are not kept: recomputing
-// one for each sampled cell costs about 0.65 ms of CPU per scale-0.25
-// generation, split over the generation's workers (FillCenters), while
-// a centers column (16 bytes for every US cell) raised the reproduce
-// benchmark's peak RSS from a median of 27.7 to 31.8 MB over 11 runs
-// (2 vCPU, Go 1.24), about +15%.
+// and county resolved once, the county as its index in
+// usgeo.AllCounties() so a generation sums county weights by index,
+// plus each state's rows. None of it depends on the seed, so it is
+// built once per process and resolution (usCells), and a fresh process
+// waits for that build before its first generation. The per-cell
+// columns hold no string and no pointer, so they cost the GC nothing
+// to scan. Centers are not kept: recomputing one for each sampled cell
+// costs about 0.65 ms of CPU per scale-0.25 generation, split over the
+// generation's workers (EmitCells), while a centers column (16 bytes
+// for every US cell) raised the reproduce benchmark's peak RSS from a
+// median of 27.7 to 31.8 MB over 11 runs (2 vCPU, Go 1.24), about
+// +15%.
 type usGrid struct {
 	ids    []hexgrid.CellID
-	state  []uint8          // index into usgeo.States()
-	county []uint16         // index into the state's tiles
-	tiles  [][]usgeo.County // per state: usgeo.CountyTiles
-	rows   [][]int32        // per state: its rows, ascending
+	state  []uint8   // index into usgeo.States()
+	county []uint16  // index into usgeo.AllCounties()
+	rows   [][]int32 // per state: its rows, ascending
 }
 
 // usBox bounds every state frame, including the trimmed Alaska frame
@@ -562,9 +567,10 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 		span.End()
 	}()
 	states := usgeo.States()
-	g := &usGrid{tiles: make([][]usgeo.County, len(states)), rows: make([][]int32, len(states))}
-	for i, s := range states {
-		g.tiles[i] = usgeo.CountyTiles(s)
+	g := &usGrid{rows: make([][]int32, len(states))}
+	offsets := make([]int, len(states))
+	for i, s := range states[:len(states)-1] {
+		offsets[i+1] = offsets[i] + len(usgeo.CountyTiles(s))
 	}
 	type cell struct {
 		id     hexgrid.CellID
@@ -576,7 +582,7 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 		if !ok {
 			return
 		}
-		*shard = append(*shard, cell{id: id, state: uint8(i), county: uint16(usgeo.CountyIndexAt(i, center))})
+		*shard = append(*shard, cell{id: id, state: uint8(i), county: uint16(offsets[i] + usgeo.CountyIndexAt(i, center))})
 	})
 	if err != nil {
 		return nil, err

@@ -84,7 +84,7 @@ func TestBodyCountsExactTotal(t *testing.T) {
 
 func TestGenerateCellsCalibration(t *testing.T) {
 	cfg := DefaultGenConfig()
-	cells, err := GenerateCells(context.Background(), cfg)
+	cells, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestGenerateCellsCalibration(t *testing.T) {
 
 func TestGenerateCellsDeterminism(t *testing.T) {
 	cfg := smallConfig()
-	a, err := GenerateCells(context.Background(), cfg)
+	a, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateCells(context.Background(), cfg)
+	b, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestGenerateCellsDeterminism(t *testing.T) {
 		}
 	}
 	cfg.Seed = 2
-	c, err := GenerateCells(context.Background(), cfg)
+	c, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestGenerateCellsDeterminism(t *testing.T) {
 }
 
 func TestGenerateCellsDistinctIDs(t *testing.T) {
-	cells, err := GenerateCells(context.Background(), smallConfig())
+	cells, _, err := GenerateCells(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestGenerateLocationsStayInCell(t *testing.T) {
 	cfg.TotalLocations = 5000
 	cfg.Peaks = cfg.Peaks[:1]
 	cfg.Peaks[0].Locations = 300
-	cells, err := GenerateCells(context.Background(), cfg)
+	cells, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGenerateLocationsAllUnderserved(t *testing.T) {
 	// The synthetic map contains only un(der)served locations, in the
 	// peak cells and the body alike.
 	cfg := smallConfig()
-	cells, err := GenerateCells(context.Background(), cfg)
+	cells, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestGenerateLocationsAllUnderserved(t *testing.T) {
 
 func TestGenerateLocationsScale(t *testing.T) {
 	cfg := smallConfig()
-	cells, err := GenerateCells(context.Background(), cfg)
+	cells, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestGenerateLocationsScale(t *testing.T) {
 
 func TestLocationsCSVRoundTrip(t *testing.T) {
 	cfg := smallConfig()
-	cells, err := GenerateCells(context.Background(), cfg)
+	cells, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLocationsCSVRoundTrip(t *testing.T) {
 }
 
 func TestCellsCSVRoundTrip(t *testing.T) {
-	cells, err := GenerateCells(context.Background(), smallConfig())
+	cells, _, err := GenerateCells(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 
 func TestPeaksPlacedAtAnchors(t *testing.T) {
 	cfg := DefaultGenConfig()
-	cells, err := GenerateCells(context.Background(), cfg)
+	cells, _, err := GenerateCells(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestGeneratorInvariantProperty(t *testing.T) {
 					cfg.Peaks[i].Locations = 1
 				}
 			}
-			cells, err := GenerateCells(context.Background(), cfg)
+			cells, _, err := GenerateCells(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("total=%d seed=%d: %v", total, seed, err)
 			}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"leodivide/internal/demand"
+	"leodivide/internal/usgeo"
 )
 
 // bodyQuantile is the reference body quantile function at q in [0,1],
@@ -211,12 +212,44 @@ func TestGenerateCellsDigests(t *testing.T) {
 		if p.scale == 1 && testing.Short() {
 			continue
 		}
-		cells, err := GenerateCells(context.Background(), scaledConfig(p.seed, p.scale))
+		cells, _, err := GenerateCells(context.Background(), scaledConfig(p.seed, p.scale))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := hashCells(cells); len(cells) != p.cells || got != p.sha {
 			t.Errorf("seed %d scale %v: %d cells, sha256 %s; want %d cells, %s", p.seed, p.scale, len(cells), got, p.cells, p.sha)
+		}
+	}
+}
+
+// TestGenerateCellsCountyWeights: the county sums GenerateCells adds up
+// while it emits the cells are the string-keyed sums of the generated
+// cells, Distribution.CountyWeights, with each county at its index in
+// usgeo.AllCounties().
+func TestGenerateCellsCountyWeights(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, scale := range []float64{0.05, 0.25} {
+			cells, weights, err := GenerateCells(context.Background(), scaledConfig(seed, scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := demand.NewDistribution(cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := dist.CountyWeights()
+			if len(weights) != len(usgeo.AllCounties()) {
+				t.Fatalf("seed %d scale %v: %d weights for %d counties", seed, scale, len(weights), len(usgeo.AllCounties()))
+			}
+			for r, w := range weights {
+				if fips := usgeo.AllCounties()[r].FIPS; w != want[fips] {
+					t.Errorf("seed %d scale %v: county %s weighs %d, its cells hold %d", seed, scale, fips, w, want[fips])
+				}
+				delete(want, usgeo.AllCounties()[r].FIPS)
+			}
+			if len(want) != 0 {
+				t.Errorf("seed %d scale %v: %d cell counties outside usgeo.AllCounties()", seed, scale, len(want))
+			}
 		}
 	}
 }

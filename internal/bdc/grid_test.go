@@ -94,7 +94,7 @@ func TestUSCellsMatchFromScratch(t *testing.T) {
 		}
 		ref := referenceUSCells(res)
 		states := usgeo.States()
-		if len(g.rows) != len(states) || len(g.tiles) != len(states) {
+		if len(g.rows) != len(states) {
 			t.Fatalf("res %d: table has %d states, want %d", res, len(g.rows), len(states))
 		}
 		covered := 0
@@ -117,7 +117,7 @@ func TestUSCellsMatchFromScratch(t *testing.T) {
 				if !ok {
 					want = nearestCounty(fresh, center)
 				}
-				if got := g.tiles[i][g.county[row]]; got != want {
+				if got := usgeo.AllCounties()[g.county[row]]; got != want {
 					t.Fatalf("res %d %s: cell %v in county %s, want %s", res, s.Abbr, g.ids[row], got.FIPS, want.FIPS)
 				}
 			}
@@ -128,10 +128,24 @@ func TestUSCellsMatchFromScratch(t *testing.T) {
 	}
 }
 
+// tileOffsets returns each state's first county rank: the tile count
+// of the states before it.
+func tileOffsets() []int {
+	states := usgeo.States()
+	offsets := make([]int, len(states))
+	for i := 1; i < len(states); i++ {
+		offsets[i] = offsets[i-1] + len(usgeo.CountyTiles(states[i-1]))
+	}
+	return offsets
+}
+
 // gridDigest is a SHA-256 over the table's ids, state and county
 // columns and each state's rows, little-endian, each column and each
-// state's rows prefixed by its length.
+// state's rows prefixed by its length. The county column is hashed as
+// the index into the state's tiles it held before it became an index
+// into usgeo.AllCounties(), so the digests recorded then still pin it.
 func gridDigest(g *usGrid) string {
+	offsets := tileOffsets()
 	h := sha256.New()
 	var b []byte
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.ids)))
@@ -141,8 +155,8 @@ func gridDigest(g *usGrid) string {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.state)))
 	b = append(b, g.state...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.county)))
-	for _, c := range g.county {
-		b = binary.LittleEndian.AppendUint16(b, c)
+	for row, c := range g.county {
+		b = binary.LittleEndian.AppendUint16(b, c-uint16(offsets[g.state[row]]))
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.rows)))
 	for _, rows := range g.rows {
@@ -174,6 +188,29 @@ func TestUSGridDigest(t *testing.T) {
 			if got := gridDigest(g); got != want[res] {
 				t.Errorf("res %d, %d workers: grid digest %s, want %s", res, workers, got, want[res])
 			}
+		}
+	}
+}
+
+// TestUSCellsCountyRanks pins the county column of the resolution-5
+// table row by row: each index into usgeo.AllCounties, the order of
+// GenerateCells' weights, names the county the state's tile index
+// (the index minus the state's offset) names.
+func TestUSCellsCountyRanks(t *testing.T) {
+	g, err := usCells(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, offsets, all := usgeo.States(), tileOffsets(), usgeo.AllCounties()
+	for row, r := range g.county {
+		s := g.state[row]
+		tiles := usgeo.CountyTiles(states[s])
+		k := int(r) - offsets[s]
+		if k < 0 || k >= len(tiles) {
+			t.Fatalf("row %d: county %d outside %s's [%d, %d)", row, r, states[s].Abbr, offsets[s], offsets[s]+len(tiles))
+		}
+		if got, want := all[r].FIPS, tiles[k].FIPS; got != want {
+			t.Fatalf("row %d: county %d is %s, its tile %d is %s", row, r, got, k, want)
 		}
 	}
 }
@@ -306,7 +343,7 @@ func TestGenerationMemosFillOnce(t *testing.T) {
 	for seed := int64(1); seed <= gens; seed++ {
 		cfg := scaledConfig(seed, 0.02)
 		cfg.Resolution = 4
-		if _, err := GenerateCells(context.Background(), cfg); err != nil {
+		if _, _, err := GenerateCells(context.Background(), cfg); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

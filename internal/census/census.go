@@ -246,22 +246,28 @@ type CountyWeight struct {
 // location-weighted income CDF reproduces the anchored quantile
 // function exactly (up to county granularity): counties are ordered by
 // PovertyRank and each receives the income at its cumulative-weight
-// midpoint quantile.
+// midpoint quantile. The county codes must strictly ascend, as both
+// generators emit them; the first pair out of order is an error.
 func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("census: no county weights")
 	}
-	ascending := fipsAscending(weights)
+	for i := 1; i < len(weights); i++ {
+		if weights[i-1].FIPS >= weights[i].FIPS {
+			return nil, fmt.Errorf("census: county codes must strictly ascend: %q at %d follows %q",
+				weights[i].FIPS, i, weights[i-1].FIPS)
+		}
+	}
 	keys := make([]rankKey, len(weights))
 	for i, w := range weights {
 		keys[i] = rankKey{key: w.PovertyRank, idx: int32(i)}
 	}
 	// Both sorts share one radix scratch buffer.
 	var scratch []radixRow
-	if ascending && len(keys) >= radixMin {
+	if len(keys) >= radixMin {
 		scratch = make([]radixRow, 2*len(keys))
 	}
-	sortRows(keys, weights, ascending, scratch)
+	sortRows(keys, scratch)
 	total := 0.0
 	for _, k := range keys {
 		w := weights[k.idx]
@@ -287,12 +293,7 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 		cum += w
 		keys[j].key = math.Round(walk.at(mid)/50) * 50
 	}
-	if !ascending {
-		// Repeated codes are possible here, and NewTable's index keeps
-		// the last record of a code in poverty order.
-		return NewTable(incomeRecords(weights, keys)), nil
-	}
-	sortRows(keys, weights, ascending, scratch)
+	sortRows(keys, scratch)
 	return &Table{ordered: incomeRecords(weights, keys)}, nil
 }
 
@@ -304,33 +305,23 @@ type rankKey struct {
 }
 
 // sortRows orders rows by key, breaking ties by FIPS. Both sorts of
-// AssignIncomes run over this pointer-free column. When the FIPS codes
-// strictly ascend (ascending), as both generators emit them, the input
-// index orders exactly as the FIPS does, so the tie-break compares
-// integers instead of strings, and from radixMin rows on, with no NaN
-// key, radixRows orders them without comparisons in scratch, which
+// AssignIncomes run over this pointer-free column. The FIPS codes
+// strictly ascend, so the input index orders exactly as the FIPS does
+// and the tie-break compares integers; from radixMin rows on, with no
+// NaN key, radixRows orders them without comparisons in scratch, which
 // holds two rows for each row sorted (nil below radixMin). Every
-// comparison returns what the struct comparators AssignIncomes and
-// NewTable first used return for the same pair, so pdqsort permutes
-// identically, ties and NaN keys included.
-func sortRows(rows []rankKey, weights []CountyWeight, ascending bool, scratch []radixRow) {
-	if ascending && scratch != nil && radixRows(rows, scratch) {
-		return
-	}
-	if ascending {
-		slices.SortFunc(rows, func(a, b rankKey) int {
-			if a.key != b.key {
-				return less(a.key < b.key)
-			}
-			return cmp.Compare(a.idx, b.idx)
-		})
+// comparison returns what the struct comparator AssignIncomes first
+// used returns for the same pair, so pdqsort permutes identically,
+// ties and NaN keys included.
+func sortRows(rows []rankKey, scratch []radixRow) {
+	if scratch != nil && radixRows(rows, scratch) {
 		return
 	}
 	slices.SortFunc(rows, func(a, b rankKey) int {
 		if a.key != b.key {
 			return less(a.key < b.key)
 		}
-		return strings.Compare(weights[a.idx].FIPS, weights[b.idx].FIPS)
+		return cmp.Compare(a.idx, b.idx)
 	})
 }
 
@@ -416,14 +407,4 @@ func incomeRecords(weights []CountyWeight, rows []rankKey) []CountyIncome {
 		}
 	}
 	return out
-}
-
-// fipsAscending reports whether the county codes strictly ascend.
-func fipsAscending(weights []CountyWeight) bool {
-	for i := 1; i < len(weights); i++ {
-		if weights[i-1].FIPS >= weights[i].FIPS {
-			return false
-		}
-	}
-	return true
 }

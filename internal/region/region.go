@@ -22,6 +22,12 @@
 // fans out, each task writing its own slots: the grid enumeration, once
 // per process, collected in canonical face order, and per seed the
 // cell centers and the distribution beside the income table.
+//
+// Every region joins demand to incomes the same way. While it emits
+// the cells, a generator knows each cell's area (a US county, a
+// synthetic district) as an index into the region's area list, whose
+// codes ascend, and sums the area's locations there; areaIncomes turns
+// those sums into the income table.
 package region
 
 import (

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -35,7 +34,6 @@ import (
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/memo"
 	"leodivide/internal/par"
-	"leodivide/internal/stats"
 )
 
 // DensityAnchor pins the synthetic per-cell demand shape at one
@@ -348,6 +346,7 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 
 	rng := rand.New(rand.NewSource(g.Seed))
 	peakIDs := make([]hexgrid.CellID, 0, len(peaks))
+	peakCells := make([]demand.Cell, 0, len(peaks))
 	peakSum := 0
 	for _, p := range peaks {
 		id := hexgrid.LatLngToCell(geo.LatLng{Lat: p.LatDeg, Lng: p.LngDeg}, s.Resolution)
@@ -355,6 +354,7 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 			return Output{}, fmt.Errorf("region: spec %q: peak anchors collide in cell %v", s.Key, id)
 		}
 		peakIDs = append(peakIDs, id)
+		peakCells = append(peakCells, demand.Cell{ID: id, Locations: p.Locations})
 		peakSum += p.Locations
 	}
 	if peakSum >= total {
@@ -376,35 +376,20 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	}
 	rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
 	perm := rng.Perm(len(counts))
-
-	// Build each cell once, in ID order, and fill the centers after
-	// (bdc.FillCenters). The candidates ascend by ID, so ordering the
-	// sites is an integer sort of (candidate, site) pairs, as in
-	// bdc.GenerateCells; the few peaks merge in by ID.
-	siteBits := bits.Len(uint(len(counts)))
-	keys := make([]uint64, len(counts))
-	for j, c := range pool[:len(counts)] {
-		keys[j] = uint64(c)<<siteBits | uint64(j)
+	// The candidates ascend by ID, so the sites are rows of them.
+	cells, err := bdc.EmitCells(ctx, g.Parallelism, pool[:len(counts)], peakCells, func(row int32, site int) demand.Cell {
+		return demand.Cell{ID: candidates[row], Locations: counts[perm[site]]}
+	})
+	if err != nil {
+		return Output{}, err
 	}
-	stats.SortUint64(keys)
-	peakCells := make([]demand.Cell, len(peaks))
-	for i, k := range demand.IDOrder(peakIDs) {
-		peakCells[i] = demand.Cell{ID: peakIDs[k], Locations: peaks[k].Locations}
-	}
-	cells := make([]demand.Cell, 0, len(peaks)+len(keys))
-	for _, k := range keys {
-		id := candidates[k>>siteBits]
-		for len(peakCells) > 0 && peakCells[0].ID < id {
-			cells, peakCells = append(cells, peakCells[0]), peakCells[1:]
-		}
-		cells = append(cells, demand.Cell{ID: id, Locations: counts[perm[k&(1<<siteBits-1)]]})
-	}
-	cells = append(cells, peakCells...)
 
 	// Districts partition the ID-sorted cells into contiguous blocks,
 	// so a district is a coherent slice of the geography and the codes
 	// are a pure function of the sorted order; each code is formatted
-	// once, and each district's weight summed in the same pass.
+	// once, and each district's weight summed in the same pass. The
+	// codes ascend, since the prefix is fixed and the numbers are
+	// zero-padded to three digits below the 1000-district cap.
 	codes := make([]string, s.Districts)
 	weights := make([]int, s.Districts)
 	district := -1
@@ -416,11 +401,8 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 		weights[d] += cells[i].Locations
 		cells[i].CountyFIPS = codes[d]
 	}
-	if err := bdc.FillCenters(ctx, g.Parallelism, cells); err != nil {
-		return Output{}, err
-	}
 	dist, incomes, err := distAndIncomes(ctx, g.Parallelism, cells, func() (*census.Table, error) {
-		return districtIncomes(codes, weights, s, g.Seed)
+		return areaIncomes(weights, func(d int) (string, string) { return codes[d], s.RegionAbbr }, s.IncomeAnchors, g.Seed)
 	})
 	if err != nil {
 		return Output{}, err
@@ -449,30 +431,6 @@ func sitePool(candidates, peakIDs []hexgrid.CellID) []int32 {
 		pool = append(pool, int32(i))
 	}
 	return pool
-}
-
-// districtIncomes assigns the anchored income quantile function over
-// the synthetic districts with demand, ranked by the same seed-keyed fnv
-// jitter the US pipeline uses for counties — deterministic, and
-// independent of geography so income and demand density stay
-// uncorrelated. codes and weights are indexed by district; the codes
-// ascend, since the prefix is fixed and the numbers are zero-padded to
-// three digits below the 1000-district cap.
-func districtIncomes(codes []string, weights []int, s SyntheticSpec, seed int64) (*census.Table, error) {
-	cw := make([]census.CountyWeight, 0, len(codes))
-	prefix := jitterPrefix(seed)
-	for d, w := range weights {
-		if w == 0 {
-			continue
-		}
-		cw = append(cw, census.CountyWeight{
-			FIPS:        codes[d],
-			StateAbbr:   s.RegionAbbr,
-			Weight:      float64(w),
-			PovertyRank: rankJitter(prefix, codes[d]),
-		})
-	}
-	return census.AssignIncomes(cw, s.IncomeAnchors)
 }
 
 // boxGrids memoizes boxCells per (resolution, footprint box), keyed by

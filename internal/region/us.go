@@ -10,15 +10,11 @@ package region
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"leodivide/internal/bdc"
 	"leodivide/internal/census"
-	"leodivide/internal/demand"
 	"leodivide/internal/obs"
 	"leodivide/internal/usgeo"
 )
@@ -45,8 +41,8 @@ func (usRegion) Description() string {
 }
 
 // Generate runs the legacy pipeline: scale the BDC configuration,
-// synthesize cells, then build the distribution and assign county
-// incomes side by side (distAndIncomes).
+// synthesize the cells with their county sums, then build the
+// distribution and the county incomes side by side (distAndIncomes).
 func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err := g.Validate(); err != nil {
 		return Output{}, err
@@ -66,12 +62,22 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 		}
 		cfg.Peaks = peaks
 	}
-	cells, err := bdc.GenerateCells(ctx, cfg)
+	cells, weights, err := bdc.GenerateCells(ctx, cfg)
 	if err != nil {
 		return Output{}, err
 	}
 	dist, incomes, err := distAndIncomes(ctx, g.Parallelism, cells, func() (*census.Table, error) {
-		return assignIncomes(ctx, cells, u.anchors, g.Seed)
+		//lint:ignore detrand wall-clock feeds the generation span timing only, never the dataset
+		start := time.Now()
+		_, span := obs.StartSpan(ctx, "gen.assign_incomes")
+		defer func() {
+			metricIncomeSecs.ObserveSince(start)
+			span.End()
+		}()
+		counties := usgeo.AllCounties()
+		return areaIncomes(weights, func(r int) (string, string) {
+			return counties[r].FIPS, counties[r].StateAbbr
+		}, u.anchors, g.Seed)
 	})
 	if err != nil {
 		return Output{}, err
@@ -79,49 +85,32 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	return Output{Cells: cells, Dist: dist, Incomes: incomes, Resolution: cfg.Resolution}, nil
 }
 
-// assignIncomes distributes county incomes using a deterministic
-// poverty ordering: a seed-keyed per-county hash jitter. It sums each
-// cell's locations into its county's slot of the FIPS-rank table and
-// emits the counties with demand in rank order, which is FIPS order.
-// It reads the cells the distribution is built from and skips the ones
-// without demand, which the distribution drops (a negative count fails
-// the distribution, whose error comes first); integer sums do not
-// depend on the order they are taken in.
-func assignIncomes(ctx context.Context, cells []demand.Cell, anchors []census.QuantileAnchor, seed int64) (*census.Table, error) {
-	//lint:ignore detrand wall-clock feeds the generation span timing only, never the dataset
-	start := time.Now()
-	_, span := obs.StartSpan(ctx, "gen.assign_incomes")
-	defer func() {
-		metricIncomeSecs.ObserveSince(start)
-		span.End()
-	}()
-	counties := usCounties()
-	weights := make([]int, len(counties.fips))
+// areaIncomes builds a region's income table from the location sum of
+// each of its areas (US counties, synthetic districts), weights[i] for
+// area i, whose code and state or region abbreviation are area(i). The
+// codes ascend with i. The areas with demand are ranked by a
+// deterministic poverty ordering, the seed-keyed jitter of their codes;
+// the ones without demand, whose cells the distribution drops, are
+// left out.
+func areaIncomes(weights []int, area func(i int) (code, abbr string), anchors []census.QuantileAnchor, seed int64) (*census.Table, error) {
 	n := 0
-	for _, c := range cells {
-		if c.Locations <= 0 {
-			continue
-		}
-		r, err := counties.rankOf(c.CountyFIPS)
-		if err != nil {
-			return nil, err
-		}
-		if weights[r] == 0 {
+	for _, w := range weights {
+		if w != 0 {
 			n++
 		}
-		weights[r] += c.Locations
 	}
 	cw := make([]census.CountyWeight, 0, n)
 	prefix := jitterPrefix(seed)
-	for r, w := range weights {
+	for i, w := range weights {
 		if w == 0 {
 			continue
 		}
+		code, abbr := area(i)
 		cw = append(cw, census.CountyWeight{
-			FIPS:        counties.fips[r],
-			StateAbbr:   counties.abbr[r],
+			FIPS:        code,
+			StateAbbr:   abbr,
 			Weight:      float64(w),
-			PovertyRank: rankJitter(prefix, counties.fips[r]),
+			PovertyRank: rankJitter(prefix, code),
 		})
 	}
 	return census.AssignIncomes(cw, anchors)
@@ -156,64 +145,3 @@ func jitterPrefix(seed int64) uint64 {
 }
 
 const fnvPrime = 1099511628211 // FNV-64 prime
-
-// countyTable is the FIPS-rank table: every US county in
-// usgeo.AllCounties order, which is ascending FIPS, with its state, and
-// a dense index from each 5-digit code's value to its rank. It depends
-// on nothing per seed, so it is built once per process (usCounties).
-type countyTable struct {
-	fips, abbr []string // by rank
-	rank       []uint16 // by code value: 1 + the county's rank, 0 for none
-}
-
-var usCounties = sync.OnceValue(func() *countyTable {
-	all := usgeo.AllCounties()
-	t := &countyTable{
-		fips: make([]string, len(all)),
-		abbr: make([]string, len(all)),
-		rank: make([]uint16, 100000),
-	}
-	for r, c := range all {
-		v, ok := fipsValue(c.FIPS)
-		if !ok || r+1 > math.MaxUint16 {
-			panic(fmt.Sprintf("region: county table cannot rank FIPS %q at %d", c.FIPS, r))
-		}
-		t.fips[r], t.abbr[r] = c.FIPS, c.StateAbbr
-		t.rank[v] = uint16(r + 1)
-	}
-	return t
-})
-
-// fipsValue returns the value of a 5-digit code.
-func fipsValue(s string) (int, bool) {
-	if len(s) != 5 {
-		return 0, false
-	}
-	v := 0
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		v = v*10 + int(d)
-	}
-	return v, true
-}
-
-// rankOf returns the rank of a county FIPS code. An unknown code is a
-// hard error, named by what is wrong with it: a silently dropped or
-// misfiled county would skew the poverty ordering without any signal.
-func (t *countyTable) rankOf(fips string) (int, error) {
-	if v, ok := fipsValue(fips); ok && t.rank[v] != 0 {
-		return int(t.rank[v]) - 1, nil
-	}
-	if len(fips) < 2 {
-		return 0, fmt.Errorf("region: county FIPS %q too short for a state prefix", fips)
-	}
-	for _, s := range usgeo.States() {
-		if s.FIPS == fips[:2] {
-			return 0, fmt.Errorf("region: unknown county FIPS %q in state %s", fips, s.Abbr)
-		}
-	}
-	return 0, fmt.Errorf("region: unknown state FIPS prefix %q in county FIPS %q", fips[:2], fips)
-}

@@ -5,51 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/usgeo"
 )
-
-// TestCountyRank pins the hard-error contract on county FIPS codes:
-// an unknown code once silently produced an empty state abbreviation
-// that skewed the income-assignment poverty ordering.
-func TestCountyRank(t *testing.T) {
-	cases := []struct {
-		fips    string
-		want    string
-		wantErr string
-	}{
-		{fips: "01001", want: "AL"},
-		{fips: "06037", want: "CA"},
-		{fips: "48201", want: "TX"},
-		{fips: "99123", wantErr: `unknown state FIPS prefix "99"`},
-		{fips: "00001", wantErr: `unknown state FIPS prefix "00"`},
-		{fips: "01002", wantErr: `unknown county FIPS "01002" in state AL`},
-		{fips: "010011", wantErr: `unknown county FIPS "010011" in state AL`},
-		{fips: "7", wantErr: "too short"},
-		{fips: "", wantErr: "too short"},
-	}
-	counties := usCounties()
-	for _, tc := range cases {
-		r, err := counties.rankOf(tc.fips)
-		if tc.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("rankOf(%q) err = %v, want mention of %q", tc.fips, err, tc.wantErr)
-			}
-			continue
-		}
-		if err != nil || counties.fips[r] != tc.fips || counties.abbr[r] != tc.want {
-			t.Errorf("rankOf(%q) = %d (%q, %q), %v, want %q", tc.fips, r, counties.fips[r], counties.abbr[r], err, tc.want)
-		}
-	}
-	all := usgeo.AllCounties()
-	if len(counties.fips) != len(all) || !sort.StringsAreSorted(counties.fips) {
-		t.Fatalf("rank table holds %d counties (want %d), sorted=%v", len(counties.fips), len(all), sort.StringsAreSorted(counties.fips))
-	}
-}
 
 // referenceIncomes is the string-keyed income assignment generation
 // replaced: a county-weight map, a sort of its keys and a state found

@@ -376,10 +376,21 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 
 	// The leader's fill answers every follower coalesced on its key, so
 	// it runs detached from the leader's client: a leader whose client
-	// goes away still finishes the run its followers wait for.
+	// goes away still finishes the run its followers wait for. A panic
+	// in the run becomes the fill's error, so the leader and its
+	// followers answer 500 and the key stays uncached.
 	ctx := r.Context()
 	fillCtx := context.WithoutCancel(ctx)
-	body, status, err := s.results.Do(ctx, key, func() ([]byte, error) {
+	body, status, err := s.results.Do(ctx, key, func() (body []byte, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				perr, ok := p.(error)
+				if !ok {
+					perr = fmt.Errorf("%v", p)
+				}
+				err = fmt.Errorf("experiment %s panicked: %w", cfg.Experiment, perr)
+			}
+		}()
 		return s.runScenario(fillCtx, cfg, key)
 	})
 	metricCache[status].Inc()

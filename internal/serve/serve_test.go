@@ -768,6 +768,58 @@ func TestCancelledLeaderServesFollowers(t *testing.T) {
 	}
 }
 
+// TestPanickingExperimentAnswers500: a run that panics (fig1 over a
+// dataset without a distribution) answers 500 with a JSON error body,
+// counts in errors and serve.errors, caches nothing and frees its
+// admission slot; a follower coalesced on the leader's key gets the
+// same error.
+func TestPanickingExperimentAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Dataset: &leodivide.Dataset{Seed: 1, Scale: testScale}, MaxInflight: 1})
+	serveErrors := obs.Default.Counter("serve.errors")
+	before := serveErrors.Value()
+	body := scenarioBody("fig1", "")
+	check := func(who string, code int, b []byte) string {
+		t.Helper()
+		var e errorResponse
+		if code != http.StatusInternalServerError || json.Unmarshal(b, &e) != nil || !strings.Contains(e.Error, "panicked") {
+			t.Fatalf("%s: status %d: %s, want 500 with a JSON error naming the panic", who, code, b)
+		}
+		return e.Error
+	}
+	for i := 0; i < 2; i++ {
+		resp, b := postScenario(t, ts.URL, body)
+		check(fmt.Sprintf("request %d", i), resp.StatusCode, b)
+	}
+	st := getStats(t, ts.URL)
+	if st.Errors != 2 || st.CacheEntries != 0 || st.Inflight != 0 {
+		t.Errorf("stats = %+v, want 2 errors, 0 cache entries, 0 inflight", st)
+	}
+	if got := serveErrors.Value() - before; got != 2 {
+		t.Errorf("serve.errors rose by %d, want 2", got)
+	}
+
+	// Hold the only admission slot so the leader waits inside its fill
+	// until a follower has joined it.
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	answers := make(chan *httptest.ResponseRecorder, 2)
+	serve := func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(body)))
+		answers <- w
+	}
+	go serve()
+	waitCounters(s.results, func(_, misses, _ int64) bool { return misses == 3 })
+	go serve()
+	waitCounters(s.results, func(_, _, coalesced int64) bool { return coalesced == 1 })
+	s.gate.Release()
+	a, b := <-answers, <-answers
+	if check("leader", a.Code, a.Body.Bytes()) != check("follower", b.Code, b.Body.Bytes()) {
+		t.Errorf("leader and follower got different errors: %s / %s", a.Body, b.Body)
+	}
+}
+
 // TestEvictionsCounted: an eviction shows in /v1/stats and in the
 // process-wide serve.cache.evictions metric.
 func TestEvictionsCounted(t *testing.T) {

@@ -293,11 +293,24 @@ func CountyTiles(s State) []County {
 }
 
 // countyTiles holds every table state's county tiles, aligned with
-// states. Building it formats two strings per county, so it runs once.
+// states: consecutive slices of allCounties.
 var countyTiles = sync.OnceValue(func() [][]County {
+	all := allCounties()
 	out := make([][]County, len(states))
 	for i, s := range states {
-		out[i] = tileCounties(s)
+		n, _, _ := tileGrid(s)
+		out[i], all = all[:n:n], all[n:]
+	}
+	return out
+})
+
+// allCounties holds every table state's county tiles in one array, in
+// state order. Building it formats two strings per county, so it runs
+// once.
+var allCounties = sync.OnceValue(func() []County {
+	var out []County
+	for _, s := range states {
+		out = append(out, tileCounties(s)...)
 	}
 	return out
 })
@@ -341,15 +354,12 @@ func tileCounties(s State) []County {
 }
 
 // AllCounties returns every synthetic county in the country, sorted by
-// FIPS.
-func AllCounties() []County {
-	var out []County
-	for _, s := range States() {
-		out = append(out, CountyTiles(s)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FIPS < out[j].FIPS })
-	return out
-}
+// FIPS: each state's tiles in turn, since the states ascend by FIPS and
+// so do the codes of each state's tiles. The slice is the process-wide
+// table CountyTiles slices, which callers must not modify; a county's
+// index in it is its state's offset, the tile count of the states
+// before it, plus its index in the state's tiles.
+func AllCounties() []County { return allCounties() }
 
 // CountyAt returns the county containing p, searching the containing
 // state's tiles.

@@ -170,6 +170,15 @@ func TestAllCounties(t *testing.T) {
 			t.Error("AllCounties not sorted by FIPS")
 		}
 	}
+	// A county's index is its state's offset plus its tile index.
+	off := 0
+	for _, s := range States() {
+		tiles := CountyTiles(s)
+		if !slices.Equal(all[off:off+len(tiles)], tiles) {
+			t.Errorf("%s's tiles are not AllCounties()[%d:%d]", s.Abbr, off, off+len(tiles))
+		}
+		off += len(tiles)
+	}
 }
 
 func TestTotalRuralWeight(t *testing.T) {

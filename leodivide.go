@@ -207,8 +207,9 @@ type Model struct {
 //
 // The knob lives in Capacity.Parallelism, which bounds both the
 // capacity model's sweeps and the facade's fan-outs (Fig3 curves, Fig4
-// plan curves, Stability seeds). RunConfig carries the same knob for
-// CLI construction; dataset generation has no worker knob.
+// plan curves, Stability seeds). Dataset generation takes its worker
+// bound from RunConfig.Parallelism, which ScenarioConfig.Generate
+// passes to the region, not from the model.
 func (m Model) Parallelism(n int) Model {
 	m.Capacity.Parallelism = n
 	return m
