@@ -11,7 +11,7 @@ package leodivide
 //   - xconst: the "which system closes the divide cheapest under the
 //     FCC 100/20 benchmark" table.
 //
-// Both reuse the PR 7 compute stages: the binding-cell scan and the
+// Both reuse core's compute stages: the binding-cell scan and the
 // diminishing-returns profile are memoized per (beam config,
 // inclination, ...) key, so each system warms its own stage entries and
 // repeat queries through the serving layer hit the cache.
@@ -171,17 +171,14 @@ func (m Model) systemCostCurve(ctx context.Context, dist *demand.Distribution, d
 // systemCostTail prices the ends of the diminishing-returns curve: the
 // satellites (converted from sizing-shell to raw fleet units) that
 // move per-cell service from the single-beam cap to the full stacking
-// cap, per location gained.
+// cap, per location gained. Only the curve's two ends are read, so the
+// curve itself is never built.
 func (m Model) systemCostTail(ctx context.Context, dist *demand.Distribution,
 	sys constellation.System, c core.Model, equivFull, total int) (CostTail, error) {
-	points, err := c.DiminishingReturns(ctx, dist, 1, m.MaxOversub)
-	if err != nil {
+	first, last, ok, err := c.ReturnsEnds(ctx, dist, 1, m.MaxOversub)
+	if err != nil || !ok {
 		return CostTail{}, err
 	}
-	if len(points) < 2 {
-		return CostTail{}, nil
-	}
-	first, last := points[0], points[len(points)-1]
 	gained := first.UnservedLocations - last.UnservedLocations
 	addlEquiv := last.Satellites - first.Satellites
 	if gained <= 0 || addlEquiv <= 0 {

@@ -2,7 +2,13 @@ package leodivide
 
 import (
 	"context"
+	"math"
 	"testing"
+
+	"leodivide/internal/constellation"
+	"leodivide/internal/core"
+	"leodivide/internal/demand"
+	"leodivide/internal/region"
 )
 
 // TestCostCurveInvariants checks the structural contract of the
@@ -113,4 +119,72 @@ func minMonthly(rows []ConstellationRow, system string) float64 {
 		}
 	}
 	return 0
+}
+
+// curveCostTail is systemCostTail as it read the tail before
+// ReturnsEnds: off the two ends of the whole diminishing-returns curve.
+func curveCostTail(ctx context.Context, m Model, dist *demand.Distribution,
+	sys constellation.System, c core.Model, equivFull, total int) (CostTail, error) {
+	points, err := c.DiminishingReturns(ctx, dist, 1, m.MaxOversub)
+	if err != nil {
+		return CostTail{}, err
+	}
+	if len(points) < 2 {
+		return CostTail{}, nil
+	}
+	first, last := points[0], points[len(points)-1]
+	gained := first.UnservedLocations - last.UnservedLocations
+	addlEquiv := last.Satellites - first.Satellites
+	if gained <= 0 || addlEquiv <= 0 {
+		return CostTail{}, nil
+	}
+	addlRaw := int(math.Ceil(float64(addlEquiv) * float64(total) / float64(equivFull)))
+	return CostTail{
+		LocationsGained:       gained,
+		AdditionalSatellites:  addlRaw,
+		MonthlyPerLocationUSD: sys.Cost.AnnualizedUSD(addlRaw) / 12 / float64(gained),
+	}, nil
+}
+
+// TestCostTailMatchesCurveEnds: the cost tail read off the staged
+// profile equals the one read off the whole curve, bit for bit, for
+// every system, region and oversubscription cap.
+func TestCostTailMatchesCurveEnds(t *testing.T) {
+	ctx := context.Background()
+	priced := 0
+	for _, name := range region.Names() {
+		ds, err := GenerateDataset(ctx, WithRegion(name), WithSeed(5), WithScale(0.25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist := ds.Distribution()
+		for _, oversub := range []float64{10, 20, 30} {
+			m := NewModel()
+			m.MaxOversub = oversub
+			for _, declared := range constellation.Systems() {
+				sys, c := m.systemModel(declared)
+				capped := c.Size(dist, core.CappedOversub, 1, oversub)
+				equivFull := max(1, sys.EquivalentSingleShellSatellites(sys.SizingShell(), capped.BindingCell.Center.Lat))
+				total := sys.TotalSatellites()
+				got, err := m.systemCostTail(ctx, dist, sys, c, equivFull, total)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := curveCostTail(ctx, m, dist, sys, c, equivFull, total)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.LocationsGained != want.LocationsGained || got.AdditionalSatellites != want.AdditionalSatellites ||
+					math.Float64bits(got.MonthlyPerLocationUSD) != math.Float64bits(want.MonthlyPerLocationUSD) {
+					t.Errorf("%s %s oversub %v: tail %+v, from the curve %+v", name, sys.Key, oversub, got, want)
+				}
+				if got.LocationsGained > 0 {
+					priced++
+				}
+			}
+		}
+	}
+	if priced == 0 {
+		t.Error("no system priced a tail: the comparison is vacuous")
+	}
 }

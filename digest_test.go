@@ -16,14 +16,17 @@ import (
 )
 
 // datasetDigest hashes the cells (every field, floats by their bits),
-// the Distribution().Cells() order and Incomes.Counties().
+// the Distribution's descending order (read through Cell) and
+// Incomes.Counties().
 func datasetDigest(ds *Dataset) string {
 	h := sha256.New()
 	for _, c := range ds.Cells {
 		fmt.Fprintf(h, "c|%d|%d|%s|%x|%x\n", c.ID, c.Locations, c.CountyFIPS,
 			math.Float64bits(c.Center.Lat), math.Float64bits(c.Center.Lng))
 	}
-	for _, c := range ds.Distribution().Cells() {
+	dist := ds.Distribution()
+	for i := 0; i < dist.NumCells(); i++ {
+		c := dist.Cell(i)
 		fmt.Fprintf(h, "d|%d|%d\n", c.ID, c.Locations)
 	}
 	for _, r := range ds.Incomes.Counties() {

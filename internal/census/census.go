@@ -223,12 +223,10 @@ func (t *Table) Lookup(fips string) (CountyIncome, bool) {
 	return r, ok
 }
 
-// Counties returns the records in ascending income order.
-func (t *Table) Counties() []CountyIncome {
-	out := make([]CountyIncome, len(t.ordered))
-	copy(out, t.ordered)
-	return out
-}
+// Counties returns the records in ascending income order. The slice is
+// the table's own storage, shared by every caller; callers must not
+// modify it.
+func (t *Table) Counties() []CountyIncome { return t.ordered }
 
 // CountyWeight is the input to AssignIncomes: a county and its
 // un(der)served location count.

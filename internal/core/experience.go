@@ -36,16 +36,14 @@ func (m Model) ExperienceUnderSpread(d *demand.Distribution, spreadFactor float6
 		spreadFactor = 1
 	}
 	perCellMbps := m.Beams.SpreadCellCapacityGbps(spreadFactor) * 1000
-	cells := d.Cells()
-	samples := make([]stats.WeightedSample, 0, len(cells))
-	for _, c := range cells {
-		if c.Locations <= 0 {
-			continue
+	locs := d.Locs()
+	samples := make([]stats.WeightedSample, len(locs))
+	for i, n := range locs {
+		// Every distribution cell has at least one location.
+		samples[i] = stats.WeightedSample{
+			Value:  perCellMbps / float64(n),
+			Weight: float64(n),
 		}
-		samples = append(samples, stats.WeightedSample{
-			Value:  perCellMbps / float64(c.Locations),
-			Weight: float64(c.Locations),
-		})
 	}
 	w, err := stats.NewWeightedCDF(samples)
 	if err != nil {

@@ -120,9 +120,9 @@ func TestOversubscriptionScaleInvariance(t *testing.T) {
 	d := paperDist(t)
 	a := m.Oversubscription(d, 20)
 
-	cells := append([]demand.Cell(nil), d.Cells()...)
-	double := make([]demand.Cell, 0, 2*len(cells))
-	for i, c := range cells {
+	double := make([]demand.Cell, 0, 2*d.NumCells())
+	for i := 0; i < d.NumCells(); i++ {
+		c := d.Cell(i)
 		double = append(double, c)
 		c2 := c
 		c2.ID = c.ID + hexgrid.CellID(1_000_000+i)

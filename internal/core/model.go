@@ -84,9 +84,9 @@ type Model struct {
 	UTDownlinkMHz              float64
 	SpectralEfficiencyBpsPerHz float64
 	// Parallelism bounds the worker count for the sweep methods
-	// (SizeTable, ServedFractionGrid, DiminishingReturns, AssessFleet,
-	// ServedFractionOverDay). 0 means one worker per CPU; 1 is the exact
-	// serial path. Every sweep point is an independent pure function of
+	// (SizeTable, ServedFractionGrid, all-cells DiminishingReturns,
+	// AssessFleet, ServedFractionOverDay). 0 means one worker per CPU;
+	// 1 is the exact serial path. Every sweep point is an independent pure function of
 	// the model and dataset and lands in an index-ordered slot, so
 	// results are identical at every setting.
 	//
@@ -298,7 +298,7 @@ func (m Model) sizeWithCap(d *demand.Distribution, spread, oversub float64, capL
 		return m.sizeAllCells(d, spread, oversub, capLoc)
 	}
 	scan := m.peakScan(d, oversub, capLoc)
-	binding := d.Cells()[scan.bindIdx]
+	binding := d.Cell(scan.bindIdx)
 	return SizingResult{
 		Spread:      spread,
 		Oversub:     oversub,
@@ -378,17 +378,14 @@ type ReturnsPoint struct {
 // when the cap crosses a per-beam boundary and pins another beam on the
 // binding cell.
 //
-// The t-sweep fans out over the model's Parallelism: every cap value's
-// (unserved, satellites) pair is an independent pure evaluation, and the
-// serial skip-if-unchanged emission is equivalent to run-compressing the
-// full precomputed sequence, so the curve is identical at every worker
-// count.
-//
 // In peak-only mode the per-cap (unserved, beams) profile is
 // spread-invariant and memoized in the dataset's stage memo; each call
 // then maps it through the per-band satellite table for its spread and
-// compresses — so a multi-spread Figure 3 pays for one profile sweep
-// total, not one per spread.
+// run-compresses it — so a multi-spread Figure 3 pays for one profile
+// walk total, not one per spread. In all-cells mode the t-sweep fans
+// out over the model's Parallelism; every cap value's (unserved,
+// satellites) pair is an independent pure evaluation, so the curve is
+// identical at every worker count.
 func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, spread, oversub float64) ([]ReturnsPoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -401,21 +398,7 @@ func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, s
 	if m.Binding != BindPeakOnly {
 		return m.diminishingReturnsAllCells(ctx, d, spread, oversub, hardCap, perBeam)
 	}
-
-	// The paper's narrative sizes every point of the sweep against the
-	// same peak cell, with only its beam requirement changing as the cap
-	// falls through per-beam boundaries. Fix the binding latitude from
-	// the full-cap sizing and precompute the per-band sizes.
-	maxBand := m.Beams.MaxBeamsPerCell
-	bandSats := make([]int, maxBand+1) // indexed by beams
-	bindLat := d.Cells()[m.peakScan(d, oversub, hardCap).bindIdx].Center.Lat
-	for b := 1; b <= maxBand; b++ {
-		bandSats[b] = m.ConstellationSize(spread, b, bindLat)
-	}
-	prof, err := m.returnsProfile(ctx, d, oversub)
-	if err != nil {
-		return nil, err
-	}
+	prof, bandSats := m.bandedProfile(d, spread, oversub, hardCap)
 
 	// Count the compressed curve's points first, so it is allocated at
 	// its exact size: caps often repeat their predecessor's point.
@@ -443,6 +426,56 @@ func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, s
 		lastUnserved, lastSats = p.unserved, sats
 	}
 	return out, nil
+}
+
+// ReturnsEnds returns the first and last points of DiminishingReturns
+// for the same arguments, and ok false when that curve is empty. In
+// peak-only mode it reads them off the staged profile without building
+// the curve: the first point is the first cap's, and the last is where
+// the final run of equal (unserved, satellites) pairs begins.
+func (m Model) ReturnsEnds(ctx context.Context, d *demand.Distribution, spread, oversub float64) (first, last ReturnsPoint, ok bool, err error) {
+	if m.Binding != BindPeakOnly {
+		points, err := m.DiminishingReturns(ctx, d, spread, oversub)
+		if err != nil || len(points) == 0 {
+			return ReturnsPoint{}, ReturnsPoint{}, false, err
+		}
+		return points[0], points[len(points)-1], true, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return ReturnsPoint{}, ReturnsPoint{}, false, err
+	}
+	hardCap := m.Beams.MaxServableLocations(oversub)
+	perBeam := m.Beams.LocationsPerBeam(oversub)
+	if perBeam > hardCap {
+		return ReturnsPoint{}, ReturnsPoint{}, false, nil
+	}
+	prof, bandSats := m.bandedProfile(d, spread, oversub, hardCap)
+	at := func(i int) ReturnsPoint {
+		p := prof[i]
+		return ReturnsPoint{CapLocations: perBeam + i, UnservedLocations: p.unserved, Satellites: bandSats[p.beams], PeakBeams: p.beams}
+	}
+	j := len(prof) - 1
+	end := prof[j]
+	for j > 0 && prof[j-1].unserved == end.unserved && bandSats[prof[j-1].beams] == bandSats[end.beams] {
+		j--
+	}
+	return at(0), at(j), true, nil
+}
+
+// bandedProfile returns the staged returns profile for oversub and the
+// satellites each beam count needs at spread (indexed by beams). The
+// paper's narrative sizes every point of the sweep against the same
+// peak cell, with only its beam requirement changing as the cap falls
+// through per-beam boundaries, so the binding latitude is fixed from
+// the full-cap sizing.
+func (m Model) bandedProfile(d *demand.Distribution, spread, oversub float64, hardCap int) ([]profilePoint, []int) {
+	maxBand := m.Beams.MaxBeamsPerCell
+	bandSats := make([]int, maxBand+1)
+	bindLat := d.Lats()[m.peakScan(d, oversub, hardCap).bindIdx]
+	for b := 1; b <= maxBand; b++ {
+		bandSats[b] = m.ConstellationSize(spread, b, bindLat)
+	}
+	return m.returnsProfile(d, oversub), bandSats
 }
 
 // diminishingReturnsAllCells is the unstaged sweep for BindAllCells,

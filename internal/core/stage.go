@@ -10,7 +10,6 @@ import (
 	"leodivide/internal/beams"
 	"leodivide/internal/demand"
 	"leodivide/internal/orbit"
-	"leodivide/internal/par"
 )
 
 // This file holds core's compute stages: the spread-invariant pieces of
@@ -129,9 +128,10 @@ func (m Model) peakScan(d *demand.Distribution, oversub float64, capLoc int) pea
 // count — and with it the beam requirement — is non-increasing along
 // the scan. The cells that can bind (beam count equal to the maximum,
 // which the first cell fixes) therefore form a prefix, found by binary
-// search; only that prefix needs latitude density evaluation. The
-// min-density selection keeps the original first-wins strict-< order,
-// so the result is identical to the full scan.
+// search; only that prefix needs latitude density evaluation, and the
+// shell's sine is taken once for all of it. The min-density selection
+// keeps the original first-wins strict-< order, so the result is
+// identical to the full scan.
 func (m Model) computePeakScan(d *demand.Distribution, oversub float64, capLoc int) peakScan {
 	locs := d.Locs()
 	lats := d.Lats()
@@ -148,10 +148,11 @@ func (m Model) computePeakScan(d *demand.Distribution, oversub float64, capLoc i
 		b, _ := m.Beams.BeamsForCell(s, oversub)
 		return b < b0
 	})
+	si := orbit.InclinationSine(m.InclinationDeg)
 	bestF := math.Inf(1)
 	bestIdx := 0
 	for i := 0; i < end; i++ {
-		f := orbit.DensityFactor(m.InclinationDeg, lats[i])
+		f := orbit.DensityFactorSin(si, lats[i])
 		if f < bestF {
 			bestF = f
 			bestIdx = i
@@ -182,33 +183,43 @@ func (m Model) sizeAllCells(d *demand.Distribution, spread, oversub float64, cap
 		Spread:      spread,
 		Oversub:     oversub,
 		PeakBeams:   bestBeams,
-		BindingCell: d.Cells()[bestIdx],
+		BindingCell: d.Cell(bestIdx),
 		Satellites:  bestN,
 	}
 }
 
 // returnsProfile returns the memoized diminishing-returns profile for
 // oversub: for each cap t in [perBeam, hardCap], the unserved-location
-// count and the binding beam requirement. Errors (cancellation) are
-// returned, never cached.
-func (m Model) returnsProfile(ctx context.Context, d *demand.Distribution, oversub float64) ([]profilePoint, error) {
+// count and the binding beam requirement.
+//
+// The caps ascend and the location column descends, so one serial walk
+// yields every point: it starts from the cells above perBeam and their
+// location sum, and drops the trailing cells as the cap reaches them.
+// The unserved count sum − n·t is then the same integer ExcessAbove(t)
+// computes by binary search.
+func (m Model) returnsProfile(d *demand.Distribution, oversub float64) []profilePoint {
 	key := profileKey{beams: m.Beams, oversub: oversub}
 	mc := modelCacheOf(d)
 	mc.mu.Lock()
 	prof, ok := mc.profiles[key]
 	mc.mu.Unlock()
 	if ok {
-		return prof, nil
+		return prof
 	}
 	hardCap := m.Beams.MaxServableLocations(oversub)
 	perBeam := m.Beams.LocationsPerBeam(oversub)
-	prof, err := par.Map(ctx, m.Parallelism, hardCap-perBeam+1, func(i int) (profilePoint, error) {
+	locs := d.Locs()
+	n := d.CellsAbove(perBeam)
+	sum := d.LocationsInCellsAbove(perBeam)
+	prof = make([]profilePoint, hardCap-perBeam+1)
+	for i := range prof {
 		t := perBeam + i
+		for n > 0 && int(locs[n-1]) <= t {
+			n--
+			sum -= int(locs[n])
+		}
 		b, _ := m.Beams.BeamsForCell(t, oversub)
-		return profilePoint{unserved: d.ExcessAbove(t), beams: b}, nil
-	})
-	if err != nil {
-		return nil, err
+		prof[i] = profilePoint{unserved: sum - n*t, beams: b}
 	}
 	mc.mu.Lock()
 	if len(mc.profiles) >= modelCacheEntries {
@@ -216,5 +227,5 @@ func (m Model) returnsProfile(ctx context.Context, d *demand.Distribution, overs
 	}
 	mc.profiles[key] = prof
 	mc.mu.Unlock()
-	return prof, nil
+	return prof
 }

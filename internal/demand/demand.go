@@ -110,24 +110,30 @@ func Aggregate(locs []Location, res hexgrid.Resolution) ([]Cell, error) {
 // Distribution wraps a cell set with the order statistics the model
 // queries repeatedly. Construct with NewDistribution.
 //
-// Alongside the cell slice it keeps columnar projections of the hot
-// per-cell fields (location counts, center latitudes) so the capacity
-// model's inner loops scan dense arrays instead of striding across
-// Cell structs, plus a per-dataset stage memo for derived results that
-// are invariant across sweep points (see Stages).
+// It indexes the caller's cells instead of copying them: order maps
+// each rank (descending by location count) to a row of the input
+// slice, and Cell(rank) reads through it. Beside the index it keeps
+// columnar projections of the hot per-cell fields (location counts,
+// center latitudes) in rank order, so the capacity model's inner loops
+// scan dense arrays instead of striding across Cell structs, plus a
+// per-dataset stage memo for derived results that are invariant across
+// sweep points (see Stages).
 type Distribution struct {
-	cells  []Cell // descending by Locations
+	cells  []Cell  // the caller's slice, in input order
+	order  []int32 // order[rank] = row of cells; descending by Locations
 	cdf    *stats.CDF
 	total  int
-	suffix []int // suffix[i] = sum of Locations of cells[0..i]
+	suffix []int // suffix[i] = sum of Locations of ranks 0..i
 
-	locs   []int32   // column of cells[i].Locations
-	lats   []float64 // column of cells[i].Center.Lat
+	locs   []int32   // column of Cell(i).Locations
+	lats   []float64 // column of Cell(i).Center.Lat
 	stages *memo.Memo[any]
 }
 
 // NewDistribution indexes the cells. Cells with zero locations are
-// dropped (they impose coverage but no demand).
+// dropped (they impose coverage but no demand). The distribution keeps
+// cells and reads Cell(rank) from it, so callers must not modify the
+// slice or its elements after the call.
 func NewDistribution(cells []Cell) (*Distribution, error) {
 	// The kept rows, by input index, and whether their IDs ascend.
 	rows := make([]int32, 0, len(cells))
@@ -164,37 +170,39 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 	}
 	// Order by descending locations, then rank: each key packs the
 	// location count's complement above the rank's rankBits bits, so one
-	// integer sort of a pointer-free column orders the rows, which are
-	// then gathered once into a slice of their final size.
+	// integer sort of a pointer-free column orders the rows. The rows
+	// are then indexed in that order, never copied, and the columns are
+	// filled in the same loop.
 	rankBits := bits.Len(uint(len(rows)))
 	keys := make([]uint64, len(rows))
 	for r, i := range rows {
 		keys[r] = uint64(math.MaxInt32-cells[i].Locations)<<rankBits | uint64(r)
 	}
 	stats.SortUint64(keys)
-	kept := make([]Cell, len(keys))
-	for k, key := range keys {
-		kept[k] = cells[rows[key&(1<<rankBits-1)]]
-	}
-	samples := make([]float64, len(kept))
-	suffix := make([]int, len(kept))
-	locs := make([]int32, len(kept))
-	lats := make([]float64, len(kept))
+	n := len(keys)
+	order := make([]int32, n)
+	samples := make([]float64, n)
+	suffix := make([]int, n)
+	locs := make([]int32, n)
+	lats := make([]float64, n)
 	total := 0
-	for i, c := range kept {
+	for k, key := range keys {
+		row := rows[key&(1<<rankBits-1)]
+		c := &cells[row]
+		order[k] = row
 		// Ascending, so the CDF's own sort finds its input sorted.
-		samples[len(kept)-1-i] = float64(c.Locations)
+		samples[n-1-k] = float64(c.Locations)
 		total += c.Locations
-		suffix[i] = total
-		locs[i] = int32(c.Locations)
-		lats[i] = c.Center.Lat
+		suffix[k] = total
+		locs[k] = int32(c.Locations)
+		lats[k] = c.Center.Lat
 	}
 	cdf, err := stats.NewCDF(samples)
 	if err != nil {
 		return nil, err
 	}
 	return &Distribution{
-		cells: kept, cdf: cdf, total: total, suffix: suffix,
+		cells: cells, order: order, cdf: cdf, total: total, suffix: suffix,
 		locs: locs, lats: lats,
 		stages: memo.New(memo.Options[any]{}),
 	}, nil
@@ -227,27 +235,28 @@ func IDOrder(ids []hexgrid.CellID) []int32 {
 }
 
 // NumCells returns the number of cells with demand.
-func (d *Distribution) NumCells() int { return len(d.cells) }
+func (d *Distribution) NumCells() int { return len(d.order) }
 
 // TotalLocations returns the total un(der)served locations.
 func (d *Distribution) TotalLocations() int { return d.total }
 
-// Cells returns the cells in descending demand order. The returned
-// slice is shared; callers must not modify it.
-func (d *Distribution) Cells() []Cell { return d.cells }
+// Cell returns the cell at rank in descending demand order, for rank
+// in [0, NumCells()).
+func (d *Distribution) Cell(rank int) Cell { return d.cells[d.order[rank]] }
 
 // Peak returns the densest cell.
-func (d *Distribution) Peak() Cell { return d.cells[0] }
+func (d *Distribution) Peak() Cell { return d.Cell(0) }
 
 // CDF returns the per-cell location-count CDF.
 func (d *Distribution) CDF() *stats.CDF { return d.cdf }
 
-// Locs returns the per-cell location counts as a dense column, aligned
-// with Cells() (descending). Shared storage; callers must not modify.
+// Locs returns the per-cell location counts as a dense column in rank
+// order (descending), so Locs()[i] is Cell(i).Locations. Shared
+// storage; callers must not modify.
 func (d *Distribution) Locs() []int32 { return d.locs }
 
-// Lats returns the per-cell center latitudes as a dense column, aligned
-// with Cells(). Shared storage; callers must not modify.
+// Lats returns the per-cell center latitudes as a dense column in rank
+// order. Shared storage; callers must not modify.
 func (d *Distribution) Lats() []float64 { return d.lats }
 
 // Stages returns the distribution's compute-stage memo. Derived values
@@ -326,7 +335,8 @@ func (d *Distribution) Summary() (stats.Summary, error) {
 // weighting.
 func (d *Distribution) CountyWeights() map[string]int {
 	out := make(map[string]int)
-	for _, c := range d.cells {
+	for _, row := range d.order {
+		c := &d.cells[row]
 		out[c.CountyFIPS] += c.Locations
 	}
 	return out

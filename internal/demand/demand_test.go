@@ -153,9 +153,8 @@ func TestDistributionErrors(t *testing.T) {
 
 func TestDistributionOrdering(t *testing.T) {
 	d := buildDist(t, 3, 9, 1, 9)
-	cells := d.Cells()
-	for i := 1; i < len(cells); i++ {
-		if cells[i].Locations > cells[i-1].Locations {
+	for i := 1; i < d.NumCells(); i++ {
+		if d.Cell(i).Locations > d.Cell(i-1).Locations {
 			t.Fatal("cells not sorted descending")
 		}
 	}

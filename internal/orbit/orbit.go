@@ -179,9 +179,22 @@ func (w Walker) DensityFactor(latDeg float64) float64 {
 // DensityFactor is the shell-density enhancement for an inclination and
 // latitude, both in degrees. See Walker.DensityFactor.
 func DensityFactor(inclinationDeg, latDeg float64) float64 {
-	inc := geo.Radians(clampInclination(inclinationDeg))
+	return DensityFactorSin(InclinationSine(inclinationDeg), latDeg)
+}
+
+// InclinationSine returns sin i for a shell inclination in degrees,
+// retrograde inclinations folded into [0, 90]: the latitude-independent
+// part of DensityFactor, which a scan over many latitudes takes once.
+func InclinationSine(inclinationDeg float64) float64 {
+	return math.Sin(geo.Radians(clampInclination(inclinationDeg)))
+}
+
+// DensityFactorSin is DensityFactor with the inclination given as its
+// InclinationSine. DensityFactor(i, lat) is DensityFactorSin(
+// InclinationSine(i), lat), bit for bit.
+func DensityFactorSin(si, latDeg float64) float64 {
 	phi := geo.Radians(math.Abs(latDeg))
-	si, sp := math.Sin(inc), math.Sin(phi)
+	sp := math.Sin(phi)
 	if sp >= si {
 		// At or beyond the turning latitude: return the capped edge
 		// value so callers sizing for a cell at exactly the inclination

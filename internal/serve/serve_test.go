@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,16 @@ func postScenario(t *testing.T, url string, body string) (*http.Response, []byte
 		t.Fatal(err)
 	}
 	return resp, b
+}
+
+// spreadList returns the JSON numbers 1, 2, …, n: n valid, ascending
+// beamspreads (up to 1000).
+func spreadList(n int) string {
+	nums := make([]string, n)
+	for i := range nums {
+		nums[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(nums, ",")
 }
 
 func scenarioBody(experiment string, extra string) string {
@@ -296,7 +307,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative oversub", scenarioBody("table2", `"max_oversub":-5`), http.StatusBadRequest},
 		{"share above 1", scenarioBody("fig4", `"afford_share":1.5`), http.StatusBadRequest},
 		{"descending spreads", scenarioBody("fig3", `"spreads":[10,2]`), http.StatusBadRequest},
-		{"unknown plan", scenarioBody("fig4", `"plans":["Dialup Deluxe"]`), http.StatusInternalServerError},
+		{"unknown plan", scenarioBody("fig4", `"plans":["Dialup Deluxe"]`), http.StatusBadRequest},
+		{"500 spreads", scenarioBody("fig3", `"spreads":[`+spreadList(500)+`]`), http.StatusBadRequest},
 		{"seed mismatch", scenarioBody("table1", `"seed":99`), http.StatusConflict},
 		{"scale mismatch", scenarioBody("table1", `"scale":0.5`), http.StatusConflict},
 		{"not json", `table1 please`, http.StatusBadRequest},
@@ -700,8 +712,9 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Error("leader and coalesced follower got different bytes")
 	}
 
-	// A failing run: a miss and an error, and nothing cached.
-	if resp, b := postScenario(t, ts.URL, scenarioBody("fig4", `"plans":["Dialup Deluxe"]`)); resp.StatusCode != http.StatusInternalServerError {
+	// A failing run (findings needs the Starlink plan the filter drops):
+	// a miss and an error, and nothing cached.
+	if resp, b := postScenario(t, ts.URL, scenarioBody("findings", `"plans":["Xfinity 300"]`)); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("failing run: %d %s, want 500", resp.StatusCode, b)
 	}
 	// A request rejected before the cache: a request and an error only.

@@ -113,104 +113,157 @@ func bracket(h float64) (lo int, frac float64) {
 	return int(h) % 24, h - math.Floor(h)
 }
 
-// Columns are dense per-cell projections of the traffic-relevant Cell
-// fields, aligned with the source cell slice: the location count as a
-// float, the sold demand in Gbps, and the diurnal phase (longitude/15,
-// the cell's local-clock offset in hours). Building them once per
-// analysis keeps the per-cell scans cache-friendly and free of repeated
-// field strides and divisions. Scans that need bit-exact per-cell
-// values (ServedFractionOverDay) walk them in cell order; the curve
-// kernel bins them, and its totals match the direct sum only within
-// rounding (see NationalCurveColumns).
+// Columns are dense per-cell projections of the Cell fields the daily
+// served-fraction sweep reads, aligned with the source cell slice: the
+// location count as a float and the diurnal phase (longitude/15, the
+// cell's local-clock offset in hours). Building them once per sweep
+// keeps its per-step scans cache-friendly and free of repeated field
+// strides and divisions.
 type Columns struct {
-	Loc    []float64
-	Demand []float64
-	Phase  []float64
+	Loc   []float64
+	Phase []float64
 }
 
 // NewColumns projects the cells into columns.
 func NewColumns(cells []demand.Cell) Columns {
 	c := Columns{
-		Loc:    make([]float64, len(cells)),
-		Demand: make([]float64, len(cells)),
-		Phase:  make([]float64, len(cells)),
+		Loc:   make([]float64, len(cells)),
+		Phase: make([]float64, len(cells)),
 	}
 	for i := range cells {
 		c.Loc[i] = float64(cells[i].Locations)
-		c.Demand[i] = cells[i].DemandGbps()
 		c.Phase[i] = cells[i].Center.Lng / 15
 	}
 	return c
 }
 
-// NationalCurveColumns sums instantaneous demand over all projected
-// cells for each UTC hour step, returning (utcHour, totalDemandGbps)
-// samples. Time-zone staggering flattens this national curve relative
-// to any single cell's curve. It takes pre-projected columns, so
-// repeated curves (footprint and national scopes of a stagger analysis)
-// share one projection.
+// stackClasses is the number of residue classes whose histograms
+// binCurves keeps on the stack: the four of AnalyzeStagger's 96 steps.
+const stackClasses = 4
+
+// binCurves is the curve kernel: in one pass over the cells it fills
+// nat[s] with the total instantaneous demand of every cell at UTC hour
+// 24s/len(nat), and fp[s] with that of the footprint, the cells whose
+// longitude lies within halfWidth of lng. fp must be as long as nat.
+// Time-zone staggering flattens these curves relative to any single
+// cell's curve.
 //
 // The kernel bins instead of evaluating every cell at every step. Step
 // s sits at UTC hour 24s/steps, so steps s and s+c, with c =
 // steps/gcd(steps, 24), sit a whole number of hours apart: every cell
 // has the same interpolation weight at both, and only its profile
-// bracket shifts. One pass per residue class mod c therefore splits
-// each cell's demand over a 24-entry histogram of profile indices
-// (d·(1−w) on its lower bracket, d·w on the upper), and each step of
-// the class is a circular dot product of that histogram with the
-// profile. That is O(c·cells + steps·24) instead of O(steps·cells);
-// the default 96 quarter-hour steps need c = 4 passes.
+// bracket shifts. For each residue class mod c, each cell's demand is
+// therefore split over a 24-entry histogram of profile indices
+// (d·(1−w) on its lower bracket, d·w on the upper), once for the
+// national scope and, for a footprint member, the same two terms again
+// for the footprint; each step of the class is then a circular dot
+// product of a histogram with the profile. That is O(c·cells +
+// steps·24) instead of O(steps·cells); the default 96 quarter-hour
+// steps need c = 4 classes.
 //
 // Each total equals the direct per-cell sum of MultiplierAt within
 // rounding (the equivalence test pins 1e-12 relative), not bit for bit:
-// the summation order differs. The kernel is serial, so the result is
+// the summation order differs. Every histogram accumulates its cells
+// in cell order and the kernel is serial, so the result is
 // deterministic and identical at every parallelism.
-func NationalCurveColumns(p DiurnalProfile, cols Columns, steps int) ([]float64, []float64, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if steps < 2 {
-		steps = 24
-	}
+func binCurves(p *DiurnalProfile, cells []demand.Cell, lng, halfWidth float64, nat, fp []float64) {
+	steps := len(nat)
 	g := gcd(steps, 24)
 	classes, shift := steps/g, 24/g
-	hours := make([]float64, steps)
-	totals := make([]float64, steps)
-	for r := 0; r < classes; r++ {
-		utc := 24 * float64(r) / float64(steps)
-		var bins [24]float64
-		for i, d := range cols.Demand {
-			lo, w := bracket(wrap24(utc + cols.Phase[i] + 48))
-			bins[lo] += d * (1 - w)
-			bins[(lo+1)%24] += d * w
+	var utcStack [stackClasses]float64
+	var binStack [2 * stackClasses][24]float64
+	utcs, bins := utcStack[:], binStack[:]
+	if classes > stackClasses {
+		utcs, bins = make([]float64, classes), make([][24]float64, 2*classes)
+	}
+	utcs, bins = utcs[:classes], bins[:2*classes]
+	natBins, fpBins := bins[:classes], bins[classes:]
+	for r := range utcs {
+		utcs[r] = 24 * float64(r) / float64(steps)
+	}
+	for i := range cells {
+		c := &cells[i]
+		d := c.DemandGbps()
+		phase := c.Center.Lng / 15
+		member := math.Abs(c.Center.Lng-lng) <= halfWidth
+		for r, utc := range utcs {
+			// A reduced hour in [0, 24) splits by truncation, which
+			// gives bracket's index and weight; any other x takes
+			// bracket.
+			x := utc + phase + 48
+			var lo int
+			var w float64
+			if h, ok := dayHour(x); ok {
+				lo = int(h)
+				w = h - float64(lo)
+			} else {
+				lo, w = bracket(wrap24(x))
+			}
+			hi := lo + 1
+			if hi == 24 {
+				hi = 0
+			}
+			below, above := d*(1-w), d*w
+			natBins[r][lo] += below
+			natBins[r][hi] += above
+			if member {
+				fpBins[r][lo] += below
+				fpBins[r][hi] += above
+			}
 		}
+	}
+	for r := range utcs {
 		for s := r; s < steps; s += classes {
 			k := (s / classes) * shift % 24
-			total := 0.0
-			for j, b := range bins {
-				total += b * p[(j+k)%24]
-			}
-			hours[s] = 24 * float64(s) / float64(steps)
-			totals[s] = total
+			nat[s] = p.circularDot(&natBins[r], k)
+			fp[s] = p.circularDot(&fpBins[r], k)
 		}
 	}
-	return hours, totals, nil
 }
 
-// wrap24 is math.Mod(x, 24) without its general-purpose cost on the
-// kernel's domain: for x in [0, 96), where utc+phase+48 always lies, it
-// subtracts 24 until x < 24. Each subtraction is exact (both operands
-// are multiples of x's ulp and the difference is no larger than x), and
-// so is math.Mod, so the bits are the same. Any other x, NaN and ±Inf
-// included, goes to math.Mod.
+// circularDot returns Σ_j bins[j]·p[(j+k) mod 24], summed in j order.
+func (p *DiurnalProfile) circularDot(bins *[24]float64, k int) float64 {
+	total := 0.0
+	for j, b := range bins {
+		total += b * p[(j+k)%24]
+	}
+	return total
+}
+
+// wrap24 is math.Mod(x, 24), exactly, for any x; see dayHour.
 func wrap24(x float64) float64 {
-	if x >= 0 && x < 96 {
-		for x >= 24 {
-			x -= 24
-		}
-		return x
+	if h, ok := dayHour(x); ok {
+		return h
 	}
 	return math.Mod(x, 24)
+}
+
+// wholeDays[k] is k days in hours.
+var wholeDays = [4]float64{0, 24, 48, 72}
+
+// dayHour is math.Mod(x, 24) without its general-purpose cost on the
+// kernel's domain: for x in [0, 96), where utc+phase+48 always lies, it
+// subtracts the k = ⌊x/24⌋ whole days at once, with k found by
+// comparisons the compiler makes branch-free, and reports ok. The
+// subtraction is exact (both operands are multiples of x's ulp and the
+// difference is no larger than x), and so is math.Mod, so the bits are
+// the same. For any other x, NaN and ±Inf included, ok is false. It is
+// small enough to inline into the kernel's loop.
+func dayHour(x float64) (h float64, ok bool) {
+	if !(x >= 0 && x < 96) {
+		return 0, false
+	}
+	k := 0
+	if x >= 24 {
+		k = 1
+	}
+	if x >= 48 {
+		k = 2
+	}
+	if x >= 72 {
+		k = 3
+	}
+	return x - wholeDays[k], true
 }
 
 func gcd(a, b int) int {
@@ -260,8 +313,9 @@ type StaggerAnalysis struct {
 // at a 25° mask).
 //
 // CellPeakToMean is the profile's peak factor, exactly. The footprint
-// and national ratios come from 96-step curves built by the binned
-// NationalCurveColumns kernel: they equal the ratios of the direct
+// and national ratios come from 96-step curves that the binned
+// binCurves kernel builds in one pass over the cells, once the densest
+// cell has fixed the footprint: they equal the ratios of the direct
 // per-cell sums within rounding, are deterministic (the kernel is
 // serial), and hold the golden corpus at its default 1e-9 relative
 // tolerance.
@@ -272,35 +326,18 @@ func AnalyzeStagger(p DiurnalProfile, cells []demand.Cell, footprintHalfWidthDeg
 	if len(cells) == 0 {
 		return StaggerAnalysis{}, fmt.Errorf("traffic: no cells")
 	}
-	out := StaggerAnalysis{CellPeakToMean: p.PeakFactor()}
-
 	// Footprint scope: cells within the half-width of the densest cell.
-	densest := cells[0]
-	for _, c := range cells[1:] {
-		if c.Locations > densest.Locations {
-			densest = c
+	densest := 0
+	for i := range cells {
+		if cells[i].Locations > cells[densest].Locations {
+			densest = i
 		}
 	}
-	// Project once; the footprint scope copies its members' entries out
-	// of the national columns instead of re-projecting a cell subset.
-	cols := NewColumns(cells)
-	var fp Columns
-	for i, c := range cells {
-		if math.Abs(c.Center.Lng-densest.Center.Lng) <= footprintHalfWidthDeg {
-			fp.Demand = append(fp.Demand, cols.Demand[i])
-			fp.Phase = append(fp.Phase, cols.Phase[i])
-		}
-	}
-	_, fpCurve, err := NationalCurveColumns(p, fp, 96)
-	if err != nil {
-		return StaggerAnalysis{}, err
-	}
-	out.FootprintPeakToMean = PeakToMean(fpCurve)
-
-	_, natCurve, err := NationalCurveColumns(p, cols, 96)
-	if err != nil {
-		return StaggerAnalysis{}, err
-	}
-	out.NationalPeakToMean = PeakToMean(natCurve)
-	return out, nil
+	var nat, fp [96]float64
+	binCurves(&p, cells, cells[densest].Center.Lng, footprintHalfWidthDeg, nat[:], fp[:])
+	return StaggerAnalysis{
+		CellPeakToMean:      p.PeakFactor(),
+		FootprintPeakToMean: PeakToMean(fp[:]),
+		NationalPeakToMean:  PeakToMean(nat[:]),
+	}, nil
 }

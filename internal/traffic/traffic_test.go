@@ -130,39 +130,50 @@ func TestMultiplierAtMatchesAt(t *testing.T) {
 }
 
 // directCurve is the reference the binned kernel replaced: every cell
-// evaluated with MultiplierAt at every step, summed in cell order.
-func directCurve(p DiurnalProfile, cols Columns, steps int) ([]float64, []float64) {
-	if steps < 2 {
-		steps = 24
-	}
-	hours := make([]float64, steps)
+// evaluated with MultiplierAt at every one of steps steps, summed in
+// cell order, over the cells in(c) selects.
+func directCurve(p DiurnalProfile, cells []demand.Cell, steps int, in func(demand.Cell) bool) []float64 {
 	totals := make([]float64, steps)
 	for s := range totals {
 		utc := 24 * float64(s) / float64(steps)
-		hours[s] = utc
-		for i := range cols.Demand {
-			totals[s] += cols.Demand[i] * p.MultiplierAt(utc, cols.Phase[i])
+		for _, c := range cells {
+			if in(c) {
+				totals[s] += c.DemandGbps() * p.MultiplierAt(utc, c.Center.Lng/15)
+			}
 		}
 	}
-	return hours, totals
+	return totals
 }
 
-// TestNationalCurveColumnsMatchesDirect: the binned kernel agrees with
-// the direct per-cell sum at every step within 1e-12 relative, across
-// step counts whose residue classes differ (gcd with 24 of 1, 2, 8 and
-// 24) and phases on, off and at the ends of hour boundaries.
+// curves runs binCurves for steps steps and returns the national and
+// footprint curves.
+func curves(p DiurnalProfile, cells []demand.Cell, lng, halfWidth float64, steps int) (nat, fp []float64) {
+	nat, fp = make([]float64, steps), make([]float64, steps)
+	binCurves(&p, cells, lng, halfWidth, nat, fp)
+	return nat, fp
+}
+
+// TestNationalCurveColumnsMatchesDirect: the binned kernel, binCurves,
+// agrees with the direct per-cell sum at every step within 1e-12
+// relative, for the national curve and a footprint alike, across step
+// counts whose residue classes differ (gcd with 24 of 1, 2, 8 and 24;
+// 1000 steps overflow the kernel's stack histograms; 0 steps is an
+// empty curve) and phases on, off and at the ends of hour boundaries.
 func TestNationalCurveColumnsMatchesDirect(t *testing.T) {
 	p := DefaultProfile()
 	rng := rand.New(rand.NewSource(7))
-	random := func(n int, phase func() float64) Columns {
-		c := Columns{Demand: make([]float64, n), Phase: make([]float64, n)}
-		for i := range c.Demand {
-			c.Demand[i] = rng.ExpFloat64() * 3
-			c.Phase[i] = phase()
+	random := func(n int, phase func() float64) []demand.Cell {
+		cells := make([]demand.Cell, n)
+		for i := range cells {
+			cells[i] = demand.Cell{
+				ID:        hexgrid.CellID(i + 1),
+				Locations: 1 + int(rng.ExpFloat64()*30),
+				Center:    geo.LatLng{Lat: 40, Lng: phase() * 15},
+			}
 		}
-		return c
+		return cells
 	}
-	sets := map[string]Columns{
+	sets := map[string][]demand.Cell{
 		"empty":   {},
 		"uniform": random(2000, func() float64 { return rng.Float64()*24 - 12 }),
 		"hours":   random(300, func() float64 { return float64(rng.Intn(25) - 12) }),
@@ -171,25 +182,23 @@ func TestNationalCurveColumnsMatchesDirect(t *testing.T) {
 		}),
 		"ends": random(50, func() float64 { return 12 * float64(2*rng.Intn(2)-1) }),
 	}
+	const lng, halfWidth = -30, 45
+	all := func(demand.Cell) bool { return true }
+	member := func(c demand.Cell) bool { return math.Abs(c.Center.Lng-lng) <= halfWidth }
 	for _, name := range []string{"empty", "uniform", "hours", "quarters", "ends"} {
-		cols := sets[name]
+		cells := sets[name]
 		for _, steps := range []int{0, 2, 5, 7, 24, 96, 97, 1000} {
 			t.Run(fmt.Sprintf("%s/steps=%d", name, steps), func(t *testing.T) {
-				hours, totals, err := NationalCurveColumns(p, cols, steps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantHours, wantTotals := directCurve(p, cols, steps)
-				if len(totals) != len(wantTotals) {
-					t.Fatalf("%d steps, want %d", len(totals), len(wantTotals))
-				}
-				for s := range wantTotals {
-					if math.Float64bits(hours[s]) != math.Float64bits(wantHours[s]) {
-						t.Fatalf("hours[%d] = %v, want %v", s, hours[s], wantHours[s])
-					}
-					got, want := totals[s], wantTotals[s]
-					if math.Abs(got-want) > 1e-12*math.Max(math.Abs(got), math.Abs(want)) {
-						t.Fatalf("totals[%d] = %v, direct sum %v", s, got, want)
+				nat, fp := curves(p, cells, lng, halfWidth, steps)
+				for scope, c := range map[string]struct{ got, want []float64 }{
+					"national":  {nat, directCurve(p, cells, steps, all)},
+					"footprint": {fp, directCurve(p, cells, steps, member)},
+				} {
+					for s := range c.want {
+						got, want := c.got[s], c.want[s]
+						if math.Abs(got-want) > 1e-12*math.Max(math.Abs(got), math.Abs(want)) {
+							t.Fatalf("%s totals[%d] = %v, direct sum %v", scope, s, got, want)
+						}
 					}
 				}
 			})
@@ -197,13 +206,14 @@ func TestNationalCurveColumnsMatchesDirect(t *testing.T) {
 	}
 }
 
-// A non-finite phase poisons the curve with NaN instead of panicking.
+// A non-finite longitude poisons the curve with NaN instead of
+// panicking.
 func TestNationalCurveColumnsNaNPhase(t *testing.T) {
-	cols := Columns{Demand: []float64{1, 2}, Phase: []float64{-5, math.NaN()}}
-	_, totals, err := NationalCurveColumns(DefaultProfile(), cols, 96)
-	if err != nil {
-		t.Fatal(err)
+	cells := []demand.Cell{
+		{ID: 1, Locations: 10, Center: geo.LatLng{Lng: -75}},
+		{ID: 2, Locations: 20, Center: geo.LatLng{Lng: math.NaN()}},
 	}
+	totals, _ := curves(DefaultProfile(), cells, 0, 0, 96)
 	for s, v := range totals {
 		if !math.IsNaN(v) {
 			t.Fatalf("totals[%d] = %v, want NaN", s, v)
@@ -252,10 +262,7 @@ func stripCells() []demand.Cell {
 func TestNationalCurveFlatterThanCell(t *testing.T) {
 	p := DefaultProfile()
 	cells := stripCells()
-	_, curve, err := NationalCurve(p, cells, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curve, _ := curves(p, cells, 0, -1, 96)
 	national := PeakToMean(curve)
 	single := p.PeakFactor()
 	if national >= single {
@@ -323,9 +330,4 @@ func LocalHour(utcHour float64, lngDeg float64) float64 {
 // non-finite hour yields NaN.
 func (p DiurnalProfile) At(localHour float64) float64 {
 	return p.interp(math.Mod(localHour+24, 24))
-}
-
-// NationalCurve is NationalCurveColumns over freshly projected cells.
-func NationalCurve(p DiurnalProfile, cells []demand.Cell, steps int) ([]float64, []float64, error) {
-	return NationalCurveColumns(p, NewColumns(cells), steps)
 }

@@ -60,7 +60,8 @@ var (
 // to the paper's published statistics.
 type Dataset struct {
 	// Cells are the demand cells (service-grid cells with at least one
-	// un(der)served location).
+	// un(der)served location). The dataset's distribution indexes this
+	// slice, so it must not be modified; copy it to derive variants.
 	Cells []demand.Cell
 	// Incomes is the county income table, weighted by location counts.
 	Incomes *census.Table
@@ -449,7 +450,7 @@ func (m Model) Fig4(ctx context.Context, d *Dataset) (Fig4Result, error) {
 	if err != nil {
 		return Fig4Result{}, err
 	}
-	options, err := m.planOptions()
+	options, err := resolvePlans(m.PlanFilter)
 	if err != nil {
 		return Fig4Result{}, err
 	}
@@ -483,28 +484,30 @@ func planLabel(opt afford.PlanOption) string {
 	return opt.Plan.Name
 }
 
-// planOptions resolves the Fig4 comparison set: the paper's full
-// four-option comparison, narrowed by PlanFilter when set. Filtering by
-// label (not index) keeps the knob stable under catalog reordering; an
-// unknown label errors with the valid set so scenario authors get a
-// usable message instead of a silently empty figure.
-func (m Model) planOptions() ([]afford.PlanOption, error) {
+// resolvePlans resolves the Fig4 comparison set: the catalog options
+// named by labels (Model.PlanFilter), in their order, or the paper's
+// full four-option comparison when labels is empty. Filtering by label
+// (not index) keeps the knob stable under catalog reordering. An
+// unknown label is an error naming the valid ones, so a typo'd filter
+// fails with a usable message instead of a silently empty figure;
+// scenario validation runs it too, before any run.
+func resolvePlans(labels []string) ([]afford.PlanOption, error) {
 	all := afford.PaperComparison()
-	if len(m.PlanFilter) == 0 {
+	if len(labels) == 0 {
 		return all, nil
 	}
 	byLabel := make(map[string]afford.PlanOption, len(all))
-	labels := make([]string, 0, len(all))
+	valid := make([]string, 0, len(all))
 	for _, opt := range all {
 		byLabel[planLabel(opt)] = opt
-		labels = append(labels, planLabel(opt))
+		valid = append(valid, planLabel(opt))
 	}
-	out := make([]afford.PlanOption, 0, len(m.PlanFilter))
-	for _, name := range m.PlanFilter {
+	out := make([]afford.PlanOption, 0, len(labels))
+	for _, name := range labels {
 		opt, ok := byLabel[name]
 		if !ok {
 			return nil, fmt.Errorf("leodivide: unknown plan %q (valid: %s)",
-				name, strings.Join(labels, ", "))
+				name, strings.Join(valid, ", "))
 		}
 		out = append(out, opt)
 	}

@@ -51,12 +51,14 @@ type ScenarioConfig struct {
 	// income (0 = the paper's 2%).
 	AffordShare float64
 	// Spreads overrides the beamspread factors Fig3 evaluates (nil =
-	// the paper's Table 2 spreads). Must be strictly ascending.
+	// the paper's Table 2 spreads). Must be strictly ascending, at most
+	// 32 of them.
 	Spreads []float64
 	// Plans restricts the Fig4 comparison to the named plan labels
 	// (nil = the paper's full four-option comparison). Labels follow
 	// the catalog naming: "Starlink Residential", "Starlink Residential
-	// w/ Lifeline", "Xfinity 300", "Spectrum Internet Premier".
+	// w/ Lifeline", "Xfinity 300", "Spectrum Internet Premier". Each
+	// label must be one of these, once.
 	Plans []string
 	// Constellation selects the declared constellation.System the model
 	// analyzes, by canonical key ("" = "starlink"). See
@@ -130,6 +132,12 @@ func (c ScenarioConfig) Normalized() ScenarioConfig {
 	return c
 }
 
+// maxSpreads bounds ScenarioConfig.Spreads. Figure 3 returns one curve
+// per spread, about 0.1 MB of JSON each, so the bound keeps what one
+// request may cost to a few MB while leaving room well beyond the
+// paper's five spreads (PaperTable2Spreads).
+const maxSpreads = 32
+
 // Validate reports whether the scenario is runnable: a valid RunConfig,
 // a known experiment name, and every knob finite and in range.
 func (c ScenarioConfig) Validate() error {
@@ -159,6 +167,9 @@ func (c ScenarioConfig) validateBase() error {
 	if math.IsNaN(n.AffordShare) || n.AffordShare <= 0 || n.AffordShare > 1 {
 		return fmt.Errorf("leodivide: affordability share must be in (0,1], got %v", n.AffordShare)
 	}
+	if len(n.Spreads) > maxSpreads {
+		return fmt.Errorf("leodivide: at most %d beamspreads, got %d", maxSpreads, len(n.Spreads))
+	}
 	for i, s := range n.Spreads {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 1 || s > 1000 {
 			return fmt.Errorf("leodivide: beamspread %v at index %d must be in [1,1000]", s, i)
@@ -176,6 +187,12 @@ func (c ScenarioConfig) validateBase() error {
 			return fmt.Errorf("leodivide: duplicate plan label %q", p)
 		}
 		seen[p] = true
+	}
+	// Unique labels from the catalog also bound the list's length.
+	if len(n.Plans) > 0 {
+		if _, err := resolvePlans(n.Plans); err != nil {
+			return err
+		}
 	}
 	if _, ok := constellation.CostByName(n.Constellation); !ok {
 		return fmt.Errorf("leodivide: unknown constellation %q (valid: %s)",

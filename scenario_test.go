@@ -206,6 +206,13 @@ func TestScenarioValidate(t *testing.T) {
 		{"empty plan label", func(c *ScenarioConfig) { c.Plans = []string{""} }, "plan label"},
 		{"padded plan label", func(c *ScenarioConfig) { c.Plans = []string{" Xfinity 300"} }, "plan label"},
 		{"duplicate plan", func(c *ScenarioConfig) { c.Plans = []string{"Xfinity 300", "Xfinity 300"} }, "duplicate"},
+		{"unknown plan", func(c *ScenarioConfig) { c.Plans = []string{"Dialup Deluxe"} }, `unknown plan "Dialup Deluxe"`},
+		{"too many spreads", func(c *ScenarioConfig) {
+			c.Spreads = make([]float64, maxSpreads+1)
+			for i := range c.Spreads {
+				c.Spreads[i] = float64(i + 1)
+			}
+		}, "at most 32 beamspreads, got 33"},
 		{"unknown region", func(c *ScenarioConfig) { c.Region = "atlantis" }, "unknown region"},
 	}
 	for _, tc := range cases {

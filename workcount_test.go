@@ -44,7 +44,9 @@ const allocHeadroom = 1.25
 // a presized returns curve lowered generate, fig3, costcurve and
 // xregion; serve-miss was re-measured at 101–111 when its byte ceiling
 // was added, and lowered from 166 to the median. Reading Gini and the
-// Lorenz curve off the CDF column lowered fig1 from 7.
+// Lorenz curve off the CDF column lowered fig1 from 7. The fused
+// stagger pass lowered busyhour from 32, and reading the cost tail off
+// the staged profile lowered costcurve from 27.
 var allocParent = map[string]float64{
 	"generate":   126,
 	"fig1":       3,
@@ -56,9 +58,9 @@ var allocParent = map[string]float64{
 	"findings":   43,
 	"fleets":     11,
 	"refined":    4,
-	"busyhour":   32,
+	"busyhour":   1,
 	"econ":       31,
-	"costcurve":  27,
+	"costcurve":  23,
 	"xconst":     16,
 	"xregion":    247,
 	"serve-miss": 108,
@@ -75,8 +77,15 @@ var allocParent = map[string]float64{
 // were set once Figure 1 read its Gini and Lorenz curve off the CDF
 // column and returns curves were allocated at their exact length,
 // which also lowered serve-miss from 1.177e6 (its fig3 kernel
-// allocated ~287 KB less).
+// allocated ~287 KB less). The fused stagger pass, which projects no
+// columns, lowered busyhour from 179,264; reading the cost tail off the
+// staged profile instead of four whole curves lowered costcurve from
+// 169,549; and both, with the distribution's index in place of its
+// cell copy, lowered xregion from 432,086. "generate" is the
+// TotalAlloc delta of the measured warm generation; see
+// genBytesHeadroom.
 var bytesParent = map[string]float64{
+	"generate":   1589176,
 	"fig1":       5168,
 	"table1":     64,
 	"table2":     890,
@@ -86,24 +95,30 @@ var bytesParent = map[string]float64{
 	"findings":   67690,
 	"fleets":     1408,
 	"refined":    360,
-	"busyhour":   179264,
+	"busyhour":   80,
 	"econ":       59552,
-	"costcurve":  169549,
+	"costcurve":  5674,
 	"xconst":     3178,
-	"xregion":    432086,
+	"xregion":    265691,
 	"serve-miss": 0.891e6,
 }
 
-// checkCeiling fails the test when row measured more than its ceiling
-// in parent (what names the measure).
-func checkCeiling(t *testing.T, what string, parent map[string]float64, row string, got float64) {
+// genBytesHeadroom is the generate row's byte ceiling over its
+// measured count. The distribution once copied every cell into rank
+// order, 300 KB of the 1.89 MB a warm generation allocated then; under
+// allocHeadroom that copy would fit again, so this row is held closer.
+const genBytesHeadroom = 1.1
+
+// checkCeiling fails the test when row measured more than headroom
+// times its count in parent (what names the measure).
+func checkCeiling(t *testing.T, what string, parent map[string]float64, row string, got, headroom float64) {
 	t.Helper()
 	base, ok := parent[row]
 	if !ok {
 		t.Errorf("%s: no %s row; measure it and add one", row, what)
 		return
 	}
-	if limit := base * allocHeadroom; got > limit {
+	if limit := base * headroom; got > limit {
 		t.Errorf("%s: %.0f %s, ceiling %.0f (%.0f when the gate was set)", row, got, what, limit, base)
 	}
 }
@@ -111,14 +126,14 @@ func checkCeiling(t *testing.T, what string, parent map[string]float64, row stri
 // checkAllocs fails the test when row allocated more than its ceiling.
 func checkAllocs(t *testing.T, row string, got float64) {
 	t.Helper()
-	checkCeiling(t, "allocations", allocParent, row, got)
+	checkCeiling(t, "allocations", allocParent, row, got, allocHeadroom)
 }
 
 // checkBytes fails the test when row allocated more bytes than its
 // ceiling.
 func checkBytes(t *testing.T, row string, got float64) {
 	t.Helper()
-	checkCeiling(t, "bytes allocated", bytesParent, row, got)
+	checkCeiling(t, "bytes allocated", bytesParent, row, got, allocHeadroom)
 }
 
 func workScenario(seed int64) leodivide.ScenarioConfig {
@@ -142,14 +157,14 @@ func heapWork(fn func()) (allocs, bytes float64) {
 }
 
 // reproduceOp generates the dataset for seed and runs every registry
-// experiment on it, returning the dataset and generation's allocations.
-func reproduceOp(t *testing.T, seed int64) (*leodivide.Dataset, float64) {
+// experiment on it, returning the dataset and generation's allocations
+// and bytes.
+func reproduceOp(t *testing.T, seed int64) (ds *leodivide.Dataset, genAllocs, genBytes float64) {
 	t.Helper()
 	ctx := context.Background()
 	sc := workScenario(seed)
-	var ds *leodivide.Dataset
 	var err error
-	genAllocs := mallocs(func() { ds, err = sc.Generate(ctx) })
+	genAllocs, genBytes = heapWork(func() { ds, err = sc.Generate(ctx) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +173,7 @@ func reproduceOp(t *testing.T, seed int64) (*leodivide.Dataset, float64) {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
-	return ds, genAllocs
+	return ds, genAllocs, genBytes
 }
 
 func TestWorkCounts(t *testing.T) {
@@ -166,7 +181,7 @@ func TestWorkCounts(t *testing.T) {
 	// body counts, synthetic-region boxes); the measured ops after it
 	// use fresh seeds, so only per-seed work remains.
 	reproduceOp(t, 1)
-	ds, genAllocs := reproduceOp(t, 2)
+	ds, genAllocs, genBytes := reproduceOp(t, 2)
 
 	t.Run("stages", func(t *testing.T) {
 		hits, misses, coalesced, evictions := ds.Distribution().Stages().Counters()
@@ -187,17 +202,19 @@ func TestWorkCounts(t *testing.T) {
 				sweeps++
 			}
 		}
-		// 14 in the experiments, plus two per generation (the center
+		// 11 in the experiments, plus two per generation (the center
 		// fill and the distribution beside the incomes) for the US
 		// dataset and xregion's two sibling geographies: a serial sweep
-		// still records its span.
-		if sweeps != 20 {
-			t.Errorf("par.sweep spans per op = %d, want 20", sweeps)
+		// still records its span. The returns profile is one serial
+		// walk and records none.
+		if sweeps != 17 {
+			t.Errorf("par.sweep spans per op = %d, want 17", sweeps)
 		}
 	})
 
 	t.Run("allocs", func(t *testing.T) {
 		checkAllocs(t, "generate", genAllocs)
+		checkCeiling(t, "bytes allocated", bytesParent, "generate", genBytes, genBytesHeadroom)
 		ctx := context.Background()
 		for _, e := range workScenario(2).BuildModel().Experiments() {
 			var err error
