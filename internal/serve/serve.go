@@ -118,13 +118,15 @@ const DefaultCacheBytes int64 = 256 << 20
 // A valid request is a few hundred bytes.
 const maxBodyBytes = 1 << 20
 
-// Run's connection limits: a client gets readHeaderTimeout to send its
-// request headers, so a slow-header client cannot hold a connection
-// open, and a keep-alive connection with no request in flight closes
-// after idleTimeout. Tests shorten them; nothing else writes them.
+// Run's connection limits: a client gets readTimeout to send a whole
+// request, headers and body, so a client that stalls mid-request cannot
+// hold a connection or a handler open, and a keep-alive connection with
+// no request in flight closes after idleTimeout. A handler still
+// running when readTimeout passes answers as usual: the limit bounds
+// the read, not the run. Tests shorten them; nothing else writes them.
 var (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
+	readTimeout = 10 * time.Second
+	idleTimeout = 2 * time.Minute
 )
 
 // Server answers scenario queries against one shared immutable dataset.
@@ -231,7 +233,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // the listener closes immediately, in-flight requests get up to drain
 // to finish. A nil error means a clean start-to-drain lifecycle.
 func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	// With ReadHeaderTimeout zero, net/http bounds the headers by
+	// ReadTimeout too.
+	srv := &http.Server{Handler: s.mux, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-ctx.Done()

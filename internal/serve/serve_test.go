@@ -1019,18 +1019,21 @@ func TestScenarioBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestRunClosesSlowHeaderClients: a client that sends part of a request
-// header and stalls has its connection closed once readHeaderTimeout
-// passes.
+// TestRunClosesSlowHeaderClients: a client that stalls part way
+// through its request headers, or through its body, has its connection
+// closed once readTimeout passes; a run that outlasts readTimeout still
+// answers 200, to its leader and to a follower whose request context
+// would have cancelled its wait.
 func TestRunClosesSlowHeaderClients(t *testing.T) {
-	saved := readHeaderTimeout
-	readHeaderTimeout = 100 * time.Millisecond
-	t.Cleanup(func() { readHeaderTimeout = saved })
+	saved := readTimeout
+	readTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { readTimeout = saved })
 	base := leodivide.DefaultRunConfig()
 	base.Scale = testScale
 	s, err := New(context.Background(), Config{
-		Scenario: leodivide.ScenarioConfig{RunConfig: base},
-		Dataset:  sharedDataset(t),
+		Scenario:    leodivide.ScenarioConfig{RunConfig: base},
+		Dataset:     sharedDataset(t),
+		MaxInflight: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1049,24 +1052,63 @@ func TestRunClosesSlowHeaderClients(t *testing.T) {
 		}
 	})
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ name, partial string }{
+		{"header", "POST /v1/scenario HTTP/1.1\r\nHost: leodivide\r\n"},
+		{"body", "POST /v1/scenario HTTP/1.1\r\nHost: leodivide\r\nContent-Length: 100\r\n\r\n" + `{"schema":`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, tc.partial); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = io.Copy(io.Discard, conn)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("the server kept a slow-%s connection open for 10s", tc.name)
+			}
+			if elapsed := time.Since(start); elapsed < readTimeout/2 {
+				t.Errorf("connection closed after %v, before the %v read timeout", elapsed, readTimeout)
+			}
+		})
 	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "POST /v1/scenario HTTP/1.1\r\nHost: leodivide\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = io.Copy(io.Discard, conn)
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		t.Fatal("the server kept a slow-header connection open for 10s")
-	}
-	if elapsed := time.Since(start); elapsed < readHeaderTimeout/2 {
-		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
-	}
+
+	t.Run("run past the deadline", func(t *testing.T) {
+		// Hold the only admission slot so the leader's run, and the
+		// follower coalesced on it, outlast readTimeout.
+		if err := s.gate.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		_, misses0, coalesced0, _ := s.results.Counters()
+		url := "http://" + ln.Addr().String()
+		codes := make(chan int, 2)
+		post := func() {
+			resp, err := http.Post(url+"/v1/scenario", "application/json", strings.NewReader(scenarioBody("fig1", "")))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}
+		go post()
+		waitCounters(s.results, func(_, misses, _ int64) bool { return misses == misses0+1 })
+		go post()
+		waitCounters(s.results, func(_, _, coalesced int64) bool { return coalesced == coalesced0+1 })
+		time.Sleep(3 * readTimeout)
+		s.gate.Release()
+		for i := 0; i < 2; i++ {
+			if code := <-codes; code != http.StatusOK {
+				t.Errorf("a run past the read deadline answered %d, want 200", code)
+			}
+		}
+	})
 }

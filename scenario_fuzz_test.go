@@ -9,12 +9,16 @@ package leodivide
 import (
 	"encoding/json"
 	"testing"
+
+	"leodivide/internal/afford"
 )
 
-// FuzzParseScenarioRequest: no input panics the decoder, and a request
-// it accepts whose merged config validates has a canonical key that
-// decodes and re-renders to itself, and that the request's own wire
-// rendering (ScenarioConfig.Request) reproduces.
+// FuzzParseScenarioRequest: no input panics the decoder, a request that
+// Apply accepts carries at most maxSpreads spreads and at most one plan
+// per known label, and an accepted request whose merged config
+// validates has a canonical key that decodes and re-renders to itself,
+// and that the request's own wire rendering (ScenarioConfig.Request)
+// reproduces.
 func FuzzParseScenarioRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseScenarioRequest(data)
@@ -22,7 +26,16 @@ func FuzzParseScenarioRequest(f *testing.F) {
 			return
 		}
 		cfg, err := req.Apply(ScenarioConfig{RunConfig: DefaultRunConfig()})
-		if err != nil || cfg.Experiment == "" {
+		if err != nil {
+			return
+		}
+		if len(cfg.Spreads) > maxSpreads {
+			t.Fatalf("accepted request %q has %d spreads, bound %d", data, len(cfg.Spreads), maxSpreads)
+		}
+		if n := len(afford.PaperComparison()); len(cfg.Plans) > n {
+			t.Fatalf("accepted request %q has %d plans, bound %d", data, len(cfg.Plans), n)
+		}
+		if cfg.Experiment == "" {
 			return
 		}
 		key, err := cfg.CanonicalKey()
