@@ -28,14 +28,12 @@ lint-ratchet:
 	$(GO) run ./cmd/leodivide-lint -out lint.json \
 		-ratchet LINT_SUPPRESSIONS -time-budget LINT_TIME_BUDGET ./...
 
-# Times every measured path (generation, each registry experiment, the
-# simulator and ablation paths at workers=1 and workers=0, and the
-# state rollup). A profiling aid: nothing gates on it. TestWorkCounts
+# Times dataset generation and each registry experiment at workers=1
+# and workers=0. A profiling aid: nothing gates on it. TestWorkCounts
 # gates the work counts in `make test`; _bench/ is the end-to-end
 # benchmark.
 bench:
 	$(GO) test -bench BenchmarkRegistry -benchtime 1x -run '^$$' .
-	$(GO) test -bench BenchmarkStates -benchtime 1x -run '^$$' ./cmd/leodivide
 
 fmt:
 	gofmt -s -l -w .

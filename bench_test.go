@@ -1,10 +1,7 @@
 package leodivide
 
-// BenchmarkRegistry times every measured path of the pipeline at two
-// worker counts: dataset generation, each registry experiment, and the
-// two paths outside the registry (the simulator cross-check and the
-// ablation sweeps; the state rollup has BenchmarkStates in
-// cmd/leodivide). It is a profiling aid:
+// BenchmarkRegistry times dataset generation and each registry
+// experiment at two worker counts. It is a profiling aid:
 //
 //	go test -bench BenchmarkRegistry -run '^$' .
 //	go test -bench 'BenchmarkRegistry/fig3/' -cpuprofile cpu.out -run '^$' .
@@ -18,9 +15,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"leodivide/internal/core"
-	"leodivide/internal/sim"
 )
 
 // benchRow is one measured path: bind returns the op for a model at
@@ -48,32 +42,7 @@ func benchRows() []benchRow {
 			}
 		}})
 	}
-	return append(rows,
-		benchRow{"simcheck", func(m Model) func(context.Context, *Dataset) error {
-			cfg := sim.DefaultConfig()
-			cfg.Epochs = 2
-			cfg.Parallelism = m.Capacity.Parallelism
-			return func(ctx context.Context, ds *Dataset) error {
-				_, err := sim.Run(ctx, cfg, ds.Cells)
-				return err
-			}
-		}},
-		benchRow{"ablate", func(m Model) func(context.Context, *Dataset) error {
-			// Spectral efficiency, beam budget, inclination and cell
-			// size, each at beamspread 2 full service.
-			eff, beams, inc, cell := m.Capacity, m.Capacity, m.Capacity, m.Capacity
-			eff.Beams.BeamCapacityGbps *= 5.5 / 4.5
-			beams.Beams.BeamsPerSatellite = 32
-			inc.InclinationDeg = 70
-			cell.CellAreaKm2 *= 7
-			return func(_ context.Context, ds *Dataset) error {
-				for _, c := range []core.Model{m.Capacity, eff, beams, inc, cell} {
-					c.Size(ds.Distribution(), core.FullService, 2, 0)
-				}
-				return nil
-			}
-		}},
-	)
+	return rows
 }
 
 func BenchmarkRegistry(b *testing.B) {

@@ -9,26 +9,29 @@
 // Commands:
 //
 //	experiments list every registered experiment
-//	fig1      per-cell density distribution (Figure 1)
-//	table1    single-satellite capacity model (Table 1)
-//	table2    constellation sizing (Table 2)
-//	fig2      beamspread × oversubscription served fraction (Figure 2)
-//	fig3      diminishing returns (Figure 3)
-//	fig4      affordability (Figure 4)
-//	findings   the paper's four findings (F1–F4)
-//	simcheck   time-stepped simulator cross-check of the analytic model
-//	ablate     parameter and undercount sensitivity ablations
-//	fleets     assess the authorized Gen1/Gen2 fleets against the requirement
-//	linkbudget derive the 4.5 b/Hz spectral-efficiency estimate physically
-//	refined    affordability with income dispersion and Lifeline eligibility
-//	costcurve  cost per served location vs fleet size, per constellation
-//	xconst     which constellation closes the divide cheapest (100/20)
-//	xregion    service fraction vs affordability per demand geography
-//	gen        write the dataset as CSV (cells, and optionally locations)
-//	verify     replay the committed golden corpus; exit nonzero on drift
-//	serve      answer scenario queries over HTTP/JSON with a memoized cache
-//	loadgen    drive a running serve instance and report latency + hit rate
-//	all        run every experiment in order
+//	fig1        per-cell density distribution (Figure 1)
+//	table1      single-satellite capacity model (Table 1)
+//	table2      constellation sizing (Table 2)
+//	fig2        beamspread × oversubscription served fraction (Figure 2)
+//	fig3        diminishing returns (Figure 3)
+//	fig4        affordability (Figure 4)
+//	findings    the paper's four findings (F1–F4)
+//	fleets      assess the authorized Gen1/Gen2 fleets against the requirement
+//	refined     affordability with income dispersion and Lifeline eligibility
+//	busyhour    diurnal demand: staggering and busy-hour throughput
+//	econ        constellation economics: capex and per-location cost
+//	costcurve   cost per served location vs fleet size, per constellation
+//	xconst      which constellation closes the divide cheapest (100/20)
+//	xregion     service fraction vs affordability per demand geography
+//	all         run every registry experiment, in registry order
+//	gen         write the dataset as CSV (cells, and optionally locations)
+//	export      write GeoJSON/CSV maps and the Figure 1–4 data to -dir
+//	verify      replay the committed golden corpus; exit nonzero on drift
+//	serve       answer scenario queries over HTTP/JSON with a memoized cache
+//	loadgen     drive a running serve instance and report latency + hit rate
+//
+// Every experiment command prints the registry result that `serve`
+// returns for the same scenario and that `verify` pins; nothing else.
 //
 // The -scenario flag accepts the exact JSON body of POST /v1/scenario
 // (the leodivide.ScenarioRequest wire contract), so a query saved from
@@ -48,22 +51,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"leodivide"
 	"leodivide/internal/afford"
 	"leodivide/internal/bdc"
-	"leodivide/internal/beams"
 	"leodivide/internal/core"
-	"leodivide/internal/demand"
 	"leodivide/internal/geo"
-	"leodivide/internal/linkbudget"
 	"leodivide/internal/obs"
-	"leodivide/internal/orbit"
 	"leodivide/internal/report"
 	"leodivide/internal/safeio"
-	"leodivide/internal/sim"
-	"leodivide/internal/traffic"
 	"leodivide/internal/usgeo"
 )
 
@@ -130,6 +128,17 @@ func run(args []string, w io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("missing command")
 	}
+
+	// Resolve the command before anything runs, so a typo or a retired
+	// name fails without generating a dataset.
+	m := sc.BuildModel()
+	_, isExperiment := m.ExperimentByName(cmd)
+	switch {
+	case !isExperiment && !slices.Contains(otherCommands, cmd):
+		return unknownCommandError(m, cmd)
+	case isExperiment && sc.Experiment != "" && cmd != sc.Experiment:
+		return fmt.Errorf("command %q conflicts with -scenario experiment %q", cmd, sc.Experiment)
+	}
 	ctx := context.Background()
 
 	if *debugAddr != "" {
@@ -158,12 +167,6 @@ func run(args []string, w io.Writer) error {
 		}()
 	}
 
-	m := sc.BuildModel()
-	if sc.Experiment != "" && cmd != sc.Experiment {
-		if _, ok := m.ExperimentByName(cmd); ok {
-			return fmt.Errorf("command %q conflicts with -scenario experiment %q", cmd, sc.Experiment)
-		}
-	}
 	switch cmd {
 	case "experiments":
 		return runExperimentList(w, m)
@@ -181,18 +184,18 @@ func run(args []string, w io.Writer) error {
 	}
 
 	switch cmd {
-	case "stability":
-		return runStability(ctx, w, m)
 	case "export":
 		return runExport(ctx, w, m, ds, *exportDir)
 	case "gen":
 		return runGen(ctx, w, ds, *locCSV, *locScale)
 	case "all":
-		for _, name := range allOrder {
-			if err := runOne(ctx, w, m, ds, name); err != nil {
+		for i, e := range m.Experiments() {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			if err := runOne(ctx, w, m, ds, e.Name); err != nil {
 				return err
 			}
-			fmt.Fprintln(w)
 		}
 		return nil
 	default:
@@ -200,16 +203,23 @@ func run(args []string, w io.Writer) error {
 	}
 }
 
-// allOrder is the presentation order of `leodivide all`.
-var allOrder = []string{
-	"fig1", "table1", "table2", "fig2", "fig3", "fig4", "findings",
-	"simcheck", "ablate", "fleets", "refined", "linkbudget", "states",
-	"latency", "busyhour", "econ", "costcurve", "xconst", "xregion",
+// otherCommands are the commands besides the registry experiments.
+var otherCommands = []string{"experiments", "gen", "export", "verify", "serve", "loadgen", "all"}
+
+// unknownCommandError names every command run accepts.
+func unknownCommandError(m leodivide.Model, cmd string) error {
+	var valid []string
+	for _, e := range m.Experiments() {
+		valid = append(valid, e.Name)
+	}
+	valid = append(valid, otherCommands...)
+	return fmt.Errorf("unknown command %q (valid: %s)", cmd, strings.Join(valid, " "))
 }
 
-// renderer turns one experiment's result (the registry's `any`) back
-// into the report tables the CLI prints.
-type renderer func(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error
+// renderer turns one experiment's result (the registry's `any`) into
+// the report tables the CLI prints. It sees the result only, so the CLI
+// prints exactly what serve returns and verify pins.
+type renderer func(w io.Writer, v any) error
 
 // resultAs recovers an experiment's concrete result type from the
 // registry's any, naming the experiment when the type does not match.
@@ -242,36 +252,21 @@ var renderers = map[string]renderer{
 	"xregion":   renderXRegion,
 }
 
-// runOne dispatches one subcommand: registry experiments run through
-// Model.Experiments and their renderer; the CLI-only analyses
-// (simulator cross-check, ablations, link budget, state report,
-// latency) keep dedicated paths.
+// runOne runs one registry experiment and renders its result.
 func runOne(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, name string) error {
-	if exp, ok := m.ExperimentByName(name); ok {
-		render, ok := renderers[name]
-		if !ok {
-			return fmt.Errorf("experiment %q has no renderer", name)
-		}
-		v, err := exp.Run(ctx, ds)
-		if err != nil {
-			return err
-		}
-		return render(ctx, w, m, ds, v)
+	exp, ok := m.ExperimentByName(name)
+	if !ok {
+		return unknownCommandError(m, name)
 	}
-	switch name {
-	case "simcheck":
-		return runSimCheck(ctx, w, ds)
-	case "ablate":
-		return runAblate(w, m, ds)
-	case "linkbudget":
-		return runLinkBudget(w)
-	case "states":
-		return runStates(w, m, ds)
-	case "latency":
-		return runLatency(w)
-	default:
-		return fmt.Errorf("unknown command %q", name)
+	render, ok := renderers[name]
+	if !ok {
+		return fmt.Errorf("experiment %q has no renderer", name)
 	}
+	v, err := exp.Run(ctx, ds)
+	if err != nil {
+		return err
+	}
+	return render(w, v)
 }
 
 func runExperimentList(w io.Writer, m leodivide.Model) error {
@@ -282,11 +277,11 @@ func runExperimentList(w io.Writer, m leodivide.Model) error {
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "CLI-only analyses: simcheck, ablate, linkbudget, states, latency, stability, export, gen, verify, serve, loadgen.")
+	fmt.Fprintf(w, "Other commands: %s.\n", strings.Join(otherCommands, ", "))
 	return nil
 }
 
-func renderFig1(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderFig1(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.Fig1Result]("fig1", v)
 	if err != nil {
 		return err
@@ -311,7 +306,7 @@ func renderFig1(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivi
 	return report.Series(w, "fig1-cdf locations/cell vs cumulative probability", xs, ys)
 }
 
-func renderTable1(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderTable1(w io.Writer, v any) error {
 	c, err := resultAs[core.CapacityTable]("table1", v)
 	if err != nil {
 		return err
@@ -329,7 +324,7 @@ func renderTable1(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodi
 	return err
 }
 
-func renderTable2(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderTable2(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.Table2Result]("table2", v)
 	if err != nil {
 		return err
@@ -344,7 +339,7 @@ func renderTable2(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodi
 	return err
 }
 
-func renderFig2(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderFig2(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.Fig2Result]("fig2", v)
 	if err != nil {
 		return err
@@ -354,7 +349,7 @@ func renderFig2(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivi
 		r.Spreads, r.Oversubs, r.Fraction)
 }
 
-func renderFig3(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderFig3(w io.Writer, v any) error {
 	results, err := resultAs[[]leodivide.Fig3Result]("fig3", v)
 	if err != nil {
 		return err
@@ -374,7 +369,7 @@ func renderFig3(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivi
 	return nil
 }
 
-func renderFig4(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderFig4(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.Fig4Result]("fig4", v)
 	if err != nil {
 		return err
@@ -390,22 +385,8 @@ func renderFig4(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivi
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "paper: 3.5M of 4.7M (74.5%%) cannot afford Starlink Residential; ~3.0M with Lifeline\n\n")
-
-	// The wider catalog: a plan must both qualify (100/20, low latency)
-	// and be affordable — the double bind.
-	in, err := m.AffordabilityInput(ds)
-	if err != nil {
-		return err
-	}
-	ct := report.NewTable("Plan catalog — qualification x affordability",
-		"plan", "technology", "monthly", "meets 100/20", "unaffordable")
-	for _, res := range in.EvaluateCatalog(m.AffordShare) {
-		ct.AddRow(res.Name, res.Technology, fmt.Sprintf("$%.0f", res.MonthlyUSD),
-			res.Qualifies, fmt.Sprintf("%.1f%%", 100*res.Afford.UnaffordableFraction))
-	}
-	_, err = ct.WriteTo(w)
-	return err
+	fmt.Fprintf(w, "paper: 3.5M of 4.7M (74.5%%) cannot afford Starlink Residential; ~3.0M with Lifeline\n")
+	return nil
 }
 
 func label(r afford.Result) string {
@@ -415,7 +396,7 @@ func label(r afford.Result) string {
 	return r.Plan.Name
 }
 
-func renderFindings(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderFindings(w io.Writer, v any) error {
 	f, err := resultAs[leodivide.Findings]("findings", v)
 	if err != nil {
 		return err
@@ -434,145 +415,17 @@ func renderFindings(ctx context.Context, w io.Writer, m leodivide.Model, ds *leo
 			s.AdditionalSatellites, s.LocationsGained, s.FromUnserved, s.ToUnserved)
 	}
 	fmt.Fprintf(&b, "F4: %.0f of %d locations (%.1f%%) cannot afford Starlink Residential (paper: 3.5M of 4.7M, 74.5%%).\n",
-		f.F4Unaffordable, ds.TotalLocations(), 100*f.F4UnaffordableFraction)
+		f.F4Unaffordable, f.F1.TotalLocations, 100*f.F4UnaffordableFraction)
 	_, err = io.WriteString(w, b.String())
 	return err
 }
 
-func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset) error {
-	cfg := sim.DefaultConfig()
-	res, err := sim.Run(ctx, cfg, ds.Cells)
-	if err != nil {
-		return err
-	}
-	bent := cfg
-	bent.RequireGatewayVisibility = true
-	for _, gw := range usgeo.GatewaySites() {
-		bent.Gateways = append(bent.Gateways, gw.Pos)
-	}
-	resBent, err := sim.Run(ctx, bent, ds.Cells)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Simulator cross-check — Walker 53°/550 km shell over demand cells",
-		"metric", "free routing", "bent-pipe (36 gateways)")
-	t.AddRow("epochs", res.Epochs, resBent.Epochs)
-	t.AddRow("mean visible satellites per cell",
-		fmt.Sprintf("%.1f", res.MeanVisibleSats), fmt.Sprintf("%.1f", resBent.MeanVisibleSats))
-	t.AddRow("mean covered fraction",
-		fmt.Sprintf("%.4f", res.MeanCoveredFraction), fmt.Sprintf("%.4f", resBent.MeanCoveredFraction))
-	t.AddRow("min covered fraction",
-		fmt.Sprintf("%.4f", res.MinCoveredFraction), fmt.Sprintf("%.4f", resBent.MinCoveredFraction))
-	t.AddRow("mean served fraction",
-		fmt.Sprintf("%.4f", res.MeanServedFraction), fmt.Sprintf("%.4f", resBent.MeanServedFraction))
-	t.AddRow("min served fraction",
-		fmt.Sprintf("%.4f", res.MinServedFraction), fmt.Sprintf("%.4f", resBent.MinServedFraction))
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-
-	// Dynamics over half an orbit: utilization and handover churn.
-	series, err := sim.RunSeries(ctx, cfg, ds.Cells)
-	if err != nil {
-		return err
-	}
-	// Coverage by latitude: the inclined shell's Alaska cliff.
-	bands, err := sim.CoverageByLatitude(ctx, cfg, ds.Cells, 10)
-	if err != nil {
-		return err
-	}
-	bt := report.NewTable("Coverage by latitude band (first epoch)",
-		"band", "cells", "covered fraction")
-	for _, b := range bands {
-		bt.AddRow(fmt.Sprintf("%g-%gN", b.LatLoDeg, b.LatHiDeg), b.Cells,
-			fmt.Sprintf("%.3f", b.CoveredFraction))
-	}
-	if _, err := bt.WriteTo(w); err != nil {
-		return err
-	}
-
-	st := report.NewTable("Simulator time series (beam utilization and handovers)",
-		"t (s)", "covered", "served", "beam utilization", "handovers")
-	for _, e := range series {
-		st.AddRow(int(e.TimeSec), fmt.Sprintf("%.3f", e.CoveredFraction),
-			fmt.Sprintf("%.3f", e.ServedFraction),
-			fmt.Sprintf("%.3f", e.BeamUtilization), e.Handovers)
-	}
-	_, err = st.WriteTo(w)
-	return err
-}
-
-func runAblate(w io.Writer, m leodivide.Model, ds *leodivide.Dataset) error {
-	dist := ds.Distribution()
-	t := report.NewTable("Ablation — full-service constellation at beamspread 2 under parameter changes",
-		"variant", "satellites", "delta vs base")
-	base := m.Capacity.Size(dist, core.FullService, 2, 0).Satellites
-	add := func(name string, mm leodivide.Model) {
-		n := mm.Capacity.Size(dist, core.FullService, 2, 0).Satellites
-		t.AddRow(name, n, fmt.Sprintf("%+.1f%%", 100*(float64(n)/float64(base)-1)))
-	}
-	t.AddRow("baseline", base, "+0.0%")
-
-	mEff := m
-	mEff.Capacity.Beams.BeamCapacityGbps *= 5.5 / 4.5 // spectral efficiency 5.5 b/Hz
-	add("spectral efficiency 5.5 b/Hz", mEff)
-
-	mBeams := m
-	mBeams.Capacity.Beams.BeamsPerSatellite = 32
-	add("32 UT beams per satellite", mBeams)
-
-	mInc := m
-	mInc.Capacity.InclinationDeg = 70
-	add("70 deg inclination shell", mInc)
-
-	mCellBig := m
-	mCellBig.Capacity.CellAreaKm2 *= 7 // one resolution coarser
-	add("7x larger service cells", mCellBig)
-
-	mAll := m
-	mAll.Capacity.Binding = core.BindAllCells
-	add("all-cells binding (tighter bound)", mAll)
-
-	mGW := m
-	mGW.Capacity.Beams.BeamsPerSatellite =
-		m.Capacity.Beams.EffectiveUTBeams(beams.DefaultGatewayConfig())
-	add(fmt.Sprintf("bent-pipe backhaul budget (%d UT beams)",
-		mGW.Capacity.Beams.BeamsPerSatellite), mGW)
-
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-
-	// Undercount sensitivity: the FCC map is built from ISP
-	// self-reports known to overstate coverage; rescale demand upward
-	// and watch the findings move.
-	ut := report.NewTable("Ablation — sensitivity to National Broadband Map undercounting",
-		"true demand vs map", "peak oversubscription", "unservable at 20:1", "satellites (beamspread 2, 20:1)")
-	for _, factor := range []float64{1.0, 1.1, 1.25, 1.5} {
-		scaled, err := demand.Scale(ds.Cells, factor)
-		if err != nil {
-			return err
-		}
-		sdist, err := demand.NewDistribution(scaled)
-		if err != nil {
-			return err
-		}
-		o := m.Capacity.Oversubscription(sdist, m.MaxOversub)
-		size := m.Capacity.Size(sdist, core.CappedOversub, 2, m.MaxOversub)
-		ut.AddRow(fmt.Sprintf("%+.0f%%", 100*(factor-1)),
-			fmt.Sprintf("%.1f:1", o.RequiredOversub),
-			o.ExcessLocations, size.Satellites)
-	}
-	_, err := ut.WriteTo(w)
-	return err
-}
-
-func renderFleets(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderFleets(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.FleetsResult]("fleets", v)
 	if err != nil {
 		return err
 	}
-	print := func(a core.FleetAssessment) {
+	for _, a := range []core.FleetAssessment{r.Gen1, r.Gen2} {
 		t := report.NewTable(
 			fmt.Sprintf("%s — %d satellites (≈%d single-shell-equivalent at %.1f°N)",
 				a.FleetName, a.TotalSatellites, a.EquivalentSatellites, a.BindingLatDeg),
@@ -580,20 +433,14 @@ func renderFleets(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodi
 		for _, row := range a.Rows {
 			t.AddRow(row.Spread, row.RequiredSatellites, fmt.Sprintf("%.2f", row.CoverageRatio))
 		}
-		//lint:ignore errdrop human-facing table print to the CLI writer, same contract as the exempt fmt.Fprintf calls around it
-		t.WriteTo(w)
+		if _, err := t.WriteTo(w); err != nil {
+			return err
+		}
 	}
-	print(r.Gen1)
-	print(r.Gen2)
-	// The inverse question: what must today's fleet give up?
-	inv := m.Capacity.InverseSize(ds.Distribution(), leodivide.CurrentStarlinkSatellites, m.MaxOversub)
-	fmt.Fprintf(w, "today's ~%d satellites force beamspread ≈%.1f: %.2f Gbps per single-beam cell, only %.1f%% of demand cells servable within %g:1.\n",
-		inv.Satellites, inv.RequiredSpread, inv.PerCellCapacityGbps,
-		100*inv.ServedCellFraction, m.MaxOversub)
 	return nil
 }
 
-func renderRefined(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderRefined(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.RefinedFig4Result]("refined", v)
 	if err != nil {
 		return err
@@ -617,29 +464,6 @@ func renderRefined(ctx context.Context, w io.Writer, m leodivide.Model, ds *leod
 	return nil
 }
 
-func runLinkBudget(w io.Writer) error {
-	b := linkbudget.StarlinkKuDownlink()
-	t := report.NewTable("Link budget — Starlink Ku downlink at 40° elevation",
-		"item", "value", "unit")
-	for _, line := range b.Breakdown(40) {
-		t.AddRow(line.Item, fmt.Sprintf("%.2f", line.Value), line.Unit)
-	}
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	eff, err := b.MeanEfficiency(25)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "elevation-weighted mean spectral efficiency over the 25° cone: %.2f b/Hz (paper adopts ~4.5)\n", eff)
-	et := report.NewTable("Spectral efficiency vs elevation", "elevation (deg)", "C/N (dB)", "efficiency (b/Hz)")
-	for _, el := range []float64{25, 30, 40, 50, 60, 75, 90} {
-		et.AddRow(el, fmt.Sprintf("%.1f", b.CNdB(el)), fmt.Sprintf("%.2f", b.EfficiencyAt(el)))
-	}
-	_, err = et.WriteTo(w)
-	return err
-}
-
 func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, locCSV string, locScale float64) error {
 	if err := bdc.WriteCellsCSV(w, ds.Cells); err != nil {
 		return err
@@ -656,32 +480,6 @@ func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, locCSV stri
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d locations to %s\n", len(locs), locCSV)
 	}
-	return nil
-}
-
-func runLatency(w io.Writer) error {
-	t := report.NewTable("Latency geometry — why LEO, in the paper's framing",
-		"path", "RTT (ms)")
-	t.AddRow("LEO 550 km bent-pipe floor", fmt.Sprintf("%.2f", orbit.MinBentPipeRTTMs(550)))
-	t.AddRow("LEO 1,200 km bent-pipe floor", fmt.Sprintf("%.2f", orbit.MinBentPipeRTTMs(1200)))
-	t.AddRow("GEO 35,786 km bent-pipe floor", fmt.Sprintf("%.2f", orbit.GEOBentPipeRTTMs()))
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	// A realistic profile: a New Mexico terminal under a quarter shell
-	// with the national gateway network.
-	shell := orbit.Walker{AltitudeKm: 550, InclinationDeg: 53, Total: 396, Planes: 18, Phasing: 1}
-	var gws []geo.LatLng
-	for _, g := range usgeo.GatewaySites() {
-		gws = append(gws, g.Pos)
-	}
-	p, err := shell.BentPipeLatency(geo.LatLng{Lat: 35.5, Lng: -106.3}, gws, 25, 16)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "measured bent-pipe RTT from 35.5N (quarter shell, %d epochs): min %.1f ms, mean %.1f ms, max %.1f ms\n",
-		p.Samples, p.MinRTTMs, p.MeanRTTMs, p.MaxRTTMs)
-	fmt.Fprintf(w, "max Ku Doppler at 550 km: %.0f kHz\n", orbit.MaxDopplerHz(550, 11.7)/1000)
 	return nil
 }
 
@@ -797,7 +595,7 @@ func labelsOf(xs []float64) []string {
 	return out
 }
 
-func renderBusyHour(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderBusyHour(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.BusyHourResult]("busyhour", v)
 	if err != nil {
 		return err
@@ -822,37 +620,11 @@ func renderBusyHour(ctx context.Context, w io.Writer, m leodivide.Model, ds *leo
 	if _, err := bt.WriteTo(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "the FCC benchmark is 100 Mbps — the paper's \"degrading service quality at busy times\".\n\n")
-
-	// Location-weighted experience: most locations live in dense cells.
-	exp, err := m.Capacity.ExperienceUnderSpread(ds.Distribution(), r.Spread, 25, 100)
-	if err != nil {
-		return err
-	}
-	et := report.NewTable(
-		fmt.Sprintf("Per-location throughput distribution (one beam spread %g ways)", exp.Spread),
-		"quantile (by location)", "Mbps")
-	et.AddRow("p10", fmt.Sprintf("%.2f", exp.P10Mbps))
-	et.AddRow("median", fmt.Sprintf("%.2f", exp.MedianMbps))
-	et.AddRow("p90", fmt.Sprintf("%.2f", exp.P90Mbps))
-	et.AddRow("share at ≥25 Mbps", fmt.Sprintf("%.1f%%", 100*exp.FractionAtLeast[25]))
-	et.AddRow("share at ≥100 Mbps", fmt.Sprintf("%.1f%%", 100*exp.FractionAtLeast[100]))
-	if _, err := et.WriteTo(w); err != nil {
-		return err
-	}
-
-	// Service quality over the day: the evening peak sweeping westward.
-	points, err := m.Capacity.ServedFractionOverDay(ctx, traffic.DefaultProfile(), ds.Cells, r.Spread, m.MaxOversub, 24)
-	if err != nil {
-		return err
-	}
-	daily := core.SummarizeDaily(points)
-	fmt.Fprintf(w, "\nserved-cell fraction over the day (spread %g, %g:1): best %.3f, worst %.3f at %02.0f:00 UTC (US evening).\n",
-		r.Spread, m.MaxOversub, daily.BestFraction, daily.WorstFraction, daily.WorstUTCHour)
+	fmt.Fprintf(w, "the FCC benchmark is 100 Mbps — the paper's \"degrading service quality at busy times\".\n")
 	return nil
 }
 
-func renderEcon(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderEcon(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.EconomicsResult]("econ", v)
 	if err != nil {
 		return err
@@ -884,7 +656,7 @@ func renderEcon(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivi
 	return nil
 }
 
-func renderCostCurve(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderCostCurve(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.CostCurveResult]("costcurve", v)
 	if err != nil {
 		return err
@@ -912,7 +684,7 @@ func renderCostCurve(ctx context.Context, w io.Writer, m leodivide.Model, ds *le
 	return nil
 }
 
-func renderXConst(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderXConst(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.CrossConstellationResult]("xconst", v)
 	if err != nil {
 		return err
@@ -934,7 +706,7 @@ func renderXConst(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodi
 	return nil
 }
 
-func renderXRegion(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.Dataset, v any) error {
+func renderXRegion(w io.Writer, v any) error {
 	r, err := resultAs[leodivide.CrossRegionResult]("xregion", v)
 	if err != nil {
 		return err
@@ -956,31 +728,5 @@ func renderXRegion(ctx context.Context, w io.Writer, m leodivide.Model, ds *leod
 		return err
 	}
 	fmt.Fprintf(w, "an inclined fleet thins toward the equator: the equatorial geography pays in satellites while low incomes bind; the dense mid-latitude one hits the per-cell cap first.\n")
-	return nil
-}
-
-func runStability(ctx context.Context, w io.Writer, m leodivide.Model) error {
-	r, err := m.Stability(ctx, 5, 0.25)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Stability — headline results across %d seeds (quarter-scale datasets)", r.Seeds),
-		"quantity", "mean", "stddev", "min", "max", "rel spread")
-	add := func(name string, s leodivide.StabilityStat, scale float64, unit string) {
-		t.AddRow(name,
-			fmt.Sprintf("%.4g%s", s.Mean*scale, unit),
-			fmt.Sprintf("%.2g", s.StdDev*scale),
-			fmt.Sprintf("%.4g", s.Min*scale),
-			fmt.Sprintf("%.4g", s.Max*scale),
-			fmt.Sprintf("%.2f%%", 100*s.RelSpread()))
-	}
-	add("constellation (beamspread 2, 20:1)", r.Table2Spread2, 1, "")
-	add("unaffordable fraction", r.UnaffordableFraction, 100, "%")
-	add("served fraction at 20:1", r.ServedFractionAt20, 100, "%")
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "pinned anchors (totals, peaks, quantiles) are identical across seeds; the residual spread is the unpinned geography.")
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"leodivide"
+	"leodivide/internal/obs"
 	"leodivide/internal/safeio"
 )
 
@@ -95,15 +96,6 @@ func TestFindingsCommand(t *testing.T) {
 	}
 }
 
-func TestAblateCommand(t *testing.T) {
-	out := runCmd(t, "ablate")
-	for _, want := range []string{"Ablation", "baseline", "all-cells binding"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ablate output missing %q", want)
-		}
-	}
-}
-
 func TestGenCommand(t *testing.T) {
 	out := runCmd(t, "gen")
 	if !strings.Contains(out, "cell_id,latitude,longitude,county_fips,unserved_locations") {
@@ -153,11 +145,32 @@ func TestGenLocationsFollowScenarioSeed(t *testing.T) {
 	}
 }
 
+// An unknown command fails before a dataset is generated, and the error
+// names every valid command. The six analyses the CLI printed outside
+// the registry are unknown commands now.
 func TestUnknownCommand(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"nonsense"}, &buf); err == nil {
-		t.Error("unknown command should fail")
+	datasets := obs.Default.Counter("gen.datasets")
+	for _, name := range []string{"simcheck", "ablate", "linkbudget", "states", "latency", "stability", "fgi1"} {
+		before := datasets.Value()
+		var buf bytes.Buffer
+		err := run([]string{"-scale", "0.02", name}, &buf)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown command %q", name)) {
+			t.Errorf("%s: err = %v, want an unknown-command error", name, err)
+			continue
+		}
+		for _, valid := range []string{"fig1", "xregion", "experiments", "gen", "export", "verify", "serve", "loadgen", "all"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("%s: error %q does not name the valid command %q", name, err, valid)
+			}
+		}
+		if got := datasets.Value(); got != before {
+			t.Errorf("%s: generated %d datasets before failing", name, got-before)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: printed %q before failing", name, buf.String())
+		}
 	}
+	var buf bytes.Buffer
 	if err := run([]string{}, &buf); err == nil {
 		t.Error("missing command should fail")
 	}
@@ -184,24 +197,6 @@ func TestRefinedCommand(t *testing.T) {
 	for _, want := range []string{"Refined affordability", "median-only", "Lifeline eligibility"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("refined output missing %q", want)
-		}
-	}
-}
-
-func TestStatesCommand(t *testing.T) {
-	out := runCmd(t, "states")
-	for _, want := range []string{"State report card", "oversub needed", "capacity-stressed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("states output missing %q", want)
-		}
-	}
-}
-
-func TestLatencyCommand(t *testing.T) {
-	out := runCmd(t, "latency")
-	for _, want := range []string{"Latency geometry", "GEO", "Doppler"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("latency output missing %q", want)
 		}
 	}
 }
@@ -385,21 +380,19 @@ func TestScenarioFlag(t *testing.T) {
 	}
 }
 
+// `all` prints exactly each registry experiment's own output, in
+// registry order, separated by blank lines.
 func TestAllCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	out := runCmd(t, "all")
-	for _, want := range []string{
-		"Figure 1", "Table 1", "Table 2", "Figure 2", "Figure 3",
-		"Figure 4", "F1:", "Simulator cross-check", "Ablation",
-		"Starlink Gen2", "Refined affordability", "Link budget",
-		"State report card", "Latency geometry", "Busy hour",
-		"Constellation economics", "Cost curve", "Cross-constellation",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("all output missing %q", want)
-		}
+	var want []string
+	for _, e := range leodivide.NewModel().Experiments() {
+		want = append(want, runCmd(t, e.Name))
+	}
+	if got := runCmd(t, "all"); got != strings.Join(want, "\n") {
+		t.Errorf("all output (%d bytes) is not the %d experiments' outputs joined by blank lines (%d bytes)",
+			len(got), len(want), len(strings.Join(want, "\n")))
 	}
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,9 +12,8 @@ import (
 
 // TestRegistryCoversRenderers enforces the registry↔CLI pairing both
 // ways: every registered experiment has a renderer (so `leodivide
-// <name>` works), every renderer corresponds to a registered experiment
-// (no dead presentation code), and every registry name appears in the
-// `all` ordering.
+// <name>` works), and every renderer corresponds to a registered
+// experiment (no dead presentation code).
 func TestRegistryCoversRenderers(t *testing.T) {
 	m := leodivide.NewModel()
 	registered := make(map[string]bool)
@@ -30,15 +31,6 @@ func TestRegistryCoversRenderers(t *testing.T) {
 			t.Errorf("renderer %q has no registry entry", name)
 		}
 	}
-	inAll := make(map[string]bool, len(allOrder))
-	for _, name := range allOrder {
-		inAll[name] = true
-	}
-	for name := range registered {
-		if !inAll[name] {
-			t.Errorf("experiment %q missing from the `all` ordering", name)
-		}
-	}
 }
 
 // TestExperimentsCommand checks the registry listing subcommand.
@@ -53,8 +45,10 @@ func TestExperimentsCommand(t *testing.T) {
 			t.Errorf("experiments listing missing %q", e.Name)
 		}
 	}
-	if !strings.Contains(out, "simcheck") {
-		t.Error("experiments listing should mention the CLI-only analyses")
+	for _, name := range otherCommands {
+		if !strings.Contains(out, name) {
+			t.Errorf("experiments listing missing the command %q", name)
+		}
 	}
 }
 
@@ -70,5 +64,32 @@ func TestParallelismFlagMatchesSerial(t *testing.T) {
 	}
 	if serial.String() != pooled.String() {
 		t.Error("table2 output differs between -parallelism 1 and 8")
+	}
+}
+
+// TestDocListsCommands: the package doc's command list names exactly
+// the commands run accepts, the registry experiments plus the rest.
+func TestDocListsCommands(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(src), "// Commands:\n//\n")
+	block, _, _ = strings.Cut(block, "\n//\n")
+	var documented []string
+	for _, line := range strings.Split(block, "\n") {
+		if f := strings.Fields(strings.TrimPrefix(line, "//")); len(f) > 0 {
+			documented = append(documented, f[0])
+		}
+	}
+	var accepted []string
+	for _, e := range leodivide.NewModel().Experiments() {
+		accepted = append(accepted, e.Name)
+	}
+	accepted = append(accepted, otherCommands...)
+	slices.Sort(documented)
+	slices.Sort(accepted)
+	if !slices.Equal(documented, accepted) {
+		t.Errorf("package doc lists %q, run accepts %q", documented, accepted)
 	}
 }

@@ -136,35 +136,60 @@ func TestFig1Gini(t *testing.T) {
 	}
 }
 
+// TestStability holds the findings across independently seeded
+// datasets. The calibration anchors (totals, peaks, quantiles) are the
+// same for every seed; what moves is the unpinned geography, so the
+// spread across seeds isolates the model's sensitivity to it.
 func TestStability(t *testing.T) {
-	m := NewModel()
-	r, err := m.Stability(context.Background(), 3, 0.05)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	exp, ok := NewModel().ExperimentByName("findings")
+	if !ok {
+		t.Fatal("no findings experiment")
 	}
-	if r.Seeds != 3 {
-		t.Errorf("seeds = %d", r.Seeds)
+	var served, unaffordable, sats []float64
+	for seed := int64(1); seed <= 3; seed++ {
+		ds, err := GenerateDataset(ctx, WithSeed(seed), WithScale(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := exp.Run(ctx, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := v.(Findings)
+		served = append(served, f.F1.ServedFractionAtCap)
+		unaffordable = append(unaffordable, f.F4UnaffordableFraction)
+		sats = append(sats, float64(f.F2SatellitesAtSpread2))
 	}
-	// Constellation size varies only through binding-cell geography. At
-	// this small test scale the scaled-down peaks fall below the 4-beam
-	// threshold, so the binding cell can be any 1-beam cell and its
-	// latitude wanders more than at full scale — allow 15% here (full
-	// scale varies ~1%, see EXPERIMENTS.md).
-	if r.Table2Spread2.RelSpread() > 0.15 {
-		t.Errorf("constellation size rel spread = %v, want <15%%", r.Table2Spread2.RelSpread())
-	}
-	if r.Table2Spread2.Min > r.Table2Spread2.Mean || r.Table2Spread2.Max < r.Table2Spread2.Mean {
-		t.Error("min/mean/max ordering violated")
+	// The served fraction at the cap is anchored exactly.
+	for i, v := range served {
+		if v != served[0] {
+			t.Errorf("seed %d: served fraction at cap %v, seed 1 %v", i+1, v, served[0])
+		}
 	}
 	// Affordability is quantile-pinned: dispersion well under 1%.
-	if r.UnaffordableFraction.RelSpread() > 0.01 {
-		t.Errorf("affordability rel spread = %v", r.UnaffordableFraction.RelSpread())
+	if rs := relSpread(unaffordable); rs > 0.01 {
+		t.Errorf("unaffordable fraction %v: relative spread %v, want <1%%", unaffordable, rs)
 	}
-	// Served fraction at 20:1 is anchored exactly.
-	if r.ServedFractionAt20.StdDev > 1e-3 {
-		t.Errorf("served fraction should be pinned, stddev = %v", r.ServedFractionAt20.StdDev)
+	// Constellation size varies only through binding-cell geography. At
+	// this small scale the scaled-down peaks fall below the 4-beam
+	// threshold, so the binding cell can be any 1-beam cell and its
+	// latitude wanders more than at full scale — allow 15% here.
+	if rs := relSpread(sats); rs > 0.15 {
+		t.Errorf("satellites at beamspread 2 %v: relative spread %v, want <15%%", sats, rs)
 	}
-	if _, err := m.Stability(context.Background(), 1, 0.05); err == nil {
-		t.Error("single seed should fail")
+}
+
+// relSpread returns the sample standard deviation of xs over its mean.
+func relSpread(xs []float64) float64 {
+	mean := 0.0
+	for _, x := range xs {
+		mean += x
 	}
+	mean /= float64(len(xs))
+	ss := 0.0
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return math.Sqrt(ss/float64(len(xs)-1)) / mean
 }

@@ -172,80 +172,3 @@ func TestACP(t *testing.T) {
 		t.Error("ACP did not improve affordability")
 	}
 }
-
-func TestCatalog(t *testing.T) {
-	catalog := Catalog()
-	if len(catalog) < 6 {
-		t.Fatalf("catalog has %d plans", len(catalog))
-	}
-	byName := map[string]CatalogPlan{}
-	for _, p := range catalog {
-		if p.MonthlyUSD <= 0 || p.DownMbps <= 0 {
-			t.Errorf("%s: degenerate plan", p.Name)
-		}
-		byName[p.Name] = p
-	}
-	// Starlink and the cable plans qualify; GEO satellite and DSL do
-	// not — the paper's point that only some technologies can close
-	// the gap at all.
-	for _, name := range []string{"Starlink Residential", "Xfinity 300", "Spectrum Internet Premier"} {
-		if !byName[name].MeetsBenchmark() {
-			t.Errorf("%s should meet the benchmark", name)
-		}
-	}
-	for _, name := range []string{"HughesNet Select", "Viasat Unleashed", "Rural DSL (typical)"} {
-		if byName[name].MeetsBenchmark() {
-			t.Errorf("%s should not meet the benchmark", name)
-		}
-	}
-	// GEO plans fail on latency even when download would pass at 100+.
-	geoPlan := byName["Viasat Unleashed"]
-	geoPlan.DownMbps, geoPlan.UpMbps = 150, 25
-	if geoPlan.MeetsBenchmark() {
-		t.Error("GEO latency should disqualify regardless of speed")
-	}
-	qualifying := 0
-	for _, p := range Catalog() {
-		if p.MeetsBenchmark() {
-			qualifying++
-		}
-	}
-	if qualifying != 4 {
-		t.Errorf("%d qualifying plans, want 4", qualifying)
-	}
-}
-
-func TestEvaluateCatalog(t *testing.T) {
-	in := testInput(t)
-	results := in.EvaluateCatalog(0.02)
-	if len(results) != len(Catalog()) {
-		t.Fatalf("got %d results", len(results))
-	}
-	for _, r := range results {
-		if r.Qualifies != r.MeetsBenchmark() {
-			t.Errorf("%s: qualification flag mismatch", r.Plan.Name)
-		}
-		if r.Afford.UnaffordableFraction < 0 || r.Afford.UnaffordableFraction > 1 {
-			t.Errorf("%s: fraction %v", r.Name, r.Afford.UnaffordableFraction)
-		}
-	}
-	// The cheap-but-unqualifying GEO/DSL plans are affordable but
-	// cannot close the gap; Starlink qualifies but is unaffordable for
-	// the low-income counties — the paper's double bind.
-	var starlink, dsl CatalogResult
-	for _, r := range results {
-		switch r.Name {
-		case "Starlink Residential":
-			starlink = r
-		case "Rural DSL (typical)":
-			dsl = r
-		}
-	}
-	if !starlink.Qualifies || starlink.Afford.UnaffordableFraction <= dsl.Afford.UnaffordableFraction {
-		t.Errorf("double bind not visible: starlink %+v dsl %+v",
-			starlink.Afford.UnaffordableFraction, dsl.Afford.UnaffordableFraction)
-	}
-	if dsl.Qualifies {
-		t.Error("DSL should not qualify")
-	}
-}

@@ -224,8 +224,7 @@ func TestGenerateCellsDigests(t *testing.T) {
 
 // TestGenerateCellsCountyWeights: the county sums GenerateCells adds up
 // while it emits the cells are the string-keyed sums of the generated
-// cells, Distribution.CountyWeights, with each county at its index in
-// usgeo.AllCounties().
+// cells, with each county at its index in usgeo.AllCounties().
 func TestGenerateCellsCountyWeights(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, scale := range []float64{0.05, 0.25} {
@@ -237,7 +236,11 @@ func TestGenerateCellsCountyWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := dist.CountyWeights()
+			want := make(map[string]int)
+			for rank := 0; rank < dist.NumCells(); rank++ {
+				c := dist.Cell(rank)
+				want[c.CountyFIPS] += c.Locations
+			}
 			if len(weights) != len(usgeo.AllCounties()) {
 				t.Fatalf("seed %d scale %v: %d weights for %d counties", seed, scale, len(weights), len(usgeo.AllCounties()))
 			}

@@ -178,53 +178,3 @@ func (c Config) CellsPerSatellite(spreadFactor float64, peakBeams int) float64 {
 	}
 	return 1 + float64(c.BeamsPerSatellite-peakBeams)*spreadFactor
 }
-
-// GatewayConfig models the backhaul side of the bent-pipe architecture:
-// every bit delivered to user terminals must also cross a
-// satellite-to-gateway link. Starlink satellites carry 4 dedicated
-// gateway beams (the 71-76 GHz band) and can divert their 16 flexible
-// beams to gateway duty; when a fully loaded satellite's user traffic
-// exceeds the dedicated gateway capacity, flexible beams must be
-// diverted, shrinking the beams available for user cells.
-type GatewayConfig struct {
-	// DedicatedGatewayBeams is the count of gateway-only beams.
-	DedicatedGatewayBeams int
-	// GatewayBeamCapacityGbps is the capacity of one dedicated gateway
-	// beam.
-	GatewayBeamCapacityGbps float64
-}
-
-// DefaultGatewayConfig returns the Schedule S gateway budget: 4
-// dedicated beams, each able to reuse the full 5,000 MHz E-band toward
-// a distinct gateway at the paper's 4.5 b/Hz estimate (22.5 Gbps per
-// beam, 90 Gbps per satellite).
-func DefaultGatewayConfig() GatewayConfig {
-	return GatewayConfig{
-		DedicatedGatewayBeams:   spectrum.BeamsPerCellLimit,
-		GatewayBeamCapacityGbps: 5000 * spectrum.SpectralEfficiencyBpsPerHz / 1000,
-	}
-}
-
-// DedicatedGatewayCapacityGbps returns the backhaul capacity available
-// without diverting any flexible beam.
-func (g GatewayConfig) DedicatedGatewayCapacityGbps() float64 {
-	return float64(g.DedicatedGatewayBeams) * g.GatewayBeamCapacityGbps
-}
-
-// EffectiveUTBeams returns the number of beams a fully loaded satellite
-// can actually point at user cells once backhaul balance is enforced:
-// the largest B such that B beams of user traffic fit through the
-// dedicated gateway capacity plus the flexible beams diverted to
-// gateway duty (each diverted beam both removes c_beam of user capacity
-// and adds c_beam of backhaul).
-func (c Config) EffectiveUTBeams(g GatewayConfig) int {
-	total := c.BeamsPerSatellite
-	for b := total; b >= 1; b-- {
-		userGbps := float64(b) * c.BeamCapacityGbps
-		backhaul := g.DedicatedGatewayCapacityGbps() + float64(total-b)*c.BeamCapacityGbps
-		if userGbps <= backhaul+1e-9 {
-			return b
-		}
-	}
-	return 1
-}

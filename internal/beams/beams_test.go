@@ -177,38 +177,3 @@ func TestCellDemand(t *testing.T) {
 		t.Errorf("CellDemandGbps(5998) = %v, want 599.8", got)
 	}
 }
-
-func TestGatewayConfig(t *testing.T) {
-	g := DefaultGatewayConfig()
-	if g.DedicatedGatewayBeams != 4 {
-		t.Errorf("dedicated gateway beams = %d, want 4", g.DedicatedGatewayBeams)
-	}
-	// 5,000 MHz at 4.5 b/Hz per beam.
-	if math.Abs(g.GatewayBeamCapacityGbps-22.5) > 1e-9 {
-		t.Errorf("gateway beam capacity = %v, want 22.5", g.GatewayBeamCapacityGbps)
-	}
-	if math.Abs(g.DedicatedGatewayCapacityGbps()-90) > 1e-9 {
-		t.Errorf("dedicated gateway capacity = %v, want 90", g.DedicatedGatewayCapacityGbps())
-	}
-}
-
-func TestEffectiveUTBeams(t *testing.T) {
-	c := DefaultConfig()
-	g := DefaultGatewayConfig()
-	// Full load: 24 beams carry 103.8 Gbps but the dedicated gateway
-	// capacity is 90; balance forces two flexible beams to gateway
-	// duty: B ≤ (90 + 103.8)/(2×4.325) = 22.4 → 22.
-	if got := c.EffectiveUTBeams(g); got != 22 {
-		t.Errorf("effective UT beams = %d, want 22", got)
-	}
-	// Abundant gateway capacity leaves all beams for users.
-	rich := GatewayConfig{DedicatedGatewayBeams: 8, GatewayBeamCapacityGbps: 50}
-	if got := c.EffectiveUTBeams(rich); got != 24 {
-		t.Errorf("unconstrained effective beams = %d, want 24", got)
-	}
-	// No gateway capacity at all: half the beams must backhaul.
-	none := GatewayConfig{}
-	if got := c.EffectiveUTBeams(none); got != 12 {
-		t.Errorf("zero-gateway effective beams = %d, want 12", got)
-	}
-}

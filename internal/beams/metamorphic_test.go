@@ -102,20 +102,3 @@ func TestRequiredOversubscriptionMonotone(t *testing.T) {
 	// The paper's peak cell needs ~35:1 (Table 1).
 	testutil.RequireWithinRel(t, "peak-cell oversubscription", c.RequiredOversubscription(5998), 34.7, 0.01)
 }
-
-func TestEffectiveUTBeamsMonotoneInGatewayCapacity(t *testing.T) {
-	c := DefaultConfig()
-	var eff []float64
-	for _, mult := range []float64{0.25, 0.5, 1, 2} {
-		g := DefaultGatewayConfig()
-		g.GatewayBeamCapacityGbps *= mult
-		eff = append(eff, float64(c.EffectiveUTBeams(g)))
-	}
-	testutil.RequireMonotone(t, "effective UT beams vs gateway capacity", eff, testutil.NonDecreasing)
-	// With abundant backhaul every UT beam stays on user duty.
-	g := DefaultGatewayConfig()
-	g.GatewayBeamCapacityGbps *= 100
-	if got := c.EffectiveUTBeams(g); got != c.BeamsPerSatellite {
-		t.Errorf("unconstrained backhaul: EffectiveUTBeams = %d, want %d", got, c.BeamsPerSatellite)
-	}
-}

@@ -330,36 +330,3 @@ func (d *Distribution) Summary() (stats.Summary, error) {
 	// value-identical to re-collecting and re-sorting the samples.
 	return stats.SummarizeCDF(d.cdf)
 }
-
-// CountyWeights returns total locations per county FIPS, for income
-// weighting.
-func (d *Distribution) CountyWeights() map[string]int {
-	out := make(map[string]int)
-	for _, row := range d.order {
-		c := &d.cells[row]
-		out[c.CountyFIPS] += c.Locations
-	}
-	return out
-}
-
-// Scale returns a copy of cells with every location count multiplied by
-// factor (rounded, minimum 1). It models the FCC map's known
-// undercounting of un(der)served locations — ISPs self-report coverage
-// and are known to overstate it — so sensitivity analyses can ask how
-// the capacity findings move if the true demand is, say, 20% higher
-// than the map shows.
-func Scale(cells []Cell, factor float64) ([]Cell, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("demand: scale factor must be positive, got %v", factor)
-	}
-	out := make([]Cell, len(cells))
-	for i, c := range cells {
-		n := int(math.Round(float64(c.Locations) * factor))
-		if n < 1 && c.Locations > 0 {
-			n = 1
-		}
-		out[i] = c
-		out[i].Locations = n
-	}
-	return out, nil
-}

@@ -199,22 +199,6 @@ func TestExcessProperty(t *testing.T) {
 	}
 }
 
-func TestCountyWeights(t *testing.T) {
-	cells := []Cell{
-		{ID: 1, Locations: 10, CountyFIPS: "01001"},
-		{ID: 2, Locations: 20, CountyFIPS: "01001"},
-		{ID: 3, Locations: 5, CountyFIPS: "02002"},
-	}
-	d, err := NewDistribution(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := d.CountyWeights()
-	if w["01001"] != 30 || w["02002"] != 5 {
-		t.Errorf("CountyWeights = %v", w)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	d := buildDist(t, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	s, err := d.Summary()
@@ -226,39 +210,5 @@ func TestSummary(t *testing.T) {
 	}
 	if got := d.Quantile(0.5); got != 5 {
 		t.Errorf("Quantile(0.5) = %d, want 5", got)
-	}
-}
-
-func TestScale(t *testing.T) {
-	cells := []Cell{
-		{ID: 1, Locations: 100},
-		{ID: 2, Locations: 1},
-		{ID: 3, Locations: 0},
-	}
-	scaled, err := Scale(cells, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaled[0].Locations != 120 {
-		t.Errorf("scaled[0] = %d, want 120", scaled[0].Locations)
-	}
-	// Small counts never vanish.
-	down, err := Scale(cells, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down[1].Locations != 1 {
-		t.Errorf("scaled-down tiny cell = %d, want 1", down[1].Locations)
-	}
-	// Zero cells stay zero.
-	if down[2].Locations != 0 {
-		t.Errorf("zero cell became %d", down[2].Locations)
-	}
-	// Original untouched.
-	if cells[0].Locations != 100 {
-		t.Error("Scale mutated input")
-	}
-	if _, err := Scale(cells, 0); err == nil {
-		t.Error("factor 0 should fail")
 	}
 }

@@ -125,28 +125,3 @@ func TestDistributionConservesAggregateTotal(t *testing.T) {
 		t.Errorf("cap at peak must serve everyone, got %v", got)
 	}
 }
-
-func TestScaleConservesCellCount(t *testing.T) {
-	locs := syntheticLocations(2000)
-	cells, err := Aggregate(locs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := Scale(cells, 1.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scaled) != len(cells) {
-		t.Fatalf("Scale changed cell count: %d -> %d", len(cells), len(scaled))
-	}
-	// Scaling up never shrinks any cell; totals grow accordingly.
-	for i := range cells {
-		if scaled[i].Locations < cells[i].Locations {
-			t.Fatalf("cell %d shrank under 1.25x scale: %d -> %d",
-				i, cells[i].Locations, scaled[i].Locations)
-		}
-		if scaled[i].ID != cells[i].ID || scaled[i].CountyFIPS != cells[i].CountyFIPS {
-			t.Fatalf("cell %d identity changed under scaling", i)
-		}
-	}
-}

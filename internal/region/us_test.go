@@ -17,7 +17,11 @@ import (
 // by FIPS prefix (for a synthetic district, the region abbreviation).
 func referenceIncomes(t *testing.T, dist *demand.Distribution, anchors []census.QuantileAnchor, abbrOf func(string) string, seed int64) []census.CountyIncome {
 	t.Helper()
-	weights := dist.CountyWeights()
+	weights := make(map[string]int)
+	for rank := 0; rank < dist.NumCells(); rank++ {
+		c := dist.Cell(rank)
+		weights[c.CountyFIPS] += c.Locations
+	}
 	codes := make([]string, 0, len(weights))
 	for code := range weights {
 		codes = append(codes, code)

@@ -40,14 +40,6 @@ type Config struct {
 	Spread float64
 	// Oversub is the per-cell oversubscription cap.
 	Oversub float64
-	// RequireGatewayVisibility enables bent-pipe mode: a satellite may
-	// only serve user cells while it also has a gateway in view.
-	RequireGatewayVisibility bool
-	// Gateways are the ground-station sites for bent-pipe mode.
-	Gateways []geo.LatLng
-	// GatewayElevationDeg is the minimum elevation at the gateway
-	// (gateway antennas track lower than user terminals).
-	GatewayElevationDeg float64
 	// Parallelism bounds the worker count for the per-epoch geometry
 	// (satellite propagation, per-cell visibility). 0 means one worker
 	// per CPU; 1 is the serial path. Results are identical at every
@@ -140,7 +132,6 @@ func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		visible = filterByGateway(cfg, snap, visible)
 		covered := 0
 		totalVisible := 0
 		for _, v := range visible {
@@ -149,7 +140,7 @@ func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
 			}
 			totalVisible += len(v)
 		}
-		assignment, _ := allocateAssign(cfg, cells, visible, len(snap))
+		assignment := allocate(cfg, cells, visible, len(snap))
 		served := 0
 		for _, a := range assignment {
 			if a >= 0 {
@@ -298,34 +289,45 @@ func sortByDemandDesc(order []int, cells []demand.Cell) {
 	})
 }
 
-// filterByGateway drops satellites without a gateway in view from every
-// cell's visibility list when bent-pipe mode is on.
-func filterByGateway(cfg Config, sats []satPos, visible [][]int) [][]int {
-	if !cfg.RequireGatewayVisibility || len(cfg.Gateways) == 0 {
-		return visible
+// allocate assigns beams greedily, densest cell first, each to
+// its visible satellite with the most free cell-slots. It returns, for
+// each cell, the serving satellite index (-1 when unmet).
+func allocate(cfg Config, cells []demand.Cell, visible [][]int, nsats int) []int {
+	slots := make([]float64, nsats)
+	perSat := float64(cfg.Beams.BeamsPerSatellite) * cfg.Spread
+	for i := range slots {
+		slots[i] = perSat
 	}
-	mask := cfg.GatewayElevationDeg
-	if mask <= 0 {
-		mask = 10
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
 	}
-	ok := make([]bool, len(sats))
-	for i, s := range sats {
-		for _, gw := range cfg.Gateways {
-			if orbit.ElevationDeg(s.ecef, gw) >= mask {
-				ok[i] = true
-				break
+	sortByDemandDesc(order, cells)
+	assignment := make([]int, len(cells))
+	for i := range assignment {
+		assignment[i] = -1
+	}
+	for _, ci := range order {
+		b, ok := cfg.Beams.BeamsForCell(cells[ci].Locations, cfg.Oversub)
+		need := float64(b) * cfg.Spread
+		if b == 1 {
+			need = 1
+		}
+		if !ok {
+			need = float64(cfg.Beams.MaxBeamsPerCell) * cfg.Spread
+		}
+		best, bestFree := -1, 0.0
+		for _, si := range visible[ci] {
+			if slots[si] > bestFree {
+				best, bestFree = si, slots[si]
+			}
+		}
+		if best >= 0 && bestFree >= need {
+			slots[best] -= need
+			if ok {
+				assignment[ci] = best
 			}
 		}
 	}
-	out := make([][]int, len(visible))
-	for ci, vis := range visible {
-		kept := vis[:0]
-		for _, si := range vis {
-			if ok[si] {
-				kept = append(kept, si)
-			}
-		}
-		out[ci] = kept
-	}
-	return out
+	return assignment
 }

@@ -10,7 +10,6 @@ import (
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/orbit"
-	"leodivide/internal/usgeo"
 )
 
 // testCells places a modest demand field across CONUS latitudes.
@@ -164,51 +163,6 @@ func TestAllocatorPrefersFeasible(t *testing.T) {
 	if res.MeanServedFraction == 0 {
 		t.Error("allocator served nothing")
 	}
-}
-
-func TestGatewayRequirementFilters(t *testing.T) {
-	cells := testCells()
-	free := DefaultConfig()
-	free.Shell = smallShell(396, 18)
-	free.Epochs = 3
-	gated := free
-	gated.RequireGatewayVisibility = true
-	for _, gw := range usgeo.GatewaySites() {
-		gated.Gateways = append(gated.Gateways, gw.Pos)
-	}
-	rf, err := Run(context.Background(), free, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg, err := Run(context.Background(), gated, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bent-pipe can only shrink coverage and service.
-	if rg.MeanCoveredFraction > rf.MeanCoveredFraction+1e-9 {
-		t.Errorf("gateway requirement increased coverage: %v vs %v",
-			rg.MeanCoveredFraction, rf.MeanCoveredFraction)
-	}
-	if rg.MeanServedFraction > rf.MeanServedFraction+1e-9 {
-		t.Errorf("gateway requirement increased service: %v vs %v",
-			rg.MeanServedFraction, rf.MeanServedFraction)
-	}
-	// A dense US gateway network keeps most of CONUS connected even in
-	// bent-pipe mode.
-	if rg.MeanCoveredFraction < 0.5*rf.MeanCoveredFraction {
-		t.Errorf("gateway network too weak: %v vs %v",
-			rg.MeanCoveredFraction, rf.MeanCoveredFraction)
-	}
-
-	// With no gateways at all, bent-pipe service collapses to zero.
-	none := gated
-	none.Gateways = nil
-	none.RequireGatewayVisibility = true
-	rn, err := Run(context.Background(), none, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rn // nil gateway list disables the filter by design
 }
 
 func TestFleetSimulation(t *testing.T) {

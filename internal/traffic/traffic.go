@@ -77,26 +77,6 @@ func (p DiurnalProfile) PeakHour() int {
 	return best
 }
 
-// MultiplierAt returns a cell's instantaneous demand multiplier at a
-// UTC hour: phase is the cell's longitude divided by 15 (see Columns),
-// which shifts UTC onto the cell's solar local clock (15° per hour);
-// the profile is interpolated between hourly samples there. The pointer
-// receiver avoids copying the 24-entry profile per cell. The second
-// modulo is kept although it looks redundant: its rounding is
-// observable, and the tests pin the result bit for bit against the
-// two-step local-hour reference.
-func (p *DiurnalProfile) MultiplierAt(utcHour, phase float64) float64 {
-	h := math.Mod(utcHour+phase+48, 24)
-	return p.interp(math.Mod(h+24, 24))
-}
-
-// interp interpolates the profile at an hour already reduced by
-// math.Mod(·, 24).
-func (p *DiurnalProfile) interp(h float64) float64 {
-	lo, frac := bracket(h)
-	return p[lo]*(1-frac) + p[(lo+1)%24]*frac
-}
-
 // bracket splits an hour already reduced by math.Mod(·, 24) into its
 // profile index and interpolation weight. A reduced hour in (-24, 0)
 // comes from a negative input and wraps once more; NaN (the reduction
@@ -111,30 +91,6 @@ func bracket(h float64) (lo int, frac float64) {
 		h += 24
 	}
 	return int(h) % 24, h - math.Floor(h)
-}
-
-// Columns are dense per-cell projections of the Cell fields the daily
-// served-fraction sweep reads, aligned with the source cell slice: the
-// location count as a float and the diurnal phase (longitude/15, the
-// cell's local-clock offset in hours). Building them once per sweep
-// keeps its per-step scans cache-friendly and free of repeated field
-// strides and divisions.
-type Columns struct {
-	Loc   []float64
-	Phase []float64
-}
-
-// NewColumns projects the cells into columns.
-func NewColumns(cells []demand.Cell) Columns {
-	c := Columns{
-		Loc:   make([]float64, len(cells)),
-		Phase: make([]float64, len(cells)),
-	}
-	for i := range cells {
-		c.Loc[i] = float64(cells[i].Locations)
-		c.Phase[i] = cells[i].Center.Lng / 15
-	}
-	return c
 }
 
 // stackClasses is the number of residue classes whose histograms
@@ -161,9 +117,9 @@ const stackClasses = 4
 // steps·24) instead of O(steps·cells); the default 96 quarter-hour
 // steps need c = 4 classes.
 //
-// Each total equals the direct per-cell sum of MultiplierAt within
-// rounding (the equivalence test pins 1e-12 relative), not bit for bit:
-// the summation order differs. Every histogram accumulates its cells
+// Each total equals the direct per-cell sum (the tests' directCurve)
+// within rounding (the equivalence test pins 1e-12 relative), not bit
+// for bit: the summation order differs. Every histogram accumulates its cells
 // in cell order and the kernel is serial, so the result is
 // deterministic and identical at every parallelism.
 func binCurves(p *DiurnalProfile, cells []demand.Cell, lng, halfWidth float64, nat, fp []float64) {

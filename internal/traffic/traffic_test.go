@@ -105,7 +105,27 @@ func TestAtWrapsAnyHour(t *testing.T) {
 	}
 }
 
-// TestMultiplierAtMatchesAt pins MultiplierAt's contract: over a grid of
+// interp interpolates the profile at an hour already reduced by
+// math.Mod(·, 24).
+func (p *DiurnalProfile) interp(h float64) float64 {
+	lo, frac := bracket(h)
+	return p[lo]*(1-frac) + p[(lo+1)%24]*frac
+}
+
+// multiplierAt returns a cell's instantaneous demand multiplier at a
+// UTC hour: phase is the cell's longitude divided by 15, which shifts
+// UTC onto the cell's solar local clock (15° per hour); the profile is
+// interpolated between hourly samples there. It is directCurve's
+// per-cell term. The second modulo is kept although it looks
+// redundant: its rounding is observable, and TestMultiplierAtMatchesAt
+// pins the result bit for bit against the two-step local-hour
+// reference.
+func multiplierAt(p *DiurnalProfile, utcHour, phase float64) float64 {
+	h := math.Mod(utcHour+phase+48, 24)
+	return p.interp(math.Mod(h+24, 24))
+}
+
+// TestMultiplierAtMatchesAt pins multiplierAt's contract: over a grid of
 // UTC hours and longitudes, including off-day hours whose reduction
 // goes negative, it equals At(LocalHour(utc, lng)) bit for bit.
 func TestMultiplierAtMatchesAt(t *testing.T) {
@@ -120,17 +140,17 @@ func TestMultiplierAtMatchesAt(t *testing.T) {
 	}
 	for _, utc := range utcs {
 		for _, lng := range lngs {
-			got := p.MultiplierAt(utc, lng/15)
+			got := multiplierAt(&p, utc, lng/15)
 			want := p.At(LocalHour(utc, lng))
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("MultiplierAt(%v, %v/15) = %v, At(LocalHour) = %v", utc, lng, got, want)
+				t.Fatalf("multiplierAt(%v, %v/15) = %v, At(LocalHour) = %v", utc, lng, got, want)
 			}
 		}
 	}
 }
 
 // directCurve is the reference the binned kernel replaced: every cell
-// evaluated with MultiplierAt at every one of steps steps, summed in
+// evaluated with multiplierAt at every one of steps steps, summed in
 // cell order, over the cells in(c) selects.
 func directCurve(p DiurnalProfile, cells []demand.Cell, steps int, in func(demand.Cell) bool) []float64 {
 	totals := make([]float64, steps)
@@ -138,7 +158,7 @@ func directCurve(p DiurnalProfile, cells []demand.Cell, steps int, in func(deman
 		utc := 24 * float64(s) / float64(steps)
 		for _, c := range cells {
 			if in(c) {
-				totals[s] += c.DemandGbps() * p.MultiplierAt(utc, c.Center.Lng/15)
+				totals[s] += c.DemandGbps() * multiplierAt(&p, utc, c.Center.Lng/15)
 			}
 		}
 	}
@@ -319,7 +339,7 @@ func TestPeakToMean(t *testing.T) {
 }
 
 // LocalHour converts a UTC hour to the solar local hour at a longitude
-// (15° per hour). With At it is the two-step reference MultiplierAt
+// (15° per hour). With At it is the two-step reference multiplierAt
 // must match bit for bit.
 func LocalHour(utcHour float64, lngDeg float64) float64 {
 	return math.Mod(utcHour+lngDeg/15+48, 24)
