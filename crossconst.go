@@ -119,9 +119,7 @@ func (m Model) systemModel(sys constellation.System) (constellation.System, core
 	}
 	c := core.NewModelFor(sys)
 	c.Parallelism = m.Capacity.Parallelism
-	c.Binding = m.Capacity.Binding
 	c.CalibratedEffectiveCells = m.Capacity.CalibratedEffectiveCells
-	c.CalibrationLatDeg = m.Capacity.CalibrationLatDeg
 	return sys, c
 }
 

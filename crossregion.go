@@ -116,22 +116,13 @@ func (m Model) CrossRegion(ctx context.Context, d *Dataset) (CrossRegionResult, 
 
 // regionDataset resolves the dataset for one region: the active
 // dataset when it already is that geography, a fresh generation at the
-// same (seed, scale) on the model's workers otherwise. Datasets
-// predating the region field (zero Region/Scale) count as the default
-// region at full scale.
+// same (seed, scale) on the model's workers otherwise.
 func (m Model) regionDataset(ctx context.Context, d *Dataset, key string) (*Dataset, error) {
-	dsRegion, dsScale := d.Region, d.Scale
-	if dsRegion == "" {
-		dsRegion = "us"
-	}
-	if dsScale == 0 {
-		dsScale = 1
-	}
-	if dsRegion == key {
+	if d.Region == key {
 		return d, nil
 	}
 	return generateDataset(ctx, genOptions{
-		seed: d.Seed, scale: dsScale, region: key, parallelism: m.Capacity.Parallelism,
+		seed: d.Seed, scale: d.Scale, region: key, parallelism: m.Capacity.Parallelism,
 	})
 }
 

@@ -75,7 +75,7 @@ func main() {
 	// How much of the state a single spread beam per cell serves, at a
 	// few beamspread factors (the current-constellation regime).
 	fmt.Println("fraction of state cells servable with one spread beam per cell:")
-	grid, err := m.Capacity.ServedFractionGrid(ctx, dist, []float64{2, 5, 10}, []float64{m.MaxOversub}, false)
+	grid, err := m.Capacity.ServedFractionGrid(ctx, dist, []float64{2, 5, 10}, []float64{m.MaxOversub})
 	if err != nil {
 		log.Fatal(err)
 	}

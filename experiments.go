@@ -127,7 +127,7 @@ var registry = [...]registryEntry{
 	newRegistryEntry("fleets", "assess the authorized Gen1/Gen2 fleets against the requirement",
 		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.AssessFleets(ctx, d) }),
 	newRegistryEntry("refined", "affordability with income dispersion and Lifeline eligibility",
-		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig4Refined(ctx, d, 0, 3) }),
+		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.Fig4Refined(ctx, d) }),
 	newRegistryEntry("busyhour", "diurnal demand: staggering and busy-hour throughput",
 		func(m Model, ctx context.Context, d *Dataset) (any, error) { return m.BusyHour(ctx, d) }),
 	newRegistryEntry("econ", "constellation economics: capex and per-location cost",

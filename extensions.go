@@ -60,40 +60,34 @@ type RefinedFig4Result struct {
 	TotalLocations float64
 }
 
+// refinedHouseholdSize is the household the Lifeline eligibility
+// cutoff (135% of the federal poverty line) is evaluated for.
+const refinedHouseholdSize = 3
+
 // Fig4Refined runs the affordability analysis with within-county
-// income dispersion and eligibility-aware Lifeline. sigmaLog <= 0
-// selects the default (0.55); householdSize <= 0 selects 3.
-func (m Model) Fig4Refined(ctx context.Context, d *Dataset, sigmaLog float64, householdSize int) (RefinedFig4Result, error) {
+// income dispersion (afford.DefaultIncomeSigmaLog) and
+// eligibility-aware Lifeline for a household of three.
+func (m Model) Fig4Refined(ctx context.Context, d *Dataset) (RefinedFig4Result, error) {
 	if err := ctx.Err(); err != nil {
 		return RefinedFig4Result{}, err
-	}
-	if householdSize <= 0 {
-		householdSize = 3
 	}
 	in, err := d.affordInput()
 	if err != nil {
 		return RefinedFig4Result{}, err
 	}
-	din, err := d.dispersedInput(sigmaLog)
+	din, err := d.dispersedInput()
 	if err != nil {
 		return RefinedFig4Result{}, err
 	}
 	plan := afford.StarlinkResidential()
 	return RefinedFig4Result{
-		SigmaLog:       dinSigma(sigmaLog),
-		HouseholdSize:  householdSize,
+		SigmaLog:       afford.DefaultIncomeSigmaLog,
+		HouseholdSize:  refinedHouseholdSize,
 		MedianOnly:     in.Evaluate(plan, nil, m.AffordShare),
 		Dispersed:      din.Evaluate(plan, nil, m.AffordShare),
-		LifelineAware:  din.EvaluateLifelineAware(plan, m.AffordShare, householdSize),
+		LifelineAware:  din.EvaluateLifelineAware(plan, m.AffordShare, refinedHouseholdSize),
 		TotalLocations: din.TotalLocations(),
 	}, nil
-}
-
-func dinSigma(sigma float64) float64 {
-	if sigma <= 0 {
-		return afford.DefaultIncomeSigmaLog
-	}
-	return sigma
 }
 
 // BusyHourResult extends the capacity analysis into the time domain.
@@ -161,7 +155,7 @@ type EconomicsResult struct {
 // capex, sustaining cost per served location, and the per-location
 // price of the diminishing-returns tail.
 func (m Model) Economics(ctx context.Context, d *Dataset) (EconomicsResult, error) {
-	cost := econ.DefaultCostModel()
+	cost := econ.FromSystemCost(m.System.Cost)
 	dist := d.Distribution()
 	served := dist.TotalLocations() -
 		dist.ExcessAbove(m.Capacity.Beams.MaxServableLocations(m.MaxOversub))

@@ -4,6 +4,10 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"leodivide/internal/afford"
+	"leodivide/internal/constellation"
+	"leodivide/internal/econ"
 )
 
 func TestAssessFleets(t *testing.T) {
@@ -36,12 +40,12 @@ func TestAssessFleets(t *testing.T) {
 
 func TestFig4Refined(t *testing.T) {
 	m := NewModel()
-	r, err := m.Fig4Refined(context.Background(), fullDataset(t), 0, 0)
+	r, err := m.Fig4Refined(context.Background(), fullDataset(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SigmaLog <= 0 || r.HouseholdSize != 3 {
-		t.Errorf("defaults not applied: %+v", r)
+	if r.SigmaLog != afford.DefaultIncomeSigmaLog || r.HouseholdSize != 3 {
+		t.Errorf("SigmaLog %v, HouseholdSize %d: want the default dispersion and a household of three", r.SigmaLog, r.HouseholdSize)
 	}
 	// Median-only reproduces the paper's 74.5%.
 	if math.Abs(r.MedianOnly.UnaffordableFraction-0.745) > 0.01 {
@@ -114,6 +118,37 @@ func TestEconomics(t *testing.T) {
 		if r.Tail[i].CapexPerLocationUSD <= r.Tail[i-1].CapexPerLocationUSD {
 			t.Error("tail cost per location not increasing")
 		}
+	}
+}
+
+// TestEconomicsPricesActiveSystem: econ prices the constellation the
+// scenario selects, with its cost overrides applied, not Starlink's
+// declared unit costs.
+func TestEconomicsPricesActiveSystem(t *testing.T) {
+	ds := smallDataset(t, 1)
+	costOf := func(sc ScenarioConfig) econ.CostModel {
+		t.Helper()
+		sc.RunConfig = DefaultRunConfig()
+		r, err := sc.BuildModel().Economics(context.Background(), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Model
+	}
+	starlink := econ.FromSystemCost(constellation.StarlinkSystem().Cost)
+	if got := costOf(ScenarioConfig{}); got != starlink {
+		t.Errorf("default scenario priced at %+v, want Starlink's %+v", got, starlink)
+	}
+	overridden := costOf(ScenarioConfig{CostSatelliteUSD: 3e6, CostLifeYears: 10})
+	if overridden.PerSatelliteUSD() != 3e6*starlink.GroundSegmentOverhead || overridden.SatelliteLifetimeYears != 10 {
+		t.Errorf("cost overrides priced at %+v, want $3M all-in and a 10-year life", overridden)
+	}
+	kuiper, ok := constellation.CostByName("kuiper")
+	if !ok {
+		t.Fatal("no kuiper cost spec")
+	}
+	if got, want := costOf(ScenarioConfig{Constellation: "kuiper"}), econ.FromSystemCost(kuiper); got != want || got == starlink {
+		t.Errorf("kuiper priced at %+v, want its own spec %+v", got, want)
 	}
 }
 

@@ -35,16 +35,16 @@ var testSupportAPI = map[string]string{
 }
 
 // TestInternalAPIHasCallers keeps test-only API out of internal/ and
-// out of the root leodivide package: every package-level func, method
-// and type there must be referenced by non-test code somewhere in the
-// module from outside its own declaration. The commands under cmd/,
-// the programs under examples/ and the _bench harness count as
-// callers, as do the root package and every internal package. A type's
-// own methods do not count as references to it. Methods that satisfy
-// some interface are exempt, since an interface call names the
-// interface method, not the concrete one. internal/analysis (the
-// linter, which has its own tests and a CLI) and internal/testutil
-// (test support by definition) are excluded.
+// out of the root leodivide package: every package-level func, method,
+// type and const there must be referenced by non-test code somewhere
+// in the module from outside its own declaration (for a const, its
+// name). The commands under cmd/, the programs under examples/ and the
+// _bench harness count as callers, as do the root package and every
+// internal package. A type's own methods do not count as references to
+// it. Methods that satisfy some interface are exempt, since an
+// interface call names the interface method, not the concrete one.
+// internal/analysis (the linter, which has its own tests and a CLI)
+// and internal/testutil (test support by definition) are excluded.
 func TestInternalAPIHasCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -98,11 +98,21 @@ func TestInternalAPIHasCallers(t *testing.T) {
 					decls[obj] = &decl{key: key, spans: [][2]token.Pos{{d.Pos(), d.End()}}, isMethod: d.Recv != nil}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
-						ts, ok := s.(*ast.TypeSpec)
-						if !ok || ts.Name.Name == "_" {
-							continue
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							if s.Name.Name != "_" {
+								decls[pkg.Info.Defs[s.Name]] = &decl{key: rel + "." + s.Name.Name, spans: [][2]token.Pos{{s.Pos(), s.End()}}}
+							}
+						case *ast.ValueSpec:
+							if d.Tok != token.CONST {
+								continue
+							}
+							for _, n := range s.Names {
+								if n.Name != "_" {
+									decls[pkg.Info.Defs[n]] = &decl{key: rel + "." + n.Name, spans: [][2]token.Pos{{n.Pos(), n.End()}}}
+								}
+							}
 						}
-						decls[pkg.Info.Defs[ts.Name]] = &decl{key: rel + "." + ts.Name.Name, spans: [][2]token.Pos{{ts.Pos(), ts.End()}}}
 					}
 				}
 			}

@@ -119,19 +119,3 @@ func (f Fleet) EquivalentSingleShellSatellites(ref orbit.Walker, latDeg float64)
 	}
 	return int(f.DensityPerKm2(latDeg) / refDensityPerSat)
 }
-
-// Orbits expands every shell into per-satellite orbits.
-func (f Fleet) Orbits() ([]orbit.CircularOrbit, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	var out []orbit.CircularOrbit
-	for _, s := range f.Shells {
-		orbits, err := s.Orbits()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, orbits...)
-	}
-	return out, nil
-}

@@ -104,16 +104,6 @@ func TestDensityProfile(t *testing.T) {
 	}
 }
 
-func TestOrbitsExpansion(t *testing.T) {
-	orbits, err := StarlinkGen1().Orbits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(orbits) != 4408 {
-		t.Errorf("expanded %d orbits, want 4408", len(orbits))
-	}
-}
-
 // Each shell's density, integrated two degrees inside its inclination
 // band (away from the capped edge singularity), matches the analytic
 // in-band mass (2/π)·asin(sin(i−2°)/sin(i)) of its satellite count.

@@ -98,8 +98,8 @@ func TestStarlinkSystemMatchesConstants(t *testing.T) {
 		t.Errorf("spectral efficiency %v, want %v",
 			s.SpectralEfficiencyBpsPerHz, spectrum.SpectralEfficiencyBpsPerHz)
 	}
-	if got := spectrum.UTDownlinkMHzOf(s.Bands); got != spectrum.UTDownlinkMHz() {
-		t.Errorf("UT downlink %v MHz, want the Schedule S total %v", got, spectrum.UTDownlinkMHz())
+	if got, want := spectrum.UTDownlinkMHzOf(s.Bands), spectrum.UTDownlinkMHzOf(spectrum.ScheduleS()); got != want {
+		t.Errorf("UT downlink %v MHz, want the Schedule S total %v", got, want)
 	}
 	if got, want := spectrum.UTBeamsOf(s.Bands), spectrum.UTBeamsOf(spectrum.ScheduleS()); got != want {
 		t.Errorf("UT beams %d, want the Schedule S total %d", got, want)

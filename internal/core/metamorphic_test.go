@@ -61,7 +61,7 @@ func TestServedFractionGridAxisMonotonicity(t *testing.T) {
 	d := paperDist(t)
 	spreads := []float64{2, 4, 6, 8, 10, 12, 14}
 	oversubs := []float64{5, 10, 15, 20, 25, 30}
-	grid, err := m.ServedFractionGrid(context.Background(), d, spreads, oversubs, false)
+	grid, err := m.ServedFractionGrid(context.Background(), d, spreads, oversubs)
 	if err != nil {
 		t.Fatal(err)
 	}

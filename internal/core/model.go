@@ -25,70 +25,34 @@ import (
 	"leodivide/internal/constellation"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
-	"leodivide/internal/hexgrid"
 	"leodivide/internal/orbit"
 	"leodivide/internal/par"
 	"leodivide/internal/spectrum"
 )
 
-// BindingMode selects which cells may determine the constellation size.
-type BindingMode int
-
-const (
-	// BindPeakOnly reproduces the paper's lower bound: only the cells
-	// requiring the maximum beam count bind, and among them the one at
-	// the least-dense latitude.
-	BindPeakOnly BindingMode = iota
-	// BindAllCells is the tighter extension: every demand cell imposes
-	// a density constraint (a 1-beam cell at a sparse low latitude can
-	// out-bind a 4-beam cell at a dense mid latitude).
-	BindAllCells
-)
-
-// String names the binding mode.
-func (b BindingMode) String() string {
-	switch b {
-	case BindPeakOnly:
-		return "peak-only"
-	case BindAllCells:
-		return "all-cells"
-	default:
-		return fmt.Sprintf("BindingMode(%d)", int(b))
-	}
-}
-
-// Model carries the fixed parameters of a capacity analysis. Obtain a
-// paper-default instance from NewModel and adjust fields for ablations.
+// Model carries the fixed parameters of a capacity analysis. Obtain one
+// from NewModel or NewModelFor; the only setters after that are
+// Calibrated and Parallelism.
 type Model struct {
 	// Beams is the satellite beam/spectrum configuration.
 	Beams beams.Config
 	// InclinationDeg is the shell inclination used for the latitude
 	// density profile.
 	InclinationDeg float64
-	// CellAreaKm2 is the service-cell area.
-	CellAreaKm2 float64
-	// Binding selects the sizing constraint set.
-	Binding BindingMode
 	// CalibratedEffectiveCells, when positive, pins the effective
-	// global cell count at CalibrationLatDeg to the paper's fitted
-	// value (≈1.665e6) instead of deriving it from CellAreaKm2 and the
+	// global cell count at calibrationLatDeg to the paper's fitted
+	// value (≈1.665e6) instead of deriving it from cellAreaKm2 and the
 	// shell geometry. Other latitudes scale by the density profile.
 	CalibratedEffectiveCells float64
-	// CalibrationLatDeg is the reference latitude for the calibrated
-	// effective cell count.
-	CalibrationLatDeg float64
 	// UTDownlinkMHz and SpectralEfficiencyBpsPerHz describe the
-	// spectrum behind Beams, reported by Capacity (Table 1). Zero
-	// values fall back to the Starlink Schedule S constants so
-	// hand-built models keep working.
+	// spectrum behind Beams, reported by Capacity (Table 1).
 	UTDownlinkMHz              float64
 	SpectralEfficiencyBpsPerHz float64
 	// Parallelism bounds the worker count for the sweep methods
-	// (SizeTable, ServedFractionGrid, all-cells DiminishingReturns,
-	// AssessFleet, ServedFractionOverDay). 0 means one worker per CPU;
-	// 1 is the exact serial path. Every sweep point is an independent pure function of
-	// the model and dataset and lands in an index-ordered slot, so
-	// results are identical at every setting.
+	// (SizeTable, ServedFractionGrid, AssessFleet). 0 means one worker
+	// per CPU; 1 is the exact serial path. Every sweep point is an
+	// independent pure function of the model and dataset and lands in
+	// an index-ordered slot, so results are identical at every setting.
 	//
 	// Through the facade, set this via leodivide's Model.Parallelism
 	// (or RunConfig), which keeps it in lockstep with the facade's own
@@ -97,14 +61,24 @@ type Model struct {
 	Parallelism int
 }
 
+// cellAreaKm2 is the service-cell area: the mean resolution-5 cell,
+// hexgrid.Resolution(5).AvgCellAreaKm2(), written out because Go's
+// exact constant arithmetic would round the quotient one ulp away from
+// the float64 division the grid performs.
+const cellAreaKm2 = 253.00736353398284
+
+// calibrationLatDeg is the reference latitude of the paper's fitted
+// effective cell count (Calibrated).
+const calibrationLatDeg = 34.8
+
 // PaperEffectiveCells is the effective global cell count implied by the
 // paper's Table 2 (N·(1+20s) is constant at ≈1,665,027 across all five
 // beamspread rows of the full-service column).
 const PaperEffectiveCells = 1665027
 
 // NewModel returns the model with the paper's parameters: Starlink beam
-// budget, 53° shell, resolution-5 cell area, geometric effective cells,
-// peak-only binding. It is NewModelFor applied to the Starlink spec.
+// budget, 53° shell, resolution-5 cell area, geometric effective cells.
+// It is NewModelFor applied to the Starlink spec.
 func NewModel() Model {
 	return NewModelFor(constellation.StarlinkSystem())
 }
@@ -112,16 +86,13 @@ func NewModel() Model {
 // NewModelFor returns the capacity model a constellation spec implies:
 // the system's beam configuration, its sizing-shell inclination for the
 // latitude density profile, and its spectrum figures for Table 1
-// reporting. Cell area, binding mode and calibration latitude are
-// properties of the demand grid and the paper's fit, not of the
-// system, and stay at their paper defaults.
+// reporting. Cell area and calibration latitude are properties of the
+// demand grid and the paper's fit, not of the system: they are the
+// package constants cellAreaKm2 and calibrationLatDeg.
 func NewModelFor(sys constellation.System) Model {
 	return Model{
 		Beams:                      beams.ForSystem(sys),
 		InclinationDeg:             sys.SizingInclinationDeg,
-		CellAreaKm2:                hexgrid.Resolution(5).AvgCellAreaKm2(),
-		Binding:                    BindPeakOnly,
-		CalibrationLatDeg:          34.8,
 		UTDownlinkMHz:              spectrum.UTDownlinkMHzOf(sys.Bands),
 		SpectralEfficiencyBpsPerHz: sys.SpectralEfficiencyBpsPerHz,
 	}
@@ -140,10 +111,10 @@ func (m Model) Calibrated() Model {
 func (m Model) EffectiveCells(latDeg float64) float64 {
 	f := orbit.DensityFactor(m.InclinationDeg, latDeg)
 	if m.CalibratedEffectiveCells > 0 {
-		fRef := orbit.DensityFactor(m.InclinationDeg, m.CalibrationLatDeg)
+		fRef := orbit.DensityFactor(m.InclinationDeg, calibrationLatDeg)
 		return m.CalibratedEffectiveCells * fRef / f
 	}
-	return geo.EarthAreaKm2 / (m.CellAreaKm2 * f)
+	return geo.EarthAreaKm2 / (cellAreaKm2 * f)
 }
 
 // ConstellationSize returns the satellites required when the binding
@@ -171,17 +142,9 @@ type CapacityTable struct {
 func (m Model) Capacity(d *demand.Distribution) CapacityTable {
 	peak := d.Peak()
 	demandGbps := m.Beams.CellDemandGbps(peak.Locations)
-	mhz := m.UTDownlinkMHz
-	if mhz == 0 {
-		mhz = spectrum.UTDownlinkMHz()
-	}
-	eff := m.SpectralEfficiencyBpsPerHz
-	if eff == 0 {
-		eff = spectrum.SpectralEfficiencyBpsPerHz
-	}
 	return CapacityTable{
-		UTDownlinkMHz:              mhz,
-		SpectralEfficiencyBpsPerHz: eff,
+		UTDownlinkMHz:              m.UTDownlinkMHz,
+		SpectralEfficiencyBpsPerHz: m.SpectralEfficiencyBpsPerHz,
 		MaxCellCapacityGbps:        m.Beams.MaxCellCapacityGbps(),
 		PeakCellLocations:          peak.Locations,
 		FCCDownMbps:                spectrum.FCCDownlinkMbps,
@@ -288,15 +251,11 @@ func (m Model) Size(d *demand.Distribution, sc Scenario, spread, maxOversub floa
 }
 
 // sizeWithCap sizes the constellation when every cell is served up to
-// capLoc locations at the given oversubscription. In peak-only mode
-// the binding scan is spread-invariant, so it is memoized in the
-// dataset's stage memo and only the final ConstellationSize evaluation
-// runs per call; all-cells mode folds the spread into every cell's
-// constraint and runs the full columnar loop (see stage.go for both).
+// capLoc locations at the given oversubscription. The binding scan is
+// spread-invariant, so it is memoized in the dataset's stage memo and
+// only the final ConstellationSize evaluation runs per call (see
+// stage.go).
 func (m Model) sizeWithCap(d *demand.Distribution, spread, oversub float64, capLoc int) SizingResult {
-	if m.Binding == BindAllCells {
-		return m.sizeAllCells(d, spread, oversub, capLoc)
-	}
 	scan := m.peakScan(d, oversub, capLoc)
 	binding := d.Cell(scan.bindIdx)
 	return SizingResult{
@@ -337,22 +296,17 @@ func (m Model) SizeTable(ctx context.Context, d *demand.Distribution, spreads []
 }
 
 // ServedFractionGrid reproduces Figure 2: for each (beamspread,
-// oversubscription) pair, the fraction of US demand cells servable.
-// With multiBeam false (the paper's current-constellation reading),
-// each cell gets a single s-way-spread beam; with multiBeam true, up to
-// the per-cell beam cap of s-way-spread beams.
-// Rows (one per beamspread) are computed concurrently under the model's
-// Parallelism and returned in axis order.
-func (m Model) ServedFractionGrid(ctx context.Context, d *demand.Distribution, spreads, oversubs []float64, multiBeam bool) ([][]float64, error) {
+// oversubscription) pair, the fraction of US demand cells servable when
+// each cell gets a single s-way-spread beam (the paper's
+// current-constellation reading). Rows (one per beamspread) are
+// computed concurrently under the model's Parallelism and returned in
+// axis order.
+func (m Model) ServedFractionGrid(ctx context.Context, d *demand.Distribution, spreads, oversubs []float64) ([][]float64, error) {
 	return par.Map(ctx, m.Parallelism, len(spreads), func(i int) ([]float64, error) {
 		s := spreads[i]
 		row := make([]float64, len(oversubs))
 		for j, o := range oversubs {
-			maxLoc := m.Beams.MaxLocationsUnderSpread(o, s)
-			if multiBeam {
-				maxLoc *= m.Beams.MaxBeamsPerCell
-			}
-			row[j] = d.FractionOfCellsAtMost(maxLoc)
+			row[j] = d.FractionOfCellsAtMost(m.Beams.MaxLocationsUnderSpread(o, s))
 		}
 		return row, nil
 	})
@@ -378,14 +332,11 @@ type ReturnsPoint struct {
 // when the cap crosses a per-beam boundary and pins another beam on the
 // binding cell.
 //
-// In peak-only mode the per-cap (unserved, beams) profile is
-// spread-invariant and memoized in the dataset's stage memo; each call
-// then maps it through the per-band satellite table for its spread and
-// run-compresses it — so a multi-spread Figure 3 pays for one profile
-// walk total, not one per spread. In all-cells mode the t-sweep fans
-// out over the model's Parallelism; every cap value's (unserved,
-// satellites) pair is an independent pure evaluation, so the curve is
-// identical at every worker count.
+// The per-cap (unserved, beams) profile is spread-invariant and
+// memoized in the dataset's stage memo; each call then maps it through
+// the per-band satellite table for its spread and run-compresses it —
+// so a multi-spread Figure 3 pays for one profile walk total, not one
+// per spread.
 func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, spread, oversub float64) ([]ReturnsPoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -394,9 +345,6 @@ func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, s
 	perBeam := m.Beams.LocationsPerBeam(oversub)
 	if perBeam > hardCap {
 		return nil, nil
-	}
-	if m.Binding != BindPeakOnly {
-		return m.diminishingReturnsAllCells(ctx, d, spread, oversub, hardCap, perBeam)
 	}
 	prof, bandSats := m.bandedProfile(d, spread, oversub, hardCap)
 
@@ -429,18 +377,11 @@ func (m Model) DiminishingReturns(ctx context.Context, d *demand.Distribution, s
 }
 
 // ReturnsEnds returns the first and last points of DiminishingReturns
-// for the same arguments, and ok false when that curve is empty. In
-// peak-only mode it reads them off the staged profile without building
-// the curve: the first point is the first cap's, and the last is where
-// the final run of equal (unserved, satellites) pairs begins.
+// for the same arguments, and ok false when that curve is empty. It
+// reads them off the staged profile without building the curve: the
+// first point is the first cap's, and the last is where the final run
+// of equal (unserved, satellites) pairs begins.
 func (m Model) ReturnsEnds(ctx context.Context, d *demand.Distribution, spread, oversub float64) (first, last ReturnsPoint, ok bool, err error) {
-	if m.Binding != BindPeakOnly {
-		points, err := m.DiminishingReturns(ctx, d, spread, oversub)
-		if err != nil || len(points) == 0 {
-			return ReturnsPoint{}, ReturnsPoint{}, false, err
-		}
-		return points[0], points[len(points)-1], true, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return ReturnsPoint{}, ReturnsPoint{}, false, err
 	}
@@ -476,36 +417,6 @@ func (m Model) bandedProfile(d *demand.Distribution, spread, oversub float64, ha
 		bandSats[b] = m.ConstellationSize(spread, b, bindLat)
 	}
 	return m.returnsProfile(d, oversub), bandSats
-}
-
-// diminishingReturnsAllCells is the unstaged sweep for BindAllCells,
-// where the constellation size at every cap depends on the spread
-// through every cell's constraint and cannot be shared.
-func (m Model) diminishingReturnsAllCells(ctx context.Context, d *demand.Distribution, spread, oversub float64, hardCap, perBeam int) ([]ReturnsPoint, error) {
-	raw, err := par.Map(ctx, m.Parallelism, hardCap-perBeam+1, func(i int) (ReturnsPoint, error) {
-		t := perBeam + i
-		unserved := d.ExcessAbove(t)
-		b, _ := m.Beams.BeamsForCell(t, oversub)
-		return ReturnsPoint{
-			CapLocations:      t,
-			UnservedLocations: unserved,
-			Satellites:        m.sizeWithCap(d, spread, oversub, t).Satellites,
-			PeakBeams:         b,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReturnsPoint, 0, len(raw))
-	lastUnserved, lastSats := -1, -1
-	for _, p := range raw {
-		if p.UnservedLocations == lastUnserved && p.Satellites == lastSats {
-			continue
-		}
-		out = append(out, p)
-		lastUnserved, lastSats = p.UnservedLocations, p.Satellites
-	}
-	return out, nil
 }
 
 // StepCost summarizes one step of the diminishing-returns curve: how

@@ -82,11 +82,11 @@ func TestEffectiveCellsCalibrated(t *testing.T) {
 	m := NewModel().Calibrated()
 	// At the calibration latitude the effective cell count equals the
 	// paper's fitted constant.
-	if got := m.EffectiveCells(m.CalibrationLatDeg); math.Abs(got-PaperEffectiveCells) > 1 {
+	if got := m.EffectiveCells(calibrationLatDeg); math.Abs(got-PaperEffectiveCells) > 1 {
 		t.Errorf("EffectiveCells(ref) = %v, want %v", got, float64(PaperEffectiveCells))
 	}
 	// Lower latitude (lower density) needs more effective cells.
-	if m.EffectiveCells(25) <= m.EffectiveCells(m.CalibrationLatDeg) {
+	if m.EffectiveCells(25) <= m.EffectiveCells(calibrationLatDeg) {
 		t.Error("effective cells should grow toward the equator")
 	}
 }
@@ -94,7 +94,7 @@ func TestEffectiveCellsCalibrated(t *testing.T) {
 func TestConstellationSizePaperScaling(t *testing.T) {
 	m := NewModel().Calibrated()
 	// N(s)·(1+20s) is constant: the paper's Table 2 invariant.
-	lat := m.CalibrationLatDeg
+	lat := calibrationLatDeg
 	base := float64(m.ConstellationSize(1, 4, lat)) * 21
 	for _, s := range []float64{2, 5, 10, 15} {
 		n := m.ConstellationSize(s, 4, lat)
@@ -194,7 +194,7 @@ func TestServedFractionGrid(t *testing.T) {
 	d := paperDist(t)
 	spreads := []float64{2, 8, 14}
 	oversubs := []float64{5, 15, 30}
-	grid, err := m.ServedFractionGrid(context.Background(), d, spreads, oversubs, false)
+	grid, err := m.ServedFractionGrid(context.Background(), d, spreads, oversubs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,18 +211,6 @@ func TestServedFractionGrid(t *testing.T) {
 			// Anti-monotone: more spreading serves less.
 			if i > 0 && grid[i][j] > grid[i-1][j] {
 				t.Error("fraction not anti-monotone in spread")
-			}
-		}
-	}
-	// Multi-beam serving strictly dominates single-beam.
-	multi, err := m.ServedFractionGrid(context.Background(), d, spreads, oversubs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range spreads {
-		for j := range oversubs {
-			if multi[i][j] < grid[i][j] {
-				t.Error("multi-beam fraction below single-beam")
 			}
 		}
 	}
@@ -273,28 +261,19 @@ func TestDiminishingReturns(t *testing.T) {
 	}
 }
 
-func TestBindAllCellsTightens(t *testing.T) {
-	d := paperDist(t)
-	peak := NewModel()
-	all := NewModel()
-	all.Binding = BindAllCells
-	for _, spread := range []float64{1, 5, 15} {
-		np := peak.Size(d, CappedOversub, spread, 20).Satellites
-		na := all.Size(d, CappedOversub, spread, 20).Satellites
-		if na < np {
-			t.Errorf("spread %v: all-cells bound %d below peak-only %d", spread, na, np)
-		}
-	}
-}
-
 func TestDensityFactorConsistency(t *testing.T) {
 	// EffectiveCells must equal A_earth/(A_cell·f) in geometric mode.
 	m := NewModel()
 	lat := 40.0
 	f := orbit.DensityFactor(m.InclinationDeg, lat)
-	want := geo.EarthAreaKm2 / (m.CellAreaKm2 * f)
+	want := geo.EarthAreaKm2 / (hexgrid.Resolution(5).AvgCellAreaKm2() * f)
 	if got := m.EffectiveCells(lat); math.Abs(got-want) > 1e-6 {
 		t.Errorf("EffectiveCells = %v, want %v", got, want)
+	}
+	// The cell-area constant is the grid's resolution-5 mean bit for
+	// bit, so uncalibrated sizing matches the grid the demand lives on.
+	if got, want := math.Float64bits(cellAreaKm2), math.Float64bits(hexgrid.Resolution(5).AvgCellAreaKm2()); got != want {
+		t.Errorf("cellAreaKm2 = %v, want the resolution-5 mean %v", cellAreaKm2, hexgrid.Resolution(5).AvgCellAreaKm2())
 	}
 }
 
@@ -302,11 +281,6 @@ func TestStringers(t *testing.T) {
 	for _, s := range []Scenario{FullService, CappedOversub, Scenario(9)} {
 		if s.String() == "" {
 			t.Error("empty scenario string")
-		}
-	}
-	for _, b := range []BindingMode{BindPeakOnly, BindAllCells, BindingMode(9)} {
-		if b.String() == "" {
-			t.Error("empty binding string")
 		}
 	}
 }

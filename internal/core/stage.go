@@ -25,9 +25,10 @@ import (
 //     depends on the beam config and oversubscription only; the spread
 //     maps it through a per-band satellite table afterwards.
 //
-// Calibration knobs (CalibratedEffectiveCells, CalibrationLatDeg,
-// CellAreaKm2) are deliberately outside both stages: they only affect
-// ConstellationSize, which is always evaluated fresh. Parallelism never
+// The calibration inputs (CalibratedEffectiveCells and the constants
+// calibrationLatDeg and cellAreaKm2) are deliberately outside both
+// stages: they only affect ConstellationSize, which is always evaluated
+// fresh. Parallelism never
 // keys a stage — results are identical at every worker count.
 
 // scanKey identifies one binding scan. All fields are comparable; the
@@ -159,33 +160,6 @@ func (m Model) computePeakScan(d *demand.Distribution, oversub float64, capLoc i
 		}
 	}
 	return peakScan{maxBeams: b0, bindIdx: bestIdx}
-}
-
-// sizeAllCells is the BindAllCells sizing loop over the columnar data:
-// every cell imposes a density constraint and the largest requirement
-// wins (strict >, first wins — same selection as the struct scan).
-func (m Model) sizeAllCells(d *demand.Distribution, spread, oversub float64, capLoc int) SizingResult {
-	locs := d.Locs()
-	lats := d.Lats()
-	bestN, bestIdx, bestBeams := 0, 0, 0
-	for i := range locs {
-		served := int(locs[i])
-		if served > capLoc {
-			served = capLoc
-		}
-		b, _ := m.Beams.BeamsForCell(served, oversub)
-		n := m.ConstellationSize(spread, b, lats[i])
-		if n > bestN {
-			bestN, bestIdx, bestBeams = n, i, b
-		}
-	}
-	return SizingResult{
-		Spread:      spread,
-		Oversub:     oversub,
-		PeakBeams:   bestBeams,
-		BindingCell: d.Cell(bestIdx),
-		Satellites:  bestN,
-	}
 }
 
 // returnsProfile returns the memoized diminishing-returns profile for

@@ -60,9 +60,7 @@ func TestReturnsProfileMatchesPerCap(t *testing.T) {
 }
 
 // TestReturnsEndsMatchCurve: ReturnsEnds gives the first and last
-// points of DiminishingReturns, in both binding modes. The all-cells
-// curve sizes every cell at every cap, so it runs on the small paper
-// distribution only.
+// points of DiminishingReturns.
 func TestReturnsEndsMatchCurve(t *testing.T) {
 	dists := oracleDists(t)
 	dists["paper"] = paperDist(t)
@@ -72,13 +70,6 @@ func TestReturnsEndsMatchCurve(t *testing.T) {
 			for _, o := range oracleOversubs {
 				checkReturnsEnds(t, name+"/"+sys.Key, m, d, o)
 			}
-		}
-	}
-	for _, sys := range constellation.Systems() {
-		m := NewModelFor(sys)
-		m.Binding = BindAllCells
-		for _, o := range []float64{10, 20} {
-			checkReturnsEnds(t, "paper/all-cells/"+sys.Key, m, dists["paper"], o)
 		}
 	}
 }

@@ -30,22 +30,14 @@ type CostModel struct {
 	GroundSegmentOverhead float64
 }
 
-// DefaultCostModel returns public-estimate Starlink economics:
-// ≈$0.8M to build and ≈$0.7M to launch each satellite, 5-year life,
-// 20% ground-segment overhead. The figures are drawn from the Starlink
-// constellation spec (internal/constellation), so the econ defaults
-// and the cross-constellation cost models share one source of truth;
-// the overhead multiplier 1 + share is exact in binary for the 0.2
-// share, keeping the historical 1.2 byte-identical.
-func DefaultCostModel() CostModel {
-	return FromSystemCost(constellation.StarlinkSystem().Cost)
-}
-
 // FromSystemCost views a constellation cost spec through econ's
 // capex-only lens: build, launch, life and the ground-segment share as
 // a multiplier. Terminal subsidy and per-satellite opex have no econ
 // counterpart and are intentionally dropped — econ prices the space
-// segment the paper's Figure 3 tail argument needs.
+// segment the paper's Figure 3 tail argument needs — so a scenario's
+// cost_terminal_usd override does not enter econ's result. For the
+// Starlink spec's 0.2 share, 1 + 0.2 rounds to the same float64 as
+// 1.2, so the default econ result keeps its historical multiplier.
 func FromSystemCost(c constellation.CostModel) CostModel {
 	return CostModel{
 		SatelliteUnitUSD:       c.SatelliteBuildUSD,

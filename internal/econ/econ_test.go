@@ -4,8 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"leodivide/internal/constellation"
 	"leodivide/internal/core"
 )
+
+// DefaultCostModel returns public-estimate Starlink economics, the
+// model econ prices the default scenario with: ≈$0.8M to build and
+// ≈$0.7M to launch each satellite, 5-year life, 20% ground-segment
+// overhead.
+func DefaultCostModel() CostModel {
+	return FromSystemCost(constellation.StarlinkSystem().Cost)
+}
 
 func TestDefaultCostModel(t *testing.T) {
 	m := DefaultCostModel()

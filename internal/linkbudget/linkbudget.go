@@ -21,9 +21,6 @@ import (
 	"leodivide/internal/geo"
 )
 
-// SpeedOfLightKmPerSec is c in km/s.
-const SpeedOfLightKmPerSec = 299792.458
-
 // BoltzmannDBW is 10·log10(k) in dBW/K/Hz.
 const BoltzmannDBW = -228.6
 

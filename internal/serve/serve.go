@@ -19,7 +19,9 @@
 //     server's own /metrics route) expose them live.
 //   - Run drains connections on context cancellation (the CLI wires
 //     SIGTERM/SIGINT to that context), so in-flight queries finish
-//     before the process exits.
+//     before the process exits. A run still going, or still waiting
+//     for admission, when the drain window expires is cancelled: its
+//     requester and every follower coalesced on it get a 503.
 //
 // A request that names no region is answered on the server's base
 // region — the geography of its startup dataset — exactly as if it
@@ -153,6 +155,13 @@ type Server struct {
 	// Server-local request and error counts backing /v1/stats (the obs
 	// counters are process-global and shared across servers).
 	requests, errs atomic.Int64
+
+	// life bounds every result fill. A fill answers all the requests
+	// coalesced on its key, so no one client's context may cancel it;
+	// Run cancels life (endLife) once its drain is over instead, so a
+	// fill cannot outlive the server.
+	life    context.Context
+	endLife context.CancelFunc
 }
 
 // New builds a server: validates the base scenario, generates the
@@ -191,6 +200,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	case bytes < 0:
 		bytes = 0 // memo convention: 0 = no byte bound
 	}
+	life, endLife := context.WithCancel(context.Background())
 	s := &Server{
 		ds:         ds,
 		base:       base,
@@ -200,6 +210,8 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		maxBytes:   bytes,
 		baseRegion: baseRegion,
 		regions:    memo.New(memo.Options[*leodivide.Dataset]{MaxEntries: len(region.Regions())}),
+		life:       life,
+		endLife:    endLife,
 	}
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
@@ -231,7 +243,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Run serves on ln until ctx is cancelled, then shuts down gracefully:
 // the listener closes immediately, in-flight requests get up to drain
-// to finish. A nil error means a clean start-to-drain lifecycle.
+// to finish, and then every fill still running is cancelled, so its
+// requests answer 503. A nil error means a clean start-to-drain
+// lifecycle. A Server runs once: its fills stay cancelled after Run.
 func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) error {
 	// With ReadHeaderTimeout zero, net/http bounds the headers by
 	// ReadTimeout too.
@@ -241,7 +255,9 @@ func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) 
 		<-ctx.Done()
 		dctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
-		shutdownErr <- srv.Shutdown(dctx)
+		err := srv.Shutdown(dctx)
+		s.endLife()
+		shutdownErr <- err
 	}()
 	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		return err
@@ -379,13 +395,12 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The leader's fill answers every follower coalesced on its key, so
-	// it runs detached from the leader's client: a leader whose client
-	// goes away still finishes the run its followers wait for. A panic
-	// in the run becomes the fill's error, so the leader and its
-	// followers answer 500 and the key stays uncached.
-	ctx := r.Context()
-	fillCtx := context.WithoutCancel(ctx)
-	body, status, err := s.results.Do(ctx, key, func() (body []byte, err error) {
+	// it runs under the server's lifetime, not the leader's client: a
+	// leader whose client goes away still finishes the run its
+	// followers wait for. A panic in the run becomes the fill's error,
+	// so the leader and its followers answer 500 and the key stays
+	// uncached.
+	body, status, err := s.results.Do(r.Context(), key, func() (body []byte, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				perr, ok := p.(error)
@@ -395,7 +410,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 				err = fmt.Errorf("experiment %s panicked: %w", cfg.Experiment, perr)
 			}
 		}()
-		return s.runScenario(fillCtx, cfg, key)
+		return s.runScenario(s.life, cfg, key)
 	})
 	metricCache[status].Inc()
 	if err != nil {

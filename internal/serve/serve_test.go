@@ -994,6 +994,78 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownEndsWaitingFill: a fill still waiting for admission when
+// Run's drain window expires ends with the server. Run returns, and the
+// leader and a follower coalesced on it both answer 503 with a JSON
+// error while the admission slot is still held.
+func TestShutdownEndsWaitingFill(t *testing.T) {
+	base := leodivide.DefaultRunConfig()
+	base.Scale = testScale
+	s, err := New(context.Background(), Config{
+		Scenario:    leodivide.ScenarioConfig{RunConfig: base},
+		Dataset:     sharedDataset(t),
+		MaxInflight: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Free the slot however the test ends, so nothing it started hangs.
+	defer s.gate.Release()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.Run(ctx, ln, 100*time.Millisecond) }()
+
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	answers := make(chan answer, 2)
+	post := func() {
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/scenario", "application/json", strings.NewReader(scenarioBody("fig1", "")))
+		if err != nil {
+			answers <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		answers <- answer{resp.StatusCode, b, err}
+	}
+	go post()
+	waitCounters(s.results, func(_, misses, _ int64) bool { return misses == 1 })
+	go post()
+	waitCounters(s.results, func(_, _, coalesced int64) bool { return coalesced == 1 })
+
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Run returned %v, want the expired drain's deadline error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after its 100ms drain")
+	}
+	for _, who := range []string{"first", "second"} {
+		select {
+		case a := <-answers:
+			var e errorResponse
+			if a.err != nil || a.code != http.StatusServiceUnavailable || json.Unmarshal(a.body, &e) != nil || e.Error == "" {
+				t.Errorf("%s answer: status %d, body %s, err %v; want 503 with a JSON error", who, a.code, a.body, a.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the %s request waiting on the fill did not answer after shutdown", who)
+		}
+	}
+}
+
 // TestScenarioBodyTooLarge: a body over maxBodyBytes is a 413 with a
 // JSON error, counted in serve.errors, and never reaches the cache.
 func TestScenarioBodyTooLarge(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"leodivide/internal/beams"
-	"leodivide/internal/constellation"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 	"leodivide/internal/orbit"
@@ -25,9 +24,6 @@ import (
 type Config struct {
 	// Shell is the constellation to propagate.
 	Shell orbit.Walker
-	// Fleet, when non-nil, overrides Shell with a multi-shell fleet
-	// (e.g. constellation.StarlinkGen1()).
-	Fleet *constellation.Fleet
 	// MinElevationDeg is the user-terminal elevation mask.
 	MinElevationDeg float64
 	// Epochs is how many snapshots to evaluate.
@@ -64,11 +60,7 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
-	if c.Fleet != nil {
-		if err := c.Fleet.Validate(); err != nil {
-			return err
-		}
-	} else if err := c.Shell.Validate(); err != nil {
+	if err := c.Shell.Validate(); err != nil {
 		return err
 	}
 	if err := c.Beams.Validate(); err != nil {
@@ -112,7 +104,7 @@ func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
 	if len(cells) == 0 {
 		return Result{}, fmt.Errorf("sim: no demand cells")
 	}
-	orbits, err := cfg.orbits()
+	orbits, err := cfg.Shell.Orbits()
 	if err != nil {
 		return Result{}, err
 	}
@@ -170,14 +162,6 @@ type satPos struct {
 	ecef     geo.Vec3
 	sub      geo.LatLng
 	covAngle float64 // Earth-central coverage half-angle, radians
-}
-
-// orbits expands the configured shell or fleet, tagging each orbit.
-func (c Config) orbits() ([]orbit.CircularOrbit, error) {
-	if c.Fleet != nil {
-		return c.Fleet.Orbits()
-	}
-	return c.Shell.Orbits()
 }
 
 func snapshotWithMask(ctx context.Context, orbits []orbit.CircularOrbit, t, minElev float64, workers int) ([]satPos, error) {

@@ -5,7 +5,6 @@ import (
 
 	"testing"
 
-	"leodivide/internal/constellation"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
@@ -162,46 +161,5 @@ func TestAllocatorPrefersFeasible(t *testing.T) {
 	}
 	if res.MeanServedFraction == 0 {
 		t.Error("allocator served nothing")
-	}
-}
-
-func TestFleetSimulation(t *testing.T) {
-	cells := testCells()
-	// A quarter-density two-shell mini fleet: a 53° shell plus a 70°
-	// shell that adds high-latitude coverage.
-	fleet := constellation.Fleet{
-		Name: "mini",
-		Shells: []orbit.Walker{
-			{AltitudeKm: 550, InclinationDeg: 53, Total: 198, Planes: 18, Phasing: 1},
-			{AltitudeKm: 570, InclinationDeg: 70, Total: 90, Planes: 9, Phasing: 1},
-		},
-	}
-	cfg := DefaultConfig()
-	cfg.Fleet = &fleet
-	cfg.Epochs = 3
-	res, err := Run(context.Background(), cfg, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanCoveredFraction <= 0 {
-		t.Errorf("fleet covered nothing")
-	}
-	// The fleet must outperform its 53° shell alone.
-	solo := DefaultConfig()
-	solo.Shell = orbit.Walker{AltitudeKm: 550, InclinationDeg: 53, Total: 198, Planes: 18, Phasing: 1}
-	solo.Epochs = 3
-	resSolo, err := Run(context.Background(), solo, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanVisibleSats <= resSolo.MeanVisibleSats {
-		t.Errorf("fleet visibility %v not above solo %v",
-			res.MeanVisibleSats, resSolo.MeanVisibleSats)
-	}
-	// An invalid fleet fails validation.
-	bad := constellation.Fleet{Name: "bad"}
-	cfg.Fleet = &bad
-	if _, err := Run(context.Background(), cfg, cells); err == nil {
-		t.Error("invalid fleet should fail")
 	}
 }

@@ -65,7 +65,8 @@ func ScheduleS() []Band {
 }
 
 // UTDownlinkMHzOf sums the spectrum a band table makes available for
-// downlink to user terminals (UT-only plus flexible bands).
+// downlink to user terminals (UT-only plus flexible bands): 3850 MHz
+// for ScheduleS.
 func UTDownlinkMHzOf(bands []Band) float64 {
 	total := 0.0
 	for _, b := range bands {
@@ -87,10 +88,6 @@ func UTBeamsOf(bands []Band) int {
 	}
 	return n
 }
-
-// UTDownlinkMHz sums the spectrum available for downlink to user
-// terminals (UT-only plus flexible bands): 3850 MHz.
-func UTDownlinkMHz() float64 { return UTDownlinkMHzOf(ScheduleS()) }
 
 // Regulatory and modelling constants.
 const (

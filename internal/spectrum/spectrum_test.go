@@ -7,8 +7,8 @@ import (
 
 func TestScheduleSTotals(t *testing.T) {
 	// The totals printed in the paper's Table 1.
-	if got := UTDownlinkMHz(); got != 3850 {
-		t.Errorf("UTDownlinkMHz = %v, want 3850", got)
+	if got := UTDownlinkMHzOf(ScheduleS()); got != 3850 {
+		t.Errorf("Schedule S UT downlink = %v MHz, want 3850", got)
 	}
 	if got := UTBeamsOf(ScheduleS()); got != 24 {
 		t.Errorf("UTBeamsOf = %d, want 24", got)
@@ -40,7 +40,7 @@ func TestScheduleSBands(t *testing.T) {
 
 func TestCapacities(t *testing.T) {
 	// 3850 MHz × 4.5 b/Hz = 17.325 Gbps exactly.
-	if got := UTDownlinkMHz() * SpectralEfficiencyBpsPerHz / 1000; math.Abs(got-17.325) > 1e-9 {
+	if got := UTDownlinkMHzOf(ScheduleS()) * SpectralEfficiencyBpsPerHz / 1000; math.Abs(got-17.325) > 1e-9 {
 		t.Errorf("exact cell capacity = %v, want 17.325", got)
 	}
 	// The paper rounds to 17.3; a beam carries a quarter of that.

@@ -65,8 +65,8 @@ func TestScheduleSPerUseSubtotals(t *testing.T) {
 	}
 	utMHz, utBeams := perUse(DownlinkUT)
 	flexMHz, flexBeams := perUse(DownlinkFlexible)
-	if utMHz+flexMHz != UTDownlinkMHz() {
-		t.Errorf("UT+flexible width %v != UTDownlinkMHz %v", utMHz+flexMHz, UTDownlinkMHz())
+	if utMHz+flexMHz != UTDownlinkMHzOf(ScheduleS()) {
+		t.Errorf("UT+flexible width %v != Schedule S UT downlink %v", utMHz+flexMHz, UTDownlinkMHzOf(ScheduleS()))
 	}
 	if utBeams+flexBeams != UTBeamsOf(ScheduleS()) {
 		t.Errorf("UT+flexible beams %d != UTBeamsOf %d", utBeams+flexBeams, UTBeamsOf(ScheduleS()))
@@ -123,7 +123,7 @@ func TestCapacityChainConsistency(t *testing.T) {
 	// The paper's capacity chain: rounded per-cell capacity within 0.2%
 	// of the exact product, beam capacity exactly a quarter of it, and
 	// the derived per-beam/per-cell location limits at 20:1.
-	exact := UTDownlinkMHz() * SpectralEfficiencyBpsPerHz / 1000
+	exact := UTDownlinkMHzOf(ScheduleS()) * SpectralEfficiencyBpsPerHz / 1000
 	beam := MaxCellCapacityGbps / BeamsPerCellLimit
 	if rel := math.Abs(MaxCellCapacityGbps-exact) / exact; rel > 0.002 {
 		t.Errorf("rounded capacity %v is %.4f%% off the exact %v", MaxCellCapacityGbps, 100*rel, exact)

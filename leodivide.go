@@ -182,8 +182,8 @@ type Model struct {
 	// apply. Obtain coherent pairs from NewModelFor rather than
 	// writing the field directly.
 	System constellation.System
-	// Capacity is the underlying capacity model; adjust fields for
-	// ablations.
+	// Capacity is the underlying capacity model, derived from System;
+	// change it only through Calibrated and Parallelism.
 	Capacity core.Model
 	// AffordShare is the affordability threshold as a share of monthly
 	// income (default 2%).
@@ -208,7 +208,8 @@ type Model struct {
 //
 // The knob lives in Capacity.Parallelism, which bounds both the
 // capacity model's sweeps and the facade's fan-outs (Fig3 curves, Fig4
-// plan curves, Stability seeds). Dataset generation takes its worker
+// plan curves, the per-system costcurve and xconst rows, and xregion's
+// sibling generations). Dataset generation takes its worker
 // bound from RunConfig.Parallelism, which ScenarioConfig.Generate
 // passes to the region, not from the model.
 func (m Model) Parallelism(n int) Model {
@@ -375,7 +376,7 @@ type Fig2Result struct {
 func (m Model) Fig2(ctx context.Context, d *Dataset) (Fig2Result, error) {
 	spreads := []float64{2, 4, 6, 8, 10, 12, 14}
 	oversubs := []float64{5, 10, 15, 20, 25, 30}
-	fraction, err := m.Capacity.ServedFractionGrid(ctx, d.Distribution(), spreads, oversubs, false)
+	fraction, err := m.Capacity.ServedFractionGrid(ctx, d.Distribution(), spreads, oversubs)
 	if err != nil {
 		return Fig2Result{}, err
 	}
@@ -532,12 +533,11 @@ func (d *Dataset) affordInput() (*afford.Input, error) {
 	})
 }
 
-// dispersedInput is the staged form of afford.NewDispersedInput, keyed
-// by the (uncanonicalized) sigma so distinct dispersion shapes coexist.
-func (d *Dataset) dispersedInput(sigmaLog float64) (*afford.DispersedInput, error) {
-	key := "afford.dispersed|sigma=" + strconv.FormatFloat(sigmaLog, 'g', -1, 64)
-	return memo.Get(d.dist.Stages(), key, func() (*afford.DispersedInput, error) {
-		return afford.NewDispersedInput(d.Incomes, sigmaLog)
+// dispersedInput is the staged form of afford.NewDispersedInput at the
+// default within-county dispersion.
+func (d *Dataset) dispersedInput() (*afford.DispersedInput, error) {
+	return memo.Get(d.dist.Stages(), "afford.dispersed", func() (*afford.DispersedInput, error) {
+		return afford.NewDispersedInput(d.Incomes, afford.DefaultIncomeSigmaLog)
 	})
 }
 

@@ -368,9 +368,6 @@ func TestScenarioConstantsExposed(t *testing.T) {
 	if m.AffordShare != 0.02 {
 		t.Errorf("AffordShare = %v, want 0.02", m.AffordShare)
 	}
-	if m.Capacity.Binding != core.BindPeakOnly {
-		t.Errorf("default binding = %v", m.Capacity.Binding)
-	}
 }
 
 // TestSizingValidatedBySimulator closes the loop between the analytic

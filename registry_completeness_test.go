@@ -20,6 +20,7 @@ var registryMethodNames = map[string]string{
 	"Fig4":               "fig4",
 	"RunFindings":        "findings",
 	"AssessFleets":       "fleets",
+	"Fig4Refined":        "refined",
 	"BusyHour":           "busyhour",
 	"Economics":          "econ",
 	"CostCurve":          "costcurve",
@@ -31,13 +32,6 @@ var registryMethodNames = map[string]string{
 // absent from the registry, with the reason.
 var registryExemptMethods = map[string]string{
 	"Finding1": "reported inside the findings experiment, not standalone",
-}
-
-// registryExtraNames lists registry entries whose underlying methods do
-// NOT have the uniform signature (they take extra parameters and are
-// wrapped with defaults by Experiments).
-var registryExtraNames = map[string]bool{
-	"refined": true, // Fig4Refined(ctx, d, sigmaLog, householdSize)
 }
 
 // uniformExperimentMethods returns the names of exported Model methods
@@ -70,7 +64,7 @@ func uniformExperimentMethods(t *testing.T) []string {
 
 // TestRegistryCompleteness: every uniform-signature Model method is in
 // the registry exactly once (or explicitly exempted), and the registry
-// contains nothing else beyond the known wrapped extras.
+// contains nothing else.
 func TestRegistryCompleteness(t *testing.T) {
 	methods := uniformExperimentMethods(t)
 	if len(methods) == 0 {
@@ -118,15 +112,9 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 	}
 
-	// Whatever remains in the registry must be a known wrapped extra.
 	for name := range registry {
-		if !covered[name] && !registryExtraNames[name] {
-			t.Errorf("registry entry %q corresponds to no uniform-signature method and is not listed in registryExtraNames", name)
-		}
-	}
-	for name := range registryExtraNames {
-		if registry[name] == 0 {
-			t.Errorf("registryExtraNames lists %q but the registry has no such entry", name)
+		if !covered[name] {
+			t.Errorf("registry entry %q corresponds to no uniform-signature method", name)
 		}
 	}
 }
