@@ -69,15 +69,13 @@ serve-smoke:
 # -fuzz target per invocation, hence one line per target.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadLocationsCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCellsCSV$$' -fuzztime $(FUZZ_TIME) ./internal/bdc
 	$(GO) test -run '^$$' -fuzz '^FuzzLatLngToCell$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkBox$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
 	$(GO) test -run '^$$' -fuzz '^FuzzSortUint64$$' -fuzztime $(FUZZ_TIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzCDFGiniLorenz$$' -fuzztime $(FUZZ_TIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioRequest$$' -fuzztime $(FUZZ_TIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseScenarioKey$$' -fuzztime $(FUZZ_TIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioKeyInjective$$' -fuzztime $(FUZZ_TIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFig3JSON$$' -fuzztime $(FUZZ_TIME) .
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR, percent). The floor

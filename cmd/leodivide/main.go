@@ -332,8 +332,8 @@ func renderTable2(w io.Writer, v any) error {
 	t := report.NewTable("Table 2 — constellation size vs beamspread",
 		"beamspread", "full service", "paper", "max 20:1", "paper ")
 	for _, row := range r.Rows {
-		t.AddRow(row.Spread, row.FullServiceSats, r.PaperFullService[row.Spread],
-			row.CappedOversubSats, r.PaperCapped[row.Spread])
+		t.AddRow(row.Spread, row.FullServiceSats, r.PaperFullService.At(row.Spread),
+			row.CappedOversubSats, r.PaperCapped.At(row.Spread))
 	}
 	_, err = t.WriteTo(w)
 	return err
@@ -630,11 +630,12 @@ func renderEcon(w io.Writer, v any) error {
 		return err
 	}
 	t := report.NewTable(
-		fmt.Sprintf("Constellation economics — $%.1fM per satellite all-in, %g-year life (capped 20:1 scenarios)",
+		fmt.Sprintf("Constellation economics — $%.1fM per satellite incl. ground segment, %g-year life (capped 20:1 scenarios)",
 			r.Model.PerSatelliteUSD()/1e6, r.Model.SatelliteLifetimeYears),
 		"beamspread", "satellites", "capex ($B)", "sustaining ($B/yr)", "$/location/month")
+	spreads := leodivide.PaperTable2Spreads()
 	for i, sc := range r.Scenarios {
-		t.AddRow(leodivide.PaperTable2Spreads[i], sc.Satellites,
+		t.AddRow(spreads[i], sc.Satellites,
 			fmt.Sprintf("%.1f", sc.CapexUSD/1e9),
 			fmt.Sprintf("%.2f", sc.AnnualizedUSD/1e9),
 			fmt.Sprintf("%.0f", sc.MonthlyPerLocationUSD))

@@ -47,7 +47,7 @@ func ExampleModel_Table2() {
 		log.Fatal(err)
 	}
 	for _, row := range t2.Rows {
-		within := relDiff(row.FullServiceSats, t2.PaperFullService[row.Spread]) < 0.005
+		within := relDiff(row.FullServiceSats, t2.PaperFullService.At(row.Spread)) < 0.005
 		fmt.Printf("beamspread %2.0f within 0.5%% of paper: %v\n", row.Spread, within)
 	}
 	// Output:

@@ -27,14 +27,14 @@ type FleetsResult struct {
 // full Gen2 authorization reach the >40,000-satellite bar?"
 func (m Model) AssessFleets(ctx context.Context, d *Dataset) (FleetsResult, error) {
 	dist := d.Distribution()
-	gen1, err := m.Capacity.AssessFleet(ctx, dist, constellation.StarlinkGen1(), PaperTable2Spreads, m.MaxOversub)
+	gen1, err := m.Capacity.AssessFleet(ctx, dist, constellation.StarlinkGen1(), paperTable2Spreads[:], m.MaxOversub)
 	if err != nil {
 		return FleetsResult{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return FleetsResult{}, err
 	}
-	gen2, err := m.Capacity.AssessFleet(ctx, dist, constellation.StarlinkGen2(), PaperTable2Spreads, m.MaxOversub)
+	gen2, err := m.Capacity.AssessFleet(ctx, dist, constellation.StarlinkGen2(), paperTable2Spreads[:], m.MaxOversub)
 	if err != nil {
 		return FleetsResult{}, err
 	}
@@ -160,7 +160,7 @@ func (m Model) Economics(ctx context.Context, d *Dataset) (EconomicsResult, erro
 	served := dist.TotalLocations() -
 		dist.ExcessAbove(m.Capacity.Beams.MaxServableLocations(m.MaxOversub))
 	out := EconomicsResult{Model: cost}
-	for _, spread := range PaperTable2Spreads {
+	for _, spread := range paperTable2Spreads {
 		if err := ctx.Err(); err != nil {
 			return EconomicsResult{}, err
 		}

@@ -99,7 +99,7 @@ func TestEconomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Scenarios) != len(PaperTable2Spreads) {
+	if len(r.Scenarios) != len(paperTable2Spreads) {
 		t.Fatalf("got %d scenarios", len(r.Scenarios))
 	}
 	// Cost falls with beamspread.

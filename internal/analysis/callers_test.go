@@ -17,14 +17,11 @@ import (
 // for the root package. Keep it short: a helper only one package's
 // tests need belongs in that package's _test.go.
 var testSupportAPI = map[string]string{
-	"bdc.ReadCellsCSV":                 "round-trip oracle for the cells file leodivide gen and export write; fuzzed",
-	"bdc.ReadLocationsCSV":             "round-trip oracle for the locations file leodivide gen -locations-csv writes; fuzzed",
 	"constellation.System.Validate":    "invariant check the declared system table is tested against",
 	"core.NewModel":                    "paper-default capacity model the core tests start from",
 	"demand.Aggregate":                 "reference aggregation the bdc generator tests compare against",
 	"golden.WriteFile":                 "regenerates the golden corpus from the root golden tests",
 	"hexgrid.ForEachCell":              "whole-globe enumeration the hexgrid and bdc grid tests check against",
-	"leodivide.ParseScenarioKey":       "injectivity oracle FuzzParseScenarioKey checks CanonicalKey against",
 	"leodivide.ScenarioConfig.Request": "wire form of a scenario that FuzzParseScenarioRequest round-trips",
 	"obs.Registry.Reset":               "zeroes a registry in place so tests can isolate readings",
 	"safeio.FaultWriter":               "write-fault double for the safeio and leodivide gen/export fault tests",

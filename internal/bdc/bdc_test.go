@@ -1,11 +1,14 @@
 package bdc
 
 import (
-	"context"
-
 	"bytes"
+	"context"
+	"encoding/csv"
+	"errors"
+	"io"
 	"math"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 
 	"leodivide/internal/demand"
@@ -256,6 +259,22 @@ func TestGenerateLocationsScale(t *testing.T) {
 	}
 }
 
+// readBack reads a file the CSV writers produced with encoding/csv,
+// checks its header and returns the records after it. It validates
+// nothing: the round-trip tests compare every field with the value it
+// was written from.
+func readBack(t *testing.T, r io.Reader, header []string) [][]string {
+	t.Helper()
+	recs, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || !slices.Equal(recs[0], header) {
+		t.Fatalf("header does not match %v", header)
+	}
+	return recs[1:]
+}
+
 func TestLocationsCSVRoundTrip(t *testing.T) {
 	cfg := smallConfig()
 	cells, _, err := GenerateCells(context.Background(), cfg)
@@ -270,20 +289,30 @@ func TestLocationsCSVRoundTrip(t *testing.T) {
 	if err := WriteLocationsCSV(&buf, locs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLocationsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	recs := readBack(t, &buf, csvHeader)
+	if len(recs) != len(locs) {
+		t.Fatalf("round trip %d -> %d records", len(locs), len(recs))
 	}
-	if len(back) != len(locs) {
-		t.Fatalf("round trip %d -> %d records", len(locs), len(back))
-	}
-	for i := range locs {
-		if back[i].ID != locs[i].ID || back[i].CountyFIPS != locs[i].CountyFIPS ||
-			back[i].Technology != locs[i].Technology {
-			t.Fatalf("record %d differs: %+v vs %+v", i, locs[i], back[i])
+	for i, rec := range recs {
+		id, err1 := strconv.ParseUint(rec[0], 10, 64)
+		lat, err2 := strconv.ParseFloat(rec[1], 64)
+		lng, err3 := strconv.ParseFloat(rec[2], 64)
+		down, err4 := strconv.ParseFloat(rec[5], 64)
+		up, err5 := strconv.ParseFloat(rec[6], 64)
+		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
-		if geo.DistanceKm(back[i].Pos, locs[i].Pos) > 0.001 {
-			t.Fatalf("record %d position drifted", i)
+		back := demand.Location{
+			ID:          id,
+			Pos:         geo.LatLng{Lat: lat, Lng: lng},
+			StateAbbr:   rec[3],
+			CountyFIPS:  rec[4],
+			MaxDownMbps: down,
+			MaxUpMbps:   up,
+			Technology:  rec[7],
+		}
+		if back != locs[i] {
+			t.Fatalf("record %d reads back as %+v, want %+v", i, back, locs[i])
 		}
 	}
 }
@@ -297,44 +326,27 @@ func TestCellsCSVRoundTrip(t *testing.T) {
 	if err := WriteCellsCSV(&buf, cells); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCellsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	recs := readBack(t, &buf, cellCSVHeader)
+	if len(recs) != len(cells) {
+		t.Fatalf("round trip %d -> %d cells", len(cells), len(recs))
 	}
-	if len(back) != len(cells) {
-		t.Fatalf("round trip %d -> %d cells", len(cells), len(back))
-	}
-	for i := range cells {
-		if back[i].ID != cells[i].ID || back[i].Locations != cells[i].Locations ||
-			back[i].CountyFIPS != cells[i].CountyFIPS {
-			t.Fatalf("cell %d differs", i)
+	for i, rec := range recs {
+		id, err1 := strconv.ParseUint(rec[0], 10, 64)
+		lat, err2 := strconv.ParseFloat(rec[1], 64)
+		lng, err3 := strconv.ParseFloat(rec[2], 64)
+		n, err4 := strconv.Atoi(rec[4])
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
 		}
-	}
-}
-
-func TestReadLocationsCSVErrors(t *testing.T) {
-	cases := []string{
-		"",           // no header
-		"bad,header", // wrong header
-		"location_id,latitude,longitude,state,county_fips,max_download_mbps,max_upload_mbps,technology\nx,1,2,TX,48001,10,1,dsl",    // bad id
-		"location_id,latitude,longitude,state,county_fips,max_download_mbps,max_upload_mbps,technology\n1,999,2,TX,48001,10,1,dsl",  // bad lat
-		"location_id,latitude,longitude,state,county_fips,max_download_mbps,max_upload_mbps,technology\n1,30,-97,TX,4800,10,1,dsl",  // bad fips
-		"location_id,latitude,longitude,state,county_fips,max_download_mbps,max_upload_mbps,technology\n1,30,-97,TX,48001,-5,1,dsl", // bad speed
-	}
-	for i, in := range cases {
-		if _, err := ReadLocationsCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d should fail", i)
+		back := demand.Cell{
+			ID:         hexgrid.CellID(id),
+			Center:     geo.LatLng{Lat: lat, Lng: lng},
+			CountyFIPS: rec[3],
+			Locations:  n,
 		}
-	}
-}
-
-// The reader validates the dataset as a whole, not just each record:
-// a location ID may appear once.
-func TestValidateCatchesDuplicates(t *testing.T) {
-	const header = "location_id,latitude,longitude,state,county_fips,max_download_mbps,max_upload_mbps,technology\n"
-	in := header + "1,30,-97,TX,48001,10,1,dsl\n1,31,-97,TX,48001,10,1,dsl\n"
-	if _, err := ReadLocationsCSV(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "duplicate location_id 1") {
-		t.Errorf("duplicate IDs: err = %v, want a duplicate location_id error", err)
+		if back != cells[i] {
+			t.Fatalf("cell %d reads back as %+v, want %+v", i, back, cells[i])
+		}
 	}
 }
 

@@ -61,7 +61,11 @@ func (m CostModel) Validate() error {
 	return nil
 }
 
-// PerSatelliteUSD returns the all-in capital cost of one satellite.
+// PerSatelliteUSD returns the capital cost of one satellite including
+// its share of the ground segment: build plus launch, times
+// GroundSegmentOverhead. It is not the all-in build+launch figure a
+// constellation.CostModel or a cost_sat_usd override names, which
+// leaves the ground segment out.
 func (m CostModel) PerSatelliteUSD() float64 {
 	return (m.SatelliteUnitUSD + m.LaunchPerSatelliteUSD) * m.GroundSegmentOverhead
 }

@@ -21,7 +21,7 @@ func TestDefaultCostModel(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// $1.5M space segment × 1.2 overhead = $1.8M all-in per satellite.
+	// $1.5M space segment × 1.2 overhead = $1.8M per satellite incl. ground segment.
 	if got := m.PerSatelliteUSD(); math.Abs(got-1.8e6) > 1 {
 		t.Errorf("per-satellite = %v, want 1.8M", got)
 	}

@@ -95,24 +95,6 @@ func (c CellID) Coords() (i, j int) {
 	return int(c>>iShift) & coordMask, int(c) & coordMask
 }
 
-// Valid reports whether c is a well-formed, canonical cell identifier.
-func (c CellID) Valid() bool {
-	r := c.Resolution()
-	if !r.Valid() {
-		return false
-	}
-	f := c.Face()
-	if f >= 20 {
-		return false
-	}
-	i, j := c.Coords()
-	n := r.Subdivisions()
-	if i < 0 || j < 0 || i+j > n {
-		return false
-	}
-	return canonicalize(r, f, i, j) == c
-}
-
 // String renders the cell as res/face/i/j.
 func (c CellID) String() string {
 	i, j := c.Coords()

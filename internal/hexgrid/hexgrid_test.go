@@ -8,6 +8,25 @@ import (
 	"leodivide/internal/geo"
 )
 
+// Valid reports whether c is a well-formed, canonical cell identifier:
+// the oracle the grid tests check every returned cell against.
+func (c CellID) Valid() bool {
+	r := c.Resolution()
+	if !r.Valid() {
+		return false
+	}
+	f := c.Face()
+	if f >= 20 {
+		return false
+	}
+	i, j := c.Coords()
+	n := r.Subdivisions()
+	if i < 0 || j < 0 || i+j > n {
+		return false
+	}
+	return canonicalize(r, f, i, j) == c
+}
+
 func TestResolutionTable(t *testing.T) {
 	for r := MinResolution; r <= MaxResolution; r++ {
 		n := r.Subdivisions()

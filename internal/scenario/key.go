@@ -171,35 +171,3 @@ func (k *KeyBuilder) Key() (string, error) {
 	}
 	return k.b.String(), nil
 }
-
-// Field is one decoded name=value pair of a canonical key.
-type Field struct {
-	Name, Value string
-}
-
-// ParseKey decodes a canonical key into its schema prefix and ordered
-// fields, enforcing the builder's layout rules in reverse: a nonempty
-// schema, every field name=value with a token-safe name, and names in
-// strictly ascending order (which also rules out duplicates). Values
-// are returned verbatim; the caller owns their interpretation.
-func ParseKey(key string) (schema string, fields []Field, err error) {
-	parts := strings.Split(key, "|")
-	schema = parts[0]
-	if schema == "" {
-		return "", nil, fmt.Errorf("scenario key: empty schema prefix in %q", key)
-	}
-	last := ""
-	fields = make([]Field, 0, len(parts)-1)
-	for _, p := range parts[1:] {
-		name, value, ok := strings.Cut(p, "=")
-		if !ok || !validToken(name) {
-			return "", nil, fmt.Errorf("scenario key: malformed field %q", p)
-		}
-		if name <= last {
-			return "", nil, fmt.Errorf("scenario key: field %q out of order after %q", name, last)
-		}
-		last = name
-		fields = append(fields, Field{Name: name, Value: value})
-	}
-	return schema, fields, nil
-}

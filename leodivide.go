@@ -27,6 +27,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -308,17 +309,29 @@ func (m Model) Finding1(ctx context.Context, d *Dataset) (core.OversubAnalysis, 
 	return m.Capacity.Oversubscription(d.Distribution(), m.MaxOversub), nil
 }
 
-// PaperSizes maps a beamspread factor to a paper-reported constellation
-// size. JSON objects cannot carry float keys, so it marshals with
-// canonically formatted string keys ("2", "15") to stay serializable
-// for the golden corpus and the observability layer.
-type PaperSizes map[float64]int
+// PaperSizes holds a paper-reported constellation size for each of the
+// paper's Table 2 beamspread factors, in PaperTable2Spreads order. It
+// is a value: a copy shares nothing with the paper's table or with
+// another result. JSON objects cannot carry float keys, so it marshals
+// as an object keyed by the canonically formatted spread ("2", "15"),
+// which keeps it serializable for the golden corpus and the
+// observability layer.
+type PaperSizes [len(paperTable2Spreads)]int
+
+// At returns the size the paper reports at spread, or 0 for a spread
+// its Table 2 does not list.
+func (p PaperSizes) At(spread float64) int {
+	if i := slices.Index(paperTable2Spreads[:], spread); i >= 0 {
+		return p[i]
+	}
+	return 0
+}
 
 // MarshalJSON implements json.Marshaler with string-formatted keys.
 func (p PaperSizes) MarshalJSON() ([]byte, error) {
 	m := make(map[string]int, len(p))
-	for k, v := range p {
-		m[strconv.FormatFloat(k, 'g', -1, 64)] = v
+	for i, v := range p {
+		m[strconv.FormatFloat(paperTable2Spreads[i], 'g', -1, 64)] = v
 	}
 	return json.Marshal(m)
 }
@@ -334,32 +347,26 @@ type Table2Result struct {
 	PaperCapped      PaperSizes
 }
 
-// PaperTable2Spreads are the beamspread factors of the paper's Table 2.
-var PaperTable2Spreads = []float64{1, 2, 5, 10, 15}
+// paperTable2Spreads are the beamspread factors of the paper's Table 2.
+var paperTable2Spreads = [...]float64{1, 2, 5, 10, 15}
 
-// The paper's reported Table 2 constellation sizes, built once: the
-// maps are shared across Table2 results (hot path under bench and
-// serve) and must be treated as read-only.
-var (
-	paperFullServiceSizes = PaperSizes{
-		1: 79287, 2: 40611, 5: 16486, 10: 8284, 15: 5532,
-	}
-	paperCappedSizes = PaperSizes{
-		1: 80567, 2: 41261, 5: 16750, 10: 8417, 15: 5621,
-	}
-)
+// PaperTable2Spreads returns the beamspread factors of the paper's
+// Table 2 as a new slice, which the caller owns.
+func PaperTable2Spreads() []float64 {
+	return slices.Clone(paperTable2Spreads[:])
+}
 
 // Table2 computes constellation sizes for the paper's beamspread
 // factors under both deployment scenarios.
 func (m Model) Table2(ctx context.Context, d *Dataset) (Table2Result, error) {
-	rows, err := m.Capacity.SizeTable(ctx, d.Distribution(), PaperTable2Spreads, m.MaxOversub)
+	rows, err := m.Capacity.SizeTable(ctx, d.Distribution(), paperTable2Spreads[:], m.MaxOversub)
 	if err != nil {
 		return Table2Result{}, err
 	}
 	return Table2Result{
 		Rows:             rows,
-		PaperFullService: paperFullServiceSizes,
-		PaperCapped:      paperCappedSizes,
+		PaperFullService: PaperSizes{79287, 40611, 16486, 8284, 5532},
+		PaperCapped:      PaperSizes{80567, 41261, 16750, 8417, 5621},
 	}, nil
 }
 
@@ -405,7 +412,7 @@ type Fig3Result struct {
 func (m Model) Fig3(ctx context.Context, d *Dataset) ([]Fig3Result, error) {
 	spreads := m.Fig3Spreads
 	if len(spreads) == 0 {
-		spreads = PaperTable2Spreads
+		spreads = paperTable2Spreads[:]
 	}
 	return m.fig3At(ctx, d, spreads)
 }

@@ -145,8 +145,8 @@ func TestTable2AgainstPaper(t *testing.T) {
 		t.Fatalf("got %d rows", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		full := r.PaperFullService[row.Spread]
-		capped := r.PaperCapped[row.Spread]
+		full := r.PaperFullService.At(row.Spread)
+		capped := r.PaperCapped.At(row.Spread)
 		if rel(row.FullServiceSats, full) > 0.005 {
 			t.Errorf("spread %g: full-service %d vs paper %d", row.Spread, row.FullServiceSats, full)
 		}
@@ -168,9 +168,9 @@ func TestTable2GeometricWithinBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range r.Rows {
-		if rel(row.FullServiceSats, r.PaperFullService[row.Spread]) > 0.10 {
+		if rel(row.FullServiceSats, r.PaperFullService.At(row.Spread)) > 0.10 {
 			t.Errorf("spread %g: geometric %d deviates >10%% from paper %d",
-				row.Spread, row.FullServiceSats, r.PaperFullService[row.Spread])
+				row.Spread, row.FullServiceSats, r.PaperFullService.At(row.Spread))
 		}
 	}
 	base := float64(r.Rows[0].FullServiceSats) * 21

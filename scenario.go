@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"leodivide/internal/afford"
@@ -87,11 +86,11 @@ func DefaultScenarioConfig(experiment string) ScenarioConfig {
 
 // Normalized returns a copy with every defaulted knob materialized:
 // zero MaxOversub/AffordShare become the paper's values, empty Spreads
-// become PaperTable2Spreads, Plans are sorted into canonical order, an
-// empty Constellation becomes "starlink", and zero cost overrides
-// become the selected system's declared defaults. Two configs
-// describing the same scenario normalize to equal values, which is
-// what makes CanonicalKey a cache identity.
+// become a new PaperTable2Spreads slice, Plans are sorted into
+// canonical order, an empty Constellation becomes "starlink", and zero
+// cost overrides become the selected system's declared defaults. Two
+// configs describing the same scenario normalize to equal values,
+// which is what makes CanonicalKey a cache identity.
 func (c ScenarioConfig) Normalized() ScenarioConfig {
 	if c.MaxOversub == 0 {
 		c.MaxOversub = spectrum.FCCFixedWirelessOversubscription
@@ -100,7 +99,7 @@ func (c ScenarioConfig) Normalized() ScenarioConfig {
 		c.AffordShare = afford.DefaultAffordabilityShare
 	}
 	if len(c.Spreads) == 0 {
-		c.Spreads = PaperTable2Spreads
+		c.Spreads = PaperTable2Spreads()
 	}
 	if len(c.Plans) == 0 {
 		c.Plans = nil
@@ -242,100 +241,6 @@ func (c ScenarioConfig) CanonicalKey() (string, error) {
 		Key()
 }
 
-// ParseScenarioKey decodes a canonical key back into the
-// ScenarioConfig it encodes; it is CanonicalKey's inverse. The key
-// must be exactly the one spelling CanonicalKey writes for a valid
-// scenario, which rules out other schemas, missing, unknown or
-// reordered fields, and alternative spellings such as
-// "max_oversub=20.0". Parallelism is not part of the key and comes
-// back zero.
-func ParseScenarioKey(key string) (ScenarioConfig, error) {
-	schema, fields, err := scenario.ParseKey(key)
-	if err != nil {
-		return ScenarioConfig{}, err
-	}
-	if schema != ScenarioSchema {
-		return ScenarioConfig{}, fmt.Errorf("leodivide: unsupported scenario key schema %q (want %q)", schema, ScenarioSchema)
-	}
-	cfg := ScenarioConfig{RunConfig: DefaultRunConfig()}
-	for _, f := range fields {
-		if err := cfg.setKeyField(f); err != nil {
-			return ScenarioConfig{}, fmt.Errorf("leodivide: scenario key field %s: %w", f.Name, err)
-		}
-	}
-	canon, err := cfg.CanonicalKey()
-	if err != nil {
-		return ScenarioConfig{}, err
-	}
-	if canon != key {
-		return ScenarioConfig{}, fmt.Errorf("leodivide: scenario key %q is not in canonical form (want %q)", key, canon)
-	}
-	return cfg, nil
-}
-
-// setKeyField decodes one canonical-key field into the config.
-func (c *ScenarioConfig) setKeyField(f scenario.Field) error {
-	switch f.Name {
-	case "afford_share":
-		return parseKeyFloat(f.Value, &c.AffordShare)
-	case "calibrated":
-		v, err := strconv.ParseBool(f.Value)
-		if err != nil {
-			return err
-		}
-		c.Calibrated = v
-	case "constellation":
-		c.Constellation = f.Value
-	case "cost_life_years":
-		return parseKeyFloat(f.Value, &c.CostLifeYears)
-	case "cost_sat_usd":
-		return parseKeyFloat(f.Value, &c.CostSatelliteUSD)
-	case "cost_terminal_usd":
-		return parseKeyFloat(f.Value, &c.CostTerminalUSD)
-	case "experiment":
-		c.Experiment = f.Value
-	case "max_oversub":
-		return parseKeyFloat(f.Value, &c.MaxOversub)
-	case "plans":
-		if f.Value != "" {
-			c.Plans = strings.Split(f.Value, ",")
-		}
-	case "region":
-		c.Region = f.Value
-	case "scale":
-		return parseKeyFloat(f.Value, &c.Scale)
-	case "seed":
-		v, err := strconv.ParseInt(f.Value, 10, 64)
-		if err != nil {
-			return err
-		}
-		c.Seed = v
-	case "spreads":
-		if f.Value == "" {
-			return nil
-		}
-		parts := strings.Split(f.Value, ",")
-		c.Spreads = make([]float64, len(parts))
-		for i, p := range parts {
-			if err := parseKeyFloat(p, &c.Spreads[i]); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown field %q", f.Name)
-	}
-	return nil
-}
-
-func parseKeyFloat(s string, dst *float64) error {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return err
-	}
-	*dst = v
-	return nil
-}
-
 // BuildModel constructs the model this scenario describes: the
 // selected constellation's model (with any cost overrides applied),
 // extended with the promoted knobs. For the default scenario this is
@@ -356,7 +261,7 @@ func (c ScenarioConfig) BuildModel() Model {
 	}
 	m.MaxOversub = n.MaxOversub
 	m.AffordShare = n.AffordShare
-	if len(n.Spreads) > 0 && !sameFloats(n.Spreads, PaperTable2Spreads) {
+	if len(n.Spreads) > 0 && !sameFloats(n.Spreads, paperTable2Spreads[:]) {
 		m.Fig3Spreads = n.Spreads
 	}
 	m.PlanFilter = n.Plans

@@ -2,12 +2,13 @@ package leodivide
 
 // Fuzz targets for the scenario boundary: the JSON body every request
 // arrives as, and the canonical key every cache slot is named by. Seed
-// corpora under testdata/fuzz/ hold the golden scenarios and the
-// serving layer's validation cases; they also run as plain test cases
+// corpora under testdata/fuzz/ hold the golden scenarios and pairs of
+// requests one identity field apart; they also run as plain test cases
 // in every `go test`.
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"leodivide/internal/afford"
@@ -15,10 +16,9 @@ import (
 
 // FuzzParseScenarioRequest: no input panics the decoder, a request that
 // Apply accepts carries at most maxSpreads spreads and at most one plan
-// per known label, and an accepted request whose merged config
-// validates has a canonical key that decodes and re-renders to itself,
-// and that the request's own wire rendering (ScenarioConfig.Request)
-// reproduces.
+// per known label, and an accepted request that names an experiment
+// has a canonical key that the request's own wire rendering
+// (ScenarioConfig.Request) reproduces.
 func FuzzParseScenarioRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseScenarioRequest(data)
@@ -42,13 +42,6 @@ func FuzzParseScenarioRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted request %q has no key: %v", data, err)
 		}
-		back, err := ParseScenarioKey(key)
-		if err != nil {
-			t.Fatalf("key %q of accepted request %q does not decode: %v", key, data, err)
-		}
-		if again, err := back.CanonicalKey(); err != nil || again != key {
-			t.Fatalf("key %q re-rendered as %q (err %v)", key, again, err)
-		}
 		wire, err := json.Marshal(cfg.Request())
 		if err != nil {
 			t.Fatal(err)
@@ -67,18 +60,38 @@ func FuzzParseScenarioRequest(f *testing.F) {
 	})
 }
 
-// FuzzParseScenarioKey: no input panics the key decoder, and every key
-// it accepts re-renders byte-identically — the decoder is CanonicalKey's
-// exact inverse, so the cache key is injective. Keys under the retired
-// schemas are seeds that must be rejected.
-func FuzzParseScenarioKey(f *testing.F) {
-	f.Fuzz(func(t *testing.T, key string) {
-		cfg, err := ParseScenarioKey(key)
+// FuzzScenarioKeyInjective: the canonical key is injective. Two
+// requests that both apply and validate under the same key describe
+// the same scenario: their Normalized configs are equal once
+// Parallelism, which the key leaves out on purpose, is zeroed. The
+// seeds are pairs one identity field apart, so a field dropped from
+// the key fails plain `go test`.
+func FuzzScenarioKeyInjective(f *testing.F) {
+	keyed := func(data []byte) (ScenarioConfig, string, bool) {
+		req, err := ParseScenarioRequest(data)
 		if err != nil {
+			return ScenarioConfig{}, "", false
+		}
+		cfg, err := req.Apply(ScenarioConfig{RunConfig: DefaultRunConfig()})
+		if err != nil {
+			return ScenarioConfig{}, "", false
+		}
+		key, err := cfg.CanonicalKey()
+		return cfg, key, err == nil
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ca, ka, ok := keyed(a)
+		if !ok {
 			return
 		}
-		if again, err := cfg.CanonicalKey(); err != nil || again != key {
-			t.Fatalf("accepted key %q re-rendered as %q (err %v)", key, again, err)
+		cb, kb, ok := keyed(b)
+		if !ok || ka != kb {
+			return
+		}
+		na, nb := ca.Normalized(), cb.Normalized()
+		na.Parallelism, nb.Parallelism = 0, 0
+		if !reflect.DeepEqual(na, nb) {
+			t.Fatalf("requests %s and %s share the key %q but differ:\n%#v\n%#v", a, b, ka, na, nb)
 		}
 	})
 }

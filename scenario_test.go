@@ -21,17 +21,6 @@ const scenarioKeyGoldenV3 = "leodivide-serve/v3|afford_share=0.02|calibrated=fal
 	"|constellation=starlink|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300" +
 	"|experiment=table2|max_oversub=20|plans=|region=us|scale=1|seed=1|spreads=1,2,5,10,15"
 
-// scenarioKeyGoldenV2 and scenarioKeyGoldenV1 are the same scenario's
-// keys under the retired schemas v2 and v1. Keys are process-local, so
-// nothing persists under them; ParseScenarioKey rejects both.
-const (
-	scenarioKeyGoldenV2 = "leodivide-serve/v2|afford_share=0.02|calibrated=false" +
-		"|constellation=starlink|cost_life_years=5|cost_sat_usd=1.5e+06|cost_terminal_usd=300" +
-		"|experiment=table2|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"
-	scenarioKeyGoldenV1 = "leodivide-serve/v1|afford_share=0.02|calibrated=false|experiment=table2" +
-		"|max_oversub=20|plans=|scale=1|seed=1|spreads=1,2,5,10,15"
-)
-
 // TestScenarioCanonicalKeyGolden pins the exact byte layout of the
 // canonical key. This string is a wire and cache contract.
 func TestScenarioCanonicalKeyGolden(t *testing.T) {
@@ -41,80 +30,6 @@ func TestScenarioCanonicalKeyGolden(t *testing.T) {
 	}
 	if key != scenarioKeyGoldenV3 {
 		t.Errorf("canonical key:\n got %q\nwant %q", key, scenarioKeyGoldenV3)
-	}
-}
-
-// TestScenarioKeyParseRejects: keys under a retired or foreign schema,
-// unknown, missing and duplicate fields, and out-of-order or
-// non-canonical layouts are decode errors, never silently defaulted
-// scenarios.
-func TestScenarioKeyParseRejects(t *testing.T) {
-	// v3 swaps one golden field for another spelling.
-	v3 := func(old, new string) string { return strings.Replace(scenarioKeyGoldenV3, old, new, 1) }
-	cases := []struct {
-		name, key string
-	}{
-		{"golden v1", scenarioKeyGoldenV1},
-		{"golden v2", scenarioKeyGoldenV2},
-		{"v1 knob variant", "leodivide-serve/v1|afford_share=0.02|calibrated=true|experiment=fig3" +
-			"|max_oversub=25|plans=|scale=0.05|seed=2|spreads=2,4"},
-		{"v2 knob variant", "leodivide-serve/v2|afford_share=0.02|calibrated=false|constellation=kuiper" +
-			"|cost_life_years=7|cost_sat_usd=1e+06|cost_terminal_usd=600|experiment=xconst" +
-			"|max_oversub=25|plans=|scale=0.05|seed=2|spreads=1,2,5,10,15"},
-		{"unknown schema", "leodivide-serve/v9|afford_share=0.02"},
-		{"empty schema", "|afford_share=0.02"},
-		{"unknown field", scenarioKeyGoldenV3 + "|zz_custom=1"},
-		{"missing fields", "leodivide-serve/v3|afford_share=0.02|calibrated=false"},
-		{"v2 missing constellation", "leodivide-serve/v2" + scenarioKeyGoldenV1[len("leodivide-serve/v1"):]},
-		{"v3 missing region", "leodivide-serve/v3" + scenarioKeyGoldenV2[len("leodivide-serve/v2"):]},
-		{"v2 carrying region", v3("leodivide-serve/v3", "leodivide-serve/v2")},
-		{"unknown region", v3("region=us", "region=atlantis")},
-		{"non-canonical v3", v3("max_oversub=20", "max_oversub=20.0")},
-		{"out of order", v3("afford_share=0.02|calibrated=false", "calibrated=false|afford_share=0.02")},
-		{"duplicate field", v3("afford_share=0.02", "afford_share=0.02|afford_share=0.02")},
-		{"bad float", v3("afford_share=0.02", "afford_share=abc")},
-		{"unknown experiment", v3("experiment=table2", "experiment=warpdrive")},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseScenarioKey(tc.key); err == nil {
-				t.Errorf("ParseScenarioKey accepted %q", tc.key)
-			}
-		})
-	}
-
-	// A retired schema is named as such, not misreported as a bad field.
-	if _, err := ParseScenarioKey(scenarioKeyGoldenV1); err == nil || !strings.Contains(err.Error(), ScenarioSchema) {
-		t.Errorf("v1 key error = %v, want one naming %s", err, ScenarioSchema)
-	}
-}
-
-// TestScenarioKeyRoundTrip: ParseScenarioKey inverts CanonicalKey for
-// non-default scenarios too, including constellation and cost
-// overrides.
-func TestScenarioKeyRoundTrip(t *testing.T) {
-	cfg := DefaultScenarioConfig("xconst")
-	cfg.Constellation = "kuiper"
-	cfg.MaxOversub = 25
-	cfg.CostSatelliteUSD = 3e6
-	cfg.CostLifeYears = 6
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	key, err := cfg.CanonicalKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseScenarioKey(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key2, err := back.CanonicalKey()
-	if err != nil || key2 != key {
-		t.Errorf("round trip changed the key:\n got %q\nwant %q (err %v)", key2, key, err)
-	}
-	if back.Constellation != "kuiper" || back.CostSatelliteUSD != 3e6 {
-		t.Errorf("round trip lost fields: %+v", back)
 	}
 }
 
@@ -158,27 +73,46 @@ func TestScenarioCanonicalKeyIdentity(t *testing.T) {
 		t.Error("a plan filter must change the key")
 	}
 
-	// Every real knob is identity-bearing.
-	knobs := []func(*ScenarioConfig){
-		func(c *ScenarioConfig) { c.MaxOversub = 35 },
-		func(c *ScenarioConfig) { c.AffordShare = 0.05 },
-		func(c *ScenarioConfig) { c.Spreads = []float64{2, 4} },
-		func(c *ScenarioConfig) { c.Calibrated = true },
-		func(c *ScenarioConfig) { c.Seed = 2 },
-		func(c *ScenarioConfig) { c.Scale = 0.5 },
-		func(c *ScenarioConfig) { c.Experiment = "fig3" },
-		func(c *ScenarioConfig) { c.Region = "taipei-dense" },
+	// Every identity field is a knob that changes the key. The field
+	// list is checked against the struct, so a field added later cannot
+	// skip the key.
+	knobs := []struct {
+		field  string
+		mutate func(*ScenarioConfig)
+	}{
+		{"MaxOversub", func(c *ScenarioConfig) { c.MaxOversub = 35 }},
+		{"AffordShare", func(c *ScenarioConfig) { c.AffordShare = 0.05 }},
+		{"Spreads", func(c *ScenarioConfig) { c.Spreads = []float64{2, 4} }},
+		{"Plans", func(c *ScenarioConfig) { c.Plans = []string{"Xfinity 300"} }},
+		{"Calibrated", func(c *ScenarioConfig) { c.Calibrated = true }},
+		{"Seed", func(c *ScenarioConfig) { c.Seed = 2 }},
+		{"Scale", func(c *ScenarioConfig) { c.Scale = 0.5 }},
+		{"Experiment", func(c *ScenarioConfig) { c.Experiment = "fig3" }},
+		{"Region", func(c *ScenarioConfig) { c.Region = "taipei-dense" }},
+		{"Constellation", func(c *ScenarioConfig) { c.Constellation = "kuiper" }},
+		{"CostSatelliteUSD", func(c *ScenarioConfig) { c.CostSatelliteUSD = 3e6 }},
+		{"CostLifeYears", func(c *ScenarioConfig) { c.CostLifeYears = 7 }},
+		{"CostTerminalUSD", func(c *ScenarioConfig) { c.CostTerminalUSD = 600 }},
 	}
-	for i, mutate := range knobs {
+	covered := map[string]bool{"Parallelism": true}
+	for _, k := range knobs {
+		covered[k.field] = true
 		c := base
-		mutate(&c)
-		k, err := c.CanonicalKey()
+		k.mutate(&c)
+		key, err := c.CanonicalKey()
 		if err != nil {
-			t.Errorf("knob %d: %v", i, err)
+			t.Errorf("%s: %v", k.field, err)
 			continue
 		}
-		if k == baseKey {
-			t.Errorf("knob %d did not change the key %q", i, k)
+		if key == baseKey {
+			t.Errorf("%s did not change the key %q", k.field, key)
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[ScenarioConfig](), reflect.TypeFor[RunConfig]()} {
+		for i := range typ.NumField() {
+			if f := typ.Field(i); !f.Anonymous && !covered[f.Name] {
+				t.Errorf("%s.%s has no knob in this test", typ.Name(), f.Name)
+			}
 		}
 	}
 }
@@ -277,7 +211,7 @@ func TestFig3SpreadOverridePaths(t *testing.T) {
 		field []float64
 		want  []float64
 	}{
-		{name: "both empty -> paper spreads", want: PaperTable2Spreads},
+		{name: "both empty -> paper spreads", want: PaperTable2Spreads()},
 		{name: "field only wins", field: []float64{3, 7}, want: []float64{3, 7}},
 	}
 	for _, tc := range cases {
@@ -408,23 +342,21 @@ func keyDigestScenarios() []ScenarioConfig {
 
 // TestScenarioCanonicalKeyDigest pins the canonical key of every
 // registry experiment × constellation × region × knob variant, and
-// checks that ParseScenarioKey round-trips each one.
+// checks that no two of these scenarios share a key.
 func TestScenarioCanonicalKeyDigest(t *testing.T) {
 	h := sha256.New()
 	scenarios := keyDigestScenarios()
-	for _, c := range scenarios {
+	seen := make(map[string]int, len(scenarios))
+	for i, c := range scenarios {
 		key, err := c.CanonicalKey()
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
 		fmt.Fprintln(h, key)
-		back, err := ParseScenarioKey(key)
-		if err != nil {
-			t.Fatalf("ParseScenarioKey(%q): %v", key, err)
+		if j, dup := seen[key]; dup {
+			t.Errorf("scenarios %d and %d share the key %q", j, i, key)
 		}
-		if again, err := back.CanonicalKey(); err != nil || again != key {
-			t.Errorf("round trip of %q gave %q (err %v)", key, again, err)
-		}
+		seen[key] = i
 	}
 	if n := len(scenarios); n != 14*4*3*4 {
 		t.Errorf("%d scenarios, want %d", n, 14*4*3*4)
