@@ -33,7 +33,7 @@ lint-ratchet:
 # gates the work counts in `make test`; _bench/ is the end-to-end
 # benchmark.
 bench:
-	$(GO) test -bench BenchmarkRegistry -benchtime 1x -run '^$$' .
+	$(GO) test -bench BenchmarkRegistry -benchtime 1x -benchmem -run '^$$' .
 
 fmt:
 	gofmt -s -l -w .

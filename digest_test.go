@@ -20,7 +20,7 @@ import (
 // Incomes.Counties().
 func datasetDigest(ds *Dataset) string {
 	h := sha256.New()
-	for _, c := range ds.Cells {
+	for _, c := range wholeCells(ds.Cells) {
 		fmt.Fprintf(h, "c|%d|%d|%s|%x|%x\n", c.ID, c.Locations, c.CountyFIPS,
 			math.Float64bits(c.Center.Lat), math.Float64bits(c.Center.Lng))
 	}

@@ -12,6 +12,7 @@ import (
 
 	"leodivide"
 	"leodivide/internal/core"
+	"leodivide/internal/demand"
 	"leodivide/internal/sim"
 )
 
@@ -61,7 +62,11 @@ func main() {
 	cfg.Spread = best.spread
 	cfg.Oversub = m.MaxOversub
 	cfg.Epochs = 8
-	res, err := sim.Run(ctx, cfg, ds.Cells)
+	cells := make([]demand.Cell, ds.Cells.Len())
+	for i := range cells {
+		cells[i] = ds.Cells.At(i)
+	}
+	res, err := sim.Run(ctx, cfg, cells)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,8 @@ func main() {
 
 	// Filter the national dataset to the state's cells.
 	var cells []demand.Cell
-	for _, c := range ds.Cells {
+	for i := range ds.Cells.Len() {
+		c := ds.Cells.At(i)
 		if s, ok := usgeo.StateAt(c.Center); ok && s.Abbr == st.Abbr {
 			cells = append(cells, c)
 		}
@@ -49,7 +50,11 @@ func main() {
 	if len(cells) == 0 {
 		log.Fatalf("no demand cells found in %s", st.Name)
 	}
-	dist, err := demand.NewDistribution(cells)
+	stateCells, err := demand.NewCells(cells)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dist, err := demand.NewDistribution(stateCells)
 	if err != nil {
 		log.Fatal(err)
 	}

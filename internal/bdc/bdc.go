@@ -2,9 +2,8 @@
 // for the FCC National Broadband Map the paper analyses. It generates
 // un(der)served broadband locations across the United States with a
 // per-cell density distribution calibrated to every statistic the paper
-// publishes about the real data, and provides a BDC-style CSV codec so
-// datasets can be written, exchanged and re-read exactly as a real
-// National Broadband Map extract would be.
+// publishes about the real data, and writes datasets as BDC-style CSV,
+// the schema of a real National Broadband Map extract.
 //
 // Calibration anchors (see DESIGN.md §5): ~4.672M total un(der)served
 // locations; per-cell distribution with p90 = 552, p99 = 1437; exactly
@@ -22,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"leodivide/internal/demand"
@@ -75,10 +75,6 @@ type GenConfig struct {
 	BodyAnchors []QuantileAnchor
 	// Peaks are the pinned head cells.
 	Peaks []PeakCell
-	// Parallelism bounds the workers that fill the cell centers (0 =
-	// one per CPU, 1 = serial on the calling goroutine). It never
-	// changes the cells.
-	Parallelism int
 }
 
 // DefaultGenConfig returns the paper-calibrated configuration.
@@ -274,12 +270,12 @@ func (c GenConfig) memoBodyCounts(ctx context.Context, target int) ([]int, error
 // up as the cells are emitted. This is the fast path the capacity model
 // consumes; per-location records are produced by GenerateLocations.
 //
-// Only the seeded work runs per call, plus one center per sampled
-// cell: the US cell table (counties included) and the body counts come
-// from process-wide memos. All seeded-RNG decisions run on the calling
-// goroutine in a fixed order; the centers, RNG-free, are filled after
-// on up to cfg.Parallelism workers (EmitCells).
-func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, weights []int, err error) {
+// Only the seeded work runs per call, serially on the calling
+// goroutine in a fixed order: the US cell table (counties and centers
+// included) and the body counts come from process-wide memos, so a
+// body cell's center is gathered from the table, and only the pinned
+// peaks convert their own.
+func GenerateCells(ctx context.Context, cfg GenConfig) (cells demand.Cells, weights []int, err error) {
 	//lint:ignore detrand wall-clock feeds the generation timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.generate_cells")
@@ -290,26 +286,31 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, wei
 		metricGenSecs.ObserveSince(start)
 		if err == nil {
 			metricGenerations.Inc()
-			metricCellsOut.Add(int64(len(cells)))
-			span.SetAttr(obs.Int("cells", int64(len(cells))))
+			metricCellsOut.Add(int64(cells.Len()))
+			span.SetAttr(obs.Int("cells", int64(cells.Len())))
 		}
 		span.End()
 	}()
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return demand.Cells{}, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	counties := usgeo.AllCounties()
 	weights = make([]int, len(counties))
 
 	// Pin the head cells first so body sampling can avoid them.
-	peaks := make([]demand.Cell, 0, len(cfg.Peaks))
+	type peak struct {
+		locations int
+		county    uint16
+		center    geo.LatLng
+	}
+	peaks := make([]peak, 0, len(cfg.Peaks))
 	peakIDs := make([]hexgrid.CellID, 0, len(cfg.Peaks))
 	peakSum := 0
 	for _, p := range cfg.Peaks {
 		id := hexgrid.LatLngToCell(p.Anchor, cfg.Resolution)
 		if slices.Contains(peakIDs, id) {
-			return nil, nil, fmt.Errorf("bdc: peak anchors collide in cell %v", id)
+			return demand.Cells{}, nil, fmt.Errorf("bdc: peak anchors collide in cell %v", id)
 		}
 		peakIDs = append(peakIDs, id)
 		center := id.LatLng()
@@ -317,84 +318,89 @@ func GenerateCells(ctx context.Context, cfg GenConfig) (cells []demand.Cell, wei
 		if !ok {
 			county, ok = usgeo.CountyAt(p.Anchor)
 			if !ok {
-				return nil, nil, fmt.Errorf("bdc: peak anchor %v outside US frames", p.Anchor)
+				return demand.Cells{}, nil, fmt.Errorf("bdc: peak anchor %v outside US frames", p.Anchor)
 			}
 		}
 		// CountyAt returns a table county, and AllCounties ascend by FIPS.
 		r, _ := slices.BinarySearchFunc(counties, county.FIPS, func(c usgeo.County, fips string) int { return cmp.Compare(c.FIPS, fips) })
 		weights[r] += p.Locations
-		peaks = append(peaks, demand.Cell{ID: id, Locations: p.Locations, CountyFIPS: county.FIPS})
+		peaks = append(peaks, peak{locations: p.Locations, county: uint16(r), center: center})
 		peakSum += p.Locations
 	}
 	counts, err := cfg.memoBodyCounts(ctx, cfg.TotalLocations-peakSum)
 	if err != nil {
-		return nil, nil, err
+		return demand.Cells{}, nil, err
 	}
 
 	// Sample body cell sites state by state, proportional to rural
 	// weight, rejecting duplicates and off-frame centers.
 	grid, picks, err := sampleSites(ctx, rng, cfg.Resolution, len(counts), peakIDs)
 	if err != nil {
-		return nil, nil, err
+		return demand.Cells{}, nil, err
 	}
 	if len(picks) < len(counts) {
-		return nil, nil, fmt.Errorf("bdc: sampled only %d of %d body cells", len(picks), len(counts))
+		return demand.Cells{}, nil, fmt.Errorf("bdc: sampled only %d of %d body cells", len(picks), len(counts))
 	}
 	// Counts are assigned to sites in shuffled order so geography and
 	// density are independent.
 	perm := rng.Perm(len(counts))
-	cells, err = EmitCells(ctx, cfg.Parallelism, picks, peaks, func(row int32, site int) demand.Cell {
+	b := demand.NewCellsBuilder(len(picks)+len(peaks), countyCodes())
+	EmitCells(grid.ids, picks, peakIDs, func(row int32, site int) {
 		r, n := grid.county[row], counts[perm[site]]
 		weights[r] += n
-		return demand.Cell{ID: grid.ids[row], Locations: n, CountyFIPS: counties[r].FIPS}
+		b.Add(grid.ids[row], n, r, grid.center[row])
+	}, func(k int) {
+		p := peaks[k]
+		b.Add(peakIDs[k], p.locations, p.county, p.center)
 	})
-	if err != nil {
-		return nil, nil, err
+	if cells, err = b.Cells(); err != nil {
+		return demand.Cells{}, nil, err
 	}
 	return cells, weights, nil
 }
 
-// EmitCells builds a dataset's cells in ascending ID order, each once
-// in its final slot, then fills their centers. Site j is row sites[j]
-// of a table whose rows ascend by ID, and cell(row, j) builds its cell;
-// the peaks, which it sorts, merge in by ID. Ordering the sites is an
-// integer sort of (row, site) pairs, packed with the site in the low
-// bits so the keys span as few radix digits as the table and the site
-// count need. The centers, a pure function of the IDs, are filled over
-// contiguous chunks of cells on up to workers goroutines (par.ForEach:
-// 0 = one per CPU, 1 = serial inline), so the cells are the same at
-// every worker count.
-func EmitCells(ctx context.Context, workers int, sites []int32, peaks []demand.Cell, cell func(row int32, site int) demand.Cell) ([]demand.Cell, error) {
+// countyCodes is the US area code table: the FIPS code of each county
+// of usgeo.AllCounties(), at its index there.
+var countyCodes = sync.OnceValue(func() []string {
+	counties := usgeo.AllCounties()
+	codes := make([]string, len(counties))
+	for i, c := range counties {
+		codes[i] = c.FIPS
+	}
+	return codes
+})
+
+// EmitCells visits a dataset's cells in ascending ID order, each once.
+// Body site j is row sites[j] of a table whose ID column ids ascends,
+// and body(row, j) emits it; peak(k) emits the pinned cell peakIDs[k],
+// merged in by ID. Ordering the sites is an integer sort of (row,
+// site) pairs, packed with the site in the low bits so the keys span
+// as few radix digits as the table and the site count need. It runs on
+// the calling goroutine and draws no randomness.
+func EmitCells(ids []hexgrid.CellID, sites []int32, peakIDs []hexgrid.CellID, body func(row int32, site int), peak func(k int)) {
 	siteBits := bits.Len(uint(len(sites)))
 	keys := make([]uint64, len(sites))
 	for j, row := range sites {
 		keys[j] = uint64(row)<<siteBits | uint64(j)
 	}
 	stats.SortUint64(keys)
-	slices.SortFunc(peaks, func(a, b demand.Cell) int { return cmp.Compare(a.ID, b.ID) })
-	cells := make([]demand.Cell, 0, len(peaks)+len(keys))
-	for _, k := range keys {
-		c := cell(int32(k>>siteBits), int(k&(1<<siteBits-1)))
-		for len(peaks) > 0 && peaks[0].ID < c.ID {
-			cells, peaks = append(cells, peaks[0]), peaks[1:]
-		}
-		cells = append(cells, c)
+	byID := make([]int, len(peakIDs))
+	for k := range byID {
+		byID[k] = k
 	}
-	cells = append(cells, peaks...)
-	chunks := (len(cells) + centerChunk - 1) / centerChunk
-	err := par.ForEach(ctx, workers, chunks, func(k int) error {
-		for i := k * centerChunk; i < min(len(cells), (k+1)*centerChunk); i++ {
-			cells[i].Center = cells[i].ID.LatLng()
+	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(peakIDs[a], peakIDs[b]) })
+	for _, key := range keys {
+		row := int32(key >> siteBits)
+		for len(byID) > 0 && peakIDs[byID[0]] < ids[row] {
+			peak(byID[0])
+			byID = byID[1:]
 		}
-		return nil
-	})
-	return cells, err
+		body(row, int(key&(1<<siteBits-1)))
+	}
+	for _, k := range byID {
+		peak(k)
+	}
 }
-
-// centerChunk is the number of cells one EmitCells center task
-// converts: large enough that the pool's per-task cost vanishes, small
-// enough that two workers split a scale-0.25 US dataset evenly.
-const centerChunk = 512
 
 // sampleSites draws n distinct grid cells across the US, weighted by
 // state rural weight and avoiding the excluded cells, as rows of the US
@@ -506,24 +512,31 @@ func appendExcept(dst, src, drop []int32) []int32 {
 
 // usGrid is the US cell table at one resolution: every grid cell whose
 // center falls inside a US state frame, as parallel columns in
-// ascending ID order (the canonical grid order), with the cell's state
-// and county resolved once, the county as its index in
-// usgeo.AllCounties() so a generation sums county weights by index,
-// plus each state's rows. None of it depends on the seed, so it is
-// built once per process and resolution (usCells), and a fresh process
-// waits for that build before its first generation. The per-cell
-// columns hold no string and no pointer, so they cost the GC nothing
-// to scan. Centers are not kept: recomputing one for each sampled cell
-// costs about 0.65 ms of CPU per scale-0.25 generation, split over the
-// generation's workers (EmitCells), while a centers column (16 bytes
-// for every US cell) raised the reproduce benchmark's peak RSS from a
-// median of 27.7 to 31.8 MB over 11 runs (2 vCPU, Go 1.24), about
-// +15%.
+// ascending ID order (the canonical grid order), with the cell's
+// county, as its index in usgeo.AllCounties() so a generation sums
+// county weights by index, its center, and each state's rows. None of
+// it depends on the seed, so it is built once per process and
+// resolution (usCells), and a fresh process waits for that build
+// before its first generation. The per-cell columns hold no string and
+// no pointer, so they cost the GC nothing to scan.
+//
+// The centers are the ones the build's grid walk converts anyway, kept
+// instead of thrown away, so a generation gathers each sampled cell's
+// center instead of converting it again (two atan2 per cell). At
+// resolution 5 the table has 47,365 rows: 0.76 MB of centers in 1.4 MB
+// of columns (TestUSGridBytesPerRow pins the 30 bytes a row costs).
+// Two ways of filling it were measured and declined (2 vCPU, Go 1.24):
+// converting the centers in a second pass over the finished table
+// cost +17% setup_s, and a centers column of the same kind for the
+// synthetic brazil-rural footprint (25k cells, of which a generation
+// samples about 920) bought +2.5% reproduce ops/s for another 1.1 MB
+// of peak RSS, so synthetic regions convert their few cells per
+// generation.
 type usGrid struct {
 	ids    []hexgrid.CellID
-	state  []uint8   // index into usgeo.States()
-	county []uint16  // index into usgeo.AllCounties()
-	rows   [][]int32 // per state: its rows, ascending
+	county []uint16     // index into usgeo.AllCounties()
+	center []geo.LatLng // ids[row].LatLng(), from the walk
+	rows   [][]int32    // per state (usgeo.States() order): its rows, ascending
 }
 
 // usBox bounds every state frame, including the trimmed Alaska frame
@@ -554,10 +567,10 @@ func usCells(ctx context.Context, res hexgrid.Resolution) (*usGrid, error) {
 // goroutines, RNG-free, and concatenates the face shards in face order:
 // ascending ID order, the same table at every worker count. WalkBox's
 // vector prefilter skips the cells outside the box before converting
-// them, and each in-box center is classified by usgeo's bucket-indexed
-// StateIndexAt (an index into usgeo.States(), the state column's
-// order) and CountyIndexAt, which give exactly the linear scans'
-// answers (TestUSGridDigest).
+// them, and each in-box center, which the table keeps, is classified
+// by usgeo's bucket-indexed StateIndexAt (an index into
+// usgeo.States(), the rows' order) and CountyIndexAt, which give
+// exactly the linear scans' answers (TestUSGridDigest).
 func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usGrid, error) {
 	//lint:ignore detrand wall-clock feeds the grid-cache timing metric only, never generated data
 	start := time.Now()
@@ -574,15 +587,16 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 	}
 	type cell struct {
 		id     hexgrid.CellID
-		state  uint8
+		center geo.LatLng
 		county uint16
+		state  uint8
 	}
 	shards, err := hexgrid.WalkBox(ctx, res, usBox, workers, func(shard *[]cell, id hexgrid.CellID, center geo.LatLng) {
 		i, ok := usgeo.StateIndexAt(center)
 		if !ok {
 			return
 		}
-		*shard = append(*shard, cell{id: id, state: uint8(i), county: uint16(offsets[i] + usgeo.CountyIndexAt(i, center))})
+		*shard = append(*shard, cell{id: id, center: center, county: uint16(offsets[i] + usgeo.CountyIndexAt(i, center)), state: uint8(i)})
 	})
 	if err != nil {
 		return nil, err
@@ -598,14 +612,14 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 		g.rows[i] = make([]int32, 0, size)
 	}
 	g.ids = make([]hexgrid.CellID, 0, n)
-	g.state = make([]uint8, 0, n)
 	g.county = make([]uint16, 0, n)
+	g.center = make([]geo.LatLng, 0, n)
 	for _, shard := range shards {
 		for _, c := range shard {
 			g.rows[c.state] = append(g.rows[c.state], int32(len(g.ids)))
 			g.ids = append(g.ids, c.id)
-			g.state = append(g.state, c.state)
 			g.county = append(g.county, c.county)
+			g.center = append(g.center, c.center)
 		}
 	}
 	return g, nil
@@ -618,7 +632,7 @@ func buildUSGrid(ctx context.Context, res hexgrid.Resolution, workers int) (*usG
 // center, which keeps every location inside its cell's Voronoi region.
 // seed and res are the dataset's own generation seed and cell
 // resolution, so a dataset's locations follow from its identity.
-func GenerateLocations(seed int64, res hexgrid.Resolution, cells []demand.Cell, scale float64) ([]demand.Location, error) {
+func GenerateLocations(seed int64, res hexgrid.Resolution, cells demand.Cells, scale float64) ([]demand.Location, error) {
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("bdc: scale must be in (0,1], got %v", scale)
 	}
@@ -626,7 +640,8 @@ func GenerateLocations(seed int64, res hexgrid.Resolution, cells []demand.Cell, 
 	spacingKm := cellSpacingKm(res)
 	var out []demand.Location
 	var nextID uint64 = 1
-	for _, c := range cells {
+	for i := range cells.Len() {
+		c := cells.At(i)
 		n := int(math.Ceil(float64(c.Locations) * scale))
 		if n < 1 {
 			n = 1

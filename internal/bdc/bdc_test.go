@@ -119,7 +119,7 @@ func TestGenerateCellsCalibration(t *testing.T) {
 		t.Errorf("p99 = %d, want ≈1437", got)
 	}
 	// Every cell has a county and valid center.
-	for _, c := range cells[:100] {
+	for _, c := range wholeCells(cells)[:100] {
 		if len(c.CountyFIPS) != 5 {
 			t.Errorf("cell %v county %q", c.ID, c.CountyFIPS)
 		}
@@ -139,12 +139,12 @@ func TestGenerateCellsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+	if a.Len() != b.Len() {
+		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("cell %d differs: %+v vs %+v", i, a[i], b[i])
+	for i := range a.Len() {
+		if a.At(i) != b.At(i) {
+			t.Fatalf("cell %d differs: %+v vs %+v", i, a.At(i), b.At(i))
 		}
 	}
 	cfg.Seed = 2
@@ -153,12 +153,12 @@ func TestGenerateCellsDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := 0
-	for i := range a {
-		if i < len(c) && a[i] == c[i] {
+	for i := range a.Len() {
+		if i < c.Len() && a.At(i) == c.At(i) {
 			same++
 		}
 	}
-	if same == len(a) {
+	if same == a.Len() {
 		t.Error("different seeds produced identical datasets")
 	}
 }
@@ -168,8 +168,8 @@ func TestGenerateCellsDistinctIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[hexgrid.CellID]bool, len(cells))
-	for _, c := range cells {
+	seen := make(map[hexgrid.CellID]bool, cells.Len())
+	for _, c := range wholeCells(cells) {
 		if seen[c.ID] {
 			t.Fatalf("duplicate cell %v", c.ID)
 		}
@@ -200,12 +200,12 @@ func TestGenerateLocationsStayInCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[hexgrid.CellID]int, len(cells))
-	for _, c := range cells {
+	want := make(map[hexgrid.CellID]int, cells.Len())
+	for _, c := range wholeCells(cells) {
 		want[c.ID] = c.Locations
 	}
-	if len(agg) != len(cells) {
-		t.Fatalf("aggregation produced %d cells, want %d", len(agg), len(cells))
+	if len(agg) != cells.Len() {
+		t.Fatalf("aggregation produced %d cells, want %d", len(agg), cells.Len())
 	}
 	for _, c := range agg {
 		if want[c.ID] != c.Locations {
@@ -248,7 +248,7 @@ func TestGenerateLocationsScale(t *testing.T) {
 	}
 	// Scaled counts round up per cell, so between 1% and ~(1% + one per
 	// cell).
-	if len(locs) < cfg.TotalLocations/100 || len(locs) > cfg.TotalLocations/100+len(cells) {
+	if len(locs) < cfg.TotalLocations/100 || len(locs) > cfg.TotalLocations/100+cells.Len() {
 		t.Errorf("scaled to %d locations from %d", len(locs), cfg.TotalLocations)
 	}
 	if _, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells, 0); err == nil {
@@ -281,7 +281,11 @@ func TestLocationsCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := GenerateLocations(cfg.Seed, cfg.Resolution, cells[:50], 1.0)
+	first, err := demand.NewCells(wholeCells(cells)[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := GenerateLocations(cfg.Seed, cfg.Resolution, first, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +331,8 @@ func TestCellsCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := readBack(t, &buf, cellCSVHeader)
-	if len(recs) != len(cells) {
-		t.Fatalf("round trip %d -> %d cells", len(cells), len(recs))
+	if len(recs) != cells.Len() {
+		t.Fatalf("round trip %d -> %d cells", cells.Len(), len(recs))
 	}
 	for i, rec := range recs {
 		id, err1 := strconv.ParseUint(rec[0], 10, 64)
@@ -344,8 +348,8 @@ func TestCellsCSVRoundTrip(t *testing.T) {
 			CountyFIPS: rec[3],
 			Locations:  n,
 		}
-		if back != cells[i] {
-			t.Fatalf("cell %d reads back as %+v, want %+v", i, back, cells[i])
+		if back != cells.At(i) {
+			t.Fatalf("cell %d reads back as %+v, want %+v", i, back, cells.At(i))
 		}
 	}
 }
@@ -356,8 +360,8 @@ func TestPeaksPlacedAtAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := make(map[hexgrid.CellID]demand.Cell, len(cells))
-	for _, c := range cells {
+	byID := make(map[hexgrid.CellID]demand.Cell, cells.Len())
+	for _, c := range wholeCells(cells) {
 		byID[c.ID] = c
 	}
 	for _, p := range cfg.Peaks {
@@ -396,8 +400,8 @@ func TestGeneratorInvariantProperty(t *testing.T) {
 				t.Fatalf("total=%d seed=%d: %v", total, seed, err)
 			}
 			sum := 0
-			ids := make(map[hexgrid.CellID]bool, len(cells))
-			for _, c := range cells {
+			ids := make(map[hexgrid.CellID]bool, cells.Len())
+			for _, c := range wholeCells(cells) {
 				if c.Locations < 1 {
 					t.Fatalf("total=%d: empty cell", total)
 				}
@@ -412,4 +416,13 @@ func TestGeneratorInvariantProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wholeCells reads every cell of a generated set, in ID order.
+func wholeCells(cells demand.Cells) []demand.Cell {
+	out := make([]demand.Cell, cells.Len())
+	for i := range out {
+		out[i] = cells.At(i)
+	}
+	return out
 }

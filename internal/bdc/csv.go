@@ -50,13 +50,14 @@ func WriteLocationsCSV(w io.Writer, locs []demand.Location) error {
 	return cw.Error()
 }
 
-// WriteCellsCSV writes aggregated per-cell records.
-func WriteCellsCSV(w io.Writer, cells []demand.Cell) error {
+// WriteCellsCSV writes aggregated per-cell records, in ID order.
+func WriteCellsCSV(w io.Writer, cells demand.Cells) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(cellCSVHeader); err != nil {
 		return fmt.Errorf("bdc: writing cell header: %w", err)
 	}
-	for _, c := range cells {
+	for i := range cells.Len() {
+		c := cells.At(i)
 		rec := []string{
 			strconv.FormatUint(uint64(c.ID), 10),
 			// Shortest round-trip formatting (see WriteLocationsCSV).

@@ -1,8 +1,9 @@
 package bdc
 
 // Pins for the seed-invariant generation tables: the US cell table
-// against a from-scratch classification and a recorded digest, its
-// memo's fill-once and cancellation behaviour, and the body-count memo.
+// against a from-scratch classification, exact centers and a recorded
+// digest, its bytes per row, its memo's fill-once and cancellation
+// behaviour, and the body-count memo.
 
 import (
 	"context"
@@ -11,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -63,6 +65,18 @@ func referenceUSCells(res hexgrid.Resolution) map[string][]hexgrid.CellID {
 	return m
 }
 
+// rowStates is the state of each row of g: the index of the state
+// whose rows list it.
+func rowStates(g *usGrid) []uint8 {
+	states := make([]uint8, len(g.ids))
+	for i, rows := range g.rows {
+		for _, row := range rows {
+			states[row] = uint8(i)
+		}
+	}
+	return states
+}
+
 // TestUSCellsMatchFromScratch checks every row of the US cell table,
 // built fresh: the rows ascend by ID, each state's rows hold exactly
 // the full-globe walk's cells for it, every county equals the
@@ -81,12 +95,12 @@ func TestUSCellsMatchFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(g.ids, g3.ids) || !slices.Equal(g.state, g3.state) || !slices.Equal(g.county, g3.county) ||
+		if !slices.Equal(g.ids, g3.ids) || !slices.Equal(g.county, g3.county) || !slices.Equal(g.center, g3.center) ||
 			!slices.EqualFunc(g.rows, g3.rows, slices.Equal[[]int32]) {
 			t.Fatalf("res %d: the 3-worker build differs from the 1-worker build", res)
 		}
 		n := len(g.ids)
-		if len(g.state) != n || len(g.county) != n {
+		if len(g.county) != n || len(g.center) != n {
 			t.Fatalf("res %d: ragged columns", res)
 		}
 		if !slices.IsSorted(g.ids) {
@@ -102,9 +116,6 @@ func TestUSCellsMatchFromScratch(t *testing.T) {
 			var ids []hexgrid.CellID
 			for _, row := range g.rows[i] {
 				ids = append(ids, g.ids[row])
-				if int(g.state[row]) != i {
-					t.Fatalf("res %d %s: row %d labelled state %d", res, s.Abbr, row, g.state[row])
-				}
 			}
 			covered += len(ids)
 			if !slices.Equal(ids, ref[s.Abbr]) {
@@ -139,24 +150,26 @@ func tileOffsets() []int {
 	return offsets
 }
 
-// gridDigest is a SHA-256 over the table's ids, state and county
-// columns and each state's rows, little-endian, each column and each
-// state's rows prefixed by its length. The county column is hashed as
-// the index into the state's tiles it held before it became an index
-// into usgeo.AllCounties(), so the digests recorded then still pin it.
+// gridDigest is a SHA-256 over the table's ids, each row's state (as
+// rowStates derives it from the rows) and the county column, and each
+// state's rows, little-endian, each column and each state's rows
+// prefixed by its length. The states are hashed as the column the
+// table once kept, and the county column as the index into the
+// state's tiles it held before it became an index into
+// usgeo.AllCounties(), so the digests recorded then still pin them.
 func gridDigest(g *usGrid) string {
-	offsets := tileOffsets()
+	offsets, states := tileOffsets(), rowStates(g)
 	h := sha256.New()
 	var b []byte
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.ids)))
 	for _, id := range g.ids {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.state)))
-	b = append(b, g.state...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(states)))
+	b = append(b, states...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.county)))
 	for row, c := range g.county {
-		b = binary.LittleEndian.AppendUint16(b, c-uint16(offsets[g.state[row]]))
+		b = binary.LittleEndian.AppendUint16(b, c-uint16(offsets[states[row]]))
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.rows)))
 	for _, rows := range g.rows {
@@ -201,9 +214,9 @@ func TestUSCellsCountyRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, offsets, all := usgeo.States(), tileOffsets(), usgeo.AllCounties()
+	states, offsets, all, rowState := usgeo.States(), tileOffsets(), usgeo.AllCounties(), rowStates(g)
 	for row, r := range g.county {
-		s := g.state[row]
+		s := rowState[row]
 		tiles := usgeo.CountyTiles(states[s])
 		k := int(r) - offsets[s]
 		if k < 0 || k >= len(tiles) {
@@ -212,6 +225,61 @@ func TestUSCellsCountyRanks(t *testing.T) {
 		if got, want := all[r].FIPS, tiles[k].FIPS; got != want {
 			t.Fatalf("row %d: county %d is %s, its tile %d is %s", row, r, got, k, want)
 		}
+	}
+}
+
+// TestUSGridCentersExact: each row's center is its cell's own
+// LatLng, bit for bit, in the table a generation reads (the memo's) at
+// every resolution these tests build.
+func TestUSGridCentersExact(t *testing.T) {
+	for _, res := range []hexgrid.Resolution{3, 4, 5} {
+		g, err := usCells(context.Background(), res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.center) != len(g.ids) {
+			t.Fatalf("res %d: %d centers for %d rows", res, len(g.center), len(g.ids))
+		}
+		for row, id := range g.ids {
+			got, want := g.center[row], id.LatLng()
+			if math.Float64bits(got.Lat) != math.Float64bits(want.Lat) || math.Float64bits(got.Lng) != math.Float64bits(want.Lng) {
+				t.Fatalf("res %d row %d: center (%.17g, %.17g), cell %v has (%.17g, %.17g)",
+					res, row, got.Lat, got.Lng, id, want.Lat, want.Lng)
+			}
+		}
+	}
+}
+
+// TestUSGridBytesPerRow pins what a row of the US cell table costs:
+// the element sizes of its columns, with each row listed once in its
+// state's rows. At 30 bytes (an 8-byte ID, a 2-byte county, a 16-byte
+// center and a 4-byte row index) the resolution-5 table is about
+// 1.4 MB, held for the life of the process, so a new column is a
+// decision this pin makes visible.
+func TestUSGridBytesPerRow(t *testing.T) {
+	perRow := uintptr(0)
+	typ := reflect.TypeOf(usGrid{})
+	for i := range typ.NumField() {
+		elem := typ.Field(i).Type.Elem()
+		for elem.Kind() == reflect.Slice {
+			elem = elem.Elem()
+		}
+		perRow += elem.Size()
+	}
+	if perRow != 8+2+16+4 {
+		t.Errorf("a US cell table row costs %d bytes over %d columns, want 30", perRow, typ.NumField())
+	}
+	g, err := usCells(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := 0
+	for _, rows := range g.rows {
+		listed += len(rows)
+	}
+	if n := len(g.ids); len(g.county) != n || len(g.center) != n || listed != n {
+		t.Errorf("columns of %d, %d and %d rows and %d state rows; a row costs its bytes only if all equal",
+			n, len(g.county), len(g.center), listed)
 	}
 }
 

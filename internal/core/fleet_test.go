@@ -54,13 +54,9 @@ func TestAssessFleet(t *testing.T) {
 // unserved demand in one cell.
 func singleCellDist(t *testing.T, locations int) *demand.Distribution {
 	t.Helper()
-	d, err := demand.NewDistribution([]demand.Cell{
+	return distOf(t, []demand.Cell{
 		{ID: 1, Locations: locations, Center: geo.LatLng{Lat: 35.5, Lng: -106.3}, CountyFIPS: "35049"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
 
 func TestAssessFleetErrorPaths(t *testing.T) {

@@ -128,11 +128,7 @@ func TestOversubscriptionScaleInvariance(t *testing.T) {
 		c2.ID = c.ID + hexgrid.CellID(1_000_000+i)
 		double = append(double, c2)
 	}
-	d2, err := demand.NewDistribution(double)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := m.Oversubscription(d2, 20)
+	b := m.Oversubscription(distOf(t, double), 20)
 	if a.RequiredOversub != b.RequiredOversub {
 		t.Errorf("required oversub moved under duplication: %v -> %v", a.RequiredOversub, b.RequiredOversub)
 	}

@@ -32,7 +32,17 @@ func paperDist(t *testing.T) *demand.Distribution {
 			Center:    geo.LatLng{Lat: 30 + float64(i%15), Lng: -120 + float64(i)},
 		})
 	}
-	d, err := demand.NewDistribution(cells)
+	return distOf(t, cells)
+}
+
+// distOf is the distribution of cells, through their columns.
+func distOf(t *testing.T, cells []demand.Cell) *demand.Distribution {
+	t.Helper()
+	c, err := demand.NewCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := demand.NewDistribution(c)
 	if err != nil {
 		t.Fatal(err)
 	}

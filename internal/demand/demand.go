@@ -64,8 +64,12 @@ type Cell struct {
 
 // DemandGbps returns the cell's sold downlink demand at the FCC
 // benchmark.
-func (c Cell) DemandGbps() float64 {
-	return float64(c.Locations) * spectrum.FCCDownlinkMbps / 1000
+func (c Cell) DemandGbps() float64 { return DemandGbps(c.Locations) }
+
+// DemandGbps returns the sold downlink demand of a cell holding the
+// given number of locations at the FCC benchmark.
+func DemandGbps(locations int) float64 {
+	return float64(locations) * spectrum.FCCDownlinkMbps / 1000
 }
 
 // Aggregate groups un(der)served locations into cells at the given
@@ -107,20 +111,136 @@ func Aggregate(locs []Location, res hexgrid.Resolution) ([]Cell, error) {
 	return out, nil
 }
 
+// Cells is a set of demand cells as pointer-free columns in ascending
+// ID order: each cell's ID, location count (at least one), area and
+// center. The area is an index into the set's table of area codes (the
+// US county FIPS codes, a synthetic region's district codes), so a
+// cell carries no string. No method writes a Cells value, so its
+// copies share the columns safely; the methods take a pointer only so
+// that a kernel calling them per cell does not copy the five slice
+// headers each time. Generators, which emit their cells in ID order,
+// fill one through a CellsBuilder; NewCells takes any []Cell.
+type Cells struct {
+	ids     []hexgrid.CellID
+	locs    []int32
+	areas   []uint16
+	centers []geo.LatLng
+	codes   []string // area codes, indexed by areas
+}
+
+// Len returns the number of cells.
+func (c *Cells) Len() int { return len(c.ids) }
+
+// At returns cell i in ID order, for i in [0, Len()), with its
+// CountyFIPS read from the area code table.
+func (c *Cells) At(i int) Cell {
+	return Cell{ID: c.ids[i], Locations: int(c.locs[i]), CountyFIPS: c.codes[c.areas[i]], Center: c.centers[i]}
+}
+
+// Locations returns cell i's location count: At(i).Locations read
+// from its column alone, for the kernels that scan every cell.
+func (c *Cells) Locations(i int) int { return int(c.locs[i]) }
+
+// Center returns cell i's center: At(i).Center read from its column
+// alone.
+func (c *Cells) Center(i int) geo.LatLng { return c.centers[i] }
+
+// CellsBuilder fills a Cells value cell by cell, in ascending ID
+// order, straight into its columns. Construct with NewCellsBuilder.
+type CellsBuilder struct {
+	c   Cells
+	err error
+}
+
+// NewCellsBuilder returns a builder for n cells whose areas index
+// codes. The cells it builds keep codes, which must not be modified
+// afterwards.
+func NewCellsBuilder(n int, codes []string) *CellsBuilder {
+	return &CellsBuilder{c: Cells{
+		ids:     make([]hexgrid.CellID, 0, n),
+		locs:    make([]int32, 0, n),
+		areas:   make([]uint16, 0, n),
+		centers: make([]geo.LatLng, 0, n),
+		codes:   codes,
+	}}
+}
+
+// Add appends a cell. Cells must come in ascending ID order (equal IDs
+// allowed), each with between 1 and math.MaxInt32 locations and an area
+// inside the code table; the first that does not makes Cells fail.
+func (b *CellsBuilder) Add(id hexgrid.CellID, locations int, area uint16, center geo.LatLng) {
+	if b.err == nil {
+		switch n := len(b.c.ids); {
+		case locations < 1:
+			b.err = fmt.Errorf("demand: cell %v has %d locations, want at least 1", id, locations)
+		case locations > math.MaxInt32:
+			b.err = fmt.Errorf("demand: cell %v has %d locations, beyond the int32 column range", id, locations)
+		case int(area) >= len(b.c.codes):
+			b.err = fmt.Errorf("demand: cell %v has area %d of %d", id, area, len(b.c.codes))
+		case n > 0 && b.c.ids[n-1] > id:
+			b.err = fmt.Errorf("demand: cell %v added after %v", id, b.c.ids[n-1])
+		}
+	}
+	b.c.ids = append(b.c.ids, id)
+	b.c.locs = append(b.c.locs, int32(locations))
+	b.c.areas = append(b.c.areas, area)
+	b.c.centers = append(b.c.centers, center)
+}
+
+// Cells returns the cells added, or the first misordered or
+// out-of-range one as an error. The builder must not be used after.
+func (b *CellsBuilder) Cells() (Cells, error) {
+	if b.err != nil {
+		return Cells{}, b.err
+	}
+	return b.c, nil
+}
+
+// NewCells builds the columns of any cell set. Cells with zero
+// locations are dropped (they impose coverage but no demand); the rest
+// are ordered by ID, equal IDs in input order, and their CountyFIPS
+// codes become a sorted area code table.
+func NewCells(cells []Cell) (Cells, error) {
+	ids := make([]hexgrid.CellID, 0, len(cells))
+	rows := make([]int32, 0, len(cells))
+	var codes []string
+	for i, c := range cells {
+		if c.Locations < 0 {
+			return Cells{}, fmt.Errorf("demand: cell %v has negative locations", c.ID)
+		}
+		if c.Locations > 0 {
+			ids = append(ids, c.ID)
+			rows = append(rows, int32(i))
+			codes = append(codes, c.CountyFIPS)
+		}
+	}
+	slices.Sort(codes)
+	codes = slices.Compact(codes)
+	if len(codes) > math.MaxUint16+1 {
+		return Cells{}, fmt.Errorf("demand: %d area codes, beyond the uint16 area range", len(codes))
+	}
+	b := NewCellsBuilder(len(rows), codes)
+	for _, k := range IDOrder(ids) {
+		c := &cells[rows[k]]
+		area, _ := slices.BinarySearch(codes, c.CountyFIPS)
+		b.Add(c.ID, c.Locations, uint16(area), c.Center)
+	}
+	return b.Cells()
+}
+
 // Distribution wraps a cell set with the order statistics the model
 // queries repeatedly. Construct with NewDistribution.
 //
-// It indexes the caller's cells instead of copying them: order maps
-// each rank (descending by location count) to a row of the input
-// slice, and Cell(rank) reads through it. Beside the index it keeps
-// columnar projections of the hot per-cell fields (location counts,
-// center latitudes) in rank order, so the capacity model's inner loops
-// scan dense arrays instead of striding across Cell structs, plus a
+// It indexes the cells instead of copying them: order maps each rank
+// (descending by location count) to a cell of the set, and Cell(rank)
+// reads through it. Beside the index it keeps columnar projections of
+// the hot per-cell fields (location counts, center latitudes) in rank
+// order, so the capacity model's inner loops scan dense arrays, plus a
 // per-dataset stage memo for derived results that are invariant across
 // sweep points (see Stages).
 type Distribution struct {
-	cells  []Cell  // the caller's slice, in input order
-	order  []int32 // order[rank] = row of cells; descending by Locations
+	cells  Cells
+	order  []int32 // order[rank] = cell index; descending by Locations
 	cdf    *stats.CDF
 	total  int
 	suffix []int // suffix[i] = sum of Locations of ranks 0..i
@@ -130,56 +250,24 @@ type Distribution struct {
 	stages *memo.Memo[any]
 }
 
-// NewDistribution indexes the cells. Cells with zero locations are
-// dropped (they impose coverage but no demand). The distribution keeps
-// cells and reads Cell(rank) from it, so callers must not modify the
-// slice or its elements after the call.
-func NewDistribution(cells []Cell) (*Distribution, error) {
-	// The kept rows, by input index, and whether their IDs ascend.
-	rows := make([]int32, 0, len(cells))
-	ascending := true
-	for i, c := range cells {
-		if c.Locations < 0 {
-			return nil, fmt.Errorf("demand: cell %v has negative locations", c.ID)
-		}
-		if c.Locations > math.MaxInt32 {
-			return nil, fmt.Errorf("demand: cell %v has %d locations, beyond the int32 column range", c.ID, c.Locations)
-		}
-		if c.Locations > 0 {
-			if len(rows) > 0 && cells[rows[len(rows)-1]].ID > c.ID {
-				ascending = false
-			}
-			rows = append(rows, int32(i))
-		}
-	}
-	if len(rows) == 0 {
+// NewDistribution indexes the cells. An empty set is an error: there
+// is no demand to distribute.
+func NewDistribution(cells Cells) (*Distribution, error) {
+	n := cells.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("demand: no cells with demand")
 	}
-	// Rank the rows by (ID, input index); generated cells arrive in ID
-	// order and are ranked already.
-	if !ascending {
-		ids := make([]hexgrid.CellID, len(rows))
-		for r, i := range rows {
-			ids[r] = cells[i].ID
-		}
-		ranked := make([]int32, len(rows))
-		for r, k := range IDOrder(ids) {
-			ranked[r] = rows[k]
-		}
-		rows = ranked
-	}
-	// Order by descending locations, then rank: each key packs the
-	// location count's complement above the rank's rankBits bits, so one
-	// integer sort of a pointer-free column orders the rows. The rows
-	// are then indexed in that order, never copied, and the columns are
-	// filled in the same loop.
-	rankBits := bits.Len(uint(len(rows)))
-	keys := make([]uint64, len(rows))
-	for r, i := range rows {
-		keys[r] = uint64(math.MaxInt32-cells[i].Locations)<<rankBits | uint64(r)
+	// Order by descending locations, then ID order: each key packs the
+	// location count's complement above the cell index's rankBits bits,
+	// so one integer sort of a pointer-free column orders the cells.
+	// The cells are then indexed in that order, never copied, and the
+	// columns are filled in the same loop.
+	rankBits := bits.Len(uint(n))
+	keys := make([]uint64, n)
+	for i, l := range cells.locs {
+		keys[i] = uint64(math.MaxInt32-l)<<rankBits | uint64(i)
 	}
 	stats.SortUint64(keys)
-	n := len(keys)
 	order := make([]int32, n)
 	samples := make([]float64, n)
 	suffix := make([]int, n)
@@ -187,15 +275,15 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 	lats := make([]float64, n)
 	total := 0
 	for k, key := range keys {
-		row := rows[key&(1<<rankBits-1)]
-		c := &cells[row]
-		order[k] = row
-		// Ascending, so the CDF's own sort finds its input sorted.
-		samples[n-1-k] = float64(c.Locations)
-		total += c.Locations
+		i := int32(key & (1<<rankBits - 1))
+		l := cells.locs[i]
+		order[k] = i
+		// Ascending, so the CDF keeps the column as it is.
+		samples[n-1-k] = float64(l)
+		total += int(l)
 		suffix[k] = total
-		locs[k] = int32(c.Locations)
-		lats[k] = c.Center.Lat
+		locs[k] = l
+		lats[k] = cells.centers[i].Lat
 	}
 	cdf, err := stats.NewCDF(samples)
 	if err != nil {
@@ -242,7 +330,7 @@ func (d *Distribution) TotalLocations() int { return d.total }
 
 // Cell returns the cell at rank in descending demand order, for rank
 // in [0, NumCells()).
-func (d *Distribution) Cell(rank int) Cell { return d.cells[d.order[rank]] }
+func (d *Distribution) Cell(rank int) Cell { return d.cells.At(int(d.order[rank])) }
 
 // Peak returns the densest cell.
 func (d *Distribution) Peak() Cell { return d.Cell(0) }

@@ -2,6 +2,7 @@ package demand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -98,7 +99,7 @@ func buildDist(t *testing.T, counts ...int) *Distribution {
 			Center:    geo.LatLng{Lat: 35 + float64(i), Lng: -100},
 		}
 	}
-	d, err := NewDistribution(cells)
+	d, err := distOf(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +141,13 @@ func TestDistributionBasics(t *testing.T) {
 }
 
 func TestDistributionErrors(t *testing.T) {
-	if _, err := NewDistribution(nil); err == nil {
+	if _, err := distOf(nil); err == nil {
 		t.Error("empty cells should fail")
 	}
-	if _, err := NewDistribution([]Cell{{Locations: 0}}); err == nil {
+	if _, err := distOf([]Cell{{Locations: 0}}); err == nil {
 		t.Error("all-zero cells should fail")
 	}
-	if _, err := NewDistribution([]Cell{{Locations: -1}}); err == nil {
+	if _, err := distOf([]Cell{{Locations: -1}}); err == nil {
 		t.Error("negative locations should fail")
 	}
 }
@@ -181,7 +182,7 @@ func TestExcessProperty(t *testing.T) {
 		for i, n := range counts {
 			cells[i] = Cell{ID: hexgrid.CellID(i + 1), Locations: n}
 		}
-		d, err := NewDistribution(cells)
+		d, err := distOf(cells)
 		if err != nil {
 			return false
 		}
@@ -210,5 +211,71 @@ func TestSummary(t *testing.T) {
 	}
 	if got := d.Quantile(0.5); got != 5 {
 		t.Errorf("Quantile(0.5) = %d, want 5", got)
+	}
+}
+
+// distOf is NewDistribution over NewCells(cells).
+func distOf(cells []Cell) (*Distribution, error) {
+	c, err := NewCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	return NewDistribution(c)
+}
+
+// TestNewCells: the columns hold the cells with demand in ID order,
+// equal IDs in input order, and At rebuilds each whole cell, county
+// code included.
+func TestNewCells(t *testing.T) {
+	in := []Cell{
+		{ID: 9, Locations: 4, CountyFIPS: "b", Center: geo.LatLng{Lat: 1, Lng: 2}},
+		{ID: 3, Locations: 0, CountyFIPS: "z"},
+		{ID: 3, Locations: 7, CountyFIPS: "a", Center: geo.LatLng{Lat: 3, Lng: 4}},
+		{ID: 5, Locations: 1, CountyFIPS: "b", Center: geo.LatLng{Lat: 5, Lng: 6}},
+		{ID: 3, Locations: 2, CountyFIPS: "c", Center: geo.LatLng{Lat: 7, Lng: 8}},
+	}
+	c, err := NewCells(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Cell{in[2], in[4], in[3], in[0]}
+	if c.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", c.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := c.At(i); got != w {
+			t.Errorf("At(%d) = %+v, want %+v", i, got, w)
+		}
+	}
+	if !slices.Equal(c.codes, []string{"a", "b", "c"}) {
+		t.Errorf("area codes %q, want the distinct codes of the kept cells, sorted", c.codes)
+	}
+	if _, err := NewCells([]Cell{{ID: 1, Locations: math.MaxInt32 + 1}}); err == nil {
+		t.Error("a count beyond the int32 column should fail")
+	}
+}
+
+// TestCellsBuilderRejects: the builder reports the first cell out of
+// ID order, without demand, beyond the count column or outside the
+// code table.
+func TestCellsBuilderRejects(t *testing.T) {
+	for name, add := range map[string]func(b *CellsBuilder){
+		"descending id":  func(b *CellsBuilder) { b.Add(2, 1, 0, geo.LatLng{}); b.Add(1, 1, 0, geo.LatLng{}) },
+		"zero locations": func(b *CellsBuilder) { b.Add(1, 0, 0, geo.LatLng{}) },
+		"int32 overflow": func(b *CellsBuilder) { b.Add(1, math.MaxInt32+1, 0, geo.LatLng{}) },
+		"area":           func(b *CellsBuilder) { b.Add(1, 1, 1, geo.LatLng{}) },
+	} {
+		b := NewCellsBuilder(2, []string{"a"})
+		add(b)
+		b.Add(9, 1, 0, geo.LatLng{})
+		if _, err := b.Cells(); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	b := NewCellsBuilder(2, []string{"a"})
+	b.Add(1, 1, 0, geo.LatLng{})
+	b.Add(1, math.MaxInt32, 0, geo.LatLng{})
+	if c, err := b.Cells(); err != nil || c.Len() != 2 {
+		t.Errorf("equal IDs at the column bounds: %d cells, %v", c.Len(), err)
 	}
 }

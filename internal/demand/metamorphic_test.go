@@ -79,7 +79,7 @@ func TestAggregateRefinementNesting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("res %d: %v", res, err)
 		}
-		dist, err := NewDistribution(cells)
+		dist, err := distOf(cells)
 		if err != nil {
 			t.Fatalf("res %d: %v", res, err)
 		}
@@ -102,7 +102,7 @@ func TestDistributionConservesAggregateTotal(t *testing.T) {
 	for _, c := range cells {
 		sum += int64(c.Locations)
 	}
-	dist, err := NewDistribution(cells)
+	dist, err := distOf(cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestNewDistributionMatchesReferenceOrder(t *testing.T) {
 		if len(want) == 0 {
 			continue
 		}
-		d, err := NewDistribution(cells)
+		d, err := distOf(cells)
 		if err != nil {
 			t.Fatal(err)
 		}

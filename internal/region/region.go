@@ -21,12 +21,13 @@
 // fixed order, mirroring the BDC generator's idiom; only RNG-free work
 // fans out, each task writing its own slots: the grid enumeration, once
 // per process, collected in canonical face order, and per seed the
-// cell centers and the distribution beside the income table.
+// distribution beside the income table.
 //
 // Every region joins demand to incomes the same way. While it emits
 // the cells, a generator knows each cell's area (a US county, a
 // synthetic district) as an index into the region's area list, whose
-// codes ascend, and sums the area's locations there; areaIncomes turns
+// codes ascend: the cells keep that index as their area column, and
+// the generator sums the area's locations there; areaIncomes turns
 // those sums into the income table.
 package region
 
@@ -71,7 +72,7 @@ func (g GenConfig) Validate() error {
 // grid resolution the cells live on. Dist is always non-nil and built
 // from exactly Cells, so consumers need not rebuild it.
 type Output struct {
-	Cells      []demand.Cell
+	Cells      demand.Cells
 	Dist       *demand.Distribution
 	Incomes    *census.Table
 	Resolution hexgrid.Resolution
@@ -79,9 +80,9 @@ type Output struct {
 
 // distAndIncomes builds the distribution of cells and the table
 // incomes returns side by side, on up to workers goroutines
-// (par.Map; 1 runs them in turn on the calling goroutine). Neither
-// writes the cells. A distribution error outranks an income error.
-func distAndIncomes(ctx context.Context, workers int, cells []demand.Cell,
+// (par.Map; 1 runs them in turn on the calling goroutine). A
+// distribution error outranks an income error.
+func distAndIncomes(ctx context.Context, workers int, cells demand.Cells,
 	incomes func() (*census.Table, error)) (*demand.Distribution, *census.Table, error) {
 	type stage struct {
 		dist    *demand.Distribution

@@ -7,8 +7,8 @@ package region
 // counts attached through rng.Perm, cells sorted by ID — so synthetic
 // output is byte-identical at every worker count for the same reasons
 // the US pipeline is: every RNG decision runs serially in a fixed
-// order, and the fan-outs (grid enumeration, cell centers, the
-// distribution beside the incomes) are RNG-free and collected by index.
+// order, and the fan-outs (grid enumeration, the distribution beside
+// the incomes) are RNG-free and collected by index.
 //
 // The body-count rule differs from BDC in one deliberate way: the
 // number of demand cells is fixed by the spec instead of derived from
@@ -346,7 +346,6 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 
 	rng := rand.New(rand.NewSource(g.Seed))
 	peakIDs := make([]hexgrid.CellID, 0, len(peaks))
-	peakCells := make([]demand.Cell, 0, len(peaks))
 	peakSum := 0
 	for _, p := range peaks {
 		id := hexgrid.LatLngToCell(geo.LatLng{Lat: p.LatDeg, Lng: p.LngDeg}, s.Resolution)
@@ -354,7 +353,6 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 			return Output{}, fmt.Errorf("region: spec %q: peak anchors collide in cell %v", s.Key, id)
 		}
 		peakIDs = append(peakIDs, id)
-		peakCells = append(peakCells, demand.Cell{ID: id, Locations: p.Locations})
 		peakSum += p.Locations
 	}
 	if peakSum >= total {
@@ -376,30 +374,37 @@ func (r synthetic) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	}
 	rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
 	perm := rng.Perm(len(counts))
-	// The candidates ascend by ID, so the sites are rows of them.
-	cells, err := bdc.EmitCells(ctx, g.Parallelism, pool[:len(counts)], peakCells, func(row int32, site int) demand.Cell {
-		return demand.Cell{ID: candidates[row], Locations: counts[perm[site]]}
-	})
-	if err != nil {
-		return Output{}, err
-	}
 
 	// Districts partition the ID-sorted cells into contiguous blocks,
 	// so a district is a coherent slice of the geography and the codes
-	// are a pure function of the sorted order; each code is formatted
-	// once, and each district's weight summed in the same pass. The
-	// codes ascend, since the prefix is fixed and the numbers are
-	// zero-padded to three digits below the 1000-district cap.
+	// are a pure function of the sorted order: the cell in slot i of n
+	// is in district i·Districts/n, and each district's weight is
+	// summed as its cells are emitted. Every district holds a cell,
+	// since Validate caps Districts at the cell count. The codes ascend,
+	// since the prefix is fixed and the numbers are zero-padded to three
+	// digits below the 1000-district cap.
 	codes := make([]string, s.Districts)
+	for d := range codes {
+		codes[d] = fmt.Sprintf("%s%03d", s.DistrictPrefix, d)
+	}
 	weights := make([]int, s.Districts)
-	district := -1
-	for i := range cells {
-		d := i * s.Districts / len(cells)
-		if d != district {
-			codes[d], district = fmt.Sprintf("%s%03d", s.DistrictPrefix, d), d
-		}
-		weights[d] += cells[i].Locations
-		cells[i].CountyFIPS = codes[d]
+	n := len(counts) + len(peaks)
+	b, slot := demand.NewCellsBuilder(n, codes), 0
+	add := func(id hexgrid.CellID, locations int) {
+		d := slot * s.Districts / n
+		slot++
+		weights[d] += locations
+		b.Add(id, locations, uint16(d), id.LatLng())
+	}
+	// The candidates ascend by ID, so the sites are rows of them.
+	bdc.EmitCells(candidates, pool[:len(counts)], peakIDs, func(row int32, site int) {
+		add(candidates[row], counts[perm[site]])
+	}, func(k int) {
+		add(peakIDs[k], peaks[k].Locations)
+	})
+	cells, err := b.Cells()
+	if err != nil {
+		return Output{}, err
 	}
 	dist, incomes, err := distAndIncomes(ctx, g.Parallelism, cells, func() (*census.Table, error) {
 		return areaIncomes(weights, func(d int) (string, string) { return codes[d], s.RegionAbbr }, s.IncomeAnchors, g.Seed)

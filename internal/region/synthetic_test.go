@@ -229,15 +229,16 @@ func TestSyntheticGenerate(t *testing.T) {
 			if got := out.Dist.TotalLocations(); got != wantTotal {
 				t.Errorf("%s scale %v: total %d, want %d", r.Key(), scale, got, wantTotal)
 			}
-			if got, want := len(out.Cells), spec.Cells+len(spec.Peaks); got != want {
+			if got, want := out.Cells.Len(), spec.Cells+len(spec.Peaks); got != want {
 				t.Errorf("%s scale %v: %d cells, want %d", r.Key(), scale, got, want)
 			}
 			if out.Resolution != spec.Resolution {
 				t.Errorf("%s: resolution %d, want %d", r.Key(), out.Resolution, spec.Resolution)
 			}
 			districts := map[string]bool{}
-			for i, c := range out.Cells {
-				if i > 0 && out.Cells[i-1].ID >= c.ID {
+			for i := range out.Cells.Len() {
+				c := out.Cells.At(i)
+				if i > 0 && out.Cells.At(i-1).ID >= c.ID {
 					t.Fatalf("%s: cells not strictly ID-sorted at %d", r.Key(), i)
 				}
 				if c.Locations < 1 {
@@ -351,8 +352,8 @@ func TestPeakCellIsPeak(t *testing.T) {
 	for _, p := range spec.Peaks {
 		id := hexgrid.LatLngToCell(geo.LatLng{Lat: p.LatDeg, Lng: p.LngDeg}, spec.Resolution)
 		found := false
-		for _, c := range out.Cells {
-			if c.ID == id {
+		for i := range out.Cells.Len() {
+			if c := out.Cells.At(i); c.ID == id {
 				found = true
 				if c.Locations != p.Locations {
 					t.Errorf("peak cell %v has %d locations, want %d", id, c.Locations, p.Locations)

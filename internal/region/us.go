@@ -49,7 +49,6 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	}
 	cfg := u.cfg
 	cfg.Seed = g.Seed
-	cfg.Parallelism = g.Parallelism
 	if g.Scale < 1 {
 		cfg.TotalLocations = int(float64(cfg.TotalLocations) * g.Scale)
 		peaks := make([]bdc.PeakCell, len(cfg.Peaks))

@@ -36,9 +36,11 @@ type geoJSONGeometry struct {
 // county properties. Cells are written densest-first (ties by cell ID),
 // so the file's order is fixed whatever order the cells arrive in and
 // its head is the paper's peak-demand cells.
-func WriteCellsGeoJSON(w io.Writer, cells []demand.Cell) error {
-	ordered := make([]demand.Cell, len(cells))
-	copy(ordered, cells)
+func WriteCellsGeoJSON(w io.Writer, cells demand.Cells) error {
+	ordered := make([]demand.Cell, cells.Len())
+	for i := range ordered {
+		ordered[i] = cells.At(i)
+	}
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Locations != ordered[j].Locations {
 			return ordered[i].Locations > ordered[j].Locations

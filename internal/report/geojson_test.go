@@ -33,12 +33,17 @@ func sampleCells(t *testing.T) []demand.Cell {
 
 func TestWriteCellsGeoJSON(t *testing.T) {
 	cells := sampleCells(t)
-	// Hand the writer the densest cell last, so the order below is the
-	// writer's own.
-	densest := cells[0]
-	cells = append(cells[1:], densest)
+	cols, err := demand.NewCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The columns hold the cells in ID order, where the densest is not
+	// first, so the order below is the writer's own.
+	if cols.At(0).Locations == 500 {
+		t.Fatal("the densest sample cell has the lowest ID")
+	}
 	var buf bytes.Buffer
-	if err := WriteCellsGeoJSON(&buf, cells); err != nil {
+	if err := WriteCellsGeoJSON(&buf, cols); err != nil {
 		t.Fatal(err)
 	}
 	features, locations, err := ReadCellsGeoJSONCount(bytes.NewReader(buf.Bytes()))
@@ -69,7 +74,7 @@ func TestWriteCellsGeoJSON(t *testing.T) {
 	if fmt.Sprint(order) != "[500 120 50 8]" {
 		t.Errorf("feature order by locations = %v, want densest first [500 120 50 8]", order)
 	}
-	if got, want := fc.Features[0].Properties["cell_id"], fmt.Sprintf("%d", uint64(densest.ID)); got != want {
+	if got, want := fc.Features[0].Properties["cell_id"], fmt.Sprintf("%d", uint64(cells[0].ID)); got != want {
 		t.Errorf("first feature is cell %v, want the densest cell %s", got, want)
 	}
 }

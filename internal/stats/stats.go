@@ -28,8 +28,11 @@ type CDF struct {
 	sorted []float64
 }
 
-// NewCDF builds an empirical CDF from samples. The input slice is copied
-// and may be reused by the caller. A NaN sample is ErrNaNSample.
+// NewCDF builds an empirical CDF over samples, which it keeps: the
+// caller hands the slice over and must not modify it afterwards.
+// Samples that do not already ascend are sorted in place, so a caller
+// holding a sorted column pays neither a copy nor a sort. A NaN sample
+// is ErrNaNSample.
 func NewCDF(samples []float64) (*CDF, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
@@ -39,10 +42,10 @@ func NewCDF(samples []float64) (*CDF, error) {
 			return nil, ErrNaNSample
 		}
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return &CDF{sorted: s}, nil
+	if !sort.Float64sAreSorted(samples) {
+		sort.Float64s(samples)
+	}
+	return &CDF{sorted: samples}, nil
 }
 
 // Len reports the number of samples behind the CDF.

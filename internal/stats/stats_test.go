@@ -74,12 +74,23 @@ func TestCDFQuantile(t *testing.T) {
 	}
 }
 
-func TestCDFDoesNotAliasInput(t *testing.T) {
+// TestCDFKeepsItsSamples: NewCDF sorts unordered samples in place and
+// keeps an ascending column as it is, without a copy.
+func TestCDFKeepsItsSamples(t *testing.T) {
 	in := []float64{3, 1, 2}
-	c, _ := NewCDF(in)
-	in[0] = 1000
-	if got := c.Max(); got != 3 {
-		t.Errorf("Max = %v after mutating input, want 3", got)
+	c, err := NewCDF(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(in, []float64{1, 2, 3}) || &c.sorted[0] != &in[0] {
+		t.Errorf("NewCDF kept %v, its input became %v; want the input, sorted in place", c.sorted, in)
+	}
+	asc := []float64{1, 1, 4, 9}
+	if c, err = NewCDF(asc); err != nil {
+		t.Fatal(err)
+	}
+	if &c.sorted[0] != &asc[0] || !slices.Equal(asc, []float64{1, 1, 4, 9}) {
+		t.Error("NewCDF copied or reordered an ascending column")
 	}
 }
 
@@ -362,18 +373,20 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 	}
 }
 
-// gini is NewCDF(samples).Gini(); no samples fail in NewCDF.
+// gini is NewCDF(samples).Gini() over a copy, so the caller's order
+// survives for the oracle; no samples fail in NewCDF.
 func gini(samples []float64) (float64, error) {
-	c, err := NewCDF(samples)
+	c, err := NewCDF(slices.Clone(samples))
 	if err != nil {
 		return 0, err
 	}
 	return c.Gini()
 }
 
-// lorenz is NewCDF(samples).Lorenz(n); no samples fail in NewCDF.
+// lorenz is NewCDF(samples).Lorenz(n) over a copy; no samples fail in
+// NewCDF.
 func lorenz(samples []float64, n int) ([]Point, error) {
-	c, err := NewCDF(samples)
+	c, err := NewCDF(slices.Clone(samples))
 	if err != nil {
 		return nil, err
 	}
@@ -542,9 +555,10 @@ func weightedP(w *WeightedCDF, x float64) float64 {
 	return w.WeightLE(x) / w.TotalWeight()
 }
 
-// summarize computes a Summary of raw samples through SummarizeCDF.
+// summarize computes a Summary of raw samples, copied, through
+// SummarizeCDF.
 func summarize(samples []float64) (Summary, error) {
-	c, err := NewCDF(samples)
+	c, err := NewCDF(slices.Clone(samples))
 	if err != nil {
 		return Summary{}, err
 	}

@@ -89,12 +89,16 @@ func TestAnalyzeStaggerMatchesTwoPass(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d scale %v: %v", name, seed, scale, err)
 				}
+				whole := make([]demand.Cell, out.Cells.Len())
+				for i := range whole {
+					whole[i] = out.Cells.At(i)
+				}
 				for _, hw := range []float64{0, 2, 8.5, 30, 400} {
 					got, err := AnalyzeStagger(p, out.Cells, hw)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := twoPassStagger(p, out.Cells, hw)
+					want := twoPassStagger(p, whole, hw)
 					if !sameBits(got, want) {
 						t.Fatalf("%s seed %d scale %v half-width %v: %+v, two-pass %+v",
 							name, seed, scale, hw, got, want)

@@ -120,9 +120,9 @@ const stackClasses = 4
 // Each total equals the direct per-cell sum (the tests' directCurve)
 // within rounding (the equivalence test pins 1e-12 relative), not bit
 // for bit: the summation order differs. Every histogram accumulates its cells
-// in cell order and the kernel is serial, so the result is
+// in ID order and the kernel is serial, so the result is
 // deterministic and identical at every parallelism.
-func binCurves(p *DiurnalProfile, cells []demand.Cell, lng, halfWidth float64, nat, fp []float64) {
+func binCurves(p *DiurnalProfile, cells demand.Cells, lng, halfWidth float64, nat, fp []float64) {
 	steps := len(nat)
 	g := gcd(steps, 24)
 	classes, shift := steps/g, 24/g
@@ -137,11 +137,11 @@ func binCurves(p *DiurnalProfile, cells []demand.Cell, lng, halfWidth float64, n
 	for r := range utcs {
 		utcs[r] = 24 * float64(r) / float64(steps)
 	}
-	for i := range cells {
-		c := &cells[i]
-		d := c.DemandGbps()
-		phase := c.Center.Lng / 15
-		member := math.Abs(c.Center.Lng-lng) <= halfWidth
+	for i := range cells.Len() {
+		d := demand.DemandGbps(cells.Locations(i))
+		cellLng := cells.Center(i).Lng
+		phase := cellLng / 15
+		member := math.Abs(cellLng-lng) <= halfWidth
 		for r, utc := range utcs {
 			// A reduced hour in [0, 24) splits by truncation, which
 			// gives bracket's index and weight; any other x takes
@@ -275,22 +275,23 @@ type StaggerAnalysis struct {
 // per-cell sums within rounding, are deterministic (the kernel is
 // serial), and hold the golden corpus at its default 1e-9 relative
 // tolerance.
-func AnalyzeStagger(p DiurnalProfile, cells []demand.Cell, footprintHalfWidthDeg float64) (StaggerAnalysis, error) {
+func AnalyzeStagger(p DiurnalProfile, cells demand.Cells, footprintHalfWidthDeg float64) (StaggerAnalysis, error) {
 	if err := p.Validate(); err != nil {
 		return StaggerAnalysis{}, err
 	}
-	if len(cells) == 0 {
+	if cells.Len() == 0 {
 		return StaggerAnalysis{}, fmt.Errorf("traffic: no cells")
 	}
-	// Footprint scope: cells within the half-width of the densest cell.
+	// Footprint scope: cells within the half-width of the densest cell
+	// (the first in ID order on ties).
 	densest := 0
-	for i := range cells {
-		if cells[i].Locations > cells[densest].Locations {
+	for i := range cells.Len() {
+		if cells.Locations(i) > cells.Locations(densest) {
 			densest = i
 		}
 	}
 	var nat, fp [96]float64
-	binCurves(&p, cells, cells[densest].Center.Lng, footprintHalfWidthDeg, nat[:], fp[:])
+	binCurves(&p, cells, cells.Center(densest).Lng, footprintHalfWidthDeg, nat[:], fp[:])
 	return StaggerAnalysis{
 		CellPeakToMean:      p.PeakFactor(),
 		FootprintPeakToMean: PeakToMean(fp[:]),

@@ -165,12 +165,22 @@ func directCurve(p DiurnalProfile, cells []demand.Cell, steps int, in func(deman
 	return totals
 }
 
-// curves runs binCurves for steps steps and returns the national and
-// footprint curves.
+// curves runs binCurves over the cells' columns for steps steps and
+// returns the national and footprint curves.
 func curves(p DiurnalProfile, cells []demand.Cell, lng, halfWidth float64, steps int) (nat, fp []float64) {
 	nat, fp = make([]float64, steps), make([]float64, steps)
-	binCurves(&p, cells, lng, halfWidth, nat, fp)
+	binCurves(&p, columns(cells), lng, halfWidth, nat, fp)
 	return nat, fp
+}
+
+// columns is demand.NewCells for test cells, which have demand and
+// ascend by ID, so the columns keep their order.
+func columns(cells []demand.Cell) demand.Cells {
+	c, err := demand.NewCells(cells)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // TestNationalCurveColumnsMatchesDirect: the binned kernel, binCurves,
@@ -306,7 +316,7 @@ func TestNationalCurveFlatterThanCell(t *testing.T) {
 func TestAnalyzeStagger(t *testing.T) {
 	p := DefaultProfile()
 	cells := stripCells()
-	a, err := AnalyzeStagger(p, cells, 8.5)
+	a, err := AnalyzeStagger(p, columns(cells), 8.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +331,7 @@ func TestAnalyzeStagger(t *testing.T) {
 	if a.FootprintPeakToMean < 0.9*a.CellPeakToMean {
 		t.Errorf("footprint relief implausibly large: %+v", a)
 	}
-	if _, err := AnalyzeStagger(p, nil, 8.5); err == nil {
+	if _, err := AnalyzeStagger(p, demand.Cells{}, 8.5); err == nil {
 		t.Error("no cells should fail")
 	}
 }

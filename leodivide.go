@@ -61,9 +61,10 @@ var (
 // to the paper's published statistics.
 type Dataset struct {
 	// Cells are the demand cells (service-grid cells with at least one
-	// un(der)served location). The dataset's distribution indexes this
-	// slice, so it must not be modified; copy it to derive variants.
-	Cells []demand.Cell
+	// un(der)served location) in ascending ID order, as pointer-free
+	// columns that no method writes; Cells.At reads a whole cell. The
+	// dataset's distribution indexes the same columns.
+	Cells demand.Cells
 	// Incomes is the county income table, weighted by location counts.
 	Incomes *census.Table
 	// Resolution is the service-cell grid resolution.
@@ -149,9 +150,9 @@ func generateDataset(ctx context.Context, o genOptions) (*Dataset, error) {
 	}
 	metricDatasets.Inc()
 	metricGenSecs.ObserveSince(start)
-	gaugeCells.Set(float64(len(out.Cells)))
+	gaugeCells.Set(float64(out.Cells.Len()))
 	if span != nil {
-		span.SetAttr(obs.Int("cells", int64(len(out.Cells))),
+		span.SetAttr(obs.Int("cells", int64(out.Cells.Len())),
 			obs.Int("seed", o.seed))
 	}
 	return &Dataset{

@@ -8,6 +8,7 @@ import (
 
 	"leodivide/internal/afford"
 	"leodivide/internal/core"
+	"leodivide/internal/demand"
 	"leodivide/internal/orbit"
 	"leodivide/internal/sim"
 )
@@ -346,8 +347,8 @@ func TestDatasetDeterminism(t *testing.T) {
 	if a.NumCells() != b.NumCells() || a.TotalLocations() != b.TotalLocations() {
 		t.Fatal("same seed produced different datasets")
 	}
-	for i := range a.Cells {
-		if a.Cells[i] != b.Cells[i] {
+	for i := range a.Cells.Len() {
+		if a.Cells.At(i) != b.Cells.At(i) {
 			t.Fatalf("cell %d differs", i)
 		}
 	}
@@ -397,7 +398,8 @@ func TestSizingValidatedBySimulator(t *testing.T) {
 		Planes:         planes,
 		Phasing:        13,
 	}
-	big, err := sim.Run(context.Background(), cfg, ds.Cells)
+	cells := wholeCells(ds.Cells)
+	big, err := sim.Run(context.Background(), cfg, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +413,7 @@ func TestSizingValidatedBySimulator(t *testing.T) {
 
 	small := cfg
 	small.Shell = orbit.StarlinkShell1()
-	cur, err := sim.Run(context.Background(), small, ds.Cells)
+	cur, err := sim.Run(context.Background(), small, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,4 +421,13 @@ func TestSizingValidatedBySimulator(t *testing.T) {
 		t.Errorf("current shell served %.3f, expected far below the sized constellation's %.3f",
 			cur.MeanServedFraction, big.MeanServedFraction)
 	}
+}
+
+// wholeCells reads every cell of a dataset's columns, in ID order.
+func wholeCells(cells demand.Cells) []demand.Cell {
+	out := make([]demand.Cell, cells.Len())
+	for i := range out {
+		out[i] = cells.At(i)
+	}
+	return out
 }

@@ -70,14 +70,14 @@ func TestRegionDemandDoubling(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s at 0.04: %v", key, err)
 		}
-		if len(lo.Cells) != len(hi.Cells) {
-			t.Fatalf("%s: cell count changed with scale: %d vs %d", key, len(lo.Cells), len(hi.Cells))
+		if lo.Cells.Len() != hi.Cells.Len() {
+			t.Fatalf("%s: cell count changed with scale: %d vs %d", key, lo.Cells.Len(), hi.Cells.Len())
 		}
 		if got, want := hi.Dist.TotalLocations(), 2*lo.Dist.TotalLocations(); got != want {
 			t.Errorf("%s: total at 0.04 is %d, want exactly %d", key, got, want)
 		}
-		for i := range lo.Cells {
-			a, b := lo.Cells[i], hi.Cells[i]
+		for i := range lo.Cells.Len() {
+			a, b := lo.Cells.At(i), hi.Cells.At(i)
 			if a.ID != b.ID {
 				t.Fatalf("%s: cell %d site moved with scale: %v vs %v", key, i, a.ID, b.ID)
 			}

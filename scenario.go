@@ -92,6 +92,18 @@ func DefaultScenarioConfig(experiment string) ScenarioConfig {
 // configs describing the same scenario normalize to equal values,
 // which is what makes CanonicalKey a cache identity.
 func (c ScenarioConfig) Normalized() ScenarioConfig {
+	n := c.normalized()
+	if len(c.Spreads) == 0 {
+		n.Spreads = PaperTable2Spreads()
+	}
+	return n
+}
+
+// normalized is Normalized with empty Spreads pointing at the paper's
+// table itself instead of a copy of it. Validation and the canonical
+// key only read the value, so they normalize this way and copy nothing
+// for a default request; the result must not escape to a caller.
+func (c ScenarioConfig) normalized() ScenarioConfig {
 	if c.MaxOversub == 0 {
 		c.MaxOversub = spectrum.FCCFixedWirelessOversubscription
 	}
@@ -99,7 +111,7 @@ func (c ScenarioConfig) Normalized() ScenarioConfig {
 		c.AffordShare = afford.DefaultAffordabilityShare
 	}
 	if len(c.Spreads) == 0 {
-		c.Spreads = PaperTable2Spreads()
+		c.Spreads = paperTable2Spreads[:]
 	}
 	if len(c.Plans) == 0 {
 		c.Plans = nil
@@ -140,16 +152,28 @@ const maxSpreads = 32
 // Validate reports whether the scenario is runnable: a valid RunConfig,
 // a known experiment name, and every knob finite and in range.
 func (c ScenarioConfig) Validate() error {
+	_, err := c.validated()
+	return err
+}
+
+// validated is Validate returning the value it checked: the scenario
+// normalized once (normalized, so read-only), which CanonicalKey then
+// encodes.
+func (c ScenarioConfig) validated() (ScenarioConfig, error) {
 	if err := c.RunConfig.Validate(); err != nil {
-		return err
+		return ScenarioConfig{}, err
 	}
 	if c.Experiment == "" {
-		return fmt.Errorf("leodivide: scenario names no experiment")
+		return ScenarioConfig{}, fmt.Errorf("leodivide: scenario names no experiment")
 	}
 	if _, ok := lookupEntry(c.Experiment); !ok {
-		return fmt.Errorf("leodivide: unknown experiment %q (see `leodivide experiments`)", c.Experiment)
+		return ScenarioConfig{}, fmt.Errorf("leodivide: unknown experiment %q (see `leodivide experiments`)", c.Experiment)
 	}
-	return c.validateBase()
+	n := c.normalized()
+	if err := n.validateKnobs(); err != nil {
+		return ScenarioConfig{}, err
+	}
+	return n, nil
 }
 
 // validateBase validates everything except the experiment selection:
@@ -159,26 +183,31 @@ func (c ScenarioConfig) validateBase() error {
 	if err := c.RunConfig.Validate(); err != nil {
 		return err
 	}
-	n := c.Normalized()
-	if math.IsNaN(n.MaxOversub) || math.IsInf(n.MaxOversub, 0) || n.MaxOversub < 1 || n.MaxOversub > 1000 {
-		return fmt.Errorf("leodivide: max oversubscription must be in [1,1000], got %v", n.MaxOversub)
+	return c.normalized().validateKnobs()
+}
+
+// validateKnobs checks every promoted knob of an already normalized
+// scenario.
+func (c ScenarioConfig) validateKnobs() error {
+	if math.IsNaN(c.MaxOversub) || math.IsInf(c.MaxOversub, 0) || c.MaxOversub < 1 || c.MaxOversub > 1000 {
+		return fmt.Errorf("leodivide: max oversubscription must be in [1,1000], got %v", c.MaxOversub)
 	}
-	if math.IsNaN(n.AffordShare) || n.AffordShare <= 0 || n.AffordShare > 1 {
-		return fmt.Errorf("leodivide: affordability share must be in (0,1], got %v", n.AffordShare)
+	if math.IsNaN(c.AffordShare) || c.AffordShare <= 0 || c.AffordShare > 1 {
+		return fmt.Errorf("leodivide: affordability share must be in (0,1], got %v", c.AffordShare)
 	}
-	if len(n.Spreads) > maxSpreads {
-		return fmt.Errorf("leodivide: at most %d beamspreads, got %d", maxSpreads, len(n.Spreads))
+	if len(c.Spreads) > maxSpreads {
+		return fmt.Errorf("leodivide: at most %d beamspreads, got %d", maxSpreads, len(c.Spreads))
 	}
-	for i, s := range n.Spreads {
+	for i, s := range c.Spreads {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 1 || s > 1000 {
 			return fmt.Errorf("leodivide: beamspread %v at index %d must be in [1,1000]", s, i)
 		}
-		if i > 0 && s <= n.Spreads[i-1] {
-			return fmt.Errorf("leodivide: beamspreads must be strictly ascending, got %v after %v", s, n.Spreads[i-1])
+		if i > 0 && s <= c.Spreads[i-1] {
+			return fmt.Errorf("leodivide: beamspreads must be strictly ascending, got %v after %v", s, c.Spreads[i-1])
 		}
 	}
-	seen := make(map[string]bool, len(n.Plans))
-	for _, p := range n.Plans {
+	seen := make(map[string]bool, len(c.Plans))
+	for _, p := range c.Plans {
 		if p == "" || p != strings.TrimSpace(p) {
 			return fmt.Errorf("leodivide: invalid plan label %q", p)
 		}
@@ -188,27 +217,27 @@ func (c ScenarioConfig) validateBase() error {
 		seen[p] = true
 	}
 	// Unique labels from the catalog also bound the list's length.
-	if len(n.Plans) > 0 {
-		if _, err := resolvePlans(n.Plans); err != nil {
+	if len(c.Plans) > 0 {
+		if _, err := resolvePlans(c.Plans); err != nil {
 			return err
 		}
 	}
-	if _, ok := constellation.CostByName(n.Constellation); !ok {
+	if _, ok := constellation.CostByName(c.Constellation); !ok {
 		return fmt.Errorf("leodivide: unknown constellation %q (valid: %s)",
-			n.Constellation, strings.Join(constellation.SystemNames(), ", "))
+			c.Constellation, strings.Join(constellation.SystemNames(), ", "))
 	}
-	if _, ok := region.ByName(n.Region); !ok {
+	if _, ok := region.ByName(c.Region); !ok {
 		return fmt.Errorf("leodivide: unknown region %q (valid: %s)",
-			n.Region, strings.Join(region.Names(), ", "))
+			c.Region, strings.Join(region.Names(), ", "))
 	}
-	if math.IsNaN(n.CostSatelliteUSD) || math.IsInf(n.CostSatelliteUSD, 0) || n.CostSatelliteUSD < 0 {
-		return fmt.Errorf("leodivide: satellite cost override must be finite and non-negative, got %v", n.CostSatelliteUSD)
+	if math.IsNaN(c.CostSatelliteUSD) || math.IsInf(c.CostSatelliteUSD, 0) || c.CostSatelliteUSD < 0 {
+		return fmt.Errorf("leodivide: satellite cost override must be finite and non-negative, got %v", c.CostSatelliteUSD)
 	}
-	if math.IsNaN(n.CostLifeYears) || math.IsInf(n.CostLifeYears, 0) || n.CostLifeYears <= 0 || n.CostLifeYears > 100 {
-		return fmt.Errorf("leodivide: design-life override must be in (0,100] years, got %v", n.CostLifeYears)
+	if math.IsNaN(c.CostLifeYears) || math.IsInf(c.CostLifeYears, 0) || c.CostLifeYears <= 0 || c.CostLifeYears > 100 {
+		return fmt.Errorf("leodivide: design-life override must be in (0,100] years, got %v", c.CostLifeYears)
 	}
-	if math.IsNaN(n.CostTerminalUSD) || math.IsInf(n.CostTerminalUSD, 0) || n.CostTerminalUSD < 0 {
-		return fmt.Errorf("leodivide: terminal cost override must be finite and non-negative, got %v", n.CostTerminalUSD)
+	if math.IsNaN(c.CostTerminalUSD) || math.IsInf(c.CostTerminalUSD, 0) || c.CostTerminalUSD < 0 {
+		return fmt.Errorf("leodivide: terminal cost override must be finite and non-negative, got %v", c.CostTerminalUSD)
 	}
 	return nil
 }
@@ -220,10 +249,10 @@ func (c ScenarioConfig) validateBase() error {
 // worker count (the determinism contract), so two runs differing only
 // in parallelism share a cache entry.
 func (c ScenarioConfig) CanonicalKey() (string, error) {
-	if err := c.Validate(); err != nil {
+	n, err := c.validated()
+	if err != nil {
 		return "", err
 	}
-	n := c.Normalized()
 	return scenario.NewKey(scenario.Schema).
 		Float("afford_share", n.AffordShare).
 		Bool("calibrated", n.Calibrated).
